@@ -18,7 +18,7 @@ import sys
 from typing import Any
 
 from .dyadic import Dyadic
-from .errors import BudgetExhaustedError, ParseError, PreconditionError
+from .errors import BudgetExhaustedError, CertificateError, ParseError, PreconditionError
 from .functional import (
     MonotoneFunctional,
     consistency_check,
@@ -303,8 +303,12 @@ def cmd_mirror_pair(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     phi = functional_from_json(_load_json(args.file))
-    payload = {"input": check_bits(args.sigma), "stage": args.stage,
-               "output": eval_on_string(phi, args.sigma, args.stage)}
+    try:
+        output = eval_on_string(phi, args.sigma, args.stage)
+    except CertificateError as exc:
+        sys.stderr.write(f"validation failed: {exc}\n")
+        return 1
+    payload = {"input": check_bits(args.sigma), "stage": args.stage, "output": output}
     _emit(payload, args)
     return 0
 

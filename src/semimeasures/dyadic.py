@@ -144,6 +144,9 @@ class Dyadic:
         )
 
     def __hash__(self):
+        # integers compare equal to their Dyadic, so they must hash alike
+        if self.exponent == 0:
+            return hash(self.numerator)
         return hash((self.numerator, self.exponent))
 
     def __bool__(self):

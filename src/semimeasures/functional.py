@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .dyadic import Dyadic, ONE, ZERO, expansion_bits
-from .errors import PreconditionError
+from .errors import CertificateError, PreconditionError
 from .semimeasure import Component, LeftCeSemiMeasure, SemiMeasureStage, TailRule
 from .strings import (
     EPSILON,
@@ -111,12 +111,24 @@ def consistency_check(phi: MonotoneFunctional, stage: int) -> ConsistencyReport:
 
 
 def eval_on_string(phi: MonotoneFunctional, sigma: str, stage: int) -> str:
-    """Longest output among pairs whose input is a prefix of sigma."""
+    """Longest output among pairs whose input is a prefix of sigma.
+
+    Those pairs' outputs must form a chain; if two are incomparable the
+    value is not defined and CertificateError names the first such two
+    pairs in sorted order.
+    """
     check_bits(sigma)
-    best = EPSILON
-    for i, o in phi.pairs_at(stage):
-        if sigma.startswith(i) and len(o) > len(best):
-            best = o
+    hits = sorted((i, o) for i, o in phi.pairs_at(stage) if sigma.startswith(i))
+    best = max((o for _i, o in hits), key=len, default=EPSILON)
+    if any(not best.startswith(o) for _i, o in hits):
+        a, b = next(
+            (p, q) for n, p in enumerate(hits) for q in hits[n + 1 :] if not comparable(p[1], q[1])
+        )
+        raise CertificateError(
+            f"inconsistent functional at stage {stage}: pairs {list(a)} and {list(b)} "
+            f"both apply to {sigma!r} with incomparable outputs",
+            witness=sigma,
+        )
     return best
 
 

@@ -138,14 +138,18 @@ class Component:
     def _plain_value(self, sigma: str) -> Dyadic:
         if len(sigma) <= self.depth:
             return self.table[sigma]
+        # the frontier value times zero**z * one**o, z and o counting the
+        # 0s and 1s below the frontier, built as one Dyadic
         frontier = sigma[: self.depth]
         v = self.table[frontier]
         rule = self.tails[frontier]
-        for bit in sigma[self.depth :]:
-            if v.is_zero:
-                return ZERO
-            v = v * rule.factor(bit)
-        return v
+        ones = sigma.count("1", self.depth)
+        zeros = len(sigma) - self.depth - ones
+        zero, one = rule.zero, rule.one
+        return Dyadic(
+            v.numerator * zero.numerator**zeros * one.numerator**ones,
+            v.exponent + zero.exponent * zeros + one.exponent * ones,
+        )
 
     def _tilt_factor(self, sigma: str) -> Dyadic:
         if self.tilt == 0:

@@ -39,6 +39,11 @@ def dyadic_from_text(text: Any) -> Dyadic:
     return Dyadic.from_text(text)
 
 
+def _is_int(value: Any) -> bool:
+    """JSON integers only: booleans, floats and numeric strings are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def tail_to_json(rule: TailRule) -> dict:
     kind = rule.kind
     if kind == "geometric":
@@ -121,7 +126,7 @@ def component_from_json(obj: Any) -> Component:
     if tail is None and tails is None:
         raise ParseError("component needs a 'tail' or a 'tails' field")
     tilt = obj.get("tilt", 0)
-    if not isinstance(tilt, int) or tilt < 0:
+    if not _is_int(tilt) or tilt < 0:
         raise ParseError("'tilt' must be a non-negative integer")
     try:
         return Component.build(weight, table, tail=tail, tails=tails, tilt=tilt)
@@ -166,7 +171,7 @@ def staged_from_json(obj: Any) -> LeftCeSemiMeasure:
             raise ParseError("infimum descriptor needs non-empty 'rows'")
         parsed = [[dyadic_from_text(v) for v in row] for row in rows]
         depth = obj.get("depth", len(rows) - 1)
-        if not isinstance(depth, int) or depth < 0:
+        if not _is_int(depth) or depth < 0:
             raise ParseError("'depth' must be a non-negative integer")
         return infimum_semimeasure(parsed, depth)
     raise ParseError(f"unknown staged kind {kind!r}")
@@ -197,7 +202,7 @@ def functional_from_json(obj: Any) -> MonotoneFunctional:
         for pair in pairs:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ParseError(f"stage {t}: each pair must be [input, output]")
-            events.append((t, check_bits(str(pair[0])), check_bits(str(pair[1]))))
+            events.append((t, check_bits(pair[0]), check_bits(pair[1])))
     return MonotoneFunctional.from_events(events)
 
 
@@ -224,16 +229,18 @@ def test_from_json(obj: Any) -> MLTest | GeneralizedTest:
     for i, row in enumerate(rows):
         if not isinstance(row, list):
             raise ParseError(f"level {i} must be a list of strings")
-        levels[i] = tuple(check_bits(str(s)) for s in row)
+        levels[i] = tuple(check_bits(s) for s in row)
     base = stage_from_json(obj["base"])
     if obj.get("kind") == "generalized" or "decay" in obj:
         decay_obj = obj.get("decay", {})
         if not isinstance(decay_obj, Mapping):
             raise ParseError("'decay' must map accuracies to level indices")
+        if not all(_is_int(v) for v in decay_obj.values()):
+            raise ParseError("'decay' values must be integers")
         try:
-            decay = {int(k): int(v) for k, v in decay_obj.items()}
+            decay = {int(k): v for k, v in decay_obj.items()}
         except (TypeError, ValueError):
-            raise ParseError("'decay' keys and values must be integers") from None
+            raise ParseError("'decay' keys must be integers") from None
         return GeneralizedTest.build(levels, base, decay)
     return MLTest.build(levels, base)
 

@@ -8,6 +8,13 @@ lexicographic), duplicates removed.
 
 For antichains plain string sorting agrees with left-to-right order of the
 cylinders on the unit interval, which the interval-allocation code relies on.
+
+Prefix tests never compare members pairwise.  A set is indexed by its
+members and the distinct lengths they have, and a string has a prefix in
+the set exactly when one of its prefixes at those lengths is a member.  So
+``prefix_free_normalize``, ``is_prefix_free`` and ``intersect_sets`` cost
+one set lookup per member per distinct length (after the sort), not one
+comparison per pair of members.
 """
 
 from __future__ import annotations
@@ -28,11 +35,6 @@ def check_bits(s: str) -> str:
     if not isinstance(s, str) or any(c not in "01" for c in s):
         raise ParseError(f"not a binary string: {s!r}")
     return s
-
-
-def is_prefix(a: str, b: str) -> bool:
-    """True when a is a (not necessarily proper) prefix of b."""
-    return b.startswith(a)
 
 
 def comparable(a: str, b: str) -> bool:
@@ -78,13 +80,24 @@ def leading_ones(s: str) -> int:
     return n
 
 
+def _has_prefix_in(s: str, members: set[str], lengths: Sequence[int], longest: int) -> bool:
+    """True when s[:n] is a member for some n in ``lengths`` (ascending) up to ``longest``."""
+    for n in lengths:
+        if n > longest:
+            return False
+        if s[:n] in members:
+            return True
+    return False
+
+
+def _lengths(items: Iterable[str]) -> list[int]:
+    return sorted({len(s) for s in items})
+
+
 def is_prefix_free(strings: Iterable[str]) -> bool:
     items = canon(strings)
-    for i, a in enumerate(items):
-        for b in items[i + 1 :]:
-            if b.startswith(a):
-                return False
-    return True
+    members, lengths = set(items), _lengths(items)
+    return not any(_has_prefix_in(s, members, lengths, len(s) - 1) for s in items)
 
 
 def prefix_free_normalize(strings: Iterable[str]) -> StringSet:
@@ -94,9 +107,14 @@ def prefix_free_normalize(strings: Iterable[str]) -> StringSet:
     antichain.  Normalising twice is the same as normalising once.
     """
     kept: list[str] = []
+    members: set[str] = set()
+    lengths: list[int] = []  # distinct lengths of the kept members, ascending
     for s in canon(strings):  # shortest first, so minimal members survive
-        if not any(s.startswith(k) for k in kept):
+        if not _has_prefix_in(s, members, lengths, len(s) - 1):
             kept.append(s)
+            members.add(s)
+            if not lengths or lengths[-1] < len(s):
+                lengths.append(len(s))
     return tuple(kept)
 
 
@@ -124,17 +142,16 @@ def extend_set(strings: Iterable[str], m: int) -> StringSet:
 def intersect_sets(a: Iterable[str], b: Iterable[str]) -> StringSet:
     """Antichain denoting the intersection of the two cylinder unions.
 
-    For comparable members the longer one carves out the overlap; for
-    prefix-free inputs the result is prefix-free.
+    For comparable members the longer one carves out the overlap: a member
+    of b with a prefix in a, or a member of a with a proper prefix in b.
+    For prefix-free inputs the result is prefix-free.
     """
-    out = []
     items_b = canon(b)
-    for x in canon(a):
-        for y in items_b:
-            if y.startswith(x):
-                out.append(y)
-            elif x.startswith(y):
-                out.append(x)
+    items_a = canon(a)
+    set_a, lengths_a = set(items_a), _lengths(items_a)
+    set_b, lengths_b = set(items_b), _lengths(items_b)
+    out = [y for y in items_b if _has_prefix_in(y, set_a, lengths_a, len(y))]
+    out += [x for x in items_a if _has_prefix_in(x, set_b, lengths_b, len(x) - 1)]
     return prefix_free_normalize(out)
 
 

@@ -26,6 +26,7 @@ from semimeasures import (
     leading_ones,
     strings_up_to,
 )
+from semimeasures.strings import canon
 
 Pair = tuple[str, str]
 
@@ -216,3 +217,55 @@ def oracle_set_mass(value: Callable[[str], Dyadic], members: Iterable[str]) -> F
     from semimeasures import prefix_free_normalize
 
     return sum((as_fraction(value(m)) for m in prefix_free_normalize(members)), Fraction(0))
+
+
+# -- pairwise references -----------------------------------------------------------
+#
+# Pairwise scans and a per-bit loop: the direct forms of the package's
+# antichain functions and component tails.  The length-indexed and
+# closed-form versions in the package must return exactly what these do.
+
+
+def reference_prefix_free_normalize(strings: Iterable[str]) -> tuple[str, ...]:
+    kept: list[str] = []
+    for s in canon(strings):
+        if not any(s.startswith(k) for k in kept):
+            kept.append(s)
+    return tuple(kept)
+
+
+def reference_is_prefix_free(strings: Iterable[str]) -> bool:
+    items = canon(strings)
+    for i, a in enumerate(items):
+        for b in items[i + 1 :]:
+            if b.startswith(a):
+                return False
+    return True
+
+
+def reference_intersect_sets(a: Iterable[str], b: Iterable[str]) -> tuple[str, ...]:
+    out = []
+    items_b = canon(b)
+    for x in canon(a):
+        for y in items_b:
+            if y.startswith(x):
+                out.append(y)
+            elif x.startswith(y):
+                out.append(x)
+    return reference_prefix_free_normalize(out)
+
+
+def reference_component_value(comp: Component, sigma: str) -> Dyadic:
+    """Component value with the tail applied one bit at a time."""
+    if len(sigma) <= comp.depth:
+        v = comp.table[sigma]
+    else:
+        frontier = sigma[: comp.depth]
+        v = comp.table[frontier]
+        rule = comp.tails[frontier]
+        for bit in sigma[comp.depth :]:
+            if v.is_zero:
+                v = ZERO
+                break
+            v = v * rule.factor(bit)
+    return v * Dyadic.pow2(-comp.tilt * leading_ones(sigma))

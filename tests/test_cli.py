@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -269,6 +273,86 @@ class TestEval:
         path = write_json(tmp_path, "phi.json", phi)
         assert main(["eval", path, "--sigma", "011"]) == 0
         assert json.loads(capsys.readouterr().out)["output"] == "00"
+
+    def test_incomparable_outputs_fail_validation(self, tmp_path, capsys):
+        phi = {"stages": [[["0", "00"], ["", "01"]]]}
+        path = write_json(tmp_path, "phi.json", phi)
+        assert main(["eval", path, "--sigma", "01"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "['', '01'] and ['0', '00']" in captured.err
+
+    def test_inconsistency_off_the_input_chain_is_not_checked(self, tmp_path, capsys):
+        phi = {"stages": [[["0", "00"], ["0", "01"], ["1", "1"]]]}
+        path = write_json(tmp_path, "phi.json", phi)
+        assert main(["eval", path, "--sigma", "10"]) == 0
+        assert json.loads(capsys.readouterr().out)["output"] == "1"
+
+    def test_result_does_not_depend_on_the_hash_seed(self, tmp_path):
+        phi = {"stages": [[["0", "00"], ["", "01"], ["01", "000"]]]}
+        path = write_json(tmp_path, "phi.json", phi)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        runs = set()
+        for seed in range(8):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "semimeasures.cli", "eval", path, "--sigma", "01"],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            runs.add((proc.returncode, proc.stdout, proc.stderr))
+        assert len(runs) == 1
+        code, out, err = runs.pop()
+        assert (code, out) == (1, "")
+        assert err.startswith("validation failed: ")
+
+
+# ---------------------------------------------------------------------------
+# integer and string fields in input documents
+# ---------------------------------------------------------------------------
+
+
+class TestFieldTypes:
+    """A JSON value of the wrong type is a parse error, never coerced."""
+
+    @pytest.mark.parametrize("tilt", [True, 1.0, "1"])
+    def test_tilt_must_be_an_integer(self, tmp_path, tilt):
+        obj = stage_to_json(uniform_measure(1))
+        obj["components"][0]["tilt"] = tilt
+        assert main(["validate", write_json(tmp_path, "m.json", obj)]) == 2
+
+    @pytest.mark.parametrize("depth", [True, 1.0, "1"])
+    def test_infimum_depth_must_be_an_integer(self, tmp_path, depth):
+        obj = {"kind": "infimum", "rows": [["1"], ["1/2^1"]], "depth": depth}
+        assert main(["validate", write_json(tmp_path, "m.json", obj)]) == 2
+
+    @pytest.mark.parametrize("level", [2.7, True, "3", None])
+    def test_decay_levels_must_be_integers(self, tmp_path, level):
+        obj = {
+            "kind": "generalized",
+            "base": stage_to_json(uniform_measure(1)),
+            "levels": [["0"], ["00"], ["000"], ["0000"]],
+            "decay": {"1": level},
+        }
+        assert main(["validate", write_json(tmp_path, "t.json", obj)]) == 2
+
+    def test_decay_accepts_integer_levels(self, tmp_path):
+        obj = {
+            "kind": "generalized",
+            "base": stage_to_json(uniform_measure(1)),
+            "levels": [["0"], ["00"], ["000"], ["0000"]],
+            "decay": {"1": 1},
+        }
+        assert main(["validate", write_json(tmp_path, "t.json", obj)]) == 0
+
+    @pytest.mark.parametrize("member", [101, 0, True])
+    def test_level_members_must_be_strings(self, tmp_path, member):
+        obj = {"kind": "ml", "base": stage_to_json(uniform_measure(1)), "levels": [[member]]}
+        assert main(["validate", write_json(tmp_path, "t.json", obj)]) == 2
+
+    @pytest.mark.parametrize("pair", [[0, "1"], ["0", 11]])
+    def test_functional_pairs_must_be_strings(self, tmp_path, pair):
+        path = write_json(tmp_path, "phi.json", {"stages": [[pair]]})
+        assert main(["eval", path, "--sigma", "0"]) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import dyadics
 from helpers import as_fraction
@@ -151,3 +151,23 @@ def test_expansion_bits_truncation_matches_fractions():
             bits = expansion_bits(value, n)
             encoded = int(bits, 2) if bits else 0
             assert encoded == (as_fraction(value) * 2**n).__floor__()
+
+
+class TestHashing:
+    def test_integers_hash_like_their_dyadic(self):
+        assert hash(Dyadic(1)) == hash(1)
+        assert hash(ZERO) == hash(0)
+        assert len({Dyadic(1), 1}) == 1
+        assert {Dyadic(6): "six"}[6] == "six"
+
+    @given(dyadics())
+    def test_equal_values_hash_equal(self, a):
+        same = Dyadic(a.numerator << 3, a.exponent + 3)  # a non-canonical spelling
+        assert a == same and hash(a) == hash(same)
+        if a.exponent == 0:
+            assert a == a.numerator and hash(a) == hash(a.numerator)
+
+    @given(st.integers(0, 1 << 70))
+    def test_integer_values(self, n):
+        assert Dyadic(n) == n
+        assert hash(Dyadic(n)) == hash(n)

@@ -12,8 +12,10 @@ from helpers import (
     as_fraction,
     oracle_level_sum,
     oracle_stage_value,
+    random_component,
     random_stage,
     random_table,
+    reference_component_value,
 )
 from semimeasures import (
     Component,
@@ -144,6 +146,28 @@ class TestEval:
             assert as_fraction(stage.level_mass(sigma, n)) == oracle_level_sum(
                 stage.value, sigma, n
             )
+
+    @given(seeds, st.integers(0, 3), st.integers(0, 2), st.text(alphabet="01", max_size=12))
+    def test_tail_matches_per_bit_reference(self, seed, depth, tilt, below):
+        """The closed-form tail equals the tail applied one bit at a time."""
+        rng = random.Random(seed)
+        comp = random_component(rng, depth=depth, tilt=tilt)
+        frontier = "".join(rng.choice("01") for _ in range(depth))
+        for cut in range(len(frontier + below) + 1):
+            sigma = (frontier + below)[:cut]
+            assert comp.value(sigma) == reference_component_value(comp, sigma)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [TailRule.vanish(), TailRule.split(ZERO, HALF), TailRule.split(QUARTER, ZERO), TailRule.uniform()],
+    )
+    def test_tail_with_zero_fractions(self, rule):
+        comp = Component.build(Dyadic(3, 2), {EPSILON: ONE, "0": HALF, "1": Dyadic(1, 3)}, tail=rule, tilt=1)
+        for below in ("", "0", "1", "01", "110", "0000000000", "111111111111"):
+            for frontier in ("0", "1"):
+                sigma = frontier + below
+                assert comp.value(sigma) == reference_component_value(comp, sigma)
+        assert comp.value("0" + "0" * 12) == (HALF * rule.zero**12)
 
     def test_set_mass_normalizes_first(self):
         lam = uniform_measure()

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import string_sets
-from helpers import oracle_cylinder_leaves, oracle_intersection_leaves, as_fraction
+from helpers import (
+    as_fraction,
+    oracle_cylinder_leaves,
+    oracle_intersection_leaves,
+    reference_intersect_sets,
+    reference_is_prefix_free,
+    reference_prefix_free_normalize,
+)
 from semimeasures import (
     Dyadic,
     EPSILON,
@@ -159,6 +166,58 @@ class TestIntersectSubtract:
         a, b = prefix_free_normalize(a), prefix_free_normalize(b)
         assert is_prefix_free(intersect_sets(a, b))
         assert is_prefix_free(subtract_sets(a, b))
+
+
+@st.composite
+def messy_string_sets(draw) -> list[str]:
+    """Up to ~60 strings of length <= 10, salted with duplicates and prefixes."""
+    base = draw(st.lists(st.text(alphabet="01", max_size=10), max_size=40))
+    cuts = draw(st.lists(st.tuples(st.integers(0, 39), st.integers(0, 10)), max_size=20))
+    salted = base + [base[k % len(base)][:cut] for k, cut in cuts if base]
+    return draw(st.permutations(salted))
+
+
+class TestMatchesPairwiseReference:
+    """The indexed antichain functions return exactly the pairwise results."""
+
+    @given(messy_string_sets())
+    def test_normalize(self, strings):
+        assert prefix_free_normalize(strings) == reference_prefix_free_normalize(strings)
+
+    @given(messy_string_sets())
+    def test_is_prefix_free(self, strings):
+        assert is_prefix_free(strings) == reference_is_prefix_free(strings)
+        assert is_prefix_free(prefix_free_normalize(strings))
+
+    @given(messy_string_sets(), messy_string_sets())
+    def test_intersect(self, a, b):
+        assert intersect_sets(a, b) == reference_intersect_sets(a, b)
+
+    @given(messy_string_sets(), messy_string_sets())
+    def test_intersect_of_antichains(self, a, b):
+        a, b = prefix_free_normalize(a), prefix_free_normalize(b)
+        assert intersect_sets(a, b) == reference_intersect_sets(a, b)
+
+    def test_generators_are_read_once(self):
+        members = ["0", "01", "1", "10", "0", EPSILON]
+        assert prefix_free_normalize(iter(members)) == (EPSILON,)
+        assert is_prefix_free(iter(["00", "01", "1"]))
+        assert intersect_sets(iter(["0", "11"]), iter(["00", "1"])) == ("00", "11")
+
+    @pytest.mark.parametrize(
+        "strings, expected",
+        [
+            ([], True),
+            ([EPSILON], True),
+            ([EPSILON, EPSILON], True),
+            (["01", "01"], True),
+            ([EPSILON, "1"], False),
+            (["1", "0110", "0"], False),
+            (["00", "01", "10", "110"], True),
+        ],
+    )
+    def test_is_prefix_free_cases(self, strings, expected):
+        assert is_prefix_free(strings) is expected
 
 
 class TestStagedFamily:
