@@ -52,7 +52,6 @@ from .semimeasure import (
     check_domination,
     complete_to_measure,
     default_family,
-    dirac_on_ones,
     dirac_spine,
     enumerate_limsup,
     from_infimum_sequence,
@@ -61,7 +60,6 @@ from .semimeasure import (
     mix_stages,
     mixture,
     table_semimeasure,
-    tail_max,
     test_defeating_semimeasure,
     tilt_by_ones,
     uniform_measure,
@@ -111,98 +109,3 @@ from .trim import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AmbiguityError",
-    "BudgetExhaustedError",
-    "CertificateError",
-    "Component",
-    "ConsistencyReport",
-    "DomainApprox",
-    "Dyadic",
-    "EPSILON",
-    "GeneralizedTest",
-    "HALF",
-    "LebesgueLikeReport",
-    "LeftCeSemiMeasure",
-    "LevelStatus",
-    "LevelViolation",
-    "MLTest",
-    "MonotoneFunctional",
-    "ONE",
-    "OpenSetTrim",
-    "ParseError",
-    "PreconditionError",
-    "SemiMeasureStage",
-    "StagedFamily",
-    "TailRule",
-    "TrimResult",
-    "ValidationReport",
-    "ZERO",
-    "all_strings",
-    "check_domination",
-    "complete_to_measure",
-    "component_from_json",
-    "component_to_json",
-    "consistency_check",
-    "decode_atom",
-    "default_family",
-    "derived_measure",
-    "dirac_on_ones",
-    "dirac_spine",
-    "domain_clopen_approx",
-    "dumps",
-    "dyadic_from_text",
-    "dyadic_to_text",
-    "enumerate_limsup",
-    "eval_on_string",
-    "expansion_bits",
-    "extend_set",
-    "from_infimum_sequence",
-    "from_semimeasure",
-    "functional_from_json",
-    "functional_to_json",
-    "geometric_semimeasure",
-    "induced_semimeasure",
-    "infimum_semimeasure",
-    "intersect_sets",
-    "intersect_tests",
-    "is_prefix_free",
-    "leading_ones",
-    "lebesgue_like_check",
-    "lebesgue_of_set",
-    "level_statuses_to_json",
-    "mirror_pair",
-    "mix_stages",
-    "mixture",
-    "ones_prefix_filter",
-    "open_set_derived",
-    "pad_with_identity",
-    "partial_trim",
-    "passes_at_depth",
-    "preimage_set",
-    "prefix_free_normalize",
-    "pullback_test",
-    "reach_set",
-    "shift_for_domination",
-    "stage_from_json",
-    "stage_to_json",
-    "staged_from_json",
-    "strings_up_to",
-    "subtract_sets",
-    "table_semimeasure",
-    "tail_from_json",
-    "tail_max",
-    "tail_to_json",
-    "test_defeating_semimeasure",
-    "test_from_json",
-    "test_to_json",
-    "tilt_by_ones",
-    "trim_result_to_json",
-    "uniform_measure",
-    "universal_functional",
-    "validate",
-    "validate_generalized_test",
-    "validate_measure",
-    "validate_ml_test",
-]

@@ -168,6 +168,21 @@ def cmd_validate(args: argparse.Namespace) -> int:
     raise ParseError(f"{args.file}: not a semi-measure, functional, or test")
 
 
+def _mirror_gap(phi: MonotoneFunctional, psi: MonotoneFunctional, stages: int, depth: int) -> Dyadic:
+    """Largest difference of the two induced semi-measures over the first
+    ``stages`` stages and every node of length <= depth."""
+    worst = Dyadic(0)
+    for s in range(stages):
+        left = induced_semimeasure(phi, s, depth)
+        right = induced_semimeasure(psi, s, depth)
+        for node in strings_up_to(depth):
+            a, b = left.value(node), right.value(node)
+            gap = a - b if b < a else b - a
+            if worst < gap:
+                worst = gap
+    return worst
+
+
 def _worked_rows() -> list[tuple[str, str, str, str]]:
     rows: list[tuple[str, str, str, str]] = []
 
@@ -205,16 +220,7 @@ def _worked_rows() -> list[tuple[str, str, str, str]]:
     # Twin functionals from one approximation agree at every stage.
     approx = [dyadic_from_text(t) for t in ["0", "1/2^2", "1/2^1", "1/2^1", "5/2^3", "11/2^4", "3/2^2"]]
     phi, psi = mirror_pair(approx)
-    worst = Dyadic(0)
-    for s in range(len(approx)):
-        left = induced_semimeasure(phi, s, 6)
-        right = induced_semimeasure(psi, s, 6)
-        for node in strings_up_to(6):
-            a, b = left.value(node), right.value(node)
-            gap = a - b if b < a else b - a
-            if worst < gap:
-                worst = gap
-    add("mirror-pair-depth-6", "0/2^0", str(worst))
+    add("mirror-pair-depth-6", "0/2^0", str(_mirror_gap(phi, psi, len(approx), 6)))
     return rows
 
 
@@ -283,12 +289,7 @@ def cmd_mirror_pair(args: argparse.Namespace) -> int:
     phi, psi = mirror_pair(approx)
     last = len(approx) - 1
     depth = args.depth if args.depth is not None else min(last, 8)
-    agree = True
-    for s in range(last + 1):
-        left = induced_semimeasure(phi, s, depth)
-        right = induced_semimeasure(psi, s, depth)
-        if any(left.value(n) != right.value(n) for n in strings_up_to(depth)):
-            agree = False
+    agree = _mirror_gap(phi, psi, len(approx), depth).is_zero
     payload = {
         "first": functional_to_json(phi),
         "second": functional_to_json(psi),

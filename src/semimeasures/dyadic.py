@@ -122,10 +122,6 @@ class Dyadic:
             raise ValueError("only non-negative integer powers")
         return Dyadic(self.numerator**k, self.exponent * k)
 
-    def scaled(self, k: int) -> "Dyadic":
-        """self * 2**k, exact for either sign of k."""
-        return self * Dyadic.pow2(k)
-
     # -- comparison ----------------------------------------------------
 
     def __eq__(self, other):

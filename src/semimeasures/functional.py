@@ -149,6 +149,8 @@ def induced_semimeasure(phi: MonotoneFunctional, stage: int, depth: int) -> Semi
     than assumed.  Strict only when the preimage of the root has full
     measure.
     """
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
     buckets: dict[str, list[str]] = {s: [] for s in strings_up_to(depth)}
     for i, o in phi.pairs_at(stage):
         for k in range(min(len(o), depth) + 1):

@@ -79,6 +79,16 @@ class TailRule:
     def factor(self, bit: str) -> Dyadic:
         return self.zero if bit == "0" else self.one
 
+    def kept(self, levels: int | None) -> Dyadic:
+        """Fraction of a node's mass left ``levels`` levels below it.
+
+        ``None`` is the limit: total**k tends to 1 when the rule conserves
+        mass and to 0 otherwise, since total <= 1.
+        """
+        if levels is None:
+            return ONE if self.conserving else ZERO
+        return self.total**levels
+
     @property
     def kind(self) -> str:
         if self.zero == self.one:
@@ -159,20 +169,21 @@ class Component:
     def value(self, sigma: str) -> Dyadic:
         return self._plain_value(sigma) * self._tilt_factor(sigma)
 
-    def _plain_level_sum(self, sigma: str, n: int) -> Dyadic:
-        # sum of untilted values over all length-n extensions of sigma
-        if n <= self.depth:
+    def _plain_level_sum(self, sigma: str, n: int | None) -> Dyadic:
+        # sum of untilted values over all length-n extensions of sigma;
+        # n = None takes the limit n -> infinity, the trimmed mass of sigma
+        if n is not None and n <= self.depth:
             total = ZERO
             for tail in all_strings(n - len(sigma)):
                 total = total + self.table[sigma + tail]
             return total
+        levels = None if n is None else n - max(len(sigma), self.depth)
         if len(sigma) >= self.depth:
-            rule = self.tails[sigma[: self.depth]]
-            return self._plain_value(sigma) * rule.total ** (n - len(sigma))
+            return self._plain_value(sigma) * self.tails[sigma[: self.depth]].kept(levels)
         total = ZERO
         for tail in all_strings(self.depth - len(sigma)):
             frontier = sigma + tail
-            total = total + self.table[frontier] * self.tails[frontier].total ** (n - self.depth)
+            total = total + self.table[frontier] * self.tails[frontier].kept(levels)
         return total
 
     def level_sum(self, sigma: str, n: int) -> Dyadic:
@@ -208,6 +219,19 @@ class SemiMeasureStage:
         total = ZERO
         for comp in self.components:
             total = total + comp.weight * comp.level_sum(sigma, n)
+        return total
+
+    def limit_mass(self, sigma: str) -> Dyadic:
+        """Limit of ``level_mass(sigma, n)`` as n grows: the trimmed mass.
+
+        Conserving frontier subtrees keep their mass and every other subtree
+        trims to zero.  Tilted components have no closed-form limit.
+        """
+        total = ZERO
+        for comp in self.components:
+            if comp.tilt:
+                raise ValueError("no closed-form trim for tilted components")
+            total = total + comp.weight * comp._plain_level_sum(sigma, None)
         return total
 
     def set_mass(self, strings: Iterable[str]) -> Dyadic:
@@ -249,6 +273,20 @@ def validate(stage: SemiMeasureStage) -> ValidationReport:
     zero + one <= 1 makes the inequality automatic, so finite checking
     suffices.  Returns the first violation found, in (length, lex) order.
     """
+    return _validate(stage, additive=False)
+
+
+def validate_measure(stage: SemiMeasureStage) -> ValidationReport:
+    """Like :func:`validate` but demanding exact additivity and conserving tails.
+
+    The same single walk: a super-additivity failure anywhere is reported
+    before a lossy tail at a charged frontier node, which is reported before
+    the first additivity gap.
+    """
+    return _validate(stage, additive=True)
+
+
+def _validate(stage: SemiMeasureStage, additive: bool) -> ValidationReport:
     for idx, comp in enumerate(stage.components):
         if comp.weight < ZERO:
             return ValidationReport(False, message=f"component {idx}: negative weight")
@@ -274,34 +312,33 @@ def validate(stage: SemiMeasureStage) -> ValidationReport:
     if root > ONE:
         return ValidationReport(False, node=EPSILON, message=f"root mass {root} exceeds 1")
 
-    for node in strings_up_to(max(stage.max_depth - 1, 0)) if stage.max_depth > 0 else ():
-        parent = stage.value(node)
-        left = stage.value(node + "0")
-        right = stage.value(node + "1")
-        if left + right > parent:
-            return ValidationReport(
-                False,
-                node=node,
-                message=f"super-additivity fails at {node!r}: {left} + {right} > {parent}",
-                children=(left, right),
-            )
-    return _OK
-
-
-def validate_measure(stage: SemiMeasureStage) -> ValidationReport:
-    """Like :func:`validate` but demanding exact additivity and conserving tails."""
-    rep = validate(stage)
-    if not rep.ok:
-        return rep
+    # level by level, so every node's value is computed once: the children
+    # of the i-th node of one level are the (2i)-th and (2i+1)-th of the next
+    gap = None
+    parents = [root]
+    for n in range(1, stage.max_depth + 1):
+        children = [stage.value(s) for s in all_strings(n)]
+        for i, node in enumerate(all_strings(n - 1)):
+            parent, left, right = parents[i], children[2 * i], children[2 * i + 1]
+            both = left + right
+            if both > parent:
+                return ValidationReport(
+                    False,
+                    node=node,
+                    message=f"super-additivity fails at {node!r}: {left} + {right} > {parent}",
+                    children=(left, right),
+                )
+            if additive and gap is None and both != parent:
+                gap = node
+        parents = children
+    if not additive:
+        return _OK
     for comp in stage.components:
         for node, rule in comp.tails.items():
             if not rule.conserving and comp.table[node] != ZERO:
                 return ValidationReport(False, node=node, message="tail loses mass at a charged frontier node")
-    for node in strings_up_to(max(stage.max_depth - 1, 0)) if stage.max_depth > 0 else ():
-        parent = stage.value(node)
-        both = stage.value(node + "0") + stage.value(node + "1")
-        if both != parent:
-            return ValidationReport(False, node=node, message=f"additivity fails at {node!r}")
+    if gap is not None:
+        return ValidationReport(False, node=gap, message=f"additivity fails at {gap!r}")
     return _OK
 
 
@@ -330,10 +367,6 @@ def dirac_spine(bit: str) -> SemiMeasureStage:
     rule = TailRule.split(ONE, ZERO) if bit == "0" else TailRule.split(ZERO, ONE)
     comp = Component.build(ONE, {EPSILON: ONE}, tail=rule)
     return SemiMeasureStage((comp,), strict=True)
-
-
-def dirac_on_ones() -> SemiMeasureStage:
-    return dirac_spine("1")
 
 
 def table_semimeasure(table: Mapping[str, Dyadic], tail: TailRule | None = None,
@@ -556,17 +589,6 @@ def enumerate_limsup(f, schedule: Sequence[int]) -> tuple[Dyadic, ...]:
     return tuple(emitted)
 
 
-def tail_max(values: Sequence[Dyadic], n: int) -> Dyadic:
-    """Largest element of values[n:], i.e. the supremum of the finite tail."""
-    if n < 0 or n >= len(values):
-        raise IndexError("tail start out of range")
-    best = values[n]
-    for v in values[n + 1 :]:
-        if v > best:
-            best = v
-    return best
-
-
 # -- a semi-measure charging enumerated test levels --------------------------
 
 
@@ -582,10 +604,10 @@ def test_defeating_semimeasure(families: Sequence[StagedFamily], stage: int) -> 
     comps: list[Component] = []
     used = ZERO
     for e, fam in enumerate(families):
-        members = fam.level_at(e + 2, stage)
-        if not members:
+        entries = fam.first_stages(e + 2, stage)
+        if not entries:
             continue
-        chosen = min(members, key=lambda s: (fam.entry_stage(e + 2, s, stage), sort_key(s)))
+        chosen = min(entries, key=lambda s: (entries[s], sort_key(s)))
         table = {s: (ONE if chosen.startswith(s) else ZERO) for s in strings_up_to(len(chosen))}
         comps.append(Component.build(Dyadic.pow2(-(e + 1)), table, tail=TailRule.vanish()))
         used = used + Dyadic.pow2(-(e + 1))
@@ -607,7 +629,7 @@ def default_family(count: int = 8) -> tuple[LeftCeSemiMeasure, ...]:
 
     pool = [
         LeftCeSemiMeasure.constant(uniform_measure()),
-        LeftCeSemiMeasure.constant(dirac_on_ones()),
+        LeftCeSemiMeasure.constant(dirac_spine("1")),
         LeftCeSemiMeasure.constant(dirac_spine("0")),
         LeftCeSemiMeasure.constant(geometric_semimeasure(quarter)),
         LeftCeSemiMeasure.constant(

@@ -13,8 +13,8 @@ Prefix tests never compare members pairwise.  A set is indexed by its
 members and the distinct lengths they have, and a string has a prefix in
 the set exactly when one of its prefixes at those lengths is a member.  So
 ``prefix_free_normalize``, ``is_prefix_free`` and ``intersect_sets`` cost
-one set lookup per member per distinct length (after the sort), not one
-comparison per pair of members.
+one set lookup per member per distinct length (plus a sort where the
+result is ordered), not one comparison per pair of members.
 """
 
 from __future__ import annotations
@@ -95,9 +95,9 @@ def _lengths(items: Iterable[str]) -> list[int]:
 
 
 def is_prefix_free(strings: Iterable[str]) -> bool:
-    items = canon(strings)
-    members, lengths = set(items), _lengths(items)
-    return not any(_has_prefix_in(s, members, lengths, len(s) - 1) for s in items)
+    members = set(strings)
+    lengths = _lengths(members)
+    return not any(_has_prefix_in(s, members, lengths, len(s) - 1) for s in members)
 
 
 def prefix_free_normalize(strings: Iterable[str]) -> StringSet:
@@ -136,7 +136,9 @@ def extend_set(strings: Iterable[str], m: int) -> StringSet:
     items = canon(strings)
     if not is_prefix_free(items):
         raise ValueError("extend_set requires a prefix-free set")
-    return canon(e for s in items for e in extensions(s, m))
+    # members of an antichain have disjoint extensions, and extending each
+    # member of a canonical tuple in turn keeps the (length, lex) order
+    return tuple(e for s in items for e in extensions(s, m))
 
 
 def intersect_sets(a: Iterable[str], b: Iterable[str]) -> StringSet:
@@ -193,17 +195,14 @@ class StagedFamily:
             evs.append((int(stage), int(level), check_bits(s)))
         return cls(tuple(evs))
 
-    def level_at(self, level: int, stage: int) -> StringSet:
-        seen = []
+    def first_stages(self, level: int, stage: int) -> dict[str, int]:
+        """Members of ``level`` by ``stage``, each mapped to the first stage
+        at which it appears, in order of first appearance in ``events``."""
+        first: dict[str, int] = {}
         for t, lv, s in self.events:
-            if lv == level and t <= stage and s not in seen:
-                seen.append(s)
-        return tuple(seen)
+            if lv == level and t <= stage and (s not in first or t < first[s]):
+                first[s] = t
+        return first
 
-    def entry_stage(self, level: int, s: str, stage: int) -> int | None:
-        """First stage <= ``stage`` at which ``s`` appears on ``level``."""
-        best = None
-        for t, lv, x in self.events:
-            if lv == level and x == s and t <= stage and (best is None or t < best):
-                best = t
-        return best
+    def level_at(self, level: int, stage: int) -> StringSet:
+        return tuple(self.first_stages(level, stage))

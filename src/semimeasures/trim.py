@@ -18,15 +18,8 @@ from typing import Iterable
 
 from .dyadic import Dyadic, ZERO
 from .errors import AmbiguityError, BudgetExhaustedError, PreconditionError
-from .semimeasure import Component, LeftCeSemiMeasure, SemiMeasureStage
-from .strings import (
-    EPSILON,
-    all_strings,
-    canon,
-    check_bits,
-    is_prefix_free,
-    strings_up_to,
-)
+from .semimeasure import LeftCeSemiMeasure, SemiMeasureStage
+from .strings import EPSILON, canon, check_bits, is_prefix_free, strings_up_to
 
 
 def partial_trim(stage: SemiMeasureStage, sigma: str, n: int) -> Dyadic:
@@ -47,21 +40,6 @@ class TrimResult:
     stabilized: bool
 
 
-def _component_trim(comp: Component, sigma: str) -> Dyadic:
-    # closed form for an untilted component: conserving frontier subtrees
-    # keep their mass, every other subtree trims to zero
-    if len(sigma) <= comp.depth:
-        total = ZERO
-        for tail in all_strings(comp.depth - len(sigma)):
-            frontier = sigma + tail
-            if comp.tails[frontier].conserving:
-                total = total + comp.table[frontier]
-        return total
-    if comp.tails[sigma[: comp.depth]].conserving:
-        return comp._plain_value(sigma)
-    return ZERO
-
-
 def derived_measure(stage: SemiMeasureStage, sigma: str, probe_depth: int | None = None) -> TrimResult:
     """Trim limit at sigma.
 
@@ -74,9 +52,7 @@ def derived_measure(stage: SemiMeasureStage, sigma: str, probe_depth: int | None
     check_bits(sigma)
     settled = max(len(sigma), stage.max_depth)
     if all(c.tilt == 0 for c in stage.components):
-        total = ZERO
-        for comp in stage.components:
-            total = total + comp.weight * _component_trim(comp, sigma)
+        total = stage.limit_mass(sigma)
         if total > partial_trim(stage, sigma, settled):
             raise AssertionError("closed-form trim exceeded a level sum")  # pragma: no cover
         return TrimResult(value=total, depth=settled, stabilized=True)

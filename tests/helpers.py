@@ -21,6 +21,7 @@ from semimeasures import (
     ONE,
     SemiMeasureStage,
     TailRule,
+    ValidationReport,
     ZERO,
     all_strings,
     leading_ones,
@@ -224,6 +225,8 @@ def oracle_set_mass(value: Callable[[str], Dyadic], members: Iterable[str]) -> F
 # Pairwise scans and a per-bit loop: the direct forms of the package's
 # antichain functions and component tails.  The length-indexed and
 # closed-form versions in the package must return exactly what these do.
+# Likewise the trim limit taken frontier node by frontier node, and
+# validation as separate passes, against the package's shared walks.
 
 
 def reference_prefix_free_normalize(strings: Iterable[str]) -> tuple[str, ...]:
@@ -269,3 +272,75 @@ def reference_component_value(comp: Component, sigma: str) -> Dyadic:
                 break
             v = v * rule.factor(bit)
     return v * Dyadic.pow2(-comp.tilt * leading_ones(sigma))
+
+
+def reference_trim(comp: Component, sigma: str) -> Fraction:
+    """Trim limit of an untilted component at sigma, in Fractions.
+
+    A frontier subtree whose tail conserves mass keeps its value and every
+    other subtree goes to 0: at or below the frontier that is the value of
+    sigma or nothing, above it the sum over the conserving frontier nodes
+    extending sigma.
+    """
+    assert comp.tilt == 0, "tilted components have no closed-form trim"
+    if len(sigma) >= comp.depth:
+        if comp.tails[sigma[: comp.depth]].conserving:
+            return oracle_component_value(comp, sigma)
+        return Fraction(0)
+    frontier = (sigma + tail for tail in all_strings(comp.depth - len(sigma)))
+    return sum((as_fraction(comp.table[f]) for f in frontier if comp.tails[f].conserving), Fraction(0))
+
+
+def reference_validate(stage: SemiMeasureStage) -> ValidationReport:
+    """Structure, root, then super-additivity node by node, each node's
+    value recomputed as parent and again as child."""
+    for idx, comp in enumerate(stage.components):
+        if comp.weight < ZERO:
+            return ValidationReport(False, message=f"component {idx}: negative weight")
+        if set(comp.table) != set(strings_up_to(comp.depth)):
+            return ValidationReport(False, message=f"component {idx}: incomplete table")
+        for node, v in comp.table.items():
+            if v < ZERO:
+                return ValidationReport(False, node=node, message=f"component {idx}: negative value")
+        if set(comp.tails) != set(all_strings(comp.depth)):
+            return ValidationReport(False, message=f"component {idx}: tail map must cover the frontier")
+        for node, rule in comp.tails.items():
+            if rule.zero < ZERO or rule.one < ZERO or rule.total > ONE:
+                return ValidationReport(
+                    False, node=node, message=f"component {idx}: tail fractions must be >= 0 and sum to <= 1"
+                )
+        if comp.tilt < 0:
+            return ValidationReport(False, message=f"component {idx}: negative tilt")
+    root = stage.value(EPSILON)
+    if stage.strict and root != ONE:
+        return ValidationReport(False, node=EPSILON, message=f"strict presentation has root mass {root}")
+    if root > ONE:
+        return ValidationReport(False, node=EPSILON, message=f"root mass {root} exceeds 1")
+    for node in strings_up_to(stage.max_depth - 1):
+        parent = stage.value(node)
+        left = stage.value(node + "0")
+        right = stage.value(node + "1")
+        if left + right > parent:
+            return ValidationReport(
+                False,
+                node=node,
+                message=f"super-additivity fails at {node!r}: {left} + {right} > {parent}",
+                children=(left, right),
+            )
+    return ValidationReport(ok=True)
+
+
+def reference_validate_measure(stage: SemiMeasureStage) -> ValidationReport:
+    """Two passes: a full :func:`reference_validate`, then the tail check,
+    then a second walk for the first additivity gap."""
+    rep = reference_validate(stage)
+    if not rep.ok:
+        return rep
+    for comp in stage.components:
+        for node, rule in comp.tails.items():
+            if not rule.conserving and comp.table[node] != ZERO:
+                return ValidationReport(False, node=node, message="tail loses mass at a charged frontier node")
+    for node in strings_up_to(stage.max_depth - 1):
+        if stage.value(node + "0") + stage.value(node + "1") != stage.value(node):
+            return ValidationReport(False, node=node, message=f"additivity fails at {node!r}")
+    return ValidationReport(ok=True)

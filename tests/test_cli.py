@@ -171,6 +171,13 @@ class TestInduce:
             ["1/2^2", "1/2^2", "1/2^2", "1/2^2"],
         ]
 
+    def test_negative_depth_is_a_parse_error(self, tmp_path, capsys):
+        path = write_json(tmp_path, "ident.json", {"kind": "identity"})
+        assert main(["induce", path, "--depth", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: depth must be non-negative\n"
+
 
 class TestInvert:
     def test_round_trip_produces_an_event_functional(self, uniform_file, capsys):
@@ -261,6 +268,12 @@ class TestMirrorPair:
 
     def test_decreasing_stages_fail_the_precondition(self):
         assert main(["mirror-pair", "--stages", "1/2^1,1/2^2"]) == 4
+
+    def test_negative_depth_is_a_parse_error(self, capsys):
+        assert main(["mirror-pair", "--stages", "0,1/2^1", "--depth", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: depth must be non-negative\n"
 
     def test_stages_file_must_hold_a_list(self, tmp_path):
         path = write_json(tmp_path, "approx.json", {"stages": []})

@@ -76,10 +76,6 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             ZERO - ONE
 
-    def test_scaled_shifts_the_exponent(self):
-        assert Dyadic(3, 2).scaled(-2) == Dyadic(3, 4)
-        assert Dyadic(3, 2).scaled(2) == Dyadic(3)
-
     def test_int_coercion_for_sum(self):
         assert sum([HALF, HALF, ONE]) == Dyadic(2)
 

@@ -15,7 +15,10 @@ from helpers import (
     random_component,
     random_stage,
     random_table,
+    random_tail,
     reference_component_value,
+    reference_validate,
+    reference_validate_measure,
 )
 from semimeasures import (
     Component,
@@ -27,10 +30,10 @@ from semimeasures import (
     SemiMeasureStage,
     TailRule,
     ZERO,
+    all_strings,
     check_domination,
     complete_to_measure,
     default_family,
-    dirac_on_ones,
     dirac_spine,
     enumerate_limsup,
     from_infimum_sequence,
@@ -40,7 +43,6 @@ from semimeasures import (
     mixture,
     strings_up_to,
     table_semimeasure,
-    tail_max,
     tilt_by_ones,
     uniform_measure,
     validate,
@@ -124,9 +126,9 @@ class TestEval:
         zero_spine = dirac_spine("0")
         assert zero_spine.value("0000") == ONE
         assert zero_spine.value("0001") == ZERO
-        assert dirac_on_ones().value("111") == ONE
-        assert dirac_on_ones().value("10") == ZERO
-        assert dirac_on_ones().value(EPSILON) == ONE
+        assert dirac_spine("1").value("111") == ONE
+        assert dirac_spine("1").value("10") == ZERO
+        assert dirac_spine("1").value(EPSILON) == ONE
 
     @given(seeds, st.integers(0, 3))
     def test_matches_fraction_oracle(self, seed, extra_len):
@@ -261,6 +263,34 @@ class TestValidateMeasure:
         report = validate_measure(rho)
         assert not report.ok and report.node == EPSILON
 
+    @given(seeds)
+    def test_one_walk_reports_what_the_passes_report(self, seed):
+        """Mixtures of additive and merely super-additive tables, lossy and
+        conserving tails, broken super-additivity and wrong root claims:
+        both checks give the same (ok, node, message) as separate passes."""
+        rng = random.Random(seed)
+        weights = rng.choice([[ONE], [HALF, HALF]])
+        comps = []
+        for w in weights:
+            depth = rng.randint(0, 3)
+            root = rng.choice([ONE, ONE, ONE, HALF])
+            table = random_table(rng, depth, root=root, additive=rng.random() < 0.7)
+            if depth and rng.random() < 0.2:
+                node = rng.choice(list(table)[1:])
+                table[node] = table[node] + QUARTER
+            conserving = rng.choice([True, True, None])
+            tails = {node: random_tail(rng, conserving) for node in all_strings(depth)}
+            comps.append(Component.build(w, table, tails=tails))
+        stage = SemiMeasureStage(tuple(comps), strict=rng.random() < 0.9)
+        for check, reference in ((validate, reference_validate), (validate_measure, reference_validate_measure)):
+            got, want = check(stage), reference(stage)
+            assert (got.ok, got.node, got.message, got.children) == (
+                want.ok,
+                want.node,
+                want.message,
+                want.children,
+            )
+
 
 class TestTilt:
     def test_uniform_tilt_values(self):
@@ -298,14 +328,14 @@ class TestMixture:
     def test_two_component_value(self):
         fam = [
             LeftCeSemiMeasure.constant(uniform_measure()),
-            LeftCeSemiMeasure.constant(dirac_on_ones()),
+            LeftCeSemiMeasure.constant(dirac_spine("1")),
         ]
         mixed = mixture(fam, [HALF, HALF], stage=0)
         assert mixed.value("1") == Dyadic(3, 2)
         assert mixed.strict
 
     def test_tilted_blend_frozen_values(self):
-        mixed = mix_stages([tilt_by_ones(uniform_measure()), dirac_on_ones()], [HALF, HALF])
+        mixed = mix_stages([tilt_by_ones(uniform_measure()), dirac_spine("1")], [HALF, HALF])
         assert mixed.value("1") == Dyadic(5, 3)
         assert mixed.value("11") == Dyadic(17, 5)
         assert validate(mixed).ok
@@ -330,7 +360,7 @@ class TestMixture:
                 assert witness is None
 
     def test_domination_witness_when_it_fails(self):
-        witness = check_domination(uniform_measure(), dirac_on_ones(), ONE, strings_up_to(2))
+        witness = check_domination(uniform_measure(), dirac_spine("1"), ONE, strings_up_to(2))
         assert witness == "1"
 
     def test_stage_monotonicity_of_registry(self):
@@ -438,20 +468,6 @@ class TestEnumerateLimsup:
         f = [[HALF, HALF], [Dyadic(3, 2), Dyadic(3, 2)]]
         assert enumerate_limsup(f, (1, 1)) == ()
         assert enumerate_limsup(f, (0, 1)) == (HALF,)
-
-
-class TestTailMax:
-    def test_known_values(self):
-        q = [Dyadic(3, 2), Dyadic(9, 4), Dyadic(5, 3)]
-        assert tail_max(q, 1) == Dyadic(5, 3)
-        assert tail_max(q, 0) == Dyadic(3, 2)
-        assert tail_max([HALF, HALF], 0) == HALF
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            tail_max([ONE], 1)
-        with pytest.raises(IndexError):
-            tail_max([ONE], -1)
 
 
 class TestTestDefeating:

@@ -229,11 +229,13 @@ class TestStagedFamily:
         assert fam.level_at(1, 5) == ("0",)
         assert fam.level_at(0, 5) == ()
 
-    def test_entry_stage(self):
-        fam = StagedFamily.from_events([(2, 0, "1"), (4, 0, "1"), (3, 0, "0")])
-        assert fam.entry_stage(0, "1", 10) == 2
-        assert fam.entry_stage(0, "0", 2) is None
-        assert fam.entry_stage(0, "0", 3) == 3
+    def test_first_stages(self):
+        fam = StagedFamily.from_events([(4, 0, "1"), (3, 0, "0"), (2, 0, "1"), (5, 0, "1")])
+        assert fam.first_stages(0, 10) == {"1": 2, "0": 3}
+        assert list(fam.first_stages(0, 10)) == ["1", "0"]
+        assert fam.first_stages(0, 2) == {"1": 2}
+        assert fam.first_stages(0, 1) == {}
+        assert fam.level_at(0, 10) == ("1", "0")
 
     def test_rejects_bad_events(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import as_fraction, oracle_level_sum, random_stage
+from helpers import as_fraction, oracle_level_sum, random_component, random_stage, reference_trim
 from semimeasures import (
     EPSILON,
     HALF,
@@ -18,6 +18,7 @@ from semimeasures import (
     Dyadic,
     LeftCeSemiMeasure,
     PreconditionError,
+    SemiMeasureStage,
     TailRule,
     decode_atom,
     derived_measure,
@@ -139,6 +140,23 @@ class TestDerivedMeasure:
                 stage, sigma + "1"
             ).value
             assert result.value == children
+
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 3))
+    def test_trim_matches_the_frontier_reference(self, seed, depth_a, depth_b):
+        """Above, at and below each frontier the trim is the sum of the
+        conserving frontier subtrees that sigma reaches."""
+        rng = random.Random(seed)
+        comps = (
+            random_component(rng, weight=HALF, depth=depth_a),
+            random_component(rng, weight=HALF, depth=depth_b),
+        )
+        stage = SemiMeasureStage(comps, strict=True)
+        for sigma in strings_up_to(max(depth_a, depth_b) + 2):
+            expected = sum(as_fraction(c.weight) * reference_trim(c, sigma) for c in comps)
+            result = derived_measure(stage, sigma)
+            assert result.stabilized
+            assert as_fraction(result.value) == expected
 
 
 # ---------------------------------------------------------------------------
