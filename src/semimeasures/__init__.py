@@ -95,7 +95,6 @@ from .strings import (
     leading_ones,
     prefix_free_normalize,
     strings_up_to,
-    subtract_sets,
 )
 from .trim import (
     LebesgueLikeReport,

@@ -28,7 +28,7 @@ from .functional import (
     mirror_pair,
     pad_with_identity,
 )
-from .mltest import GeneralizedTest, validate_generalized_test, validate_ml_test
+from .mltest import validate_ml_test
 from .semimeasure import (
     complete_to_measure,
     geometric_semimeasure,
@@ -145,11 +145,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         _emit(payload, args)
         return 0 if report.ok else 1
     if isinstance(obj, dict) and "levels" in obj:
-        test = test_from_json(obj)
-        if isinstance(test, GeneralizedTest):
-            violation = validate_generalized_test(test)
-        else:
-            violation = validate_ml_test(test)
+        violation = validate_ml_test(test_from_json(obj))
         payload = {
             "kind": "test",
             "ok": violation is None,
@@ -290,13 +286,14 @@ def cmd_mirror_pair(args: argparse.Namespace) -> int:
     last = len(approx) - 1
     depth = args.depth if args.depth is not None else min(last, 8)
     agree = _mirror_gap(phi, psi, len(approx), depth).is_zero
+    final = induced_semimeasure(phi, last, depth)
     payload = {
         "first": functional_to_json(phi),
         "second": functional_to_json(psi),
         "depth": depth,
         "stages": len(approx),
         "induced_agree": agree,
-        "spine_values": [str(induced_semimeasure(phi, last, depth).value("0" * k)) for k in range(depth + 1)],
+        "spine_values": [str(final.value("0" * k)) for k in range(depth + 1)],
     }
     _emit(payload, args)
     return 0 if agree else 1

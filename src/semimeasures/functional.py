@@ -30,7 +30,6 @@ from .strings import (
     lebesgue_of_set,
     prefix_free_normalize,
     strings_up_to,
-    subtract_sets,
 )
 
 Pair = tuple[str, str]
@@ -88,6 +87,17 @@ class ConsistencyReport:
         return self.ok
 
 
+def _first_conflict(pairs: Sequence[Pair]) -> tuple[Pair, Pair] | None:
+    """None when every output is a prefix of the longest one; otherwise the
+    first two pairs, in the given order, whose outputs are incomparable."""
+    longest = max((o for _i, o in pairs), key=len, default=EPSILON)
+    if all(longest.startswith(o) for _i, o in pairs):
+        return None
+    return next(
+        (p, q) for n, p in enumerate(pairs) for q in pairs[n + 1 :] if not comparable(p[1], q[1])
+    )
+
+
 def consistency_check(phi: MonotoneFunctional, stage: int) -> ConsistencyReport:
     """First pair of pairs with comparable inputs but incomparable outputs.
 
@@ -97,16 +107,12 @@ def consistency_check(phi: MonotoneFunctional, stage: int) -> ConsistencyReport:
     by_input: dict[str, list[str]] = {}
     for i, o in sorted(phi.pairs_at(stage)):
         by_input.setdefault(i, []).append(o)
-    for i, outs in by_input.items():
-        chain: list[tuple[str, str]] = []
-        for k in range(len(i) + 1):
-            prefix = i[:k]
-            for o in by_input.get(prefix, ()):  # includes i itself at k == len(i)
-                chain.append((prefix, o))
-        for a in range(len(chain)):
-            for b in range(a + 1, len(chain)):
-                if not comparable(chain[a][1], chain[b][1]):
-                    return ConsistencyReport(False, (chain[a][0], chain[a][1]), (chain[b][0], chain[b][1]))
+    for i in by_input:
+        # includes i itself at k == len(i)
+        chain = [(i[:k], o) for k in range(len(i) + 1) for o in by_input.get(i[:k], ())]
+        conflict = _first_conflict(chain)
+        if conflict is not None:
+            return ConsistencyReport(False, *conflict)
     return ConsistencyReport(True)
 
 
@@ -119,17 +125,15 @@ def eval_on_string(phi: MonotoneFunctional, sigma: str, stage: int) -> str:
     """
     check_bits(sigma)
     hits = sorted((i, o) for i, o in phi.pairs_at(stage) if sigma.startswith(i))
-    best = max((o for _i, o in hits), key=len, default=EPSILON)
-    if any(not best.startswith(o) for _i, o in hits):
-        a, b = next(
-            (p, q) for n, p in enumerate(hits) for q in hits[n + 1 :] if not comparable(p[1], q[1])
-        )
+    conflict = _first_conflict(hits)
+    if conflict is not None:
+        a, b = conflict
         raise CertificateError(
             f"inconsistent functional at stage {stage}: pairs {list(a)} and {list(b)} "
             f"both apply to {sigma!r} with incomparable outputs",
             witness=sigma,
         )
-    return best
+    return max((o for _i, o in hits), key=len, default=EPSILON)
 
 
 def preimage_set(phi: MonotoneFunctional, tau: str, stage: int) -> StringSet:
@@ -213,35 +217,33 @@ def domain_clopen_approx(
 # -- inverse construction: allocate input cylinders for a stage table --------
 
 
-def _take_leftmost(free: Sequence[str], need: Dyadic) -> list[str]:
+def _take_leftmost(free: Sequence[str], need: Dyadic) -> tuple[list[str], list[str]]:
     """Carve cylinders of total measure ``need`` from the left edge of ``free``.
 
     Greedy on aligned dyadic intervals: a cylinder is taken whole when it
     fits, otherwise split and recurse left-first.  ``need`` being dyadic
-    makes the recursion terminate at its exponent.
+    makes the recursion terminate at its exponent.  Returns the cylinders
+    taken and the maximal cylinders of ``free`` left over, left to right.
     """
     taken: list[str] = []
+    left: list[str] = []
 
     def carve(cyl: str, want: Dyadic) -> Dyadic:
         if want.is_zero:
+            left.append(cyl)
             return want
         m = Dyadic.pow2(-len(cyl))
         if m <= want:
             taken.append(cyl)
             return want - m
-        want = carve(cyl + "0", want)
-        if not want.is_zero:
-            want = carve(cyl + "1", want)
-        return want
+        return carve(cyl + "1", carve(cyl + "0", want))
 
     remaining = need
     for cyl in sorted(free):  # plain string order = left-to-right for antichains
-        if remaining.is_zero:
-            break
         remaining = carve(cyl, remaining)
     if not remaining.is_zero:
         raise PreconditionError(f"allocation pool too small by {remaining}")
-    return taken
+    return taken, left
 
 
 def from_semimeasure(
@@ -254,12 +256,12 @@ def from_semimeasure(
 
     Stages are replayed in order; at each one, every output node (breadth
     first) grows its allocated input region to the current value by taking
-    leftmost-available cylinders inside its parent's region, away from its
-    sibling.  Values may only grow, so allocations never retract, and pairs
-    are emitted at the stage their cylinder is first taken: the functional is
-    monotone and consistent by construction, and induced_semimeasure at any
-    stage t <= stage reproduces rho's stage-t table on strings of length <=
-    depth.
+    the leftmost of its parent's spare cylinders: those allocated to the
+    parent that neither child has taken yet.  Values may only grow, so
+    allocations never retract, and pairs are emitted at the stage their
+    cylinder is first taken: the functional is monotone and consistent by
+    construction, and induced_semimeasure at any stage t <= stage reproduces
+    rho's stage-t table on strings of length <= depth.
 
     Values whose exponent exceeds ``granularity_cap`` are rejected, keeping
     the cylinder count bounded.  The final stage must be strict.
@@ -269,8 +271,10 @@ def from_semimeasure(
     final = rho.stage_at(stage)
     if not final.strict:
         raise PreconditionError("inversion requires a strict final stage")
-    alloc: dict[str, list[str]] = {s: [] for s in strings_up_to(depth)}
     held: dict[str, Dyadic] = {s: ZERO for s in strings_up_to(depth)}
+    # the root's parent, None, holds the whole space
+    spare: dict[str | None, list[str]] = {s: [] for s in strings_up_to(depth)}
+    spare[None] = [EPSILON]
     events: list[tuple[int, str, str]] = []
     for t in range(stage + 1):
         st = rho.stage_at(t)
@@ -285,13 +289,9 @@ def from_semimeasure(
                 continue
             if target < have:
                 raise PreconditionError(f"stage values decreased at {node!r} (stage {t})")
-            if node == EPSILON:
-                pool = subtract_sets((EPSILON,), alloc[node])
-            else:
-                parent, sibling = node[:-1], node[:-1] + ("1" if node[-1] == "0" else "0")
-                pool = subtract_sets(alloc[parent], alloc[sibling] + alloc[node])
-            fresh = _take_leftmost(pool, target - have)
-            alloc[node].extend(fresh)
+            parent = node[:-1] if node else None
+            fresh, spare[parent] = _take_leftmost(spare[parent], target - have)
+            spare[node].extend(fresh)
             held[node] = target
             events.extend((t, cyl, node) for cyl in fresh)
     return MonotoneFunctional.from_events(events)

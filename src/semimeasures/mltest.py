@@ -1,10 +1,10 @@
 """Effective null-cover tests over a semi-measure, and their algebra.
 
-A test is an indexed family of string sets over a base semi-measure.  The
-standard kind requires level i to have base mass at most 2^-i after
-prefix-free normalisation; the generalized kind instead declares a modulus:
-an explicit map sending each accuracy k to a level index whose mass is at
-most 2^-k.
+A test is an indexed family of string sets over a base semi-measure.  A
+generalized test declares a decay modulus: an explicit map sending each
+accuracy k to a level index whose mass is at most 2^-k, after prefix-free
+normalisation.  A standard (Martin-Loef) test is the case of the identity
+modulus: level i has base mass at most 2^-i.
 
 The transformations here move tests between semi-measures: pulling a test
 back through a functional onto the uniform measure, re-indexing under a
@@ -45,35 +45,27 @@ def _canon_levels(levels: Mapping[int, Iterable[str]]) -> dict[int, StringSet]:
 
 @dataclass(frozen=True)
 class MLTest:
-    """Levels U_i with base mass at most 2^-i (checked, not assumed)."""
+    """Levels U_i with base mass at most 2^-k at level decay[k] (checked, not
+    assumed); ``decay`` None is the identity modulus of a standard test."""
 
     levels: Mapping[int, StringSet]
     base: SemiMeasureStage
-
-    @classmethod
-    def build(cls, levels: Mapping[int, Iterable[str]], base: SemiMeasureStage) -> "MLTest":
-        return cls(levels=_canon_levels(levels), base=base)
-
-    def members(self) -> StringSet:
-        return canon(s for level in self.levels.values() for s in level)
-
-
-@dataclass(frozen=True)
-class GeneralizedTest:
-    """Levels with an explicit decay modulus: mass(levels[decay[k]]) <= 2^-k."""
-
-    levels: Mapping[int, StringSet]
-    base: SemiMeasureStage
-    decay: Mapping[int, int]
+    decay: Mapping[int, int] | None = None
 
     @classmethod
     def build(
         cls,
         levels: Mapping[int, Iterable[str]],
         base: SemiMeasureStage,
-        decay: Mapping[int, int],
-    ) -> "GeneralizedTest":
-        return cls(levels=_canon_levels(levels), base=base, decay=dict(decay))
+        decay: Mapping[int, int] | None = None,
+    ) -> "MLTest":
+        return cls(levels=_canon_levels(levels), base=base, decay=None if decay is None else dict(decay))
+
+    def members(self) -> StringSet:
+        return canon(s for level in self.levels.values() for s in level)
+
+
+GeneralizedTest = MLTest
 
 
 @dataclass(frozen=True)
@@ -84,23 +76,20 @@ class LevelViolation:
 
 
 def validate_ml_test(test: MLTest) -> LevelViolation | None:
-    """First level whose normalised base mass exceeds 2^-i, if any."""
-    for i in sorted(test.levels):
-        mass = test.base.set_mass(test.levels[i])
-        if mass > Dyadic.pow2(-i):
-            return LevelViolation(level=i, mass=mass, bound=Dyadic.pow2(-i))
-    return None
-
-
-def validate_generalized_test(test: GeneralizedTest) -> LevelViolation | None:
-    for k in sorted(test.decay):
-        i = test.decay[k]
+    """First accuracy k, in increasing order, whose level's normalised base
+    mass exceeds 2^-k, if any."""
+    decay = test.decay if test.decay is not None else {i: i for i in test.levels}
+    for k in sorted(decay):
+        i = decay[k]
         if i not in test.levels:
             raise ValueError(f"decay modulus points at missing level {i}")
         mass = test.base.set_mass(test.levels[i])
         if mass > Dyadic.pow2(-k):
             return LevelViolation(level=i, mass=mass, bound=Dyadic.pow2(-k))
     return None
+
+
+validate_generalized_test = validate_ml_test
 
 
 def pullback_test(test: MLTest, phi: MonotoneFunctional, stage: int) -> MLTest:
@@ -216,7 +205,7 @@ class LevelStatus:
     mass: Dyadic
 
 
-def passes_at_depth(test: MLTest | GeneralizedTest, prefix: str) -> tuple[LevelStatus, ...]:
+def passes_at_depth(test: MLTest, prefix: str) -> tuple[LevelStatus, ...]:
     """Three-valued verdict per level for sequences starting with ``prefix``.
 
     captured: some member is a prefix of ``prefix`` (every extension is

@@ -415,10 +415,9 @@ class LeftCeSemiMeasure:
     values are pointwise non-decreasing in s (the caller's obligation,
     spot-checked in the test suite, never assumed silently elsewhere)."""
 
-    def __init__(self, stage_fn: Callable[[int], SemiMeasureStage], descriptor: dict | None = None):
+    def __init__(self, stage_fn: Callable[[int], SemiMeasureStage]):
         self._fn = stage_fn
         self._cache: dict[int, SemiMeasureStage] = {}
-        self.descriptor = descriptor
 
     def stage_at(self, s: int) -> SemiMeasureStage:
         if s < 0:
@@ -432,7 +431,7 @@ class LeftCeSemiMeasure:
 
     @classmethod
     def constant(cls, stage: SemiMeasureStage) -> "LeftCeSemiMeasure":
-        return cls(lambda _s: stage, descriptor={"kind": "constant"})
+        return cls(lambda _s: stage)
 
 
 def mixture(
@@ -560,10 +559,7 @@ def from_infimum_sequence(rows: Sequence, stage: int, depth: int) -> SemiMeasure
 
 def infimum_semimeasure(rows: Sequence, depth: int) -> LeftCeSemiMeasure:
     frozen = [r if callable(r) else list(r) for r in rows]
-    return LeftCeSemiMeasure(
-        lambda s: from_infimum_sequence(frozen, s, depth),
-        descriptor={"kind": "infimum"},
-    )
+    return LeftCeSemiMeasure(lambda s: from_infimum_sequence(frozen, s, depth))
 
 
 # -- enumeration helpers ------------------------------------------------------
@@ -637,7 +633,7 @@ def default_family(count: int = 8) -> tuple[LeftCeSemiMeasure, ...]:
         ),
         infimum_semimeasure([[ONE], [HALF], [HALF]], depth=3),
         LeftCeSemiMeasure.constant(tilt_by_ones(uniform_measure())),
-        LeftCeSemiMeasure(growing_uniform, descriptor={"kind": "ramp-uniform"}),
+        LeftCeSemiMeasure(growing_uniform),
     ]
     if not 1 <= count <= len(pool):
         raise ValueError(f"registry size must be between 1 and {len(pool)}")

@@ -15,7 +15,7 @@ from typing import Any, Mapping
 from .dyadic import Dyadic
 from .errors import ParseError
 from .functional import MonotoneFunctional
-from .mltest import GeneralizedTest, LevelStatus, MLTest
+from .mltest import LevelStatus, MLTest
 from .semimeasure import (
     Component,
     LeftCeSemiMeasure,
@@ -206,20 +206,20 @@ def functional_from_json(obj: Any) -> MonotoneFunctional:
     return MonotoneFunctional.from_events(events)
 
 
-def test_to_json(test: MLTest | GeneralizedTest) -> dict:
+def test_to_json(test: MLTest) -> dict:
     top = max(test.levels, default=-1)
     levels = [list(test.levels.get(i, ())) for i in range(top + 1)]
     out: dict[str, Any] = {
-        "kind": "generalized" if isinstance(test, GeneralizedTest) else "ml",
+        "kind": "ml" if test.decay is None else "generalized",
         "base": stage_to_json(test.base),
         "levels": levels,
     }
-    if isinstance(test, GeneralizedTest):
+    if test.decay is not None:
         out["decay"] = {str(k): v for k, v in sorted(test.decay.items())}
     return out
 
 
-def test_from_json(obj: Any) -> MLTest | GeneralizedTest:
+def test_from_json(obj: Any) -> MLTest:
     if not isinstance(obj, Mapping) or "levels" not in obj or "base" not in obj:
         raise ParseError("test must be an object with 'base' and 'levels'")
     rows = obj["levels"]
@@ -231,6 +231,7 @@ def test_from_json(obj: Any) -> MLTest | GeneralizedTest:
             raise ParseError(f"level {i} must be a list of strings")
         levels[i] = tuple(check_bits(s) for s in row)
     base = stage_from_json(obj["base"])
+    decay = None
     if obj.get("kind") == "generalized" or "decay" in obj:
         decay_obj = obj.get("decay", {})
         if not isinstance(decay_obj, Mapping):
@@ -241,8 +242,7 @@ def test_from_json(obj: Any) -> MLTest | GeneralizedTest:
             decay = {int(k): v for k, v in decay_obj.items()}
         except (TypeError, ValueError):
             raise ParseError("'decay' keys must be integers") from None
-        return GeneralizedTest.build(levels, base, decay)
-    return MLTest.build(levels, base)
+    return MLTest.build(levels, base, decay)
 
 
 def trim_result_to_json(result: TrimResult) -> dict:

@@ -157,24 +157,6 @@ def intersect_sets(a: Iterable[str], b: Iterable[str]) -> StringSet:
     return prefix_free_normalize(out)
 
 
-def subtract_sets(a: Iterable[str], b: Iterable[str]) -> StringSet:
-    """Antichain denoting (union of a) minus (union of b)."""
-    removed = canon(b)
-
-    def carve(cyl: str, blockers: Sequence[str]) -> list[str]:
-        if any(cyl.startswith(q) for q in blockers):
-            return []
-        inner = [q for q in blockers if q.startswith(cyl) and q != cyl]
-        if not inner:
-            return [cyl]
-        return carve(cyl + "0", inner) + carve(cyl + "1", inner)
-
-    out: list[str] = []
-    for cyl in canon(a):
-        out.extend(carve(cyl, removed))
-    return canon(out)
-
-
 @dataclass(frozen=True)
 class StagedFamily:
     """Stagewise enumeration of an indexed family of string sets.

@@ -15,10 +15,14 @@ from typing import Callable, Iterable, Sequence
 
 from semimeasures import (
     Component,
+    ConsistencyReport,
     Dyadic,
     EPSILON,
     HALF,
+    LeftCeSemiMeasure,
+    MonotoneFunctional,
     ONE,
+    PreconditionError,
     SemiMeasureStage,
     TailRule,
     ValidationReport,
@@ -27,7 +31,7 @@ from semimeasures import (
     leading_ones,
     strings_up_to,
 )
-from semimeasures.strings import canon
+from semimeasures.strings import canon, comparable
 
 Pair = tuple[str, str]
 
@@ -344,3 +348,98 @@ def reference_validate_measure(stage: SemiMeasureStage) -> ValidationReport:
         if stage.value(node + "0") + stage.value(node + "1") != stage.value(node):
             return ValidationReport(False, node=node, message=f"additivity fails at {node!r}")
     return ValidationReport(ok=True)
+
+
+# Inversion and consistency as first written: every node's pool derived by
+# subtracting its parent's and sibling's allocations, and a pairwise scan of
+# each prefix chain.  The package keeps spare cylinders per node and one
+# linear conflict search instead, and must give exactly these results.
+
+
+def reference_subtract_sets(a: Iterable[str], b: Iterable[str]) -> tuple[str, ...]:
+    """Antichain denoting (union of a) minus (union of b), carved cylinder by cylinder."""
+    removed = canon(b)
+
+    def carve(cyl: str, blockers: Sequence[str]) -> list[str]:
+        if any(cyl.startswith(q) for q in blockers):
+            return []
+        inner = [q for q in blockers if q.startswith(cyl) and q != cyl]
+        if not inner:
+            return [cyl]
+        return carve(cyl + "0", inner) + carve(cyl + "1", inner)
+
+    out: list[str] = []
+    for cyl in canon(a):
+        out.extend(carve(cyl, removed))
+    return canon(out)
+
+
+def _reference_take_leftmost(free: Sequence[str], need: Dyadic) -> list[str]:
+    taken: list[str] = []
+
+    def carve(cyl: str, want: Dyadic) -> Dyadic:
+        if want.is_zero:
+            return want
+        m = Dyadic.pow2(-len(cyl))
+        if m <= want:
+            taken.append(cyl)
+            return want - m
+        want = carve(cyl + "0", want)
+        if not want.is_zero:
+            want = carve(cyl + "1", want)
+        return want
+
+    remaining = need
+    for cyl in sorted(free):
+        if remaining.is_zero:
+            break
+        remaining = carve(cyl, remaining)
+    if not remaining.is_zero:
+        raise PreconditionError(f"allocation pool too small by {remaining}")
+    return taken
+
+
+def reference_from_semimeasure(
+    rho: LeftCeSemiMeasure, stage: int, depth: int, granularity_cap: int = 16
+) -> MonotoneFunctional:
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    if not rho.stage_at(stage).strict:
+        raise PreconditionError("inversion requires a strict final stage")
+    alloc: dict[str, list[str]] = {s: [] for s in strings_up_to(depth)}
+    held: dict[str, Dyadic] = {s: ZERO for s in strings_up_to(depth)}
+    events: list[tuple[int, str, str]] = []
+    for t in range(stage + 1):
+        st = rho.stage_at(t)
+        for node in strings_up_to(depth):
+            target = st.value(node)
+            if target.exponent > granularity_cap:
+                raise PreconditionError(f"stage value {target} at {node!r} finer than 2^-{granularity_cap}")
+            have = held[node]
+            if target == have:
+                continue
+            if target < have:
+                raise PreconditionError(f"stage values decreased at {node!r} (stage {t})")
+            if node == EPSILON:
+                pool = reference_subtract_sets((EPSILON,), alloc[node])
+            else:
+                parent, sibling = node[:-1], node[:-1] + ("1" if node[-1] == "0" else "0")
+                pool = reference_subtract_sets(alloc[parent], alloc[sibling] + alloc[node])
+            fresh = _reference_take_leftmost(pool, target - have)
+            alloc[node].extend(fresh)
+            held[node] = target
+            events.extend((t, cyl, node) for cyl in fresh)
+    return MonotoneFunctional.from_events(events)
+
+
+def reference_consistency_check(phi: MonotoneFunctional, stage: int) -> ConsistencyReport:
+    by_input: dict[str, list[str]] = {}
+    for i, o in sorted(phi.pairs_at(stage)):
+        by_input.setdefault(i, []).append(o)
+    for i in by_input:
+        chain = [(i[:k], o) for k in range(len(i) + 1) for o in by_input.get(i[:k], ())]
+        for a in range(len(chain)):
+            for b in range(a + 1, len(chain)):
+                if not comparable(chain[a][1], chain[b][1]):
+                    return ConsistencyReport(False, chain[a], chain[b])
+    return ConsistencyReport(True)

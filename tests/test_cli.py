@@ -17,6 +17,7 @@ from semimeasures import (
     stage_to_json,
     uniform_measure,
 )
+import semimeasures.cli as cli
 from semimeasures.cli import GRANULARITY_ENV, main
 
 QUARTER = Dyadic(1, 2)
@@ -278,6 +279,21 @@ class TestMirrorPair:
     def test_stages_file_must_hold_a_list(self, tmp_path):
         path = write_json(tmp_path, "approx.json", {"stages": []})
         assert main(["mirror-pair", "--stages-file", path]) == 2
+
+    def test_each_induced_stage_is_computed_once(self, monkeypatch, capsys):
+        calls = []
+        real = cli.induced_semimeasure
+
+        def counted(phi, stage, depth):
+            calls.append((stage, depth))
+            return real(phi, stage, depth)
+
+        monkeypatch.setattr(cli, "induced_semimeasure", counted)
+        stages = "0,1/2^2,1/2^1,5/2^3,11/2^4,3/2^2"
+        assert main(["mirror-pair", "--stages", stages, "--depth", "8"]) == 0
+        assert len(calls) == 2 * 6 + 1
+        spine = json.loads(capsys.readouterr().out)["spine_values"]
+        assert spine == ["1/2^0", "1/2^0", "1/2^1", "1/2^2", "1/2^3", "1/2^5", "0/2^0", "0/2^0", "0/2^0"]
 
 
 class TestEval:

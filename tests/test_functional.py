@@ -5,13 +5,15 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from helpers import (
     as_fraction,
     oracle_functional_eval,
     oracle_induced_mass,
     random_stage,
+    reference_consistency_check,
+    reference_from_semimeasure,
 )
 from semimeasures import (
     EPSILON,
@@ -28,15 +30,18 @@ from semimeasures import (
     eval_on_string,
     expansion_bits,
     from_semimeasure,
+    geometric_semimeasure,
     induced_semimeasure,
     infimum_semimeasure,
     lebesgue_of_set,
     mirror_pair,
+    mix_stages,
     pad_with_identity,
     preimage_set,
     reach_set,
     strings_up_to,
     table_semimeasure,
+    tilt_by_ones,
     uniform_measure,
     universal_functional,
     validate,
@@ -49,6 +54,25 @@ pair_lists = st.lists(
     st.tuples(st.text(alphabet="01", max_size=4), st.text(alphabet="01", max_size=4)),
     max_size=6,
 )
+
+# short strings, so most prefix chains hold several conflicts
+crowded_pair_lists = st.lists(
+    st.tuples(st.text(alphabet="01", max_size=2), st.text(alphabet="01", max_size=2)),
+    min_size=3,
+    max_size=8,
+)
+
+
+@st.composite
+def consistent_pair_lists(draw) -> list[tuple[str, str]]:
+    """Pairs of a monotone map: flip the bits under a fixed mask, then drop
+    a fixed number of trailing bits, so comparable inputs map to comparable
+    outputs."""
+    mask = draw(st.text(alphabet="01", min_size=8, max_size=8))
+    cut = draw(st.integers(0, 2))
+    inputs = draw(st.lists(st.text(alphabet="01", max_size=8), max_size=12))
+    flip = lambda i: "".join("1" if a != b else "0" for a, b in zip(i, mask))
+    return [(i, flip(i)[: max(0, len(i) - cut)]) for i in inputs]
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +109,16 @@ class TestConsistency:
             if comparable(ia, ib)
         )
         assert consistency_check(phi, stage=0).ok == brute_ok
+
+    @given(st.one_of(pair_lists, crowded_pair_lists, consistent_pair_lists()))
+    @example([("", "0"), ("0", "1"), ("0", "11")])  # two conflicts on one chain
+    def test_report_matches_the_pairwise_reference(self, pairs):
+        phi = MonotoneFunctional.constant(pairs)
+        assert consistency_check(phi, stage=0) == reference_consistency_check(phi, stage=0)
+
+    @given(consistent_pair_lists())
+    def test_monotone_maps_are_consistent(self, pairs):
+        assert consistency_check(MonotoneFunctional.constant(pairs), stage=0).ok
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +338,65 @@ class TestFromSemimeasure:
         rho = induced_semimeasure(phi, stage=0, depth=2)
         for s in strings_up_to(2):
             assert rho.value(s) == target.value(s, 0)
+
+
+@st.composite
+def infimum_targets(draw) -> tuple[LeftCeSemiMeasure, int]:
+    """Multi-stage infimum descriptors whose final stage is strict."""
+    stages = draw(st.integers(1, 4))
+    rows = []
+    for r in range(draw(st.integers(1, 4))):
+        steps = sorted(draw(st.lists(st.integers(0, 16), min_size=stages, max_size=stages)))
+        if r == 0:
+            steps[-1] = 16
+        rows.append([Dyadic(k, 4) for k in steps])
+    return infimum_semimeasure(rows, depth=len(rows) - 1), stages - 1
+
+
+STOCK = (
+    uniform_measure,
+    lambda d: geometric_semimeasure(QUARTER, d),
+    lambda d: geometric_semimeasure(HALF, d),
+    lambda d: dirac_spine("0"),
+    lambda d: dirac_spine("1"),
+    lambda d: tilt_by_ones(uniform_measure(d)),
+)
+
+
+@st.composite
+def stock_mixtures(draw) -> LeftCeSemiMeasure:
+    """Strict mixtures: two to four stock presentations, weights in eighths summing to 1."""
+    picks = draw(st.lists(st.sampled_from(STOCK), min_size=2, max_size=4))
+    cuts = sorted(draw(st.sets(st.integers(1, 7), min_size=len(picks) - 1, max_size=len(picks) - 1)))
+    units = [b - a for a, b in zip([0, *cuts], [*cuts, 8])]
+    depth = draw(st.integers(0, 2))
+    stage = mix_stages([make(depth) for make in picks], [Dyadic(u, 3) for u in units])
+    assert stage.strict
+    return LeftCeSemiMeasure.constant(stage)
+
+
+def _inversion(invert, rho, stage, depth):
+    try:
+        return invert(rho, stage, depth).events
+    except PreconditionError as exc:
+        return f"precondition: {exc}"
+
+
+class TestSpareCylinders:
+    """Drawing on spare cylinders emits exactly the events of the allocator
+    that derived each node's pool by subtraction."""
+
+    @given(infimum_targets(), st.integers(1, 5))
+    def test_multi_stage_infimum_descriptors(self, target, depth):
+        rho, stage = target
+        got = _inversion(from_semimeasure, rho, stage, depth)
+        assert got == _inversion(reference_from_semimeasure, rho, stage, depth)
+
+    @given(stock_mixtures(), st.integers(1, 5))
+    def test_strict_mixtures_of_stock_presentations(self, rho, depth):
+        got = _inversion(from_semimeasure, rho, 0, depth)
+        assert not isinstance(got, str)
+        assert got == _inversion(reference_from_semimeasure, rho, 0, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import oracle_intersection_leaves, random_antichain
+from helpers import oracle_intersection_leaves, random_antichain, random_stage
 from semimeasures import (
     HALF,
     ONE,
@@ -90,6 +90,22 @@ class TestValidate:
         test = GeneralizedTest.build({0: ["0"]}, uniform_measure(), decay={1: 7})
         with pytest.raises(ValueError):
             validate_generalized_test(test)
+
+    def test_generalized_test_is_the_same_type(self):
+        assert GeneralizedTest is MLTest
+        assert validate_generalized_test is validate_ml_test
+        assert MLTest.build({0: [""]}, uniform_measure()).decay is None
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_standard_test_is_the_identity_modulus(self, seed):
+        rng = random.Random(seed)
+        base = random_stage(rng, depth=2, strict=rng.random() < 0.5, tilt_allowed=True)
+        indices = rng.sample(range(6), rng.randint(1, 4))
+        levels = {i: random_antichain(rng, max_len=4, draws=rng.randint(0, 6)) for i in indices}
+        standard = MLTest.build(levels, base)
+        explicit = MLTest.build(levels, base, decay={i: i for i in levels})
+        assert explicit.decay is not None
+        assert validate_ml_test(standard) == validate_ml_test(explicit)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from semimeasures import (
     leading_ones,
     prefix_free_normalize,
     strings_up_to,
-    subtract_sets,
 )
 from semimeasures.strings import StagedFamily, all_strings, canon, check_bits, comparable
 
@@ -154,18 +153,9 @@ class TestIntersectSubtract:
         assert oracle_cylinder_leaves(got, depth) == oracle_intersection_leaves([a, b], depth)
 
     @given(string_sets, string_sets)
-    def test_subtract_matches_leaf_oracle(self, a, b):
-        a, b = prefix_free_normalize(a), prefix_free_normalize(b)
-        got = subtract_sets(a, b)
-        depth = max((len(s) for s in (*a, *b, *got)), default=0)
-        left = oracle_cylinder_leaves(a, depth) - oracle_cylinder_leaves(b, depth)
-        assert oracle_cylinder_leaves(got, depth) == left
-
-    @given(string_sets, string_sets)
     def test_results_are_antichains(self, a, b):
         a, b = prefix_free_normalize(a), prefix_free_normalize(b)
         assert is_prefix_free(intersect_sets(a, b))
-        assert is_prefix_free(subtract_sets(a, b))
 
 
 @st.composite
