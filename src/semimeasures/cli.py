@@ -249,6 +249,13 @@ def cmd_trim(args: argparse.Namespace) -> int:
 
 def cmd_induce(args: argparse.Namespace) -> int:
     phi = functional_from_json(_load_json(args.file))
+    report = consistency_check(phi, args.stage)
+    if not report.ok:
+        sys.stderr.write(
+            f"validation failed: inconsistent functional at stage {args.stage}: pairs "
+            f"{list(report.pair_a)} and {list(report.pair_b)} have comparable inputs and incomparable outputs\n"
+        )
+        return 1
     stage = induced_semimeasure(phi, args.stage, args.depth)
     _emit(stage_to_json(stage), args)
     return 0

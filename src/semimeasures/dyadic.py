@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from functools import total_ordering
+from typing import Iterable
 
 from .errors import ParseError
 
@@ -164,6 +165,14 @@ class Dyadic:
 ZERO = Dyadic(0)
 ONE = Dyadic(1)
 HALF = Dyadic(1, 1)
+
+
+def dyadic_sum(values: Iterable[Dyadic]) -> Dyadic:
+    """Exact sum built as one Dyadic: every numerator is shifted onto the
+    largest exponent and the integers are added."""
+    items = list(values)
+    e = max((v.exponent for v in items), default=0)
+    return Dyadic(sum(v.numerator << (e - v.exponent) for v in items), e)
 
 
 def expansion_bits(value: Dyadic, n: int) -> str:

@@ -21,6 +21,12 @@ preserved; exact trimming is not available for tilted components.
 Super-additivity -- value(s) >= value(s0) + value(s1) at every node -- is
 asserted by :func:`validate`, never assumed.  A presentation is *strict*
 when it claims root mass exactly 1.
+
+Whole-table sweeps (validation, completion, the Lebesgue-likeness check in
+:mod:`trim`) read the presentation one level at a time through
+:meth:`SemiMeasureStage.level_row`: the values of all strings of one length
+as ``int`` numerators over a single power of two.  ``Dyadic`` values are
+built only for what a sweep returns.
 """
 
 from __future__ import annotations
@@ -28,18 +34,22 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .dyadic import Dyadic, HALF, ONE, ZERO
+from .dyadic import Dyadic, HALF, ONE, ZERO, dyadic_sum
 from .errors import PreconditionError
 from .strings import (
     EPSILON,
     StagedFamily,
     all_strings,
     check_bits,
+    extensions,
     leading_ones,
     prefix_free_normalize,
     sort_key,
+    string_at,
     strings_up_to,
 )
+
+Row = tuple[list[int], int]  # (numerators, e): the i-th value is numerators[i] / 2**e
 
 
 @dataclass(frozen=True)
@@ -72,12 +82,34 @@ class TailRule:
         return self.zero + self.one
 
     @property
+    def aligned(self) -> tuple[int, int, int]:
+        """(z, o, e) with zero = z / 2**e and one = o / 2**e; equal rules
+        give equal triples."""
+        e = max(self.zero.exponent, self.one.exponent)
+        return self.zero.numerator << (e - self.zero.exponent), self.one.numerator << (e - self.one.exponent), e
+
+    @property
     def conserving(self) -> bool:
         """True when no mass is lost below the frontier (total == 1)."""
-        return self.total == ONE
+        z, o, e = self.aligned
+        return z + o == 1 << e
 
     def factor(self, bit: str) -> Dyadic:
         return self.zero if bit == "0" else self.one
+
+    def padded(self) -> "TailRule":
+        """The conserving rule that splits the lost fraction evenly."""
+        pad = HALF * (ONE - self.total)
+        return TailRule(self.zero + pad, self.one + pad)
+
+    def pattern(self, levels: int) -> Row:
+        """zero**a * one**b for every string of the given length below a
+        node (a zeros, b ones), in lex order."""
+        z, o, e = self.aligned
+        row = [1]
+        for _ in range(levels):
+            row = [x * f for x in row for f in (z, o)]
+        return row, e * levels
 
     def kept(self, levels: int | None) -> Dyadic:
         """Fraction of a node's mass left ``levels`` levels below it.
@@ -173,18 +205,51 @@ class Component:
         # sum of untilted values over all length-n extensions of sigma;
         # n = None takes the limit n -> infinity, the trimmed mass of sigma
         if n is not None and n <= self.depth:
-            total = ZERO
-            for tail in all_strings(n - len(sigma)):
-                total = total + self.table[sigma + tail]
-            return total
+            return dyadic_sum(self.table[s] for s in extensions(sigma, n - len(sigma)))
         levels = None if n is None else n - max(len(sigma), self.depth)
         if len(sigma) >= self.depth:
             return self._plain_value(sigma) * self.tails[sigma[: self.depth]].kept(levels)
-        total = ZERO
-        for tail in all_strings(self.depth - len(sigma)):
-            frontier = sigma + tail
-            total = total + self.table[frontier] * self.tails[frontier].kept(levels)
-        return total
+        # frontier values summed per tail rule, so each rule's factor is taken once
+        by_rule: dict[tuple, tuple[TailRule, list[Dyadic]]] = {}
+        for frontier in extensions(sigma, self.depth - len(sigma)):
+            rule = self.tails[frontier]
+            by_rule.setdefault(rule.aligned, (rule, []))[1].append(self.table[frontier])
+        return dyadic_sum(rule.kept(levels) * dyadic_sum(vals) for rule, vals in by_rule.values())
+
+    def _row(self, n: int, limit: bool = False) -> Row:
+        # values (tilt included, weight not) of all length-n strings in lex
+        # order; limit keeps only conserving frontier subtrees (n >= depth)
+        if n < self.depth:
+            vals = list(map(self.table.__getitem__, all_strings(n)))
+            e = max(v.exponent for v in vals)
+            row = [v.numerator << (e - v.exponent) for v in vals]
+        else:
+            # below each frontier node: its value times its rule's pattern
+            patterns: dict[tuple, Row] = {}
+            blocks = []
+            frontier = list(all_strings(self.depth))
+            for v, rule in zip(map(self.table.__getitem__, frontier), map(self.tails.__getitem__, frontier)):
+                key = rule.aligned
+                if key not in patterns:
+                    patterns[key] = rule.pattern(n - self.depth)
+                num = v.numerator if not limit or rule.conserving else 0
+                blocks.append((num, v.exponent, patterns[key]))
+            e = max(ve + pe for _num, ve, (_pattern, pe) in blocks)
+            row = []
+            for num, ve, (pattern, pe) in blocks:
+                m = num << (e - ve - pe)
+                row.extend([m * p for p in pattern])
+        if self.tilt and n:
+            # the strings with j leading ones form one slice; scaled by
+            # 2**(-tilt * j) over the common 2**(tilt * n)
+            lo = 0
+            for j in range(n + 1):
+                hi = (1 << n) - (1 << (n - j - 1)) if j < n else 1 << n
+                shift = self.tilt * (n - j)
+                row[lo:hi] = [x << shift for x in row[lo:hi]]
+                lo = hi
+            e += self.tilt * n
+        return row, e
 
     def level_sum(self, sigma: str, n: int) -> Dyadic:
         """Sum of values over all extensions of sigma at length exactly n."""
@@ -216,10 +281,7 @@ class SemiMeasureStage:
         return total
 
     def level_mass(self, sigma: str, n: int) -> Dyadic:
-        total = ZERO
-        for comp in self.components:
-            total = total + comp.weight * comp.level_sum(sigma, n)
-        return total
+        return dyadic_sum(comp.weight * comp.level_sum(sigma, n) for comp in self.components)
 
     def limit_mass(self, sigma: str) -> Dyadic:
         """Limit of ``level_mass(sigma, n)`` as n grows: the trimmed mass.
@@ -227,12 +289,34 @@ class SemiMeasureStage:
         Conserving frontier subtrees keep their mass and every other subtree
         trims to zero.  Tilted components have no closed-form limit.
         """
-        total = ZERO
-        for comp in self.components:
-            if comp.tilt:
-                raise ValueError("no closed-form trim for tilted components")
-            total = total + comp.weight * comp._plain_level_sum(sigma, None)
-        return total
+        if any(comp.tilt for comp in self.components):
+            raise ValueError("no closed-form trim for tilted components")
+        return dyadic_sum(comp.weight * comp._plain_level_sum(sigma, None) for comp in self.components)
+
+    def level_row(self, n: int, limit: bool = False) -> Row:
+        """Values of all length-n strings in lex order, as ``(numerators, e)``
+        with the i-th value ``numerators[i] / 2**e``; weights and tilts are
+        folded in.
+
+        With ``limit`` the row holds the trimmed masses instead (the limits
+        of :meth:`limit_mass`), which needs n at or below every frontier:
+        a conserving frontier node's subtree keeps its values and every
+        other subtree is 0.  Tilted components have no such limit.
+        """
+        if n < 0:
+            raise ValueError("level must be non-negative")
+        if limit and any(comp.tilt for comp in self.components):
+            raise ValueError("no closed-form trim for tilted components")
+        if limit and n < self.max_depth:
+            raise ValueError("trimmed rows lie at or below every frontier")
+        rows = [(comp._row(n, limit), comp.weight) for comp in self.components]
+        e = max((ce + w.exponent for (_row, ce), w in rows), default=0)
+        total = [0] * (1 << n)
+        for (row, ce), w in rows:
+            factor = w.numerator << (e - ce - w.exponent)
+            if factor:
+                total = [t + factor * x for t, x in zip(total, row)]
+        return total, e
 
     def set_mass(self, strings: Iterable[str]) -> Dyadic:
         """Mass of a string set: normalise to an antichain, then sum values."""
@@ -294,43 +378,48 @@ def _validate(stage: SemiMeasureStage, additive: bool) -> ValidationReport:
         if keys != set(strings_up_to(comp.depth)):
             return ValidationReport(False, message=f"component {idx}: incomplete table")
         for node, v in comp.table.items():
-            if v < ZERO:
+            if v.numerator < 0:
                 return ValidationReport(False, node=node, message=f"component {idx}: negative value")
         if set(comp.tails) != set(all_strings(comp.depth)):
             return ValidationReport(False, message=f"component {idx}: tail map must cover the frontier")
         for node, rule in comp.tails.items():
-            if rule.zero < ZERO or rule.one < ZERO or rule.total > ONE:
+            z, o, e = rule.aligned
+            if z < 0 or o < 0 or z + o > 1 << e:
                 return ValidationReport(
                     False, node=node, message=f"component {idx}: tail fractions must be >= 0 and sum to <= 1"
                 )
         if comp.tilt < 0:
             return ValidationReport(False, message=f"component {idx}: negative tilt")
 
-    root = stage.value(EPSILON)
+    parents, pe = stage.level_row(0)
+    root = Dyadic(parents[0], pe)
     if stage.strict and root != ONE:
         return ValidationReport(False, node=EPSILON, message=f"strict presentation has root mass {root}")
     if root > ONE:
         return ValidationReport(False, node=EPSILON, message=f"root mass {root} exceeds 1")
 
-    # level by level, so every node's value is computed once: the children
-    # of the i-th node of one level are the (2i)-th and (2i+1)-th of the next
+    # level by level on integer rows: the children of the i-th node of one
+    # level are the (2i)-th and (2i+1)-th of the next
     gap = None
-    parents = [root]
     for n in range(1, stage.max_depth + 1):
-        children = [stage.value(s) for s in all_strings(n)]
-        for i, node in enumerate(all_strings(n - 1)):
-            parent, left, right = parents[i], children[2 * i], children[2 * i + 1]
-            both = left + right
-            if both > parent:
-                return ValidationReport(
-                    False,
-                    node=node,
-                    message=f"super-additivity fails at {node!r}: {left} + {right} > {parent}",
-                    children=(left, right),
-                )
-            if additive and gap is None and both != parent:
-                gap = node
-        parents = children
+        children, ce = stage.level_row(n)
+        e = max(pe, ce)
+        above = [p << (e - pe) for p in parents]
+        both = [(a + b) << (e - ce) for a, b in zip(children[0::2], children[1::2])]
+        bad = next((i for i, (b, p) in enumerate(zip(both, above)) if b > p), None)
+        if bad is not None:
+            node = string_at(n - 1, bad)
+            left, right = Dyadic(children[2 * bad], ce), Dyadic(children[2 * bad + 1], ce)
+            parent = Dyadic(parents[bad], pe)
+            return ValidationReport(
+                False,
+                node=node,
+                message=f"super-additivity fails at {node!r}: {left} + {right} > {parent}",
+                children=(left, right),
+            )
+        if additive and gap is None and both != above:
+            gap = string_at(n - 1, next(i for i, (b, p) in enumerate(zip(both, above)) if b != p))
+        parents, pe = children, ce
     if not additive:
         return _OK
     for comp in stage.components:
@@ -469,14 +558,23 @@ def check_domination(
 def complete_to_measure(stage: SemiMeasureStage, depth: int | None = None) -> SemiMeasureStage:
     """Smallest additive extension dominating the presentation.
 
-    Each node's super-additivity defect g(s) = v(s) - v(s0) - v(s1) is pushed
-    down the subtree in equal halves, which makes the completed table additive
-    while never falling below the original values.  The construction is linear
-    in the presentation, so components are completed independently.  Below the
-    frontier the lost tail fraction 1 - (zero + one) is likewise split evenly
-    between the children, giving a conserving tail that still dominates the
-    original one; for symmetric tails this reproduces the pushed-down values
-    exactly (geometric(1/4) from the root completes to the fair coin, a spine
+    The mixture's surplus at each node, mu(s) - v(s0) - v(s1), is pushed
+    down to the children in equal halves, starting from mu(root) = v(root):
+    mu(si) = v(si) + surplus / 2.  That makes the completed table additive
+    while never falling below the original values, and since ``validate``
+    checks super-additivity of the mixture, no surplus is negative even when
+    a single component is not super-additive on its own.
+
+    The result has one component per original component and one surplus
+    component.  Each original component keeps its weight; its table is its
+    own row at the target level summed up the tree, and below the target
+    the lost tail fraction 1 - (zero + one) of its rule is split evenly
+    between the children, a conserving tail that dominates the original
+    one.  The surplus component (weight 1, uniform tail) holds
+    mu - sum of weight * value at the target level, summed up the tree, so
+    every table value up to the target is exactly mu.  For symmetric tails
+    this reproduces the pushed-down values below the target too
+    (geometric(1/4) from the root completes to the fair coin, a spine
     completes to the point mass).
     """
     rep = validate(stage)
@@ -490,23 +588,45 @@ def complete_to_measure(stage: SemiMeasureStage, depth: int | None = None) -> Se
     if target < stage.max_depth:
         raise ValueError("completion depth must reach every component frontier")
 
+    # mu(s0), mu(s1) = a + g/2, b + g/2 with g = mu(s) - a - b, computed as
+    # 2a + g, 2b + g over one more power of two so that halving stays exact
+    mu, me = stage.level_row(0)
+    values, ve = mu, me
+    for n in range(1, target + 1):
+        values, ve = stage.level_row(n)
+        e = max(me, ve)
+        mu = [m << (e - me) for m in mu]
+        values, ve = [v << (e - ve) for v in values], e
+        pushed = []
+        for m, a, b in zip(mu, values[0::2], values[1::2]):
+            g = m - a - b
+            pushed += (2 * a + g, 2 * b + g)
+        mu, me = pushed, e + 1
+    surplus = [m - (v << (me - ve)) for m, v in zip(mu, values)]
+
     new_comps = []
     for comp in stage.components:
-        values = {s: comp._plain_value(s) for s in strings_up_to(target)}
-        mu: dict[str, Dyadic] = {EPSILON: values[EPSILON]}
-        for node in strings_up_to(target - 1) if target > 0 else ():
-            surplus = mu[node] - values[node + "0"] - values[node + "1"]
-            mu[node + "0"] = values[node + "0"] + HALF * surplus
-            mu[node + "1"] = values[node + "1"] + HALF * surplus
-        new_tails = {}
-        for node in all_strings(target):
-            rule = comp.tails[node[: comp.depth]]
-            pad = HALF * (ONE - rule.total)
-            new_tails[node] = TailRule.split(rule.zero + pad, rule.one + pad)
-        new_comps.append(
-            Component(weight=comp.weight, depth=target, table=mu, tails=new_tails, tilt=0)
-        )
+        row, e = comp._row(target)
+        distinct = {rule.aligned: rule for rule in comp.tails.values()}
+        padded = {key: rule.padded() for key, rule in distinct.items()}
+        tails = {node: padded[comp.tails[node[: comp.depth]].aligned] for node in all_strings(target)}
+        table = _summed_up(row, e, target)
+        new_comps.append(Component(weight=comp.weight, depth=target, table=table, tails=tails))
+    uniform = TailRule.uniform()
+    new_comps.append(Component(
+        weight=ONE, depth=target, table=_summed_up(surplus, me, target),
+        tails={node: uniform for node in all_strings(target)},
+    ))
     return SemiMeasureStage(tuple(new_comps), strict=True)
+
+
+def _summed_up(row: list[int], e: int, depth: int) -> dict[str, Dyadic]:
+    """Additive table whose length-``depth`` values are the row (over 2**e)."""
+    levels = [row]
+    for _ in range(depth):
+        row = [a + b for a, b in zip(row[0::2], row[1::2])]
+        levels.append(row)
+    return {s: Dyadic(x, e) for n in range(depth + 1) for s, x in zip(all_strings(n), levels[depth - n])}
 
 
 # -- infimum-scaled stages ---------------------------------------------------

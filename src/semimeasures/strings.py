@@ -20,6 +20,7 @@ result is ordered), not one comparison per pair of members.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .dyadic import Dyadic, ZERO
@@ -50,13 +51,17 @@ def canon(strings: Iterable[str]) -> StringSet:
     return tuple(sorted(set(strings), key=sort_key))
 
 
+def string_at(length: int, k: int) -> str:
+    """The k-th binary string of the given length in lex order."""
+    return format(k, f"0{length}b") if length else EPSILON
+
+
 def all_strings(length: int) -> Iterator[str]:
     """All binary strings of exactly the given length, in lex order."""
     if length == 0:
         yield EPSILON
         return
-    for k in range(1 << length):
-        yield format(k, f"0{length}b")
+    yield from map(format, range(1 << length), repeat(f"0{length}b"))
 
 
 def strings_up_to(depth: int) -> Iterator[str]:

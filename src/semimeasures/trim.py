@@ -19,7 +19,7 @@ from typing import Iterable
 from .dyadic import Dyadic, ZERO
 from .errors import AmbiguityError, BudgetExhaustedError, PreconditionError
 from .semimeasure import LeftCeSemiMeasure, SemiMeasureStage
-from .strings import EPSILON, canon, check_bits, is_prefix_free, strings_up_to
+from .strings import EPSILON, canon, check_bits, is_prefix_free, string_at
 
 
 def partial_trim(stage: SemiMeasureStage, sigma: str, n: int) -> Dyadic:
@@ -110,20 +110,53 @@ class LebesgueLikeReport:
         return self.alpha is not None
 
 
+def _trims_and_sums(stage: SemiMeasureStage, n: int) -> tuple[list[int], list[int], int]:
+    """Trimmed masses and values of the length-n strings, n at or below
+    every frontier, over one common 2**e."""
+    trims, te = stage.level_row(n, limit=True)
+    sums, se = stage.level_row(n)
+    e = max(te, se)
+    return [t << (e - te) for t in trims], [v << (e - se) for v in sums], e
+
+
 def lebesgue_like_check(stage: SemiMeasureStage, depth: int) -> LebesgueLikeReport:
-    """Decide proportionality of the derived measure to the fair coin."""
+    """Decide proportionality of the derived measure to the fair coin.
+
+    Down to the deepest frontier the trims and the level sums are taken
+    once, at that frontier's level, and summed in pairs up the tree; below
+    it each level's trims and values come from its own rows.  Levels are
+    scanned top-down: each node's trim is cross-checked against its level
+    sum, and the first node in (length, lex) order whose trim is not
+    alpha * 2^-|s| is the witness.
+    """
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    root = derived_measure(stage, EPSILON)
-    if not root.stabilized:
+    if any(c.tilt for c in stage.components):
         raise PreconditionError("exact trimming unavailable for this presentation")
-    alpha = root.value
-    if alpha.is_zero:
+    top = stage.max_depth
+    trims, sums, e = _trims_and_sums(stage, top)
+    levels = [(trims, sums)]
+    for _ in range(top):
+        trims = [a + b for a, b in zip(trims[0::2], trims[1::2])]
+        sums = [a + b for a, b in zip(sums[0::2], sums[1::2])]
+        levels.append((trims, sums))
+    levels.reverse()
+    alpha = levels[0][0][0]
+    if alpha == 0:
         return LebesgueLikeReport(alpha=None, witness=EPSILON)
-    for s in strings_up_to(depth):
-        if derived_measure(stage, s).value != alpha * Dyadic.pow2(-len(s)):
-            return LebesgueLikeReport(alpha=None, witness=s)
-    return LebesgueLikeReport(alpha=alpha, witness=None)
+    for n in range(depth + 1):
+        if n <= top:
+            (trims, sums), row_e = levels[n], e
+        else:
+            trims, sums, row_e = _trims_and_sums(stage, n)
+        if any(t > v for t, v in zip(trims, sums)):
+            raise AssertionError("closed-form trim exceeded a level sum")  # pragma: no cover
+        # t / 2**row_e == alpha / 2**(e + n)
+        target = alpha << row_e
+        for i, t in enumerate(trims):
+            if t << (e + n) != target:
+                return LebesgueLikeReport(alpha=None, witness=string_at(n, i))
+    return LebesgueLikeReport(alpha=Dyadic(alpha, e), witness=None)
 
 
 def decode_atom(

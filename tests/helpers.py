@@ -19,6 +19,7 @@ from semimeasures import (
     Dyadic,
     EPSILON,
     HALF,
+    LebesgueLikeReport,
     LeftCeSemiMeasure,
     MonotoneFunctional,
     ONE,
@@ -28,6 +29,7 @@ from semimeasures import (
     ValidationReport,
     ZERO,
     all_strings,
+    derived_measure,
     leading_ones,
     strings_up_to,
 )
@@ -130,6 +132,27 @@ def random_stage(
     return SemiMeasureStage(tuple(comps), strict=strict)
 
 
+def random_joint_stage(rng: random.Random, depth: int = 2, parts: int | None = None) -> SemiMeasureStage:
+    """Strict mixture that is super-additive as a whole while its components,
+    in general, are not: a random super-additive table with root 1 is split
+    node by node into weighted shares, one per component, and each component
+    gets its own random tails."""
+    parts = parts if parts is not None else rng.choice([2, 3])
+    weights = [HALF, HALF] if parts == 2 else [HALF, Dyadic(1, 2), Dyadic(1, 2)]
+    tables: list[dict[str, Dyadic]] = [{} for _ in weights]
+    for node, v in random_table(rng, depth).items():
+        left = v
+        for k, w in enumerate(weights):
+            share = left if k == len(weights) - 1 else random_dyadic(rng, left)
+            left = left - share
+            tables[k][node] = share * Dyadic.pow2(w.exponent)  # the component value is share / w
+    comps = tuple(
+        Component.build(w, table, tails={node: random_tail(rng) for node in all_strings(depth)})
+        for w, table in zip(weights, tables)
+    )
+    return SemiMeasureStage(comps, strict=True)
+
+
 def random_antichain(rng: random.Random, max_len: int = 5, draws: int = 5) -> tuple[str, ...]:
     kept: list[str] = []
     for _ in range(draws):
@@ -229,8 +252,10 @@ def oracle_set_mass(value: Callable[[str], Dyadic], members: Iterable[str]) -> F
 # Pairwise scans and a per-bit loop: the direct forms of the package's
 # antichain functions and component tails.  The length-indexed and
 # closed-form versions in the package must return exactly what these do.
-# Likewise the trim limit taken frontier node by frontier node, and
-# validation as separate passes, against the package's shared walks.
+# Likewise the trim limit taken frontier node by frontier node, level sums
+# added one Dyadic at a time, the Lebesgue-likeness check as one trim per
+# node, the mixture's pushdown in Fractions, and validation node by node in
+# separate passes, against the package's sweeps over integer level rows.
 
 
 def reference_prefix_free_normalize(strings: Iterable[str]) -> tuple[str, ...]:
@@ -293,6 +318,56 @@ def reference_trim(comp: Component, sigma: str) -> Fraction:
         return Fraction(0)
     frontier = (sigma + tail for tail in all_strings(comp.depth - len(sigma)))
     return sum((as_fraction(comp.table[f]) for f in frontier if comp.tails[f].conserving), Fraction(0))
+
+
+def reference_plain_level_sum(comp: Component, sigma: str, n: int | None) -> Dyadic:
+    """Untilted level sum (n = None: the trim limit) added up one table or
+    frontier node at a time, each frontier node times its own kept factor."""
+    if n is not None and n <= comp.depth:
+        total = ZERO
+        for tail in all_strings(n - len(sigma)):
+            total = total + comp.table[sigma + tail]
+        return total
+    levels = None if n is None else n - max(len(sigma), comp.depth)
+    if len(sigma) >= comp.depth:
+        rule = comp.tails[sigma[: comp.depth]]
+        v = comp.table[sigma[: comp.depth]]
+        for bit in sigma[comp.depth :]:
+            v = v * rule.factor(bit)
+        return v * rule.kept(levels)
+    total = ZERO
+    for tail in all_strings(comp.depth - len(sigma)):
+        frontier = sigma + tail
+        total = total + comp.table[frontier] * comp.tails[frontier].kept(levels)
+    return total
+
+
+def reference_lebesgue_like_check(stage: SemiMeasureStage, depth: int) -> LebesgueLikeReport:
+    """One derived measure per node of length <= depth, top-down."""
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    root = derived_measure(stage, EPSILON)
+    if not root.stabilized:
+        raise PreconditionError("exact trimming unavailable for this presentation")
+    alpha = root.value
+    if alpha.is_zero:
+        return LebesgueLikeReport(alpha=None, witness=EPSILON)
+    for s in strings_up_to(depth):
+        if derived_measure(stage, s).value != alpha * Dyadic.pow2(-len(s)):
+            return LebesgueLikeReport(alpha=None, witness=s)
+    return LebesgueLikeReport(alpha=alpha, witness=None)
+
+
+def reference_pushdown(stage: SemiMeasureStage, depth: int) -> dict[str, Fraction]:
+    """The mixture's completed table in Fractions: each node's surplus goes
+    to its children in equal halves, from mu(root) = value(root)."""
+    mu = {EPSILON: oracle_stage_value(stage, EPSILON)}
+    for node in strings_up_to(depth - 1) if depth > 0 else ():
+        a, b = oracle_stage_value(stage, node + "0"), oracle_stage_value(stage, node + "1")
+        surplus = mu[node] - a - b
+        mu[node + "0"] = a + surplus / 2
+        mu[node + "1"] = b + surplus / 2
+    return mu
 
 
 def reference_validate(stage: SemiMeasureStage) -> ValidationReport:

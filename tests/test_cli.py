@@ -179,6 +179,16 @@ class TestInduce:
         assert captured.out == ""
         assert captured.err == "parse error: depth must be non-negative\n"
 
+    def test_inconsistent_functional_is_rejected(self, tmp_path, capsys):
+        path = write_json(tmp_path, "phi.json", {"stages": [[["0", "00"], ["0", "01"]]]})
+        assert main(["induce", path, "--depth", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "validation failed: inconsistent functional at stage 0: pairs ['0', '00'] and ['0', '01'] "
+            "have comparable inputs and incomparable outputs\n"
+        )
+
 
 class TestInvert:
     def test_round_trip_produces_an_event_functional(self, uniform_file, capsys):

@@ -13,10 +13,12 @@ from helpers import (
     oracle_level_sum,
     oracle_stage_value,
     random_component,
+    random_joint_stage,
     random_stage,
     random_table,
     random_tail,
     reference_component_value,
+    reference_pushdown,
     reference_validate,
     reference_validate_measure,
 )
@@ -246,6 +248,64 @@ class TestValidate:
         assert validate(stage).ok == ok
 
 
+    @given(seeds)
+    def test_integer_rows_report_what_the_node_walk_reports(self, seed):
+        """Tilted mixtures and mixtures valid only jointly, with up to three
+        table entries raised (so one level may hold several violations):
+        the same (ok, node, message, children) as a walk that evaluates
+        every node on its own."""
+        rng = random.Random(seed)
+        depth = rng.randint(0, 3)
+        if rng.random() < 0.4:
+            stage = random_stage(rng, depth=depth, tilt_allowed=True)
+        else:
+            stage = random_joint_stage(rng, depth=depth)
+        comps = list(stage.components)
+        for _ in range(rng.choice([0, 1, 2, 3])):
+            k = rng.randrange(len(comps))
+            comp = comps[k]
+            table = dict(comp.table)
+            node = rng.choice(list(table))
+            table[node] = table[node] + QUARTER
+            comps[k] = Component(comp.weight, comp.depth, table, comp.tails, comp.tilt)
+        stage = SemiMeasureStage(tuple(comps), strict=stage.strict)
+        got, want = validate(stage), reference_validate(stage)
+        assert (got.ok, got.node, got.message, got.children) == (want.ok, want.node, want.message, want.children)
+
+
+class TestLevelRow:
+    @staticmethod
+    def two_part_stage(rng: random.Random, tilts: bool) -> SemiMeasureStage:
+        comps = tuple(
+            random_component(rng, weight=HALF, depth=rng.randint(0, 3), tilt=rng.choice([0, 0, 1, 2]) * tilts)
+            for _ in range(2)
+        )
+        return SemiMeasureStage(comps, strict=True)
+
+    @given(seeds, st.integers(0, 5))
+    def test_row_holds_the_values_of_the_level(self, seed, n):
+        """Weights and tilts folded in: numerator i over 2**e is the value
+        of the i-th string of length n."""
+        stage = self.two_part_stage(random.Random(seed), tilts=True)
+        row, e = stage.level_row(n)
+        assert [Dyadic(x, e) for x in row] == [stage.value(s) for s in all_strings(n)]
+
+    @given(seeds, st.integers(0, 2))
+    def test_limit_row_holds_the_trimmed_masses(self, seed, extra):
+        stage = self.two_part_stage(random.Random(seed), tilts=False)
+        n = stage.max_depth + extra
+        row, e = stage.level_row(n, limit=True)
+        assert [Dyadic(x, e) for x in row] == [stage.limit_mass(s) for s in all_strings(n)]
+
+    def test_limit_rows_lie_below_every_frontier_and_need_no_tilt(self):
+        with pytest.raises(ValueError):
+            uniform_measure(depth=2).level_row(1, limit=True)
+        with pytest.raises(ValueError):
+            tilt_by_ones(uniform_measure()).level_row(1, limit=True)
+        with pytest.raises(ValueError):
+            uniform_measure().level_row(-1)
+
+
 class TestValidateMeasure:
     def test_uniform_is_a_measure(self):
         assert validate_measure(uniform_measure(depth=2)).ok
@@ -399,6 +459,33 @@ class TestCompleteToMeasure:
     def test_depth_must_reach_frontier(self):
         with pytest.raises(ValueError):
             complete_to_measure(uniform_measure(depth=3), depth=2)
+
+    def test_mixture_valid_only_jointly_completes(self):
+        """Two weight-1/2 depth-1 components (1; 1, 1) and (1; 0, 0): the
+        first is not super-additive, the mixture is."""
+        over = Component.build(HALF, {EPSILON: ONE, "0": ONE, "1": ONE})
+        under = Component.build(HALF, {EPSILON: ONE, "0": ZERO, "1": ZERO})
+        stage = SemiMeasureStage((over, under), strict=True)
+        assert validate(stage).ok
+        mu = complete_to_measure(stage)
+        assert validate_measure(mu).ok
+        assert len(mu.components) == 3  # one per component, plus the surplus
+        assert [mu.value(s) for s in strings_up_to(1)] == [ONE, HALF, HALF]
+        for sigma in strings_up_to(4):
+            assert mu.value(sigma) >= stage.value(sigma)
+
+    @given(seeds, st.integers(0, 3), st.integers(0, 2))
+    def test_jointly_valid_mixtures_complete_to_the_pushdown(self, seed, depth, extra):
+        """Up to the target the completion is the mixture's pushed-down
+        table; below it, it stays additive and dominating."""
+        stage = random_joint_stage(random.Random(seed), depth=depth)
+        assert validate(stage).ok
+        target = depth + extra
+        mu = complete_to_measure(stage, depth=target)
+        assert validate_measure(mu).ok
+        assert {s: as_fraction(mu.value(s)) for s in strings_up_to(target)} == reference_pushdown(stage, target)
+        for sigma in strings_up_to(target + 2):
+            assert mu.value(sigma) >= stage.value(sigma)
 
     @given(seeds)
     def test_randomized_completion_dominates_and_is_additive(self, seed):

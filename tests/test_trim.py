@@ -7,7 +7,17 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import as_fraction, oracle_level_sum, random_component, random_stage, reference_trim
+from helpers import (
+    as_fraction,
+    oracle_level_sum,
+    random_component,
+    random_joint_stage,
+    random_stage,
+    random_table,
+    reference_lebesgue_like_check,
+    reference_plain_level_sum,
+    reference_trim,
+)
 from semimeasures import (
     EPSILON,
     HALF,
@@ -15,11 +25,13 @@ from semimeasures import (
     ZERO,
     AmbiguityError,
     BudgetExhaustedError,
+    Component,
     Dyadic,
     LeftCeSemiMeasure,
     PreconditionError,
     SemiMeasureStage,
     TailRule,
+    all_strings,
     decode_atom,
     derived_measure,
     dirac_spine,
@@ -158,6 +170,28 @@ class TestDerivedMeasure:
             assert result.stabilized
             assert as_fraction(result.value) == expected
 
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 3))
+    def test_integer_sums_match_the_node_by_node_sums(self, seed, depth_a, depth_b):
+        """Level sums at n <= depth and n > depth, and the limit n = None,
+        added as shifted ints per tail rule: the same Dyadic as adding one
+        node at a time, and the Fraction sums of the values and trims."""
+        rng = random.Random(seed)
+        comps = (
+            random_component(rng, weight=HALF, depth=depth_a),
+            random_component(rng, weight=HALF, depth=depth_b),
+        )
+        stage = SemiMeasureStage(comps, strict=True)
+        for sigma in strings_up_to(max(depth_a, depth_b) + 1):
+            for n in [*range(len(sigma), max(depth_a, depth_b) + 3), None]:
+                for c in comps:
+                    assert c._plain_level_sum(sigma, n) == reference_plain_level_sum(c, sigma, n)
+                if n is None:
+                    expected = sum(as_fraction(c.weight) * reference_trim(c, sigma) for c in comps)
+                    assert as_fraction(derived_measure(stage, sigma).value) == expected
+                else:
+                    expected = oracle_level_sum(stage.value, sigma, n)
+                    assert as_fraction(partial_trim(stage, sigma, n)) == expected
+
 
 # ---------------------------------------------------------------------------
 # Open sets
@@ -236,6 +270,47 @@ class TestLebesgueLikeCheck:
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
             lebesgue_like_check(uniform_measure(), depth=-1)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(-2, 2))
+    def test_one_sweep_matches_one_trim_per_node(self, seed, depth, offset):
+        """Lebesgue-like mixtures (a fair-coin part and a lossy part), random
+        and jointly valid mixtures, and vanishing trims, checked at depths
+        below, at and above the deepest frontier: the same (alpha, witness)
+        as one derived measure per node."""
+        rng = random.Random(seed)
+        lossy = (TailRule.vanish(), TailRule.geometric(QUARTER), TailRule.split(QUARTER, HALF))
+
+        def lossy_part(weight: Dyadic, d: int) -> Component:
+            tails = {f: rng.choice(lossy) for f in all_strings(d)}
+            return Component.build(weight, random_table(rng, d), tails=tails)
+
+        kind = rng.choice(["lebesgue", "random", "joint", "vanishing"])
+        if kind == "lebesgue":
+            fair = {s: Dyadic.pow2(-len(s)) for s in strings_up_to(depth)}
+            coin = Component.build(HALF, fair, tail=TailRule.uniform())
+            stage = SemiMeasureStage((coin, lossy_part(HALF, rng.randint(0, 3))), strict=True)
+        elif kind == "random":
+            stage = random_stage(rng, depth=depth)
+        elif kind == "joint":
+            stage = random_joint_stage(rng, depth=depth)
+        else:
+            stage = SemiMeasureStage((lossy_part(HALF, depth), lossy_part(HALF, rng.randint(0, 3))), strict=True)
+        check_depth = max(0, stage.max_depth + offset)
+        got = lebesgue_like_check(stage, check_depth)
+        want = reference_lebesgue_like_check(stage, check_depth)
+        assert (got.alpha, got.witness) == (want.alpha, want.witness)
+        if kind == "lebesgue":
+            assert got.alpha == HALF
+        if kind == "vanishing":
+            assert got.witness == EPSILON
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+    def test_tilted_component_rejected_like_the_reference(self, seed, depth):
+        stage = random_stage(random.Random(seed), depth=depth, parts=2)
+        tilted = SemiMeasureStage(stage.components[:1] + tilt_by_ones(stage).components[1:], strict=True)
+        for check in (lebesgue_like_check, reference_lebesgue_like_check):
+            with pytest.raises(PreconditionError):
+                check(tilted, depth)
 
 
 # ---------------------------------------------------------------------------
