@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .dyadic import Dyadic, ONE, ZERO
+from .dyadic import Dyadic, ONE
 from .errors import CertificateError, PreconditionError
-from .functional import MonotoneFunctional, induced_semimeasure, preimage_set
+from .functional import MonotoneFunctional
 from .semimeasure import SemiMeasureStage, uniform_measure
 from .strings import (
     StringSet,
@@ -100,19 +100,31 @@ def pullback_test(test: MLTest, phi: MonotoneFunctional, stage: int) -> MLTest:
     (checked exactly); the pulled-back masses are bounded by the original
     ones because distinct members have disjoint preimage cylinders inside
     the common preimage.
+
+    One pass over phi's pairs puts each input into the bucket of every
+    member its output extends; a member's induced value is the Lebesgue
+    mass of its bucket and its preimage is the bucket normalised.
     """
     members = test.members()
-    probe = max((len(s) for s in members), default=0)
-    induced = induced_semimeasure(phi, stage, probe)
-    for s in members:
-        if test.base.value(s) != induced.value(s):
+    buckets: dict[str, list[str]] = {s: [] for s in members}
+    lengths = sorted({len(s) for s in members})
+    for i, o in phi.pairs_at(stage):
+        for n in lengths:
+            if n > len(o):
+                break
+            bucket = buckets.get(o[:n])
+            if bucket is not None:
+                bucket.append(i)
+    nums, e = test.base.values(members)
+    for s, num in zip(members, nums):
+        induced = lebesgue_of_set(buckets[s])
+        if num << induced.exponent != induced.numerator << e:
             raise CertificateError(
                 f"test base disagrees with the induced semi-measure at {s!r}", witness=s
             )
     new_levels = {}
     for i, level in test.levels.items():
-        pulled = [x for s in level for x in preimage_set(phi, s, stage)]
-        new_level = prefix_free_normalize(pulled)
+        new_level = prefix_free_normalize(x for s in level for x in buckets[s])
         if lebesgue_of_set(new_level) > test.base.set_mass(level):
             raise AssertionError("pullback gained mass")  # pragma: no cover
         new_levels[i] = new_level
@@ -131,8 +143,13 @@ def shift_for_domination(test: MLTest, c: Dyadic, dominated: SemiMeasureStage) -
     k = 0
     while Dyadic.pow2(k) < c:
         k += 1
-    for s in test.members():
-        if dominated.value(s) > c * test.base.value(s):
+    members = test.members()
+    (rho, rho_e), (base, base_e) = dominated.values(members), test.base.values(members)
+    # rho / 2**rho_e against c * base / 2**(c.exponent + base_e), both over 2**e
+    e = max(rho_e, c.exponent + base_e)
+    shift, scale = e - rho_e, c.numerator << (e - c.exponent - base_e)
+    for s, r, b in zip(members, rho, base):
+        if r << shift > scale * b:
             raise CertificateError(f"domination fails at {s!r}", witness=s)
     new_levels = {}
     for i in sorted(test.levels):
@@ -216,7 +233,7 @@ def passes_at_depth(test: MLTest, prefix: str) -> tuple[LevelStatus, ...]:
     out = []
     for i in sorted(test.levels):
         members = test.levels[i]
-        if any(prefix.startswith(m) for m in members):
+        if prefix.startswith(members):  # members is a tuple: any member a prefix
             status = "captured"
         elif any(m.startswith(prefix) for m in members):
             status = "undetermined"

@@ -25,8 +25,12 @@ when it claims root mass exactly 1.
 Whole-table sweeps (validation, completion, the Lebesgue-likeness check in
 :mod:`trim`) read the presentation one level at a time through
 :meth:`SemiMeasureStage.level_row`: the values of all strings of one length
-as ``int`` numerators over a single power of two.  ``Dyadic`` values are
-built only for what a sweep returns.
+as ``int`` numerators over a single power of two.  Point evaluation has
+the same form: :meth:`SemiMeasureStage.values` returns the values of any
+list of strings as ``int`` numerators over one power of two, and
+``value``, ``set_mass``, the certificates of :mod:`mltest` and atom
+decoding all read it.  ``Dyadic`` values are built only for what a sweep
+or a point read returns.
 """
 
 from __future__ import annotations
@@ -178,20 +182,8 @@ class Component:
     # -- evaluation (weight NOT included) --------------------------------
 
     def _plain_value(self, sigma: str) -> Dyadic:
-        if len(sigma) <= self.depth:
-            return self.table[sigma]
-        # the frontier value times zero**z * one**o, z and o counting the
-        # 0s and 1s below the frontier, built as one Dyadic
-        frontier = sigma[: self.depth]
-        v = self.table[frontier]
-        rule = self.tails[frontier]
-        ones = sigma.count("1", self.depth)
-        zeros = len(sigma) - self.depth - ones
-        zero, one = rule.zero, rule.one
-        return Dyadic(
-            v.numerator * zero.numerator**zeros * one.numerator**ones,
-            v.exponent + zero.exponent * zeros + one.exponent * ones,
-        )
+        (num,), e = self._values((sigma,), tilted=False)
+        return Dyadic(num, e)
 
     def _tilt_factor(self, sigma: str) -> Dyadic:
         if self.tilt == 0:
@@ -199,7 +191,38 @@ class Component:
         return Dyadic.pow2(-self.tilt * leading_ones(sigma))
 
     def value(self, sigma: str) -> Dyadic:
-        return self._plain_value(sigma) * self._tilt_factor(sigma)
+        (num,), e = self._values((sigma,))
+        return Dyadic(num, e)
+
+    def _values(self, strings: Sequence[str], tilted: bool = True) -> Row:
+        # values (weight not included) at the given strings: a table lookup
+        # above the frontier, below it the frontier numerator times
+        # z**a * o**b, with each frontier node's value and its rule's
+        # aligned ints read once
+        depth, table = self.depth, self.table
+        frontiers: dict[str, tuple[int, int, int, int, int]] = {}
+        nums, exps = [], []
+        for s in strings:
+            if len(s) <= depth:
+                v = table[s]
+                nums.append(v.numerator)
+                exps.append(v.exponent)
+                continue
+            frontier = s[:depth]
+            ints = frontiers.get(frontier)
+            if ints is None:
+                v = table[frontier]
+                ints = frontiers[frontier] = (v.numerator, v.exponent, *self.tails[frontier].aligned)
+            num, ve, z, o, e = ints
+            below = len(s) - depth
+            ones = s.count("1", depth)
+            nums.append(num * z ** (below - ones) * o**ones)
+            exps.append(ve + e * below)
+        if tilted and self.tilt:
+            # 2**(-tilt * j) for j leading ones is an exponent shift
+            exps = [x + self.tilt * leading_ones(s) for x, s in zip(exps, strings)]
+        e = max(exps, default=0)
+        return [m << (e - x) for m, x in zip(nums, exps)], e
 
     def _plain_level_sum(self, sigma: str, n: int | None) -> Dyadic:
         # sum of untilted values over all length-n extensions of sigma;
@@ -274,11 +297,28 @@ class SemiMeasureStage:
     strict: bool = True
 
     def value(self, sigma: str) -> Dyadic:
-        check_bits(sigma)
-        total = ZERO
-        for comp in self.components:
-            total = total + comp.weight * comp.value(sigma)
-        return total
+        (num,), e = self.values((sigma,))
+        return Dyadic(num, e)
+
+    def values(self, strings: Iterable[str]) -> Row:
+        """Values at the given strings, in order, as ``(numerators, e)`` with
+        the i-th value ``numerators[i] / 2**e``; weights and tilts are folded
+        in.  Every string is checked to be a 0/1 literal."""
+        items = list(strings)
+        for s in items:
+            check_bits(s)
+        return self._fold([(comp._values(items), comp.weight) for comp in self.components], len(items))
+
+    @staticmethod
+    def _fold(rows: Sequence[tuple[Row, Dyadic]], size: int) -> Row:
+        """Weighted sum of component rows over one power of two."""
+        e = max((ce + w.exponent for (_row, ce), w in rows), default=0)
+        total = [0] * size
+        for (row, ce), w in rows:
+            factor = w.numerator << (e - ce - w.exponent)
+            if factor:
+                total = [t + factor * x for t, x in zip(total, row)]
+        return total, e
 
     def level_mass(self, sigma: str, n: int) -> Dyadic:
         return dyadic_sum(comp.weight * comp.level_sum(sigma, n) for comp in self.components)
@@ -309,21 +349,12 @@ class SemiMeasureStage:
             raise ValueError("no closed-form trim for tilted components")
         if limit and n < self.max_depth:
             raise ValueError("trimmed rows lie at or below every frontier")
-        rows = [(comp._row(n, limit), comp.weight) for comp in self.components]
-        e = max((ce + w.exponent for (_row, ce), w in rows), default=0)
-        total = [0] * (1 << n)
-        for (row, ce), w in rows:
-            factor = w.numerator << (e - ce - w.exponent)
-            if factor:
-                total = [t + factor * x for t, x in zip(total, row)]
-        return total, e
+        return self._fold([(comp._row(n, limit), comp.weight) for comp in self.components], 1 << n)
 
     def set_mass(self, strings: Iterable[str]) -> Dyadic:
         """Mass of a string set: normalise to an antichain, then sum values."""
-        total = ZERO
-        for s in prefix_free_normalize(strings):
-            total = total + self.value(s)
-        return total
+        nums, e = self.values(prefix_free_normalize(strings))
+        return Dyadic(sum(nums), e)
 
     @property
     def max_depth(self) -> int:
@@ -370,7 +401,8 @@ def validate_measure(stage: SemiMeasureStage) -> ValidationReport:
     return _validate(stage, additive=True)
 
 
-def _validate(stage: SemiMeasureStage, additive: bool) -> ValidationReport:
+def _validate(stage: SemiMeasureStage, additive: bool, rows: list[Row] | None = None) -> ValidationReport:
+    # ``rows``, when given, receives the level rows 0..max_depth as read
     for idx, comp in enumerate(stage.components):
         if comp.weight < ZERO:
             return ValidationReport(False, message=f"component {idx}: negative weight")
@@ -392,6 +424,8 @@ def _validate(stage: SemiMeasureStage, additive: bool) -> ValidationReport:
             return ValidationReport(False, message=f"component {idx}: negative tilt")
 
     parents, pe = stage.level_row(0)
+    if rows is not None:
+        rows.append((parents, pe))
     root = Dyadic(parents[0], pe)
     if stage.strict and root != ONE:
         return ValidationReport(False, node=EPSILON, message=f"strict presentation has root mass {root}")
@@ -403,6 +437,8 @@ def _validate(stage: SemiMeasureStage, additive: bool) -> ValidationReport:
     gap = None
     for n in range(1, stage.max_depth + 1):
         children, ce = stage.level_row(n)
+        if rows is not None:
+            rows.append((children, ce))
         e = max(pe, ce)
         above = [p << (e - pe) for p in parents]
         both = [(a + b) << (e - ce) for a, b in zip(children[0::2], children[1::2])]
@@ -546,10 +582,12 @@ def check_domination(
     strings: Iterable[str],
 ) -> str | None:
     """Return a witness string where weight * part > mixed, or None."""
-    for s in strings:
-        if weight * part.value(s) > mixed.value(s):
-            return s
-    return None
+    items = list(strings)
+    (parts, pe), (mixes, me) = part.values(items), mixed.values(items)
+    # weight * p / 2**pe against m / 2**me, both over 2**e
+    e = max(weight.exponent + pe, me)
+    scale, shift = weight.numerator << (e - weight.exponent - pe), e - me
+    return next((s for s, p, m in zip(items, parts, mixes) if scale * p > m << shift), None)
 
 
 # -- completion to a measure -------------------------------------------------
@@ -577,7 +615,8 @@ def complete_to_measure(stage: SemiMeasureStage, depth: int | None = None) -> Se
     (geometric(1/4) from the root completes to the fair coin, a spine
     completes to the point mass).
     """
-    rep = validate(stage)
+    rows: list[Row] = []  # validation's level rows, reused by the pushdown
+    rep = _validate(stage, additive=False, rows=rows)
     if not rep.ok:
         raise PreconditionError(f"completion requires a valid presentation: {rep.message}")
     if not stage.strict or stage.value(EPSILON) != ONE:
@@ -590,10 +629,10 @@ def complete_to_measure(stage: SemiMeasureStage, depth: int | None = None) -> Se
 
     # mu(s0), mu(s1) = a + g/2, b + g/2 with g = mu(s) - a - b, computed as
     # 2a + g, 2b + g over one more power of two so that halving stays exact
-    mu, me = stage.level_row(0)
+    mu, me = rows[0]
     values, ve = mu, me
     for n in range(1, target + 1):
-        values, ve = stage.level_row(n)
+        values, ve = rows[n] if n < len(rows) else stage.level_row(n)
         e = max(me, ve)
         mu = [m << (e - me) for m in mu]
         values, ve = [v << (e - ve) for v in values], e

@@ -33,7 +33,7 @@ StringSet = tuple[str, ...]
 
 def check_bits(s: str) -> str:
     """Validate a 0/1 literal and return it unchanged."""
-    if not isinstance(s, str) or any(c not in "01" for c in s):
+    if not isinstance(s, str) or s.strip("01"):
         raise ParseError(f"not a binary string: {s!r}")
     return s
 
@@ -77,12 +77,7 @@ def extensions(s: str, m: int) -> Iterator[str]:
 
 def leading_ones(s: str) -> int:
     """Length of the maximal all-ones prefix."""
-    n = 0
-    for c in s:
-        if c != "1":
-            break
-        n += 1
-    return n
+    return len(s) - len(s.lstrip("1"))
 
 
 def _has_prefix_in(s: str, members: set[str], lengths: Sequence[int], longest: int) -> bool:
@@ -124,11 +119,16 @@ def prefix_free_normalize(strings: Iterable[str]) -> StringSet:
 
 
 def lebesgue_of_set(strings: Iterable[str]) -> Dyadic:
-    """Uniform measure of the union of cylinders, normalising first."""
-    total = ZERO
-    for s in prefix_free_normalize(strings):
-        total = total + Dyadic.pow2(-len(s))
-    return total
+    """Uniform measure of the union of cylinders, normalising first.
+
+    Summed as integers over the longest member length (the last member in
+    canonical order) and built as one Dyadic.
+    """
+    items = prefix_free_normalize(strings)
+    if not items:
+        return ZERO
+    longest = len(items[-1])
+    return Dyadic(sum(1 << (longest - len(s)) for s in items), longest)
 
 
 def extend_set(strings: Iterable[str], m: int) -> StringSet:

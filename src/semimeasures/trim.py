@@ -187,16 +187,18 @@ def decode_atom(
     for _ in range(bits):
         emitted = None
         for s in range(max_stage + 1):
-            st = rho.stage_at(s)
-            low, high = st.value(current + "0"), st.value(current + "1")
-            if low >= q and high >= q:
+            (low, high), e = rho.stage_at(s).values((current + "0", current + "1"))
+            # low / 2**e >= q exactly when low * 2**q.exponent >= q.numerator * 2**e
+            bar = q.numerator << e
+            low_hit, high_hit = low << q.exponent >= bar, high << q.exponent >= bar
+            if low_hit and high_hit:
                 raise AmbiguityError(
                     f"both children of {current!r} reached {q} at stage {s}",
                     node=current,
                     stage=s,
                 )
-            if low >= q or high >= q:
-                emitted = "0" if low >= q else "1"
+            if low_hit or high_hit:
+                emitted = "0" if low_hit else "1"
                 break
         if emitted is None:
             raise BudgetExhaustedError(

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from semimeasures import (
+    CertificateError,
     Component,
     ConsistencyReport,
     Dyadic,
@@ -21,6 +22,7 @@ from semimeasures import (
     HALF,
     LebesgueLikeReport,
     LeftCeSemiMeasure,
+    MLTest,
     MonotoneFunctional,
     ONE,
     PreconditionError,
@@ -30,8 +32,12 @@ from semimeasures import (
     ZERO,
     all_strings,
     derived_measure,
+    induced_semimeasure,
     leading_ones,
+    preimage_set,
+    prefix_free_normalize,
     strings_up_to,
+    uniform_measure,
 )
 from semimeasures.strings import canon, comparable
 
@@ -79,24 +85,29 @@ def random_table(
 
 
 def random_tail(rng: random.Random, conserving: bool | None = None) -> TailRule:
+    """A random tail rule; ``conserving`` True or False restricts the draw to
+    rules that keep, or lose, mass below the frontier."""
     if conserving is True:
         choices = ["uniform", "split-conserving"]
     elif conserving is False:
         choices = ["vanish", "geometric", "split"]
     else:
         choices = ["vanish", "uniform", "geometric", "split", "split-conserving"]
+    # a lossy draw keeps its fractions summing to at most 7/8: geometric(1/2)
+    # is the uniform rule, and a split may not reach one = 1 - zero
+    lossy = 1 if conserving is False else 0
     kind = rng.choice(choices)
     if kind == "vanish":
         return TailRule.vanish()
     if kind == "uniform":
         return TailRule.uniform()
     if kind == "geometric":
-        return TailRule.geometric(Dyadic(rng.randint(0, 4), 3))
-    zero = Dyadic(rng.randint(0, 8), 3)
+        return TailRule.geometric(Dyadic(rng.randint(0, 4 - lossy), 3))
+    zero = Dyadic(rng.randint(0, 8 - lossy), 3)
     if kind == "split-conserving":
         return TailRule.split(zero, ONE - zero)
     used = zero.numerator << (3 - zero.exponent)  # zero in eighths (exponent <= 3 after canonicalisation)
-    one = Dyadic(rng.randint(0, 8 - used), 3)
+    one = Dyadic(rng.randint(0, 8 - used - lossy), 3)
     return TailRule.split(zero, one)
 
 
@@ -241,10 +252,9 @@ def oracle_intersection_leaves(sets: Sequence[Iterable[str]], depth: int) -> set
     return common if common is not None else set()
 
 
-def oracle_set_mass(value: Callable[[str], Dyadic], members: Iterable[str]) -> Fraction:
-    from semimeasures import prefix_free_normalize
-
-    return sum((as_fraction(value(m)) for m in prefix_free_normalize(members)), Fraction(0))
+def oracle_stage_mass(stage: SemiMeasureStage, members: Iterable[str]) -> Fraction:
+    """Mass of the normalised set, each member's value from the definition."""
+    return sum((oracle_stage_value(stage, m) for m in prefix_free_normalize(members)), Fraction(0))
 
 
 # -- pairwise references -----------------------------------------------------------
@@ -518,3 +528,65 @@ def reference_consistency_check(phi: MonotoneFunctional, stage: int) -> Consiste
                 if not comparable(chain[a][1], chain[b][1]):
                     return ConsistencyReport(False, chain[a], chain[b])
     return ConsistencyReport(True)
+
+
+# The test transforms member by member, as first written: the pullback
+# certificate read from a whole induced table and each member's preimage
+# found by its own scan of the pairs, the domination certificate and the
+# filter's masses from one point value at a time (here in Fractions).  The
+# package reads both from int rows and buckets the pairs in one pass, and
+# must return the same levels and raise the same errors.
+
+
+def reference_pullback_test(test: MLTest, phi: MonotoneFunctional, stage: int) -> MLTest:
+    members = test.members()
+    probe = max((len(s) for s in members), default=0)
+    induced = induced_semimeasure(phi, stage, probe)
+    for s in members:
+        if oracle_stage_value(test.base, s) != as_fraction(induced.value(s)):
+            raise CertificateError(f"test base disagrees with the induced semi-measure at {s!r}", witness=s)
+    new_levels = {}
+    for i, level in test.levels.items():
+        new_levels[i] = prefix_free_normalize(x for s in level for x in preimage_set(phi, s, stage))
+    return MLTest.build(new_levels, uniform_measure())
+
+
+def reference_shift_for_domination(test: MLTest, c: Dyadic, dominated: SemiMeasureStage) -> MLTest:
+    if c < ONE:
+        raise ValueError("domination constant must be at least 1")
+    k = 0
+    while Dyadic.pow2(k) < c:
+        k += 1
+    for s in test.members():
+        if oracle_stage_value(dominated, s) > as_fraction(c) * oracle_stage_value(test.base, s):
+            raise CertificateError(f"domination fails at {s!r}", witness=s)
+    new_levels = {}
+    for i in sorted(test.levels):
+        if i - k < 0:
+            continue
+        level = test.levels[i]
+        mass = oracle_stage_mass(dominated, level)
+        if mass > as_fraction(c) / 2**i:
+            raise CertificateError(f"shifted level {i} has mass {from_fraction(mass)}", witness=None)
+        new_levels[i - k] = level
+    return MLTest.build(new_levels, dominated)
+
+
+def reference_ones_prefix_filter(test: MLTest, j: int, base: SemiMeasureStage) -> MLTest:
+    if j < 0:
+        raise ValueError("spine length must be non-negative")
+    gate = "1" * j + "0"
+    new_levels = {}
+    for i in sorted(test.levels):
+        if i - j < 0:
+            continue
+        kept = tuple(s for s in test.levels[i] if s.startswith(gate))
+        mass, tilted = oracle_stage_mass(base, kept), oracle_stage_mass(test.base, kept)
+        if mass != 2**j * tilted:
+            raise CertificateError(
+                f"level {i}: base mass {from_fraction(mass)} is not 2^{j} times the tilted mass {from_fraction(tilted)}"
+            )
+        if mass > Fraction(1, 2 ** (i - j)):
+            raise CertificateError(f"filtered level {i} has mass {from_fraction(mass)} over the base")
+        new_levels[i - j] = kept
+    return MLTest.build(new_levels, base)

@@ -7,16 +7,26 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import oracle_intersection_leaves, random_antichain, random_stage
+from helpers import (
+    oracle_intersection_leaves,
+    random_antichain,
+    random_bits,
+    random_stage,
+    reference_ones_prefix_filter,
+    reference_pullback_test,
+    reference_shift_for_domination,
+)
 from semimeasures import (
     HALF,
     ONE,
     CertificateError,
+    Component,
     Dyadic,
     GeneralizedTest,
     MLTest,
     MonotoneFunctional,
     PreconditionError,
+    SemiMeasureStage,
     TailRule,
     geometric_semimeasure,
     induced_semimeasure,
@@ -217,6 +227,111 @@ class TestOnesPrefixFilter:
         test = MLTest.build({1: ["0"]}, tilt_by_ones(uniform_measure()))
         with pytest.raises(ValueError):
             ones_prefix_filter(test, -1, uniform_measure())
+
+
+# ---------------------------------------------------------------------------
+# Certificates from int rows against the per-member references
+# ---------------------------------------------------------------------------
+
+
+def outcome(transform, *args):
+    """Levels, base and decay of the result, or the error's message and witness."""
+    try:
+        out = transform(*args)
+    except CertificateError as exc:
+        return ("error", str(exc), exc.witness)
+    return ("ok", dict(out.levels), out.base, out.decay)
+
+
+def random_levels(rng: random.Random, count: int, max_len: int) -> dict[int, tuple[str, ...]]:
+    return {i: random_antichain(rng, max_len=max_len, draws=rng.randint(0, 5)) for i in range(count)}
+
+
+class TestTransformsMatchReferences:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["induced", "perturbed", "unrelated"]))
+    def test_pullback(self, seed, kind):
+        rng = random.Random(seed)
+        depth = rng.randint(1, 4)
+        pairs = [(random_bits(rng, 5), random_bits(rng, depth + 1)) for _ in range(rng.randint(0, 10))]
+        phi = MonotoneFunctional.from_events((rng.randint(0, 2), i, o) for i, o in pairs)
+        stage = rng.randint(0, 2)
+        levels = random_levels(rng, 3, depth)
+        members = MLTest.build(levels, uniform_measure()).members()
+        probe = max((len(s) for s in members), default=0)
+        if kind == "unrelated":
+            base = random_stage(rng, depth=rng.randint(0, 3), strict=False, tilt_allowed=True)
+        else:
+            table = dict(induced_semimeasure(phi, stage, probe).components[0].table)
+            if kind == "perturbed" and members:
+                # disagree at the last member only, so earlier ones pass
+                table[members[-1]] = table[members[-1]] + Dyadic(1, 7)
+            base = SemiMeasureStage((Component.build(ONE, table, tail=TailRule.vanish()),), strict=False)
+        test = MLTest.build(levels, base)
+        got = outcome(pullback_test, test, phi, stage)
+        assert got == outcome(reference_pullback_test, test, phi, stage)
+        if kind == "perturbed" and members:
+            assert got[0] == "error" and got[2] == members[-1]
+        if kind == "induced":
+            assert got[0] == "ok"
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([ONE, Dyadic(3, 1), Dyadic(2), Dyadic(5, 1), Dyadic(4)]),
+        st.booleans(),
+    )
+    def test_shift_for_domination(self, seed, c, scaled):
+        rng = random.Random(seed)
+        base = random_stage(rng, depth=rng.randint(0, 3), tilt_allowed=True)
+        if scaled:
+            dominated = base.scaled(Dyadic(rng.randint(1, 8), 2))
+        else:
+            dominated = random_stage(rng, depth=rng.randint(0, 3), strict=False, tilt_allowed=True)
+        test = MLTest.build(random_levels(rng, 5, 5), base)
+        assert outcome(shift_for_domination, test, c, dominated) == outcome(
+            reference_shift_for_domination, test, c, dominated
+        )
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.booleans())
+    def test_ones_prefix_filter(self, seed, j, matching):
+        rng = random.Random(seed)
+        base = random_stage(rng, depth=rng.randint(0, 3))
+        tilted = tilt_by_ones(base)
+        gate = "1" * j + "0"
+        levels = {
+            i: tuple({gate + random_bits(rng, 3) if rng.random() < 0.6 else random_bits(rng, 5) for _ in range(4)})
+            for i in range(j + 3)
+        }
+        target = base if matching else random_stage(rng, depth=rng.randint(0, 3), strict=False)
+        test = MLTest.build(levels, tilted)
+        assert outcome(ones_prefix_filter, test, j, target) == outcome(
+            reference_ones_prefix_filter, test, j, target
+        )
+
+    def test_domination_failing_after_the_first_member(self):
+        """Members "0" and "1": "0" is dominated, "1" is not."""
+        dominated = table_semimeasure({"": ONE, "0": Dyadic(0), "1": ONE}, tail=TailRule.vanish())
+        test = MLTest.build({1: ["0", "1"]}, uniform_measure())
+        for transform in (shift_for_domination, reference_shift_for_domination):
+            with pytest.raises(CertificateError) as exc:
+                transform(test, ONE, dominated)
+            assert exc.value.witness == "1"
+            assert str(exc.value) == "domination fails at '1'"
+
+    def test_overweight_shifted_level(self):
+        test = MLTest.build({1: ["0", "1"]}, uniform_measure())
+        for transform in (shift_for_domination, reference_shift_for_domination):
+            with pytest.raises(CertificateError) as exc:
+                transform(test, ONE, uniform_measure())
+            assert (str(exc.value), exc.value.witness) == ("shifted level 1 has mass 1/2^0", None)
+
+    def test_pullback_mismatch_after_the_first_member(self):
+        phi = MonotoneFunctional.constant([("0", "01"), ("1", "1")])  # "01" gets 1/2, not 1/4
+        test = MLTest.build({1: ["1"], 2: ["01"]}, uniform_measure())
+        for transform in (pullback_test, reference_pullback_test):
+            with pytest.raises(CertificateError) as exc:
+                transform(test, phi, 0)
+            assert exc.value.witness == "01"
+            assert str(exc.value) == "test base disagrees with the induced semi-measure at '01'"
 
 
 # ---------------------------------------------------------------------------

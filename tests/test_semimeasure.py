@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import seeds, unit_dyadics
+from conftest import seeds, string_sets, unit_dyadics
 from helpers import (
     as_fraction,
     oracle_level_sum,
+    oracle_stage_mass,
     oracle_stage_value,
+    random_bits,
     random_component,
     random_joint_stage,
     random_stage,
@@ -28,6 +31,7 @@ from semimeasures import (
     EPSILON,
     HALF,
     ONE,
+    ParseError,
     PreconditionError,
     SemiMeasureStage,
     TailRule,
@@ -306,6 +310,85 @@ class TestLevelRow:
             uniform_measure().level_row(-1)
 
 
+class TestRandomTail:
+    def test_lossy_and_conserving_draws_keep_their_promise(self):
+        for seed in range(1000):
+            assert not random_tail(random.Random(seed), conserving=False).conserving
+            assert random_tail(random.Random(seed), conserving=True).conserving
+
+
+class TestValues:
+    """``values`` is the one point-evaluation path: ``value``, ``set_mass``
+    and the certificates all read it."""
+
+    WEIGHTS = (ONE, HALF, QUARTER, Dyadic(3, 3))
+
+    def mixed_stage(self, rng: random.Random, kind: str) -> SemiMeasureStage:
+        if kind == "joint":
+            return random_joint_stage(rng, depth=rng.randint(0, 3))
+        comps = tuple(
+            random_component(
+                rng,
+                weight=rng.choice(self.WEIGHTS),
+                depth=rng.randint(0, 3),
+                tilt=rng.choice([0, 1, 2]) if kind == "tilted" else 0,
+            )
+            for _ in range(rng.randint(1, 3))
+        )
+        return SemiMeasureStage(comps, strict=False)
+
+    @staticmethod
+    def probe_strings(rng: random.Random, stage: SemiMeasureStage) -> list[str]:
+        """Strings above, at and below each component's frontier, some on
+        the 1-spine, with duplicates."""
+        out = []
+        for comp in stage.components:
+            frontier = "".join(rng.choice("01") for _ in range(comp.depth))
+            out += [
+                frontier[: rng.randint(0, comp.depth)],
+                frontier,
+                frontier + random_bits(rng, 6),
+                "1" * rng.randint(0, comp.depth + 3) + random_bits(rng, 3),
+            ]
+        out += rng.choices(out, k=rng.randint(0, 3))
+        rng.shuffle(out)
+        return out
+
+    @given(seeds, st.sampled_from(["plain", "tilted", "joint"]))
+    def test_values_match_the_fraction_reference(self, seed, kind):
+        rng = random.Random(seed)
+        stage = self.mixed_stage(rng, kind)
+        strings = self.probe_strings(rng, stage)
+        nums, e = stage.values(strings)
+        assert len(nums) == len(strings)
+        assert [Fraction(x, 1 << e) for x in nums] == [oracle_stage_value(stage, s) for s in strings]
+        assert [stage.value(s) for s in strings] == [Dyadic(x, e) for x in nums]
+
+    @given(seeds, st.sampled_from(["plain", "tilted", "joint"]), string_sets)
+    def test_set_mass_is_the_sum_over_the_normalised_antichain(self, seed, kind, strings):
+        stage = self.mixed_stage(random.Random(seed), kind)
+        assert as_fraction(stage.set_mass(strings)) == oracle_stage_mass(stage, strings)
+
+    def test_empty_list_gives_an_empty_row(self):
+        assert geometric_semimeasure(QUARTER).values([])[0] == []
+        assert SemiMeasureStage((), strict=False).values(["01"]) == ([0], 0)
+
+    def test_tilted_weighted_mixture_below_the_frontier(self):
+        split = Component.build(
+            Dyadic(3, 2), {EPSILON: ONE, "0": HALF, "1": HALF}, tail=TailRule.split(QUARTER, HALF), tilt=2
+        )
+        point = Component.build(QUARTER, {EPSILON: ONE})  # vanishes below the root
+        stage = SemiMeasureStage((split, point), strict=False)
+        nums, e = stage.values(["110", "110", "0"])
+        # "110": 3/4 * (1/2 * 1/2 * 1/4) * 2^-(2 * 2); "0": 3/4 * 1/2
+        assert [Dyadic(x, e) for x in nums] == [Dyadic(3, 10), Dyadic(3, 10), Dyadic(3, 3)]
+
+    @pytest.mark.parametrize("bad", ["012", "0 1", None])
+    def test_every_string_is_checked(self, bad):
+        with pytest.raises(ParseError):
+            uniform_measure().values(["0", bad])
+
+
 class TestValidateMeasure:
     def test_uniform_is_a_measure(self):
         assert validate_measure(uniform_measure(depth=2)).ok
@@ -459,6 +542,31 @@ class TestCompleteToMeasure:
     def test_depth_must_reach_frontier(self):
         with pytest.raises(ValueError):
             complete_to_measure(uniform_measure(depth=3), depth=2)
+
+    @pytest.mark.parametrize("depth, target", [(8, 8), (2, 5), (0, 0)])
+    def test_each_level_row_is_read_once(self, monkeypatch, depth, target):
+        """The validation's rows serve the pushdown: target + 1 reads."""
+        calls = []
+        read = SemiMeasureStage.level_row
+
+        def counting(self, n, limit=False):
+            calls.append(n)
+            return read(self, n, limit)
+
+        monkeypatch.setattr(SemiMeasureStage, "level_row", counting)
+        complete_to_measure(geometric_semimeasure(QUARTER, depth=depth), depth=target)
+        assert sorted(calls) == list(range(target + 1))
+
+    def test_precondition_messages(self):
+        broken = table_semimeasure({EPSILON: ONE, "0": ONE, "1": HALF})
+        with pytest.raises(PreconditionError) as exc:
+            complete_to_measure(broken)
+        assert str(exc.value) == (
+            "completion requires a valid presentation: super-additivity fails at '': 1/2^0 + 1/2^1 > 1/2^0"
+        )
+        with pytest.raises(PreconditionError) as exc:
+            complete_to_measure(uniform_measure().scaled(HALF))
+        assert str(exc.value) == "completion requires a strict presentation"
 
     def test_mixture_valid_only_jointly_completes(self):
         """Two weight-1/2 depth-1 components (1; 1, 1) and (1; 0, 0): the

@@ -39,7 +39,7 @@ class TestBasics:
         assert check_bits("0101") == "0101"
         assert check_bits(EPSILON) == EPSILON
 
-    @pytest.mark.parametrize("bad", ["012", "ab", "0 1", None, 7])
+    @pytest.mark.parametrize("bad", ["012", "ab", "0 1", None, 7, "x01", "01\n", "2"])
     def test_check_bits_rejects_other(self, bad):
         with pytest.raises(ParseError):
             check_bits(bad)
