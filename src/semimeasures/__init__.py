@@ -26,6 +26,7 @@ from .functional import (
     induced_semimeasure,
     mirror_pair,
     pad_with_identity,
+    preimage_buckets,
     preimage_set,
     reach_set,
     universal_functional,

@@ -89,15 +89,6 @@ def _render(payload: Any, fmt: str) -> str:
     return out.getvalue()
 
 
-def _emit(payload: Any, args: argparse.Namespace) -> None:
-    text = _render(payload, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _granularity_cap() -> int:
     raw = os.environ.get(GRANULARITY_ENV)
     if raw is None:
@@ -112,9 +103,11 @@ def _granularity_cap() -> int:
 
 
 # -- subcommands ---------------------------------------------------------------
+# Each handler returns (payload, exit code); payload None means the handler
+# has written its own stderr line and nothing goes to the output.
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> tuple[Any, int]:
     obj = _load_json(args.file)
     if isinstance(obj, dict) and ("components" in obj or obj.get("kind") in ("constant", "infimum")):
         stage = staged_from_json(obj).stage_at(args.stage)
@@ -130,8 +123,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 else {"0": str(report.children[0]), "1": str(report.children[1])}
             ),
         }
-        _emit(payload, args)
-        return 0 if report.ok else 1
+        return payload, 0 if report.ok else 1
     if isinstance(obj, dict) and ("stages" in obj or obj.get("kind") == "identity"):
         phi = functional_from_json(obj)
         last = max((t for t, _i, _o in phi.events), default=0) if phi.events else args.stage
@@ -142,8 +134,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             "stage": last,
             "conflict": None if report.ok else [list(report.pair_a), list(report.pair_b)],
         }
-        _emit(payload, args)
-        return 0 if report.ok else 1
+        return payload, 0 if report.ok else 1
     if isinstance(obj, dict) and "levels" in obj:
         violation = validate_ml_test(test_from_json(obj))
         payload = {
@@ -159,8 +150,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 }
             ),
         }
-        _emit(payload, args)
-        return 0 if violation is None else 1
+        return payload, 0 if violation is None else 1
     raise ParseError(f"{args.file}: not a semi-measure, functional, or test")
 
 
@@ -220,17 +210,16 @@ def _worked_rows() -> list[tuple[str, str, str, str]]:
     return rows
 
 
-def cmd_worked_examples(args: argparse.Namespace) -> int:
+def cmd_worked_examples(args: argparse.Namespace) -> tuple[Any, int]:
     rows = _worked_rows()
     payload = {
         "header": ["construction", "expected", "computed", "match"],
         "rows": [list(r) for r in rows],
     }
-    _emit(payload, args)
-    return 0 if all(r[3] == "true" for r in rows) else 1
+    return payload, 0 if all(r[3] == "true" for r in rows) else 1
 
 
-def cmd_trim(args: argparse.Namespace) -> int:
+def cmd_trim(args: argparse.Namespace) -> tuple[Any, int]:
     stage = staged_from_json(_load_json(args.file)).stage_at(args.stage)
     sigma = check_bits(args.sigma)
     if args.depth < len(sigma):
@@ -243,11 +232,10 @@ def cmd_trim(args: argparse.Namespace) -> int:
         "rows": table,
         "derived": trim_result_to_json(result),
     }
-    _emit(payload, args)
-    return 0
+    return payload, 0
 
 
-def cmd_induce(args: argparse.Namespace) -> int:
+def cmd_induce(args: argparse.Namespace) -> tuple[Any, int]:
     phi = functional_from_json(_load_json(args.file))
     report = consistency_check(phi, args.stage)
     if not report.ok:
@@ -255,35 +243,32 @@ def cmd_induce(args: argparse.Namespace) -> int:
             f"validation failed: inconsistent functional at stage {args.stage}: pairs "
             f"{list(report.pair_a)} and {list(report.pair_b)} have comparable inputs and incomparable outputs\n"
         )
-        return 1
+        return None, 1
     stage = induced_semimeasure(phi, args.stage, args.depth)
-    _emit(stage_to_json(stage), args)
-    return 0
+    return stage_to_json(stage), 0
 
 
-def cmd_invert(args: argparse.Namespace) -> int:
+def cmd_invert(args: argparse.Namespace) -> tuple[Any, int]:
     rho = staged_from_json(_load_json(args.file))
     phi = from_semimeasure(rho, args.stage, args.depth, granularity_cap=_granularity_cap())
-    _emit(functional_to_json(phi), args)
-    return 0
+    return functional_to_json(phi), 0
 
 
-def cmd_atom_decode(args: argparse.Namespace) -> int:
+def cmd_atom_decode(args: argparse.Namespace) -> tuple[Any, int]:
     rho = staged_from_json(_load_json(args.file))
     q = dyadic_from_text(args.q)
     seed = check_bits(args.seed)
     decoded = decode_atom(rho, q, seed, args.bits, max_stage=args.budget)
     payload = {"seed": seed, "q": str(q), "bits": decoded}
-    _emit(payload, args)
-    return 0
+    return payload, 0
 
 
-def cmd_mirror_pair(args: argparse.Namespace) -> int:
+def cmd_mirror_pair(args: argparse.Namespace) -> tuple[Any, int]:
     if args.stages_file:
         raw = _load_json(args.stages_file)
         if not isinstance(raw, list):
             raise ParseError(f"{args.stages_file}: expected a JSON list of dyadic literals")
-        texts = [str(v) for v in raw]
+        texts = raw
     else:
         texts = [t.strip() for t in args.stages.split(",") if t.strip()]
     if not texts:
@@ -302,20 +287,18 @@ def cmd_mirror_pair(args: argparse.Namespace) -> int:
         "induced_agree": agree,
         "spine_values": [str(final.value("0" * k)) for k in range(depth + 1)],
     }
-    _emit(payload, args)
-    return 0 if agree else 1
+    return payload, 0 if agree else 1
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> tuple[Any, int]:
     phi = functional_from_json(_load_json(args.file))
     try:
         output = eval_on_string(phi, args.sigma, args.stage)
     except CertificateError as exc:
         sys.stderr.write(f"validation failed: {exc}\n")
-        return 1
+        return None, 1
     payload = {"input": check_bits(args.sigma), "stage": args.stage, "output": output}
-    _emit(payload, args)
-    return 0
+    return payload, 0
 
 
 # -- parser --------------------------------------------------------------------
@@ -327,64 +310,55 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations on dyadic semi-measure presentations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("json", "csv"), default="json")
+    common.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None, help="write output to a file instead of stdout")
-
-    p = sub.add_parser("validate", help="check a semi-measure, functional, or test file")
+    p = sub.add_parser("validate", parents=[common], help="check a semi-measure, functional, or test file")
     p.add_argument("file")
     p.add_argument("--stage", type=int, default=0)
-    common(p)
     p.set_defaults(handler=cmd_validate)
 
-    p = sub.add_parser("worked-examples", help="recompute the frozen example table")
-    common(p)
+    p = sub.add_parser("worked-examples", parents=[common], help="recompute the frozen example table")
     p.set_defaults(handler=cmd_worked_examples)
 
-    p = sub.add_parser("trim", help="level-mass convergence table and derived measure")
+    p = sub.add_parser("trim", parents=[common], help="level-mass convergence table and derived measure")
     p.add_argument("file")
     p.add_argument("--sigma", default=EPSILON)
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--stage", type=int, default=0)
-    common(p)
     p.set_defaults(handler=cmd_trim)
 
-    p = sub.add_parser("induce", help="semi-measure induced by a functional")
+    p = sub.add_parser("induce", parents=[common], help="semi-measure induced by a functional")
     p.add_argument("file")
     p.add_argument("--stage", type=int, default=0)
     p.add_argument("--depth", type=int, default=4)
-    common(p)
     p.set_defaults(handler=cmd_induce)
 
-    p = sub.add_parser("invert", help="functional whose induced semi-measure matches a table")
+    p = sub.add_parser("invert", parents=[common], help="functional whose induced semi-measure matches a table")
     p.add_argument("file")
     p.add_argument("--stage", type=int, default=0)
     p.add_argument("--depth", type=int, default=4)
-    common(p)
     p.set_defaults(handler=cmd_invert)
 
-    p = sub.add_parser("atom-decode", help="follow the unique heavy path of a presentation")
+    p = sub.add_parser("atom-decode", parents=[common], help="follow the unique heavy path of a presentation")
     p.add_argument("file")
     p.add_argument("--q", required=True, help="threshold as an m/2^n literal")
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--seed", default=EPSILON)
     p.add_argument("--budget", type=int, default=256, help="stage budget per bit")
-    common(p)
     p.set_defaults(handler=cmd_atom_decode)
 
-    p = sub.add_parser("mirror-pair", help="twin functionals from a dyadic approximation")
+    p = sub.add_parser("mirror-pair", parents=[common], help="twin functionals from a dyadic approximation")
     p.add_argument("--stages", default=None, help="comma-separated m/2^n literals")
     p.add_argument("--stages-file", default=None, help="JSON list of m/2^n literals")
     p.add_argument("--depth", type=int, default=None)
-    common(p)
     p.set_defaults(handler=cmd_mirror_pair)
 
-    p = sub.add_parser("eval", help="run a functional on one input string")
+    p = sub.add_parser("eval", parents=[common], help="run a functional on one input string")
     p.add_argument("file")
     p.add_argument("--sigma", required=True)
     p.add_argument("--stage", type=int, default=0)
-    common(p)
     p.set_defaults(handler=cmd_eval)
 
     return parser
@@ -400,7 +374,15 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write("mirror-pair needs --stages or --stages-file\n")
         return 2
     try:
-        return args.handler(args)
+        payload, code = args.handler(args)
+        if payload is not None:
+            text = _render(payload, args.format)
+            if args.out:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+        return code
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2

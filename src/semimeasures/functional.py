@@ -136,11 +136,28 @@ def eval_on_string(phi: MonotoneFunctional, sigma: str, stage: int) -> str:
     return max((o for _i, o in hits), key=len, default=EPSILON)
 
 
+def preimage_buckets(phi: MonotoneFunctional, stage: int, targets: Iterable[str]) -> dict[str, list[str]]:
+    """For each target, the inputs of the pairs whose output extends it.
+
+    One pass over phi's pairs at ``stage``, with one dict lookup per
+    distinct target length.
+    """
+    buckets: dict[str, list[str]] = {t: [] for t in targets}
+    lengths = sorted({len(t) for t in buckets})
+    for i, o in phi.pairs_at(stage):
+        for n in lengths:
+            if n > len(o):
+                break
+            bucket = buckets.get(o[:n])
+            if bucket is not None:
+                bucket.append(i)
+    return buckets
+
+
 def preimage_set(phi: MonotoneFunctional, tau: str, stage: int) -> StringSet:
     """Antichain of inputs mapped onto an extension of tau."""
     check_bits(tau)
-    hits = [i for i, o in phi.pairs_at(stage) if o.startswith(tau)]
-    return prefix_free_normalize(hits)
+    return prefix_free_normalize(preimage_buckets(phi, stage, (tau,))[tau])
 
 
 def induced_semimeasure(phi: MonotoneFunctional, stage: int, depth: int) -> SemiMeasureStage:
@@ -155,10 +172,7 @@ def induced_semimeasure(phi: MonotoneFunctional, stage: int, depth: int) -> Semi
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    buckets: dict[str, list[str]] = {s: [] for s in strings_up_to(depth)}
-    for i, o in phi.pairs_at(stage):
-        for k in range(min(len(o), depth) + 1):
-            buckets[o[:k]].append(i)
+    buckets = preimage_buckets(phi, stage, strings_up_to(depth))
     table = {s: lebesgue_of_set(b) for s, b in buckets.items()}
     comp = Component.build(ONE, table, tail=TailRule.vanish())
     return SemiMeasureStage((comp,), strict=table[EPSILON] == ONE)

@@ -21,8 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .dyadic import Dyadic, ONE
 from .errors import CertificateError, PreconditionError
-from .functional import MonotoneFunctional
-from .semimeasure import SemiMeasureStage, uniform_measure
+from .functional import MonotoneFunctional, preimage_buckets
+from .semimeasure import SemiMeasureStage, check_domination, uniform_measure
 from .strings import (
     StringSet,
     canon,
@@ -101,20 +101,13 @@ def pullback_test(test: MLTest, phi: MonotoneFunctional, stage: int) -> MLTest:
     ones because distinct members have disjoint preimage cylinders inside
     the common preimage.
 
-    One pass over phi's pairs puts each input into the bucket of every
-    member its output extends; a member's induced value is the Lebesgue
-    mass of its bucket and its preimage is the bucket normalised.
+    One pass over phi's pairs (:func:`preimage_buckets`) puts each input
+    into the bucket of every member its output extends; a member's induced
+    value is the Lebesgue mass of its bucket and its preimage is the bucket
+    normalised.
     """
     members = test.members()
-    buckets: dict[str, list[str]] = {s: [] for s in members}
-    lengths = sorted({len(s) for s in members})
-    for i, o in phi.pairs_at(stage):
-        for n in lengths:
-            if n > len(o):
-                break
-            bucket = buckets.get(o[:n])
-            if bucket is not None:
-                bucket.append(i)
+    buckets = preimage_buckets(phi, stage, members)
     nums, e = test.base.values(members)
     for s, num in zip(members, nums):
         induced = lebesgue_of_set(buckets[s])
@@ -143,14 +136,9 @@ def shift_for_domination(test: MLTest, c: Dyadic, dominated: SemiMeasureStage) -
     k = 0
     while Dyadic.pow2(k) < c:
         k += 1
-    members = test.members()
-    (rho, rho_e), (base, base_e) = dominated.values(members), test.base.values(members)
-    # rho / 2**rho_e against c * base / 2**(c.exponent + base_e), both over 2**e
-    e = max(rho_e, c.exponent + base_e)
-    shift, scale = e - rho_e, c.numerator << (e - c.exponent - base_e)
-    for s, r, b in zip(members, rho, base):
-        if r << shift > scale * b:
-            raise CertificateError(f"domination fails at {s!r}", witness=s)
+    witness = check_domination(test.base.scaled(c), dominated, ONE, test.members())
+    if witness is not None:
+        raise CertificateError(f"domination fails at {witness!r}", witness=witness)
     new_levels = {}
     for i in sorted(test.levels):
         if i - k < 0:

@@ -181,15 +181,6 @@ class Component:
 
     # -- evaluation (weight NOT included) --------------------------------
 
-    def _plain_value(self, sigma: str) -> Dyadic:
-        (num,), e = self._values((sigma,), tilted=False)
-        return Dyadic(num, e)
-
-    def _tilt_factor(self, sigma: str) -> Dyadic:
-        if self.tilt == 0:
-            return ONE
-        return Dyadic.pow2(-self.tilt * leading_ones(sigma))
-
     def value(self, sigma: str) -> Dyadic:
         (num,), e = self._values((sigma,))
         return Dyadic(num, e)
@@ -231,7 +222,8 @@ class Component:
             return dyadic_sum(self.table[s] for s in extensions(sigma, n - len(sigma)))
         levels = None if n is None else n - max(len(sigma), self.depth)
         if len(sigma) >= self.depth:
-            return self._plain_value(sigma) * self.tails[sigma[: self.depth]].kept(levels)
+            (num,), e = self._values((sigma,), tilted=False)
+            return Dyadic(num, e) * self.tails[sigma[: self.depth]].kept(levels)
         # frontier values summed per tail rule, so each rule's factor is taken once
         by_rule: dict[tuple, tuple[TailRule, list[Dyadic]]] = {}
         for frontier in extensions(sigma, self.depth - len(sigma)):
@@ -274,19 +266,20 @@ class Component:
             e += self.tilt * n
         return row, e
 
-    def level_sum(self, sigma: str, n: int) -> Dyadic:
-        """Sum of values over all extensions of sigma at length exactly n."""
-        if n < len(sigma):
+    def level_sum(self, sigma: str, n: int | None) -> Dyadic:
+        """Sum of values over all extensions of sigma at length exactly n;
+        n = None is the limit n -> infinity, the trimmed mass of sigma,
+        which tilted components do not have in closed form."""
+        if n is None:
+            if self.tilt:
+                raise ValueError("no closed-form trim for tilted components")
+        elif n < len(sigma):
             raise ValueError("level must not be above the string")
-        if self.tilt == 0:
-            return self._plain_level_sum(sigma, n)
-        if "0" in sigma:
-            # the all-ones prefix is frozen below sigma
-            return self._tilt_factor(sigma) * self._plain_level_sum(sigma, n)
-        # sigma lies on the 1-spine: split off the spine step by step
-        if n == len(sigma):
-            return self.value(sigma)
-        return self.level_sum(sigma + "0", n) + self.level_sum(sigma + "1", n)
+        elif self.tilt and n > len(sigma) and "0" not in sigma:
+            # sigma lies on the 1-spine: split off the spine step by step
+            return self.level_sum(sigma + "0", n) + self.level_sum(sigma + "1", n)
+        # the all-ones prefix of every extension is that of sigma
+        return Dyadic.pow2(-self.tilt * leading_ones(sigma)) * self._plain_level_sum(sigma, n)
 
 
 @dataclass(frozen=True)
@@ -320,26 +313,20 @@ class SemiMeasureStage:
                 total = [t + factor * x for t, x in zip(total, row)]
         return total, e
 
-    def level_mass(self, sigma: str, n: int) -> Dyadic:
+    def level_mass(self, sigma: str, n: int | None) -> Dyadic:
+        """Mass at level n above sigma.  n = None is the limit n -> infinity,
+        the trimmed mass: conserving frontier subtrees keep their mass and
+        every other subtree trims to zero.  Tilted components have no
+        closed-form limit."""
         return dyadic_sum(comp.weight * comp.level_sum(sigma, n) for comp in self.components)
-
-    def limit_mass(self, sigma: str) -> Dyadic:
-        """Limit of ``level_mass(sigma, n)`` as n grows: the trimmed mass.
-
-        Conserving frontier subtrees keep their mass and every other subtree
-        trims to zero.  Tilted components have no closed-form limit.
-        """
-        if any(comp.tilt for comp in self.components):
-            raise ValueError("no closed-form trim for tilted components")
-        return dyadic_sum(comp.weight * comp._plain_level_sum(sigma, None) for comp in self.components)
 
     def level_row(self, n: int, limit: bool = False) -> Row:
         """Values of all length-n strings in lex order, as ``(numerators, e)``
         with the i-th value ``numerators[i] / 2**e``; weights and tilts are
         folded in.
 
-        With ``limit`` the row holds the trimmed masses instead (the limits
-        of :meth:`limit_mass`), which needs n at or below every frontier:
+        With ``limit`` the row holds the trimmed masses instead (the values
+        of ``level_mass(s, None)``), which needs n at or below every frontier:
         a conserving frontier node's subtree keeps its values and every
         other subtree is 0.  Tilted components have no such limit.
         """
@@ -643,29 +630,30 @@ def complete_to_measure(stage: SemiMeasureStage, depth: int | None = None) -> Se
         mu, me = pushed, e + 1
     surplus = [m - (v << (me - ve)) for m, v in zip(mu, values)]
 
-    new_comps = []
+    parts = []  # (weight, target-level row, tails) of each completed component
     for comp in stage.components:
-        row, e = comp._row(target)
         distinct = {rule.aligned: rule for rule in comp.tails.values()}
         padded = {key: rule.padded() for key, rule in distinct.items()}
         tails = {node: padded[comp.tails[node[: comp.depth]].aligned] for node in all_strings(target)}
-        table = _summed_up(row, e, target)
-        new_comps.append(Component(weight=comp.weight, depth=target, table=table, tails=tails))
-    uniform = TailRule.uniform()
-    new_comps.append(Component(
-        weight=ONE, depth=target, table=_summed_up(surplus, me, target),
-        tails={node: uniform for node in all_strings(target)},
-    ))
+        parts.append((comp.weight, comp._row(target), tails))
+    parts.append((ONE, (surplus, me), dict.fromkeys(all_strings(target), TailRule.uniform())))
+    new_comps = []
+    for weight, (row, e), tails in parts:
+        levels = summed_rows(row, target)
+        table = {s: Dyadic(x, e) for n in range(target + 1) for s, x in zip(all_strings(n), levels[n])}
+        new_comps.append(Component(weight=weight, depth=target, table=table, tails=tails))
     return SemiMeasureStage(tuple(new_comps), strict=True)
 
 
-def _summed_up(row: list[int], e: int, depth: int) -> dict[str, Dyadic]:
-    """Additive table whose length-``depth`` values are the row (over 2**e)."""
+def summed_rows(row: list[int], depth: int) -> list[list[int]]:
+    """Rows of levels 0..depth, indexed by level, whose level-``depth`` row
+    is ``row`` and whose every other entry is the sum of its two children."""
     levels = [row]
     for _ in range(depth):
         row = [a + b for a, b in zip(row[0::2], row[1::2])]
         levels.append(row)
-    return {s: Dyadic(x, e) for n in range(depth + 1) for s, x in zip(all_strings(n), levels[depth - n])}
+    levels.reverse()
+    return levels
 
 
 # -- infimum-scaled stages ---------------------------------------------------
@@ -678,6 +666,8 @@ def _as_generator(row) -> Generator:
     if callable(row):
         return row
     values = [v for v in row]
+    if not values:
+        raise ValueError("generator value lists must be non-empty")
 
     def gen(s: int) -> Dyadic:
         return values[min(s, len(values) - 1)]

@@ -106,6 +106,8 @@ def component_from_json(obj: Any) -> Component:
     if not isinstance(rows, list) or not rows:
         raise ParseError("component table must be a non-empty list of rows")
     depth = obj.get("depth", len(rows) - 1)
+    if not _is_int(depth):
+        raise ParseError("component 'depth' must be an integer")
     if depth != len(rows) - 1:
         raise ParseError(f"component depth {depth} does not match {len(rows)} table rows")
     table: dict[str, Dyadic] = {}
@@ -169,6 +171,9 @@ def staged_from_json(obj: Any) -> LeftCeSemiMeasure:
         rows = obj.get("rows")
         if not isinstance(rows, list) or not rows:
             raise ParseError("infimum descriptor needs non-empty 'rows'")
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or not row:
+                raise ParseError(f"infimum row {i} must be a non-empty list of dyadic literals")
         parsed = [[dyadic_from_text(v) for v in row] for row in rows]
         depth = obj.get("depth", len(rows) - 1)
         if not _is_int(depth) or depth < 0:

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .dyadic import Dyadic, ZERO
 from .errors import AmbiguityError, BudgetExhaustedError, PreconditionError
-from .semimeasure import LeftCeSemiMeasure, SemiMeasureStage
+from .semimeasure import LeftCeSemiMeasure, SemiMeasureStage, summed_rows
 from .strings import EPSILON, canon, check_bits, is_prefix_free, string_at
 
 
@@ -52,7 +52,7 @@ def derived_measure(stage: SemiMeasureStage, sigma: str, probe_depth: int | None
     check_bits(sigma)
     settled = max(len(sigma), stage.max_depth)
     if all(c.tilt == 0 for c in stage.components):
-        total = stage.limit_mass(sigma)
+        total = stage.level_mass(sigma, None)
         if total > partial_trim(stage, sigma, settled):
             raise AssertionError("closed-form trim exceeded a level sum")  # pragma: no cover
         return TrimResult(value=total, depth=settled, stabilized=True)
@@ -135,12 +135,7 @@ def lebesgue_like_check(stage: SemiMeasureStage, depth: int) -> LebesgueLikeRepo
         raise PreconditionError("exact trimming unavailable for this presentation")
     top = stage.max_depth
     trims, sums, e = _trims_and_sums(stage, top)
-    levels = [(trims, sums)]
-    for _ in range(top):
-        trims = [a + b for a, b in zip(trims[0::2], trims[1::2])]
-        sums = [a + b for a, b in zip(sums[0::2], sums[1::2])]
-        levels.append((trims, sums))
-    levels.reverse()
+    levels = list(zip(summed_rows(trims, top), summed_rows(sums, top)))
     alpha = levels[0][0][0]
     if alpha == 0:
         return LebesgueLikeReport(alpha=None, witness=EPSILON)
@@ -182,6 +177,8 @@ def decode_atom(
         raise ValueError("threshold must be positive")
     if bits < 0:
         raise ValueError("bit budget must be non-negative")
+    if max_stage < 0:
+        raise ValueError("stage budget must be non-negative")
     current = seed
     out: list[str] = []
     for _ in range(bits):

@@ -32,9 +32,8 @@ from semimeasures import (
     ZERO,
     all_strings,
     derived_measure,
-    induced_semimeasure,
     leading_ones,
-    preimage_set,
+    lebesgue_of_set,
     prefix_free_normalize,
     strings_up_to,
     uniform_measure,
@@ -530,24 +529,27 @@ def reference_consistency_check(phi: MonotoneFunctional, stage: int) -> Consiste
     return ConsistencyReport(True)
 
 
-# The test transforms member by member, as first written: the pullback
-# certificate read from a whole induced table and each member's preimage
-# found by its own scan of the pairs, the domination certificate and the
-# filter's masses from one point value at a time (here in Fractions).  The
-# package reads both from int rows and buckets the pairs in one pass, and
-# must return the same levels and raise the same errors.
+# The test transforms member by member: each member's preimage, and from it
+# the pullback certificate, found by its own scan of the pairs, the
+# domination certificate and the filter's masses from one point value at a
+# time (here in Fractions).  The package reads both from int rows and
+# buckets the pairs in one pass, and must return the same levels and raise
+# the same errors.
+
+
+def reference_preimage_set(phi: MonotoneFunctional, tau: str, stage: int) -> tuple[str, ...]:
+    """Preimage of tau by its own scan of every pair."""
+    return prefix_free_normalize(i for i, o in phi.pairs_at(stage) if o.startswith(tau))
 
 
 def reference_pullback_test(test: MLTest, phi: MonotoneFunctional, stage: int) -> MLTest:
-    members = test.members()
-    probe = max((len(s) for s in members), default=0)
-    induced = induced_semimeasure(phi, stage, probe)
-    for s in members:
-        if oracle_stage_value(test.base, s) != as_fraction(induced.value(s)):
+    for s in test.members():
+        induced = lebesgue_of_set(reference_preimage_set(phi, s, stage))
+        if oracle_stage_value(test.base, s) != as_fraction(induced):
             raise CertificateError(f"test base disagrees with the induced semi-measure at {s!r}", witness=s)
     new_levels = {}
     for i, level in test.levels.items():
-        new_levels[i] = prefix_free_normalize(x for s in level for x in preimage_set(phi, s, stage))
+        new_levels[i] = prefix_free_normalize(x for s in level for x in reference_preimage_set(phi, s, stage))
     return MLTest.build(new_levels, uniform_measure())
 
 

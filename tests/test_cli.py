@@ -364,6 +364,33 @@ class TestFieldTypes:
         obj = {"kind": "infimum", "rows": [["1"], ["1/2^1"]], "depth": depth}
         assert main(["validate", write_json(tmp_path, "m.json", obj)]) == 2
 
+    @pytest.mark.parametrize("depth", [True, 1.0, "1"])
+    def test_component_depth_must_be_an_integer(self, tmp_path, depth):
+        obj = stage_to_json(uniform_measure(1))
+        obj["components"][0]["depth"] = depth
+        assert main(["validate", write_json(tmp_path, "m.json", obj)]) == 2
+
+    @pytest.mark.parametrize("command", [["validate"], ["trim"], ["invert", "--depth", "1"]])
+    @pytest.mark.parametrize("row", [5, "11", []])
+    def test_infimum_rows_must_be_non_empty_lists(self, tmp_path, capsys, command, row):
+        path = write_json(tmp_path, "m.json", {"kind": "infimum", "rows": [["1"], row]})
+        assert main([command[0], path, *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: infimum row 1 must be a non-empty list of dyadic literals\n"
+
+    def test_stages_file_entries_must_be_strings(self, tmp_path, capsys):
+        path = write_json(tmp_path, "approx.json", [0, 1])
+        assert main(["mirror-pair", "--stages-file", path]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_negative_stage_budget_is_a_parse_error(self, tmp_path, capsys):
+        path = write_json(tmp_path, "spine.json", stage_to_json(dirac_spine("0")))
+        assert main(["atom-decode", path, "--q", "3/2^2", "--bits", "2", "--budget", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: stage budget must be non-negative\n"
+
     @pytest.mark.parametrize("level", [2.7, True, "3", None])
     def test_decay_levels_must_be_integers(self, tmp_path, level):
         obj = {

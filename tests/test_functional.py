@@ -14,6 +14,7 @@ from helpers import (
     random_stage,
     reference_consistency_check,
     reference_from_semimeasure,
+    reference_preimage_set,
 )
 from semimeasures import (
     EPSILON,
@@ -180,6 +181,13 @@ class TestPreimage:
     def test_preimage_of_root_collects_all_mapped_inputs(self):
         phi = MonotoneFunctional.constant([("00", "01"), ("01", "0")])
         assert lebesgue_of_set(preimage_set(phi, "", stage=0)) == HALF
+
+    @given(pair_lists)
+    def test_matches_a_scan_of_every_pair(self, pairs):
+        """Every target of length <= 3, the root and unreached ones included."""
+        phi = MonotoneFunctional.constant(pairs)
+        for tau in strings_up_to(3):
+            assert preimage_set(phi, tau, stage=0) == reference_preimage_set(phi, tau, 0)
 
 
 class TestInduced:

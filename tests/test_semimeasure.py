@@ -299,7 +299,7 @@ class TestLevelRow:
         stage = self.two_part_stage(random.Random(seed), tilts=False)
         n = stage.max_depth + extra
         row, e = stage.level_row(n, limit=True)
-        assert [Dyadic(x, e) for x in row] == [stage.limit_mass(s) for s in all_strings(n)]
+        assert [Dyadic(x, e) for x in row] == [stage.level_mass(s, None) for s in all_strings(n)]
 
     def test_limit_rows_lie_below_every_frontier_and_need_no_tilt(self):
         with pytest.raises(ValueError):
@@ -458,6 +458,12 @@ class TestTilt:
 
     def test_tilt_keeps_strictness(self):
         assert tilt_by_ones(uniform_measure()).strict
+
+    def test_tilted_stage_has_no_closed_form_trim(self):
+        stage = mix_stages([uniform_measure(), tilt_by_ones(uniform_measure())], [HALF, HALF])
+        for sigma in (EPSILON, "0", "11"):
+            with pytest.raises(ValueError, match="^no closed-form trim for tilted components$"):
+                stage.level_mass(sigma, None)
 
 
 class TestMixture:
@@ -635,6 +641,10 @@ class TestInfimumSequence:
     def test_rejects_values_above_one(self):
         with pytest.raises(ValueError):
             from_infimum_sequence([[Dyadic(3, 1)]], stage=0, depth=1)
+
+    def test_rejects_an_empty_value_list(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            from_infimum_sequence([[ONE], []], stage=0, depth=1)
 
     @given(st.lists(unit_dyadics(), min_size=1, max_size=4), st.integers(1, 4))
     def test_output_always_validates(self, row_values, depth):

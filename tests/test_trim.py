@@ -88,6 +88,20 @@ class TestPartialTrim:
         stage = random_stage(rng, depth=2, tilt_allowed=True)
         assert partial_trim(stage, "", n) >= partial_trim(stage, "", n + 1)
 
+    @given(st.integers(0, 2**32 - 1))
+    def test_tilted_level_sums_off_the_root(self, seed):
+        """Every sigma of length <= 3, on the 1-spine or holding a 0, and
+        every n from |sigma| to |sigma| + 4, with a tilted component."""
+        rng = random.Random(seed)
+        comps = (
+            random_component(rng, weight=HALF, depth=rng.randint(0, 2), tilt=rng.choice([1, 2])),
+            random_component(rng, weight=HALF, depth=rng.randint(0, 2), tilt=rng.choice([0, 1, 2])),
+        )
+        stage = SemiMeasureStage(comps, strict=True)
+        for sigma in strings_up_to(3):
+            for n in range(len(sigma), len(sigma) + 5):
+                assert as_fraction(partial_trim(stage, sigma, n)) == oracle_level_sum(stage.value, sigma, n)
+
     @given(st.integers(0, 2**32 - 1), st.integers(0, 5))
     def test_matches_brute_force_sum(self, seed, n):
         rng = random.Random(seed)
