@@ -378,8 +378,11 @@ def main(argv: list[str] | None = None) -> int:
         if payload is not None:
             text = _render(payload, args.format)
             if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                try:
+                    with open(args.out, "w", encoding="utf-8") as fh:
+                        fh.write(text)
+                except OSError as exc:
+                    raise ParseError(f"cannot write {args.out}: {exc}") from None
             else:
                 sys.stdout.write(text)
         return code

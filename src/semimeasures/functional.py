@@ -11,11 +11,19 @@ of the union of input cylinders of pairs whose output extends tau.  The
 inverse direction, :func:`from_semimeasure`, allocates input cylinders
 leftmost-first so that the induced semi-measure reproduces a given stage
 table exactly.
+
+Both directions work on integer cylinders: at one common exponent L the
+cylinder of a string s is the interval ``[k * 2^(L-|s|), (k+1) * 2^(L-|s|))``
+of ``range(2^L)``, k being s read as a binary number, and a measure is a
+count of units ``2^-L``.  ``Dyadic`` values are built only for what a
+function returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Sequence
 
 from .dyadic import Dyadic, ONE, ZERO, expansion_bits
@@ -29,6 +37,7 @@ from .strings import (
     intersect_sets,
     lebesgue_of_set,
     prefix_free_normalize,
+    string_at,
     strings_up_to,
 )
 
@@ -101,18 +110,32 @@ def _first_conflict(pairs: Sequence[Pair]) -> tuple[Pair, Pair] | None:
 def consistency_check(phi: MonotoneFunctional, stage: int) -> ConsistencyReport:
     """First pair of pairs with comparable inputs but incomparable outputs.
 
-    Pairs are grouped under the input-prefix order, so each pair is compared
-    exactly against the pairs sitting on its input's prefix chain.
+    The distinct inputs are walked in sorted order, where every input comes
+    after its prefixes, with a stack of (input, longest output on its
+    chain): the entries are the inputs that are prefixes of the current
+    one.  An input's chain -- the pairs on its prefixes and on itself -- is
+    consistent when its own outputs and the longest output above it are
+    all prefixes of the longest among them.  Only on the first input whose
+    chain fails is the chain rebuilt, and the report names its first two
+    incomparable pairs, chain order being (input length, output).
     """
     by_input: dict[str, list[str]] = {}
     for i, o in sorted(phi.pairs_at(stage)):
         by_input.setdefault(i, []).append(o)
-    for i in by_input:
+    stack: list[tuple[str, str]] = []
+    for i, outs in by_input.items():
+        while stack and not i.startswith(stack[-1][0]):
+            stack.pop()
+        above = stack[-1][1] if stack else EPSILON
+        longest = max(outs, key=len)
+        if len(above) > len(longest):
+            longest = above
+        if longest.startswith(above) and all(longest.startswith(o) for o in outs):
+            stack.append((i, longest))
+            continue
         # includes i itself at k == len(i)
         chain = [(i[:k], o) for k in range(len(i) + 1) for o in by_input.get(i[:k], ())]
-        conflict = _first_conflict(chain)
-        if conflict is not None:
-            return ConsistencyReport(False, *conflict)
+        return ConsistencyReport(False, *_first_conflict(chain))
     return ConsistencyReport(True)
 
 
@@ -160,8 +183,27 @@ def preimage_set(phi: MonotoneFunctional, tau: str, stage: int) -> StringSet:
     return prefix_free_normalize(preimage_buckets(phi, stage, (tau,))[tau])
 
 
+def _union(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Sorted disjoint intervals covering the same points, touching ones merged."""
+    out: list[tuple[int, int]] = []
+    for a, b in sorted(intervals):
+        if out and a <= out[-1][1]:
+            if b > out[-1][1]:
+                out[-1] = (out[-1][0], b)
+        else:
+            out.append((a, b))
+    return out
+
+
 def induced_semimeasure(phi: MonotoneFunctional, stage: int, depth: int) -> SemiMeasureStage:
     """Table of preimage masses on all strings of length <= depth.
+
+    Each pair's input is an integer interval at L, the longest input
+    length, filed under its output cut to ``depth``.  Only the live nodes
+    -- prefixes of those outputs -- are visited, deepest first: a node's
+    preimage is the union of its own intervals and its two children's, and
+    its mass the summed lengths over 2^L.  Every other node is zero.  The
+    union is exact whether or not phi is consistent.
 
     The presentation's tail is vanish: the table is a stage snapshot, not a
     claim about values below its frontier.  Super-additivity holds because
@@ -172,8 +214,25 @@ def induced_semimeasure(phi: MonotoneFunctional, stage: int, depth: int) -> Semi
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    buckets = preimage_buckets(phi, stage, strings_up_to(depth))
-    table = {s: lebesgue_of_set(b) for s, b in buckets.items()}
+    pairs = phi.pairs_at(stage)
+    L = max((len(i) for i, _o in pairs), default=0)
+    own: dict[str, list[tuple[int, int]]] = {}
+    for i, o in pairs:
+        size = 1 << (L - len(i))
+        start = int(i, 2) * size if i else 0
+        own.setdefault(o[:depth], []).append((start, start + size))
+    table = dict.fromkeys(strings_up_to(depth), ZERO)
+    live: list[set[str]] = [set() for _ in range(depth + 1)]  # live nodes by length
+    for node in own:
+        live[len(node)].add(node)
+    merged: dict[str, list[tuple[int, int]]] = {}
+    for n in range(depth, -1, -1):
+        for node in live[n]:
+            union = _union([*own.get(node, ()), *merged.pop(node + "0", ()), *merged.pop(node + "1", ())])
+            merged[node] = union
+            table[node] = Dyadic(sum(b - a for a, b in union), L)
+            if n:
+                live[n - 1].add(node[:-1])
     comp = Component.build(ONE, table, tail=TailRule.vanish())
     return SemiMeasureStage((comp,), strict=table[EPSILON] == ONE)
 
@@ -231,33 +290,52 @@ def domain_clopen_approx(
 # -- inverse construction: allocate input cylinders for a stage table --------
 
 
-def _take_leftmost(free: Sequence[str], need: Dyadic) -> tuple[list[str], list[str]]:
-    """Carve cylinders of total measure ``need`` from the left edge of ``free``.
+Block = tuple[int, int]  # (start, k): the interval [start, start + 2^k) at the common exponent
 
-    Greedy on aligned dyadic intervals: a cylinder is taken whole when it
-    fits, otherwise split and recurse left-first.  ``need`` being dyadic
-    makes the recursion terminate at its exponent.  Returns the cylinders
-    taken and the maximal cylinders of ``free`` left over, left to right.
+
+def _take_leftmost(free: Sequence[Block], need: int, exponent: int) -> tuple[list[Block], list[Block]]:
+    """Carve ``need`` units from the left edge of ``free``.
+
+    ``free`` holds disjoint blocks ``(start, k)``: integer cylinders
+    ``[start, start + 2^k)`` at the common ``exponent``, so that ``need``
+    counts units ``2^-exponent``.  Left to right, a block is taken whole
+    while it fits.  The block in which ``need`` runs out splits into the
+    maximal aligned blocks of ``[start, start + need)``, taken, and of
+    ``[start + need, start + 2^k)``, left over: the cylinders that halving
+    it left-first gives.  Later blocks are left whole.  Returns the blocks
+    taken and the blocks left over, left to right.
     """
-    taken: list[str] = []
-    left: list[str] = []
-
-    def carve(cyl: str, want: Dyadic) -> Dyadic:
-        if want.is_zero:
-            left.append(cyl)
-            return want
-        m = Dyadic.pow2(-len(cyl))
-        if m <= want:
-            taken.append(cyl)
-            return want - m
-        return carve(cyl + "1", carve(cyl + "0", want))
-
-    remaining = need
-    for cyl in sorted(free):  # plain string order = left-to-right for antichains
-        remaining = carve(cyl, remaining)
-    if not remaining.is_zero:
-        raise PreconditionError(f"allocation pool too small by {remaining}")
+    taken: list[Block] = []
+    left: list[Block] = []
+    for start, k in sorted(free):  # disjoint blocks: start order is left to right
+        size = 1 << k
+        if need >= size:
+            taken.append((start, k))
+            need -= size
+        elif not need:
+            left.append((start, k))
+        else:
+            # need's bits high to low are taken, then the rest of the block
+            # leaves in blocks that grow with the lowest bit of the offset
+            offset = 0
+            for b in range(k - 1, -1, -1):
+                if need >> b & 1:
+                    taken.append((start + offset, b))
+                    offset += 1 << b
+            while offset < size:
+                b = (offset & -offset).bit_length() - 1
+                left.append((start + offset, b))
+                offset += 1 << b
+            need = 0
+    if need:
+        raise PreconditionError(f"allocation pool too small by {Dyadic(need, exponent)}")
     return taken, left
+
+
+def _exponent(num: int, e: int) -> int:
+    """Exponent of num / 2**e in canonical form; for a bitwise OR of
+    numerators, the largest exponent among them."""
+    return max(0, e - ((num & -num).bit_length() - 1)) if num else 0
 
 
 def from_semimeasure(
@@ -277,6 +355,11 @@ def from_semimeasure(
     construction, and induced_semimeasure at any stage t <= stage reproduces
     rho's stage-t table on strings of length <= depth.
 
+    Each stage is read as one ``level_row`` per level.  Values, holdings
+    and cylinders are integers at one exponent L: the finest exponent among
+    the values read so far, never above the cap.  When a stage brings a
+    finer value, every holding and spare cylinder is rescaled to it.
+
     Values whose exponent exceeds ``granularity_cap`` are rejected, keeping
     the cylinder count bounded.  The final stage must be strict.
     """
@@ -285,29 +368,43 @@ def from_semimeasure(
     final = rho.stage_at(stage)
     if not final.strict:
         raise PreconditionError("inversion requires a strict final stage")
-    held: dict[str, Dyadic] = {s: ZERO for s in strings_up_to(depth)}
-    # the root's parent, None, holds the whole space
-    spare: dict[str | None, list[str]] = {s: [] for s in strings_up_to(depth)}
-    spare[None] = [EPSILON]
+    L = 0
+    held = [[0] * (1 << n) for n in range(depth + 1)]  # per level, in units 2^-L
+    # pools[n][j]: spare blocks of node j of level n - 1, drawn on by its
+    # children; pools[0][0], the root's pool, is the whole space
+    pools: list[list[list[Block]]] = [[[(0, 0)]]]
+    pools += [[[] for _ in range(1 << (n - 1))] for n in range(1, depth + 1)]
     events: list[tuple[int, str, str]] = []
     for t in range(stage + 1):
         st = rho.stage_at(t)
-        for node in strings_up_to(depth):
-            target = st.value(node)
-            if target.exponent > granularity_cap:
-                raise PreconditionError(
-                    f"stage value {target} at {node!r} finer than 2^-{granularity_cap}"
-                )
-            have = held[node]
-            if target == have:
-                continue
-            if target < have:
-                raise PreconditionError(f"stage values decreased at {node!r} (stage {t})")
-            parent = node[:-1] if node else None
-            fresh, spare[parent] = _take_leftmost(spare[parent], target - have)
-            spare[node].extend(fresh)
-            held[node] = target
-            events.extend((t, cyl, node) for cyl in fresh)
+        rows = [st.level_row(n) for n in range(depth + 1)]
+        fine = [_exponent(reduce(or_, nums, 0), e) for nums, e in rows]  # finest value per level
+        finest = min(granularity_cap, max(fine))
+        if finest > L:
+            up, L = finest - L, finest
+            held = [[h << up for h in row] for row in held]
+            pools = [[[(a << up, k + up) for a, k in pool] for pool in level] for level in pools]
+        for n, (nums, e) in enumerate(rows):
+            bad = None
+            if fine[n] > granularity_cap:
+                bad = next(i for i, x in enumerate(nums) if _exponent(x, e) > granularity_cap)
+            # every value before ``bad`` is at most as fine as L
+            kept = nums[:bad]
+            targets = [x >> (e - L) for x in kept] if e >= L else [x << (L - e) for x in kept]
+            have = held[n]
+            for i in [i for i, (x, h) in enumerate(zip(targets, have)) if x != h]:
+                node = string_at(n, i)
+                if targets[i] < have[i]:
+                    raise PreconditionError(f"stage values decreased at {node!r} (stage {t})")
+                pool = pools[n]
+                fresh, pool[i >> 1] = _take_leftmost(pool[i >> 1], targets[i] - have[i], L)
+                if n < depth:
+                    pools[n + 1][i].extend(fresh)
+                have[i] = targets[i]
+                events.extend((t, string_at(L - k, a >> k), node) for a, k in fresh)
+            if bad is not None:
+                value, node = Dyadic(nums[bad], e), string_at(n, bad)
+                raise PreconditionError(f"stage value {value} at {node!r} finer than 2^-{granularity_cap}")
     return MonotoneFunctional.from_events(events)
 
 

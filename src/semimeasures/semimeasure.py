@@ -160,11 +160,15 @@ class Component:
         ``tail`` applies one rule to every frontier node; ``tails`` gives a
         per-node map (missing nodes fall back to ``tail`` or vanish).
         """
-        keys = {check_bits(k) for k in table}
-        depth = max((len(k) for k in keys), default=0)
-        expected = set(strings_up_to(depth))
-        if keys != expected:
-            missing = sorted(expected - keys, key=sort_key)[:3]
+        # a complete table of depth d has 2^(d+1) - 1 keys, and when they
+        # are exactly the strings up to d every key is a bit string; any
+        # other table fails, on its first key that is not a bit string or
+        # else on the strings it misses up to its longest key
+        depth = (len(table) + 1).bit_length() - 2
+        if depth < 0 or set(table) != set(strings_up_to(depth)):
+            keys = {check_bits(k) for k in table}
+            depth = max((len(k) for k in keys), default=0)
+            missing = sorted(set(strings_up_to(depth)) - keys, key=sort_key)[:3]
             raise ValueError(f"table must cover every string of length <= {depth}; missing {missing}")
         default = tail if tail is not None else TailRule.vanish()
         tail_map = {}

@@ -86,7 +86,7 @@ def component_to_json(comp: Component) -> dict:
         "depth": comp.depth,
         "table": table,
     }
-    if len(set(map(str, rules.values()))) == 1:
+    if len(set(rules.values())) == 1:  # rules are canonical: equal rules, equal text
         out["tail"] = tail_to_json(next(iter(rules.values())))
     else:
         out["tails"] = {node: tail_to_json(r) for node, r in sorted(rules.items())}

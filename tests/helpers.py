@@ -34,6 +34,7 @@ from semimeasures import (
     derived_measure,
     leading_ones,
     lebesgue_of_set,
+    preimage_buckets,
     prefix_free_normalize,
     strings_up_to,
     uniform_measure,
@@ -434,10 +435,13 @@ def reference_validate_measure(stage: SemiMeasureStage) -> ValidationReport:
     return ValidationReport(ok=True)
 
 
-# Inversion and consistency as first written: every node's pool derived by
-# subtracting its parent's and sibling's allocations, and a pairwise scan of
-# each prefix chain.  The package keeps spare cylinders per node and one
-# linear conflict search instead, and must give exactly these results.
+# Inversion, induction and consistency as first written, on strings and
+# Dyadics: every node's pool derived by subtracting its parent's and
+# sibling's allocations and carved by recursive halving, every node's
+# induced mass measured from its own preimage bucket, and a pairwise scan
+# of each input's prefix chain.  The package works on integer intervals, a
+# walk over the live nodes and a stack of prefix chains instead, and must
+# give exactly these results.
 
 
 def reference_subtract_sets(a: Iterable[str], b: Iterable[str]) -> tuple[str, ...]:
@@ -514,6 +518,17 @@ def reference_from_semimeasure(
             held[node] = target
             events.extend((t, cyl, node) for cyl in fresh)
     return MonotoneFunctional.from_events(events)
+
+
+def reference_induced_semimeasure(phi: MonotoneFunctional, stage: int, depth: int) -> SemiMeasureStage:
+    """The induced table node by node: the measure of each node's preimage
+    bucket, normalised on its own."""
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    buckets = preimage_buckets(phi, stage, strings_up_to(depth))
+    table = {s: lebesgue_of_set(b) for s, b in buckets.items()}
+    comp = Component.build(ONE, table, tail=TailRule.vanish())
+    return SemiMeasureStage((comp,), strict=table[EPSILON] == ONE)
 
 
 def reference_consistency_check(phi: MonotoneFunctional, stage: int) -> ConsistencyReport:

@@ -223,6 +223,20 @@ class TestInvert:
         monkeypatch.setenv(GRANULARITY_ENV, "many")
         assert main(["invert", uniform_file, "--depth", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("invert-staged", ["staged.json", "--stage", "3", "--depth", "3"]),
+            ("invert-presentation", ["presentation.json", "--depth", "3"]),
+        ],
+    )
+    def test_a_wide_cap_prints_the_same_bytes(self, name, argv, monkeypatch, capsys):
+        """Cylinders are cut at the finest value read, not at the cap."""
+        golden = Path(__file__).resolve().parent / "golden"
+        monkeypatch.setenv(GRANULARITY_ENV, "4096")
+        assert main(["invert", str(golden / "inputs" / argv[0]), *argv[1:]]) == 0
+        assert capsys.readouterr().out == (golden / "expected" / f"{name}.json").read_text(encoding="utf-8")
+
 
 # ---------------------------------------------------------------------------
 # atom-decode
@@ -438,6 +452,19 @@ class TestPlumbing:
         assert main(["worked-examples", "--out", first]) == 0
         assert main(["worked-examples", "--out", second]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("where", ["directory", "missing-dir/x"])
+    def test_unwritable_out_is_a_parse_error(self, where, tmp_path, capsys):
+        out = tmp_path / where
+        if where == "directory":
+            out.mkdir()
+        assert main(["worked-examples", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"parse error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "missing-dir").exists()
 
     def test_csv_fallback_flattens_scalar_payloads(self, tmp_path, capsys):
         path = write_json(tmp_path, "spine.json", stage_to_json(dirac_spine("0")))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -11,9 +12,11 @@ from helpers import (
     as_fraction,
     oracle_functional_eval,
     oracle_induced_mass,
+    random_component,
     random_stage,
     reference_consistency_check,
     reference_from_semimeasure,
+    reference_induced_semimeasure,
     reference_preimage_set,
 )
 from semimeasures import (
@@ -25,6 +28,7 @@ from semimeasures import (
     LeftCeSemiMeasure,
     MonotoneFunctional,
     PreconditionError,
+    SemiMeasureStage,
     consistency_check,
     dirac_spine,
     domain_clopen_approx,
@@ -120,6 +124,50 @@ class TestConsistency:
     @given(consistent_pair_lists())
     def test_monotone_maps_are_consistent(self, pairs):
         assert consistency_check(MonotoneFunctional.constant(pairs), stage=0).ok
+
+    @pytest.mark.parametrize(
+        "pairs, expected",
+        [
+            # the 0-subtree is left before the 1-subtree; its outputs must
+            # not stay on the chain of 1 and 10
+            ([("0", "1"), ("00", "10"), ("01", "11"), ("1", "0"), ("10", "1")], (("1", "0"), ("10", "1"))),
+            ([("0", "1"), ("00", "10"), ("01", "11"), ("1", "0"), ("10", "00")], None),
+            ([("", ""), ("00", "0"), ("01", "1"), ("1", "11")], None),
+            # siblings' outputs differ, a nephew's conflicts with its uncle only
+            ([("00", "0"), ("01", "1"), ("010", "10"), ("011", "0")], (("01", "1"), ("011", "0"))),
+        ],
+    )
+    def test_conflicts_after_a_left_subtree(self, pairs, expected):
+        phi = MonotoneFunctional.constant(pairs)
+        report = consistency_check(phi, stage=0)
+        assert report == reference_consistency_check(phi, stage=0)
+        assert (None if report.ok else (report.pair_a, report.pair_b)) == expected
+
+    @pytest.mark.parametrize("length", [1, 5, 12])
+    def test_conflict_at_the_deepest_input_of_a_long_chain(self, length):
+        chain = [("0" * k, "0" * (k + 1)) for k in range(length)]
+        phi = MonotoneFunctional.constant(chain + [("0" * length, "0" * (length - 1) + "1")])
+        report = consistency_check(phi, stage=0)
+        assert report == reference_consistency_check(phi, stage=0)
+        assert (report.pair_a, report.pair_b) == (chain[-1], ("0" * length, "0" * (length - 1) + "1"))
+        assert consistency_check(MonotoneFunctional.constant(chain), stage=0).ok
+
+    @pytest.mark.parametrize(
+        "pairs, expected",
+        [
+            ([("0", "00"), ("0", "0"), ("0", "001"), ("01", "0010")], None),
+            ([("0", "00"), ("0", "0"), ("0", "001"), ("01", "01")], (("0", "00"), ("01", "01"))),
+            ([("1", "10"), ("1", "11"), ("1", "1")], (("1", "10"), ("1", "11"))),
+            # the longest output comes from above, and one of the input's own conflicts with it
+            ([("", "0000"), ("1", "00"), ("1", "01")], (("", "0000"), ("1", "01"))),
+            ([("", "0"), ("1", "00"), ("1", "000"), ("11", "01"), ("11", "0")], (("1", "00"), ("11", "01"))),
+        ],
+    )
+    def test_several_outputs_under_one_input(self, pairs, expected):
+        phi = MonotoneFunctional.constant(pairs)
+        report = consistency_check(phi, stage=0)
+        assert report == reference_consistency_check(phi, stage=0)
+        assert (None if report.ok else (report.pair_a, report.pair_b)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +286,55 @@ class TestInduced:
             assert as_fraction(rho.value(s)) == oracle_induced_mass(pairs, s, resolution=6)
 
 
+@st.composite
+def closure_functionals(draw) -> MonotoneFunctional:
+    """The functionals given by a rule rather than by events."""
+    inner = MonotoneFunctional.constant(draw(pair_lists))
+    return draw(
+        st.sampled_from(
+            [
+                MonotoneFunctional.identity(),
+                pad_with_identity(inner),
+                pad_with_identity(MonotoneFunctional.identity()),
+                universal_functional([inner, MonotoneFunctional.identity()]),
+                universal_functional([MonotoneFunctional.identity(), inner, inner]),
+            ]
+        )
+    )
+
+
+class TestInducedMatchesReference:
+    """The interval walk gives the same presentation as measuring every
+    node's preimage bucket on its own."""
+
+    @given(st.one_of(pair_lists, crowded_pair_lists, consistent_pair_lists()), st.integers(0, 6))
+    @example([], 0)
+    @example([], 3)
+    @example([("", "01")], 1)
+    @example([("", "")], 2)
+    @example([("", "1"), ("0", "0")], 2)  # inconsistent: the root input under both children
+    @example([("0", "1"), ("01", "1")], 1)  # an input and its extension in one bucket
+    @example([("0", "10"), ("011", "11"), ("0", "1")], 1)
+    @example([("01", "0"), ("00", "0"), ("1", "01")], 3)  # touching intervals
+    def test_event_functionals(self, pairs, depth):
+        phi = MonotoneFunctional.constant(pairs)
+        assert induced_semimeasure(phi, 0, depth) == reference_induced_semimeasure(phi, 0, depth)
+
+    staged_events = st.lists(
+        st.tuples(st.integers(0, 3), st.text(alphabet="01", max_size=5), st.text(alphabet="01", max_size=5)),
+        max_size=8,
+    )
+
+    @given(staged_events, st.integers(0, 4), st.integers(0, 5))
+    def test_staged_events(self, events, stage, depth):
+        phi = MonotoneFunctional.from_events(events)
+        assert induced_semimeasure(phi, stage, depth) == reference_induced_semimeasure(phi, stage, depth)
+
+    @given(closure_functionals(), st.integers(0, 4), st.integers(0, 4))
+    def test_closure_functionals(self, phi, stage, depth):
+        assert induced_semimeasure(phi, stage, depth) == reference_induced_semimeasure(phi, stage, depth)
+
+
 # ---------------------------------------------------------------------------
 # Reach sets and clopen domain approximations
 # ---------------------------------------------------------------------------
@@ -349,15 +446,16 @@ class TestFromSemimeasure:
 
 
 @st.composite
-def infimum_targets(draw) -> tuple[LeftCeSemiMeasure, int]:
-    """Multi-stage infimum descriptors whose final stage is strict."""
+def infimum_targets(draw, exponent: int = 4) -> tuple[LeftCeSemiMeasure, int]:
+    """Multi-stage infimum descriptors whose final stage is strict, with
+    row values on the grid of 2^-exponent."""
     stages = draw(st.integers(1, 4))
     rows = []
     for r in range(draw(st.integers(1, 4))):
-        steps = sorted(draw(st.lists(st.integers(0, 16), min_size=stages, max_size=stages)))
+        steps = sorted(draw(st.lists(st.integers(0, 1 << exponent), min_size=stages, max_size=stages)))
         if r == 0:
-            steps[-1] = 16
-        rows.append([Dyadic(k, 4) for k in steps])
+            steps[-1] = 1 << exponent
+        rows.append([Dyadic(k, exponent) for k in steps])
     return infimum_semimeasure(rows, depth=len(rows) - 1), stages - 1
 
 
@@ -405,6 +503,94 @@ class TestSpareCylinders:
         got = _inversion(from_semimeasure, rho, 0, depth)
         assert not isinstance(got, str)
         assert got == _inversion(reference_from_semimeasure, rho, 0, depth)
+
+    @given(infimum_targets(exponent=30), st.integers(1, 4))
+    def test_fine_infimum_values_under_a_wide_cap(self, target, depth):
+        rho, stage = target
+        got = _inversion(partial(from_semimeasure, granularity_cap=40), rho, stage, depth)
+        assert not isinstance(got, str)
+        assert got == _inversion(partial(reference_from_semimeasure, granularity_cap=40), rho, stage, depth)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_fine_random_mixtures_under_a_wide_cap(self, seed, depth):
+        """Tables refined by 10 bits a level: values down to 2^-31, and
+        finer below the frontier."""
+        rng = random.Random(seed)
+        weights = rng.choice([[ONE], [HALF, HALF]])
+        comps = tuple(random_component(rng, w, depth=rng.randint(0, 3), extra_exponent=10) for w in weights)
+        rho = LeftCeSemiMeasure.constant(SemiMeasureStage(comps, strict=True))
+        got = _inversion(partial(from_semimeasure, granularity_cap=40), rho, 0, depth)
+        assert not isinstance(got, str)
+        assert got == _inversion(partial(reference_from_semimeasure, granularity_cap=40), rho, 0, depth)
+
+
+FINE = Dyadic(1, 20)
+
+
+class TestInversionErrors:
+    """Errors come in the order of the stage-by-stage, node-by-node walk,
+    with the same text as the reference."""
+
+    @pytest.mark.parametrize(
+        "tables, message",
+        [
+            # a decrease at stage 1 wins over a too-fine value at stage 2
+            (
+                [
+                    {"": ONE, "0": HALF, "1": HALF},
+                    {"": ONE, "0": QUARTER, "1": HALF},
+                    {"": ONE, "0": QUARTER, "1": FINE},
+                ],
+                "stage values decreased at '0' (stage 1)",
+            ),
+            # and a too-fine value at stage 1 over a decrease at stage 2
+            (
+                [
+                    {"": ONE, "0": QUARTER, "1": HALF},
+                    {"": ONE, "0": FINE, "1": HALF},
+                    {"": ONE, "0": ZERO, "1": HALF},
+                ],
+                "stage value 1/2^20 at '0' finer than 2^-16",
+            ),
+            # within one level the node order decides
+            (
+                [{"": ONE, "0": QUARTER, "1": HALF}, {"": ONE, "0": ZERO, "1": FINE}],
+                "stage values decreased at '0' (stage 1)",
+            ),
+            (
+                [{"": ONE, "0": QUARTER, "1": HALF}, {"": ONE, "0": FINE, "1": ZERO}],
+                "stage value 1/2^20 at '0' finer than 2^-16",
+            ),
+            # the pool of '1' holds the quarter that '0' left over
+            ([{"": ONE, "0": Dyadic(3, 2), "1": HALF}], "allocation pool too small by 1/2^2"),
+            (
+                [{"": ONE, "0": QUARTER, "1": QUARTER}, {"": ONE, "0": QUARTER, "1": ONE}],
+                "allocation pool too small by 1/2^2",
+            ),
+        ],
+    )
+    def test_first_error_and_its_text(self, tables, message):
+        rho = LeftCeSemiMeasure(lambda s: table_semimeasure(tables[s]))
+        last = len(tables) - 1
+        assert _inversion(from_semimeasure, rho, last, 1) == f"precondition: {message}"
+        assert _inversion(reference_from_semimeasure, rho, last, 1) == f"precondition: {message}"
+
+    def test_reads_level_rows_not_point_values(self, monkeypatch):
+        targets = [
+            (infimum_semimeasure([[HALF, ONE], [QUARTER, HALF], [ZERO, QUARTER]], depth=2), 1),
+            (LeftCeSemiMeasure.constant(mix_stages([uniform_measure(2), dirac_spine("1")], [HALF, HALF])), 0),
+        ]
+        calls = []
+        real = SemiMeasureStage.value
+
+        def counted(self, sigma):
+            calls.append(sigma)
+            return real(self, sigma)
+
+        monkeypatch.setattr(SemiMeasureStage, "value", counted)
+        for rho, stage in targets:
+            assert from_semimeasure(rho, stage, 3).events
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,25 @@ class TestComponentBuild:
         with pytest.raises(ValueError):
             Component.build(ONE, {EPSILON: ONE, "0": HALF})
 
+    def test_incomplete_table_message_names_the_missing_nodes(self):
+        with pytest.raises(ValueError) as info:
+            Component.build(ONE, {EPSILON: ONE, "1": HALF, "00": ZERO})
+        assert str(info.value) == "table must cover every string of length <= 2; missing ['0', '01', '10']"
+
+    @pytest.mark.parametrize(
+        "table, bad",
+        [
+            ({EPSILON: ONE, "0": HALF, "x": HALF}, "'x'"),  # as many keys as a complete table
+            ({EPSILON: ONE, "0": HALF, "2": HALF, "x": HALF}, "'2'"),  # first bad key in table order
+            ({"x": ONE, EPSILON: ONE, "0": HALF, "1": HALF}, "'x'"),
+            ({EPSILON: ONE, 0: HALF, "1": HALF}, "0"),
+        ],
+    )
+    def test_first_key_that_is_not_a_bit_string_is_named(self, table, bad):
+        with pytest.raises(ParseError) as info:
+            Component.build(ONE, table)
+        assert str(info.value) == f"not a binary string: {bad}"
+
     def test_non_frontier_tail_key_rejected(self):
         with pytest.raises(ValueError):
             Component.build(ONE, {EPSILON: ONE}, tails={"00": TailRule.uniform()})

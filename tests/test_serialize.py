@@ -127,6 +127,24 @@ class TestComponentJson:
         assert "tail" not in obj
         assert obj["tails"] == {"0": {"kind": "uniform"}, "1": {"kind": "vanish"}}
 
+    def test_equal_rules_built_apart_collapse_to_one_field(self):
+        from semimeasures import Component
+
+        comp = Component.build(
+            ONE,
+            {"": ONE, "0": HALF, "1": HALF},
+            tails={"0": TailRule.uniform(), "1": TailRule.split(Dyadic(2, 2), HALF)},
+        )
+        assert comp.tails["0"] is not comp.tails["1"]
+        assert component_to_json(comp)["tail"] == {"kind": "uniform"}
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_one_field_exactly_when_the_rule_texts_agree(self, seed):
+        rng = random.Random(seed)
+        comp = random_stage(rng, depth=rng.randint(0, 2)).components[0]
+        obj = component_to_json(comp)
+        assert ("tail" in obj) == (len({str(r) for r in comp.tails.values()}) == 1)
+
     @given(st.integers(0, 2**32 - 1))
     def test_round_trip_preserves_values(self, seed):
         rng = random.Random(seed)
