@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
 from typing import Any
 
-from .dyadic import Dyadic
+from .dyadic import ZERO, Dyadic
 from .errors import BudgetExhaustedError, CertificateError, ParseError, PreconditionError
 from .functional import (
     MonotoneFunctional,
@@ -45,7 +46,7 @@ from .serialize import (
     test_from_json,
     trim_result_to_json,
 )
-from .strings import EPSILON, check_bits, strings_up_to
+from .strings import EPSILON, check_bits
 from .trim import decode_atom, derived_measure, lebesgue_like_check, partial_trim
 
 GRANULARITY_ENV = "SEMIMEASURES_GRANULARITY_CAP"
@@ -126,7 +127,7 @@ def cmd_validate(args: argparse.Namespace) -> tuple[Any, int]:
         return payload, 0 if report.ok else 1
     if isinstance(obj, dict) and ("stages" in obj or obj.get("kind") == "identity"):
         phi = functional_from_json(obj)
-        last = max((t for t, _i, _o in phi.events), default=0) if phi.events else args.stage
+        last = args.stage if phi.last is None or not phi.pairs_at(phi.last) else phi.last
         report = consistency_check(phi, last)
         payload = {
             "kind": "functional",
@@ -154,19 +155,24 @@ def cmd_validate(args: argparse.Namespace) -> tuple[Any, int]:
     raise ParseError(f"{args.file}: not a semi-measure, functional, or test")
 
 
-def _mirror_gap(phi: MonotoneFunctional, psi: MonotoneFunctional, stages: int, depth: int) -> Dyadic:
+def _mirror_gap(
+    phi: MonotoneFunctional, psi: MonotoneFunctional, stages: int, depth: int
+) -> tuple[Dyadic, list[Dyadic]]:
     """Largest difference of the two induced semi-measures over the first
-    ``stages`` stages and every node of length <= depth."""
-    worst = Dyadic(0)
+    ``stages`` stages and every node of length <= depth, compared level row
+    by level row; and phi's values on the 0-spine at the last stage."""
+    worst, spine = ZERO, []
     for s in range(stages):
         left = induced_semimeasure(phi, s, depth)
         right = induced_semimeasure(psi, s, depth)
-        for node in strings_up_to(depth):
-            a, b = left.value(node), right.value(node)
-            gap = a - b if b < a else b - a
-            if worst < gap:
-                worst = gap
-    return worst
+        spine = []
+        for n in range(depth + 1):
+            (a, ea), (b, eb) = left.level_row(n), right.level_row(n)
+            e = max(ea, eb)
+            gap = max(abs((x << e - ea) - (y << e - eb)) for x, y in zip(a, b))
+            worst = max(worst, Dyadic(gap, e))
+            spine.append(Dyadic(a[0], ea))
+    return worst, spine
 
 
 def _worked_rows() -> list[tuple[str, str, str, str]]:
@@ -192,21 +198,18 @@ def _worked_rows() -> list[tuple[str, str, str, str]]:
     add("half-uniform-trim", "1/2^1", "none" if alpha is None else str(alpha))
 
     # Completing the 4^-n table pushes surplus down into the fair coin.
-    completed = complete_to_measure(geometric_semimeasure(Dyadic(1, 2), depth=2), depth=4)
-    add(
-        "geometric-quarter-completion",
-        "1/2^4",
-        str(completed.value("1111")),
-    )
+    nums, e = complete_to_measure(geometric_semimeasure(Dyadic(1, 2), depth=2), depth=4).level_row(4)
+    add("geometric-quarter-completion", "1/2^4", str(Dyadic(nums[-1], e)))  # the value at 1111
 
     # Prefixing a functional with an identity branch averages in the coin.
     padded = pad_with_identity(MonotoneFunctional.constant([("0", "0")]))
-    add("identity-pad", "1/2^1", str(induced_semimeasure(padded, 2, 1).value("0")))
+    nums, e = induced_semimeasure(padded, 2, 1).level_row(1)
+    add("identity-pad", "1/2^1", str(Dyadic(nums[0], e)))  # the value at 0
 
     # Twin functionals from one approximation agree at every stage.
     approx = [dyadic_from_text(t) for t in ["0", "1/2^2", "1/2^1", "1/2^1", "5/2^3", "11/2^4", "3/2^2"]]
     phi, psi = mirror_pair(approx)
-    add("mirror-pair-depth-6", "0/2^0", str(_mirror_gap(phi, psi, len(approx), 6)))
+    add("mirror-pair-depth-6", "0/2^0", str(_mirror_gap(phi, psi, len(approx), 6)[0]))
     return rows
 
 
@@ -275,17 +278,16 @@ def cmd_mirror_pair(args: argparse.Namespace) -> tuple[Any, int]:
         raise ParseError("no approximation stages given")
     approx = [dyadic_from_text(t) for t in texts]
     phi, psi = mirror_pair(approx)
-    last = len(approx) - 1
-    depth = args.depth if args.depth is not None else min(last, 8)
-    agree = _mirror_gap(phi, psi, len(approx), depth).is_zero
-    final = induced_semimeasure(phi, last, depth)
+    depth = args.depth if args.depth is not None else min(len(approx) - 1, 8)
+    gap, spine = _mirror_gap(phi, psi, len(approx), depth)
+    agree = gap.is_zero
     payload = {
         "first": functional_to_json(phi),
         "second": functional_to_json(psi),
         "depth": depth,
         "stages": len(approx),
         "induced_agree": agree,
-        "spine_values": [str(final.value("0" * k)) for k in range(depth + 1)],
+        "spine_values": [str(v) for v in spine],
     }
     return payload, 0 if agree else 1
 
@@ -304,6 +306,7 @@ def cmd_eval(args: argparse.Namespace) -> tuple[Any, int]:
 # -- parser --------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semimeasures",

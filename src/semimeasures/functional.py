@@ -32,6 +32,7 @@ from .semimeasure import Component, LeftCeSemiMeasure, SemiMeasureStage, TailRul
 from .strings import (
     EPSILON,
     StringSet,
+    all_strings,
     check_bits,
     comparable,
     intersect_sets,
@@ -45,28 +46,41 @@ Pair = tuple[str, str]
 
 
 class MonotoneFunctional:
-    """pairs_at(s) is cumulative in s; construction fixes the growth rule."""
+    """Enumerated in stages: ``batch(t)`` gives the pairs that enter at stage
+    t, and ``last`` is the final stage of a finite enumeration (None while
+    pairs keep entering; every batch after ``last`` is empty).  pairs_at(s)
+    is the union of the batches up to s."""
 
-    def __init__(self, pairs_fn: Callable[[int], frozenset[Pair]], events: tuple[tuple[int, str, str], ...] | None = None):
-        self._fn = pairs_fn
+    def __init__(self, batch: Callable[[int], Iterable[Pair]], last: int | None = None):
+        self.batch = batch
+        self.last = last
         self._cache: dict[int, frozenset[Pair]] = {}
-        self.events = events  # set for event-backed functionals, else None
 
     def pairs_at(self, s: int) -> frozenset[Pair]:
         if s < 0:
             raise ValueError("stage must be non-negative")
+        if self.last is not None and s > self.last:
+            s = self.last  # every later stage is this one
         if s not in self._cache:
-            self._cache[s] = frozenset(self._fn(s))
+            self._cache[s] = frozenset().union(*map(self.batch, range(s + 1)))
         return self._cache[s]
+
+    @property
+    def events(self) -> tuple[tuple[int, str, str], ...] | None:
+        """Each distinct (stage, input, output) of a finite enumeration, sorted."""
+        if self.last is None:
+            return None
+        return tuple(sorted((t, i, o) for t in range(self.last + 1) for i, o in self.batch(t)))
 
     @classmethod
     def from_events(cls, events: Iterable[tuple[int, str, str]]) -> "MonotoneFunctional":
-        evs = tuple(sorted((int(t), check_bits(i), check_bits(o)) for t, i, o in events))
-
-        def fn(s: int) -> frozenset[Pair]:
-            return frozenset((i, o) for t, i, o in evs if t <= s)
-
-        return cls(fn, events=evs)
+        batches: dict[int, set[Pair]] = {}
+        for t, i, o in events:
+            t = int(t)
+            if t < 0:
+                raise ValueError("stage must be non-negative")
+            batches.setdefault(t, set()).add((check_bits(i), check_bits(o)))
+        return cls(lambda t: batches.get(t, ()), max(batches, default=0))
 
     @classmethod
     def constant(cls, pairs: Iterable[Pair]) -> "MonotoneFunctional":
@@ -79,11 +93,7 @@ class MonotoneFunctional:
     @classmethod
     def identity(cls) -> "MonotoneFunctional":
         """Copies its input; stage s covers all strings of length <= s."""
-
-        def fn(s: int) -> frozenset[Pair]:
-            return frozenset((x, x) for x in strings_up_to(s))
-
-        return cls(fn)
+        return cls(lambda t: ((x, x) for x in all_strings(t)))
 
 
 @dataclass(frozen=True)
@@ -442,12 +452,17 @@ def mirror_pair(
             seen.add(pair)
             events_a.append((s, pair[0], pair[1]))
             k = used_count.get(n, 0)
-            if k >= (1 << n):  # cannot happen: at most 2^n distinct prefixes
-                raise PreconditionError(f"input pool at length {n} exhausted")
-            mirror = format(k, f"0{n}b") if n else EPSILON
             used_count[n] = k + 1
-            events_b.append((s, mirror, pair[1]))
+            events_b.append((s, string_at(n, k), pair[1]))
     return MonotoneFunctional.from_events(events_a), MonotoneFunctional.from_events(events_b)
+
+
+def _dispatch(branches: Sequence[tuple[str, MonotoneFunctional]]) -> MonotoneFunctional:
+    """Input prefix + sigma runs the branch's functional on sigma; finite when
+    every branch is."""
+    lasts = [phi.last for _prefix, phi in branches]
+    last = None if None in lasts else max(lasts, default=0)
+    return MonotoneFunctional(lambda t: [(p + i, o) for p, phi in branches for i, o in phi.batch(t)], last)
 
 
 def pad_with_identity(phi: MonotoneFunctional) -> MonotoneFunctional:
@@ -457,13 +472,7 @@ def pad_with_identity(phi: MonotoneFunctional) -> MonotoneFunctional:
     branch contributes half its measure.  The identity branch grows with the
     stage like :meth:`MonotoneFunctional.identity`.
     """
-
-    def fn(s: int) -> frozenset[Pair]:
-        shifted = {("0" + i, o) for i, o in phi.pairs_at(s)}
-        copies = {("1" + x, x) for x in strings_up_to(s)}
-        return frozenset(shifted | copies)
-
-    return MonotoneFunctional(fn)
+    return _dispatch([("0", phi), ("1", MonotoneFunctional.identity())])
 
 
 def universal_functional(family: Sequence[MonotoneFunctional]) -> MonotoneFunctional:
@@ -472,13 +481,4 @@ def universal_functional(family: Sequence[MonotoneFunctional]) -> MonotoneFuncti
     Member e's induced semi-measure is reproduced scaled by 2^-(e+1), so the
     combined functional dominates every member up to that factor.
     """
-    members = list(family)
-
-    def fn(s: int) -> frozenset[Pair]:
-        pairs = set()
-        for e, phi in enumerate(members):
-            prefix = "1" * e + "0"
-            pairs.update((prefix + i, o) for i, o in phi.pairs_at(s))
-        return frozenset(pairs)
-
-    return MonotoneFunctional(fn)
+    return _dispatch([("1" * e + "0", phi) for e, phi in enumerate(family)])

@@ -157,8 +157,9 @@ class Component:
     ) -> "Component":
         """Structural constructor: checks table completeness and fills tails.
 
-        ``tail`` applies one rule to every frontier node; ``tails`` gives a
-        per-node map (missing nodes fall back to ``tail`` or vanish).
+        ``tail`` applies one rule to every frontier node and ``tails`` gives
+        one rule per frontier node; at most one of the two is given, and
+        with neither every frontier node vanishes.
         """
         # a complete table of depth d has 2^(d+1) - 1 keys, and when they
         # are exactly the strings up to d every key is a bit string; any
@@ -170,15 +171,19 @@ class Component:
             depth = max((len(k) for k in keys), default=0)
             missing = sorted(set(strings_up_to(depth)) - keys, key=sort_key)[:3]
             raise ValueError(f"table must cover every string of length <= {depth}; missing {missing}")
-        default = tail if tail is not None else TailRule.vanish()
-        tail_map = {}
-        for node in all_strings(depth):
-            rule = tails.get(node, default) if tails is not None else default
-            tail_map[node] = rule
-        if tails is not None:
-            extra = set(tails) - set(tail_map)
+        frontier = list(all_strings(depth))
+        if tails is None:
+            tail_map = dict.fromkeys(frontier, tail if tail is not None else TailRule.vanish())
+        elif tail is not None:
+            raise ValueError("give a 'tail' or a 'tails' map, not both")
+        else:
+            extra = set(tails) - set(frontier)
             if extra:
                 raise ValueError(f"tail rules for non-frontier nodes: {sorted(extra)}")
+            missing = [node for node in frontier if node not in tails][:3]
+            if missing:
+                raise ValueError(f"tails must cover the frontier; missing {missing}")
+            tail_map = {node: tails[node] for node in frontier}
         if tilt < 0:
             raise ValueError("tilt power must be non-negative")
         return cls(weight=weight, depth=depth, table=dict(table), tails=tail_map, tilt=tilt)
@@ -395,19 +400,14 @@ def validate_measure(stage: SemiMeasureStage) -> ValidationReport:
 def _validate(stage: SemiMeasureStage, additive: bool, rows: list[Row] | None = None) -> ValidationReport:
     # ``rows``, when given, receives the level rows 0..max_depth as read
     for idx, comp in enumerate(stage.components):
-        if comp.weight < ZERO:
-            return ValidationReport(False, message=f"component {idx}: negative weight")
         keys = set(comp.table)
         if keys != set(strings_up_to(comp.depth)):
             return ValidationReport(False, message=f"component {idx}: incomplete table")
-        for node, v in comp.table.items():
-            if v.numerator < 0:
-                return ValidationReport(False, node=node, message=f"component {idx}: negative value")
         if set(comp.tails) != set(all_strings(comp.depth)):
             return ValidationReport(False, message=f"component {idx}: tail map must cover the frontier")
         for node, rule in comp.tails.items():
             z, o, e = rule.aligned
-            if z < 0 or o < 0 or z + o > 1 << e:
+            if z + o > 1 << e:
                 return ValidationReport(
                     False, node=node, message=f"component {idx}: tail fractions must be >= 0 and sum to <= 1"
                 )
@@ -610,7 +610,8 @@ def complete_to_measure(stage: SemiMeasureStage, depth: int | None = None) -> Se
     rep = _validate(stage, additive=False, rows=rows)
     if not rep.ok:
         raise PreconditionError(f"completion requires a valid presentation: {rep.message}")
-    if not stage.strict or stage.value(EPSILON) != ONE:
+    mu, me = rows[0]  # the root's value, mu[0] / 2^me
+    if not stage.strict or mu[0] != 1 << me:
         raise PreconditionError("completion requires a strict presentation")
     if any(c.tilt for c in stage.components):
         raise PreconditionError("completion is not defined for tilted components")
@@ -620,7 +621,6 @@ def complete_to_measure(stage: SemiMeasureStage, depth: int | None = None) -> Se
 
     # mu(s0), mu(s1) = a + g/2, b + g/2 with g = mu(s) - a - b, computed as
     # 2a + g, 2b + g over one more power of two so that halving stays exact
-    mu, me = rows[0]
     values, ve = mu, me
     for n in range(1, target + 1):
         values, ve = rows[n] if n < len(rows) else stage.level_row(n)

@@ -183,13 +183,9 @@ def staged_from_json(obj: Any) -> LeftCeSemiMeasure:
 
 
 def functional_to_json(phi: MonotoneFunctional) -> dict:
-    if phi.events is None:
-        raise ValueError("only event-backed functionals serialize")
-    last = max((t for t, _i, _o in phi.events), default=0)
-    stages: list[list[list[str]]] = [[] for _ in range(last + 1)]
-    for t, i, o in sorted(phi.events):
-        stages[t].append([i, o])
-    return {"stages": stages}
+    if phi.last is None:
+        raise ValueError("only finite functionals serialize")
+    return {"stages": [[list(pair) for pair in sorted(phi.batch(t))] for t in range(phi.last + 1)]}
 
 
 def functional_from_json(obj: Any) -> MonotoneFunctional:
@@ -207,7 +203,7 @@ def functional_from_json(obj: Any) -> MonotoneFunctional:
         for pair in pairs:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ParseError(f"stage {t}: each pair must be [input, output]")
-            events.append((t, check_bits(pair[0]), check_bits(pair[1])))
+            events.append((t, *pair))
     return MonotoneFunctional.from_events(events)
 
 

@@ -607,3 +607,45 @@ def reference_ones_prefix_filter(test: MLTest, j: int, base: SemiMeasureStage) -
             raise CertificateError(f"filtered level {i} has mass {from_fraction(mass)} over the base")
         new_levels[i - j] = kept
     return MLTest.build(new_levels, base)
+
+
+# Functionals as the cumulative pair set of each stage, every combinator
+# taking the union for itself.  The package builds each functional from the
+# batches that enter at each stage and takes the union in one place, and
+# must give the same pairs at every stage.
+
+PairsFn = Callable[[int], frozenset[Pair]]
+
+
+def reference_from_events(events: Iterable[tuple[int, str, str]]) -> PairsFn:
+    evs = tuple(events)
+    return lambda s: frozenset((i, o) for t, i, o in evs if t <= s)
+
+
+def reference_identity() -> PairsFn:
+    def fn(s: int) -> frozenset[Pair]:
+        return frozenset((x, x) for x in strings_up_to(s))
+
+    return fn
+
+
+def reference_pad_with_identity(phi: PairsFn) -> PairsFn:
+    def fn(s: int) -> frozenset[Pair]:
+        shifted = {("0" + i, o) for i, o in phi(s)}
+        copies = {("1" + x, x) for x in strings_up_to(s)}
+        return frozenset(shifted | copies)
+
+    return fn
+
+
+def reference_universal_functional(family: Sequence[PairsFn]) -> PairsFn:
+    members = list(family)
+
+    def fn(s: int) -> frozenset[Pair]:
+        pairs = set()
+        for e, phi in enumerate(members):
+            prefix = "1" * e + "0"
+            pairs.update((prefix + i, o) for i, o in phi(s))
+        return frozenset(pairs)
+
+    return fn

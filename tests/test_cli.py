@@ -12,6 +12,8 @@ import pytest
 
 from semimeasures import (
     Dyadic,
+    MonotoneFunctional,
+    SemiMeasureStage,
     dirac_spine,
     geometric_semimeasure,
     stage_to_json,
@@ -152,6 +154,24 @@ class TestTrim:
 
     def test_depth_must_reach_sigma(self, uniform_file):
         assert main(["trim", uniform_file, "--sigma", "0101", "--depth", "2"]) == 2
+
+    @pytest.mark.parametrize(
+        "rules, message",
+        [
+            ({"tails": {"0": {"kind": "uniform"}}}, "tails must cover the frontier; missing ['1']"),
+            (
+                {"tail": {"kind": "vanish"}, "tails": {"0": {"kind": "uniform"}, "1": {"kind": "uniform"}}},
+                "give a 'tail' or a 'tails' map, not both",
+            ),
+        ],
+    )
+    def test_tail_rules_name_the_frontier_once(self, tmp_path, capsys, rules, message):
+        comp = {"weight": "1", "table": [["1"], ["1/2^1", "1/2^1"]], **rules}
+        path = write_json(tmp_path, "rules.json", {"components": [comp]})
+        assert main(["trim", path, "--depth", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +324,23 @@ class TestMirrorPair:
         path = write_json(tmp_path, "approx.json", {"stages": []})
         assert main(["mirror-pair", "--stages-file", path]) == 2
 
+    def test_gap_compares_level_rows(self):
+        phi = MonotoneFunctional.constant([("0", "0")])
+        psi = MonotoneFunctional.constant([("00", "0")])
+        gap, spine = cli._mirror_gap(phi, psi, 1, 1)
+        assert gap == QUARTER
+        assert spine == [Dyadic(1, 1), Dyadic(1, 1)]
+
+    @pytest.mark.parametrize(
+        "argv", [["mirror-pair", "--stages", "0,1/2^2,1/2^1,5/2^3", "--depth", "4"], ["worked-examples"]]
+    )
+    def test_no_point_reads(self, argv, monkeypatch):
+        def refuse(self, sigma):
+            raise AssertionError(f"value({sigma!r}) called")
+
+        monkeypatch.setattr(SemiMeasureStage, "value", refuse)
+        assert main(argv) == 0
+
     def test_each_induced_stage_is_computed_once(self, monkeypatch, capsys):
         calls = []
         real = cli.induced_semimeasure
@@ -315,7 +352,7 @@ class TestMirrorPair:
         monkeypatch.setattr(cli, "induced_semimeasure", counted)
         stages = "0,1/2^2,1/2^1,5/2^3,11/2^4,3/2^2"
         assert main(["mirror-pair", "--stages", stages, "--depth", "8"]) == 0
-        assert len(calls) == 2 * 6 + 1
+        assert len(calls) == 2 * 6  # the spine is read from the last stage already induced
         spine = json.loads(capsys.readouterr().out)["spine_values"]
         assert spine == ["1/2^0", "1/2^0", "1/2^1", "1/2^2", "1/2^3", "1/2^5", "0/2^0", "0/2^0", "0/2^0"]
 
@@ -475,3 +512,25 @@ class TestPlumbing:
         assert capsys.readouterr().out == (
             "key,value\n" "bits,00\n" "q,3/2^2\n" "seed,\n"
         )
+
+
+# ---------------------------------------------------------------------------
+# main, called again and again in one process
+# ---------------------------------------------------------------------------
+
+
+class TestOneProcess:
+    def test_parser_is_built_once(self, capsys):
+        golden = Path(__file__).parent / "golden"
+        codes = json.loads((golden / "expected" / "exit_codes.json").read_text(encoding="utf-8"))
+        cli.build_parser.cache_clear()
+        assert main(["trim"]) == 2
+        assert capsys.readouterr().out == ""
+        runs = [
+            ("validate-consistent", ["validate", str(golden / "inputs" / "consistent.json")]),
+            ("mirror-pair", ["mirror-pair", "--stages", "0,1/2^2,1/2^1,5/2^3,11/2^4,3/2^2", "--depth", "5"]),
+        ]
+        for name, argv in runs:
+            assert main(argv) == codes[f"{name}.json"]
+            assert capsys.readouterr().out == (golden / "expected" / f"{name}.json").read_text(encoding="utf-8")
+        assert cli.build_parser.cache_info().misses == 1

@@ -15,9 +15,13 @@ from helpers import (
     random_component,
     random_stage,
     reference_consistency_check,
+    reference_from_events,
     reference_from_semimeasure,
+    reference_identity,
     reference_induced_semimeasure,
+    reference_pad_with_identity,
     reference_preimage_set,
+    reference_universal_functional,
 )
 from semimeasures import (
     EPSILON,
@@ -27,6 +31,7 @@ from semimeasures import (
     Dyadic,
     LeftCeSemiMeasure,
     MonotoneFunctional,
+    ParseError,
     PreconditionError,
     SemiMeasureStage,
     consistency_check,
@@ -696,3 +701,96 @@ class TestUniversalFunctional:
             scale = as_fraction(Dyadic(1, index + 1))
             for s in strings_up_to(3):
                 assert as_fraction(member_rho.value(s)) * scale <= as_fraction(rho.value(s))
+
+
+# ---------------------------------------------------------------------------
+# Stage batches: one enumeration rule for every functional
+# ---------------------------------------------------------------------------
+
+event_lists = st.lists(
+    st.tuples(st.integers(0, 5), st.text(alphabet="01", max_size=3), st.text(alphabet="01", max_size=3)),
+    max_size=8,
+)
+
+CONSTANT = ("events", ((0, "0", "1"), (0, "11", "")))
+
+# a functional as a tree: ("identity",), ("events", evs), ("pad", tree) or
+# ("universal", [tree, ...])
+functional_trees = st.recursive(
+    st.one_of(st.just(("identity",)), event_lists.map(lambda evs: ("events", tuple(evs)))),
+    lambda inner: st.one_of(
+        inner.map(lambda t: ("pad", t)),
+        st.lists(inner, max_size=3).map(lambda ts: ("universal", ts)),
+    ),
+    max_leaves=4,
+)
+
+
+def build_both(tree):
+    """The package's functional for a tree and the reference pairs function."""
+    kind = tree[0]
+    if kind == "identity":
+        return MonotoneFunctional.identity(), reference_identity()
+    if kind == "events":
+        return MonotoneFunctional.from_events(tree[1]), reference_from_events(tree[1])
+    if kind == "pad":
+        phi, ref = build_both(tree[1])
+        return pad_with_identity(phi), reference_pad_with_identity(ref)
+    built = [build_both(t) for t in tree[1]]
+    return (
+        universal_functional([phi for phi, _ref in built]),
+        reference_universal_functional([ref for _phi, ref in built]),
+    )
+
+
+def has_identity(tree) -> bool:
+    kind = tree[0]
+    if kind in ("identity", "pad"):
+        return True
+    return kind == "universal" and any(has_identity(t) for t in tree[1])
+
+
+class TestStageBatches:
+    @given(functional_trees)
+    @example(("pad", ("universal", [("identity",), CONSTANT])))
+    @example(("universal", [("identity",), CONSTANT, ("events", ((2, "", "0"),))]))
+    @example(("pad", ("pad", ("identity",))))
+    def test_pairs_match_the_closure_references(self, tree):
+        phi, ref = build_both(tree)
+        for s in range(7):
+            assert phi.pairs_at(s) == ref(s)
+        assert (phi.last is None) == has_identity(tree)
+
+    @given(event_lists)
+    @example([(1, "0", "0"), (1, "0", "0"), (3, "0", "0"), (5, "1", "")])
+    def test_event_functionals_are_their_events(self, events):
+        phi = MonotoneFunctional.from_events(events)
+        for s in range(8):
+            assert phi.pairs_at(s) == {(i, o) for t, i, o in events if t <= s}
+        assert phi.events == tuple(sorted(set(events)))
+        assert phi.last == max((t for t, _i, _o in events), default=0)
+
+    def test_stages_past_the_last_share_one_set(self):
+        def batch(t):
+            assert t <= 2, f"batch({t}) read past the last stage"
+            return [(str(t), "")]
+
+        clipped = MonotoneFunctional(batch, last=2)
+        assert clipped.pairs_at(10**9) is clipped.pairs_at(2)
+        phi = MonotoneFunctional.from_events([(0, "0", "0"), (2, "1", "1")])
+        assert phi.pairs_at(10**9) is phi.pairs_at(phi.last)
+        assert phi.pairs_at(3) is phi.pairs_at(2)
+
+    def test_negative_event_stage_is_rejected(self):
+        with pytest.raises(ValueError, match="stage must be non-negative"):
+            MonotoneFunctional.from_events([(0, "0", "0"), (-1, "1", "1")])
+
+    def test_event_bits_are_checked(self):
+        with pytest.raises(ParseError):
+            MonotoneFunctional.from_events([(0, "0", "2")])
+
+    def test_universal_of_finite_members_is_finite(self):
+        family = [MonotoneFunctional.constant([("0", "0")]), MonotoneFunctional.from_events([(3, "", "1")])]
+        assert universal_functional(family).last == 3
+        assert universal_functional(family + [MonotoneFunctional.identity()]).last is None
+        assert pad_with_identity(family[0]).last is None

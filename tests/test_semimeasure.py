@@ -125,6 +125,16 @@ class TestComponentBuild:
         with pytest.raises(ValueError):
             Component.build(ONE, {EPSILON: ONE}, tails={"00": TailRule.uniform()})
 
+    def test_tail_map_must_name_every_frontier_node(self):
+        table = {s: ONE for s in strings_up_to(3)}
+        with pytest.raises(ValueError) as info:
+            Component.build(ONE, table, tails={"010": TailRule.uniform()})
+        assert str(info.value) == "tails must cover the frontier; missing ['000', '001', '011']"
+
+    def test_tail_and_tail_map_are_exclusive(self):
+        with pytest.raises(ValueError):
+            Component.build(ONE, {EPSILON: ONE}, tail=TailRule.uniform(), tails={EPSILON: TailRule.uniform()})
+
     def test_negative_tilt_rejected(self):
         with pytest.raises(ValueError):
             Component.build(ONE, {EPSILON: ONE}, tilt=-1)

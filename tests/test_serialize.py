@@ -27,6 +27,7 @@ from semimeasures import (
     dyadic_to_text,
     functional_from_json,
     functional_to_json,
+    pad_with_identity,
     passes_at_depth,
     level_statuses_to_json,
     stage_from_json,
@@ -40,6 +41,7 @@ from semimeasures import (
     tilt_by_ones,
     trim_result_to_json,
     uniform_measure,
+    universal_functional,
 )
 
 QUARTER = Dyadic(1, 2)
@@ -262,6 +264,18 @@ class TestFunctionalJson:
     def test_only_event_backed_functionals_serialize(self):
         with pytest.raises(ValueError):
             functional_to_json(MonotoneFunctional.identity())
+        with pytest.raises(ValueError):
+            functional_to_json(pad_with_identity(MonotoneFunctional.constant([("0", "0")])))
+
+    def test_universal_functional_of_constants_round_trips(self):
+        phi = universal_functional(
+            [MonotoneFunctional.constant([("0", "1"), ("1", "")]), MonotoneFunctional.from_events([(2, "", "0")])]
+        )
+        doc = functional_to_json(phi)
+        assert doc == {"stages": [[["00", "1"], ["01", ""]], [], [["10", "0"]]]}
+        again = functional_from_json(doc)
+        assert again.events == phi.events
+        assert again.pairs_at(2) == phi.pairs_at(2)
 
     @pytest.mark.parametrize(
         "bad",
