@@ -61,12 +61,7 @@ class Dyadic:
         Anything else (negative signs, floats, non power-of-two
         denominators such as ``1/3``) raises ParseError.
         """
-        m = _LITERAL.match(text.strip())
-        if m is None:
-            raise ParseError(f"not a dyadic literal: {text!r}")
-        num = int(m.group(1))
-        exp = int(m.group(2)) if m.group(2) is not None else 0
-        return cls(num, exp)
+        return cls(*parse_literal(text))
 
     @classmethod
     def pow2(cls, k: int) -> "Dyadic":
@@ -160,6 +155,15 @@ class Dyadic:
 
     def __repr__(self):
         return f"Dyadic('{self}')"
+
+
+def parse_literal(text: str) -> tuple[int, int]:
+    """``(m, n)`` of an ``m/2^n`` or bare integer literal, as written (not
+    canonicalised); anything else raises ParseError."""
+    m = _LITERAL.match(text.strip())
+    if m is None:
+        raise ParseError(f"not a dyadic literal: {text!r}")
+    return int(m.group(1)), int(m.group(2)) if m.group(2) is not None else 0
 
 
 ZERO = Dyadic(0)

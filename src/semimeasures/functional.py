@@ -26,9 +26,9 @@ from functools import reduce
 from operator import or_
 from typing import Callable, Iterable, Sequence
 
-from .dyadic import Dyadic, ONE, ZERO, expansion_bits
+from .dyadic import Dyadic, ONE, expansion_bits
 from .errors import CertificateError, PreconditionError
-from .semimeasure import Component, LeftCeSemiMeasure, SemiMeasureStage, TailRule
+from .semimeasure import Component, LeftCeSemiMeasure, SemiMeasureStage, TableView, TailRule
 from .strings import (
     EPSILON,
     StringSet,
@@ -39,7 +39,6 @@ from .strings import (
     lebesgue_of_set,
     prefix_free_normalize,
     string_at,
-    strings_up_to,
 )
 
 Pair = tuple[str, str]
@@ -231,7 +230,7 @@ def induced_semimeasure(phi: MonotoneFunctional, stage: int, depth: int) -> Semi
         size = 1 << (L - len(i))
         start = int(i, 2) * size if i else 0
         own.setdefault(o[:depth], []).append((start, start + size))
-    table = dict.fromkeys(strings_up_to(depth), ZERO)
+    rows = [[0] * (1 << n) for n in range(depth + 1)]  # masses over 2^L, by level
     live: list[set[str]] = [set() for _ in range(depth + 1)]  # live nodes by length
     for node in own:
         live[len(node)].add(node)
@@ -240,11 +239,11 @@ def induced_semimeasure(phi: MonotoneFunctional, stage: int, depth: int) -> Semi
         for node in live[n]:
             union = _union([*own.get(node, ()), *merged.pop(node + "0", ()), *merged.pop(node + "1", ())])
             merged[node] = union
-            table[node] = Dyadic(sum(b - a for a, b in union), L)
+            rows[n][int(node, 2) if node else 0] = sum(b - a for a, b in union)
             if n:
                 live[n - 1].add(node[:-1])
-    comp = Component.build(ONE, table, tail=TailRule.vanish())
-    return SemiMeasureStage((comp,), strict=table[EPSILON] == ONE)
+    comp = Component.build(ONE, TableView((row, L) for row in rows), tail=TailRule.vanish())
+    return SemiMeasureStage((comp,), strict=rows[0][0] == 1 << L)
 
 
 def reach_set(phi: MonotoneFunctional, ell: int, stage: int) -> StringSet:

@@ -22,13 +22,23 @@ Super-additivity -- value(s) >= value(s0) + value(s1) at every node -- is
 asserted by :func:`validate`, never assumed.  A presentation is *strict*
 when it claims root mass exactly 1.
 
+A component stores its table as one ``(numerators, e)`` row per level: the
+values of all strings of that length in lex order as ``int`` numerators over
+one power of two, ``e`` the least exponent that keeps every entry an
+integer, so equal tables have equal rows.  Its tail rules are stored as the
+distinct rules, in order of first use, plus one rule index per frontier
+node in lex order.  ``Component.table`` and ``Component.tails`` are
+read-only ``Mapping`` views of that storage (:class:`TableView`,
+:class:`TailsView`); a plain mapping is converted once, when the component
+is built, and passing a view on shares its storage.
+
 Whole-table sweeps (validation, completion, the Lebesgue-likeness check in
 :mod:`trim`) read the presentation one level at a time through
-:meth:`SemiMeasureStage.level_row`: the values of all strings of one length
-as ``int`` numerators over a single power of two.  Point evaluation has
-the same form: :meth:`SemiMeasureStage.values` returns the values of any
-list of strings as ``int`` numerators over one power of two, and
-``value``, ``set_mass``, the certificates of :mod:`mltest` and atom
+:meth:`SemiMeasureStage.level_row`, which folds the stored rows of the
+components (and, below a frontier, rows built per tail rule).  Point
+evaluation has the same form: :meth:`SemiMeasureStage.values` returns the
+values of any list of strings as ``int`` numerators over one power of two,
+and ``value``, ``set_mass``, the certificates of :mod:`mltest` and atom
 decoding all read it.  ``Dyadic`` values are built only for what a sweep
 or a point read returns.
 """
@@ -36,6 +46,8 @@ or a point read returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .dyadic import Dyadic, HALF, ONE, ZERO, dyadic_sum
@@ -45,7 +57,6 @@ from .strings import (
     StagedFamily,
     all_strings,
     check_bits,
-    extensions,
     leading_ones,
     prefix_free_normalize,
     sort_key,
@@ -136,15 +147,169 @@ class TailRule:
         return "split"
 
 
+def _lex(s: str) -> int:
+    """Position of a bit string among the strings of its length, in lex order."""
+    return int(s, 2) if s else 0
+
+
+def _canonical(nums: list[int], e: int) -> Row:
+    """The same values over the least exponent that keeps them integers."""
+    bits = reduce(or_, nums, 0)
+    shift = min(e, (bits & -bits).bit_length() - 1) if bits else e
+    return ([x >> shift for x in nums] if shift else nums), e - shift
+
+
+def _intern(rules: Iterable[TailRule]) -> tuple[tuple[TailRule, ...], list[int]]:
+    """The distinct rules in order of first use, equal rules found by their
+    integer fields, and the position of each given rule among them."""
+    distinct: list[TailRule] = []
+    seen: dict[tuple[int, int, int, int], int] = {}
+    index = []
+    for rule in rules:
+        key = (rule.zero.numerator, rule.zero.exponent, rule.one.numerator, rule.one.exponent)
+        i = seen.get(key)
+        if i is None:
+            i = seen[key] = len(distinct)
+            distinct.append(rule)
+        index.append(i)
+    return tuple(distinct), index
+
+
+class TableView(Mapping[str, Dyadic]):
+    """A component's table, read-only: ``rows[n]`` holds the values of the
+    length-n strings in lex order as ``(numerators, e)`` over the least
+    ``e`` that keeps them integers.  Stored rows are never mutated."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Iterable[Row]):
+        self.rows = tuple(_canonical(nums, e) for nums, e in rows)
+
+    @classmethod
+    def of(cls, table: Mapping[str, Dyadic], depth: int | None = None) -> "TableView":
+        """The rows of a complete table, whose depth is read from its size
+        unless given.  A table of 2^(d+1) - 1 nodes in which every string up
+        to d is found is complete; any other fails, on its first key that is
+        not a bit string or else on the strings it misses up to its longest
+        key."""
+        given = depth
+        if depth is None:
+            depth = (len(table) + 1).bit_length() - 2
+        if depth >= 0 and len(table) == (2 << depth) - 1:
+            try:
+                rows = []
+                for n in range(depth + 1):
+                    vals = [table[s] for s in all_strings(n)]
+                    e = max(v.exponent for v in vals)
+                    rows.append(([v.numerator << (e - v.exponent) for v in vals], e))
+            except KeyError:
+                pass
+            else:
+                return cls(rows)
+        keys = {check_bits(k) for k in table}
+        top = max((len(k) for k in keys), default=0)
+        missing = sorted(set(strings_up_to(top)) - keys, key=sort_key)[:3]
+        if given is None or missing:
+            raise ValueError(f"table must cover every string of length <= {top}; missing {missing}")
+        raise ValueError(f"a table of depth {depth} has {(2 << depth) - 1} nodes, not {len(table)}")
+
+    def __getitem__(self, key: str) -> Dyadic:
+        if isinstance(key, str) and len(key) < len(self.rows) and not key.strip("01"):
+            nums, e = self.rows[len(key)]
+            return Dyadic(nums[_lex(key)], e)
+        raise KeyError(key)
+
+    def __len__(self) -> int:
+        return (1 << len(self.rows)) - 1
+
+    def __iter__(self):
+        return strings_up_to(len(self.rows) - 1)
+
+    def __eq__(self, other):
+        if isinstance(other, TableView):
+            return self.rows == other.rows
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"TableView({dict(self)!r})"
+
+
+class TailsView(Mapping[str, TailRule]):
+    """A component's tail rules, read-only: ``rules`` are the distinct rules
+    in order of first use and ``index[k]`` is the rule of the k-th frontier
+    node in lex order, so equal maps have equal fields."""
+
+    __slots__ = ("depth", "rules", "index", "aligned")
+
+    def __init__(self, depth: int, rules: tuple[TailRule, ...], index: list[int]):
+        self.depth, self.rules, self.index = depth, rules, index
+        self.aligned = tuple(rule.aligned for rule in rules)
+
+    @classmethod
+    def single(cls, rule: TailRule, depth: int) -> "TailsView":
+        """One rule on every frontier node."""
+        return cls(depth, (rule,), [0] * (1 << depth))
+
+    @classmethod
+    def of(cls, tails: Mapping[str, TailRule], depth: int) -> "TailsView":
+        """The rules of a map that names exactly the frontier nodes of ``depth``."""
+        if len(tails) == 1 << depth:
+            try:
+                rules = [tails[node] for node in all_strings(depth)]
+            except KeyError:
+                pass
+            else:
+                return cls(depth, *_intern(rules))
+        extra = set(tails) - set(all_strings(depth))
+        if extra:
+            raise ValueError(f"tail rules for non-frontier nodes: {sorted(extra)}")
+        missing = [node for node in all_strings(depth) if node not in tails][:3]
+        raise ValueError(f"tails must cover the frontier; missing {missing}")
+
+    def __getitem__(self, key: str) -> TailRule:
+        if isinstance(key, str) and len(key) == self.depth and not key.strip("01"):
+            return self.rules[self.index[_lex(key)]]
+        raise KeyError(key)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __iter__(self):
+        return all_strings(self.depth)
+
+    def __eq__(self, other):
+        if isinstance(other, TailsView):
+            return (self.depth, self.rules, self.index) == (other.depth, other.rules, other.index)
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"TailsView({dict(self)!r})"
+
+
 @dataclass(frozen=True)
 class Component:
-    """One summand of a presentation: weight * (table + tails [+ tilt])."""
+    """One summand of a presentation: weight * (table + tails [+ tilt]).
+
+    ``table`` and ``tails`` are read-only views (:class:`TableView`,
+    :class:`TailsView`) of the component's one stored form: an ``int`` row
+    per level and a rule index per frontier node.  A plain mapping given to
+    the constructor is converted once and must be complete for ``depth``;
+    a view given to it, or kept by ``dataclasses.replace``, is shared.
+    """
 
     weight: Dyadic
     depth: int
     table: Mapping[str, Dyadic]
     tails: Mapping[str, TailRule]
     tilt: int = 0
+
+    def __post_init__(self):
+        if not isinstance(self.table, TableView):
+            object.__setattr__(self, "table", TableView.of(self.table, self.depth))
+        if not isinstance(self.tails, TailsView):
+            object.__setattr__(self, "tails", TailsView.of(self.tails, self.depth))
+        if len(self.table.rows) != self.depth + 1 or self.tails.depth != self.depth:
+            raise ValueError(f"table and tails must both have depth {self.depth}")
 
     @classmethod
     def build(
@@ -155,69 +320,52 @@ class Component:
         tails: Mapping[str, TailRule] | None = None,
         tilt: int = 0,
     ) -> "Component":
-        """Structural constructor: checks table completeness and fills tails.
+        """Structural constructor: reads the depth from the table and fills tails.
 
         ``tail`` applies one rule to every frontier node and ``tails`` gives
         one rule per frontier node; at most one of the two is given, and
         with neither every frontier node vanishes.
         """
-        # a complete table of depth d has 2^(d+1) - 1 keys, and when they
-        # are exactly the strings up to d every key is a bit string; any
-        # other table fails, on its first key that is not a bit string or
-        # else on the strings it misses up to its longest key
-        depth = (len(table) + 1).bit_length() - 2
-        if depth < 0 or set(table) != set(strings_up_to(depth)):
-            keys = {check_bits(k) for k in table}
-            depth = max((len(k) for k in keys), default=0)
-            missing = sorted(set(strings_up_to(depth)) - keys, key=sort_key)[:3]
-            raise ValueError(f"table must cover every string of length <= {depth}; missing {missing}")
-        frontier = list(all_strings(depth))
+        view = table if isinstance(table, TableView) else TableView.of(table)
+        depth = len(view.rows) - 1
         if tails is None:
-            tail_map = dict.fromkeys(frontier, tail if tail is not None else TailRule.vanish())
+            tail_view = TailsView.single(tail if tail is not None else TailRule.vanish(), depth)
         elif tail is not None:
             raise ValueError("give a 'tail' or a 'tails' map, not both")
         else:
-            extra = set(tails) - set(frontier)
-            if extra:
-                raise ValueError(f"tail rules for non-frontier nodes: {sorted(extra)}")
-            missing = [node for node in frontier if node not in tails][:3]
-            if missing:
-                raise ValueError(f"tails must cover the frontier; missing {missing}")
-            tail_map = {node: tails[node] for node in frontier}
+            tail_view = TailsView.of(tails, depth)
         if tilt < 0:
             raise ValueError("tilt power must be non-negative")
-        return cls(weight=weight, depth=depth, table=dict(table), tails=tail_map, tilt=tilt)
+        return cls(weight=weight, depth=depth, table=view, tails=tail_view, tilt=tilt)
 
     # -- evaluation (weight NOT included) --------------------------------
 
     def value(self, sigma: str) -> Dyadic:
-        (num,), e = self._values((sigma,))
+        (num,), e = self._values((check_bits(sigma),), [_lex(sigma)])
         return Dyadic(num, e)
 
-    def _values(self, strings: Sequence[str], tilted: bool = True) -> Row:
-        # values (weight not included) at the given strings: a table lookup
-        # above the frontier, below it the frontier numerator times
-        # z**a * o**b, with each frontier node's value and its rule's
-        # aligned ints read once
-        depth, table = self.depth, self.table
-        frontiers: dict[str, tuple[int, int, int, int, int]] = {}
+    def _values(self, strings: Sequence[str], positions: Sequence[int], tilted: bool = True) -> Row:
+        # values (weight not included) at the given bit strings, each with
+        # its lex position among the strings of its length: an entry of a
+        # stored row above the frontier, below it the frontier numerator
+        # times z**a * o**b of the node's rule
+        depth, rows = self.depth, self.table.rows
+        fnums, fe = rows[depth]
+        index, aligned = self.tails.index, self.tails.aligned
         nums, exps = [], []
-        for s in strings:
-            if len(s) <= depth:
-                v = table[s]
-                nums.append(v.numerator)
-                exps.append(v.exponent)
+        for s, pos in zip(strings, positions):
+            n = len(s)
+            if n <= depth:
+                row, e = rows[n]
+                nums.append(row[pos])
+                exps.append(e)
                 continue
-            frontier = s[:depth]
-            ints = frontiers.get(frontier)
-            if ints is None:
-                v = table[frontier]
-                ints = frontiers[frontier] = (v.numerator, v.exponent, *self.tails[frontier].aligned)
-            num, ve, z, o, e = ints
-            below = len(s) - depth
+            k = pos >> (n - depth)
+            z, o, e = aligned[index[k]]
+            below = n - depth
             ones = s.count("1", depth)
-            nums.append(num * z ** (below - ones) * o**ones)
-            exps.append(ve + e * below)
+            nums.append(fnums[k] * z ** (below - ones) * o**ones)
+            exps.append(fe + e * below)
         if tilted and self.tilt:
             # 2**(-tilt * j) for j leading ones is an exponent shift
             exps = [x + self.tilt * leading_ones(s) for x, s in zip(exps, strings)]
@@ -227,52 +375,53 @@ class Component:
     def _plain_level_sum(self, sigma: str, n: int | None) -> Dyadic:
         # sum of untilted values over all length-n extensions of sigma;
         # n = None takes the limit n -> infinity, the trimmed mass of sigma
-        if n is not None and n <= self.depth:
-            return dyadic_sum(self.table[s] for s in extensions(sigma, n - len(sigma)))
-        levels = None if n is None else n - max(len(sigma), self.depth)
-        if len(sigma) >= self.depth:
-            (num,), e = self._values((sigma,), tilted=False)
-            return Dyadic(num, e) * self.tails[sigma[: self.depth]].kept(levels)
+        depth = self.depth
+        if n is not None and n <= depth:
+            nums, e = self.table.rows[n]
+            lo = _lex(sigma) << (n - len(sigma))
+            return Dyadic(sum(nums[lo : lo + (1 << (n - len(sigma)))]), e)
+        levels = None if n is None else n - max(len(sigma), depth)
+        if len(sigma) >= depth:
+            (num,), e = self._values((sigma,), [_lex(sigma)], tilted=False)
+            return Dyadic(num, e) * self.tails[sigma[:depth]].kept(levels)
         # frontier values summed per tail rule, so each rule's factor is taken once
-        by_rule: dict[tuple, tuple[TailRule, list[Dyadic]]] = {}
-        for frontier in extensions(sigma, self.depth - len(sigma)):
-            rule = self.tails[frontier]
-            by_rule.setdefault(rule.aligned, (rule, []))[1].append(self.table[frontier])
-        return dyadic_sum(rule.kept(levels) * dyadic_sum(vals) for rule, vals in by_rule.values())
+        nums, e = self.table.rows[depth]
+        lo = _lex(sigma) << (depth - len(sigma))
+        sums = [0] * len(self.tails.rules)
+        for k in range(lo, lo + (1 << (depth - len(sigma)))):
+            sums[self.tails.index[k]] += nums[k]
+        return dyadic_sum(rule.kept(levels) * Dyadic(x, e) for rule, x in zip(self.tails.rules, sums))
 
     def _row(self, n: int, limit: bool = False) -> Row:
         # values (tilt included, weight not) of all length-n strings in lex
         # order; limit keeps only conserving frontier subtrees (n >= depth)
-        if n < self.depth:
-            vals = list(map(self.table.__getitem__, all_strings(n)))
-            e = max(v.exponent for v in vals)
-            row = [v.numerator << (e - v.exponent) for v in vals]
+        if n <= self.depth and not limit:
+            row, e = self.table.rows[n]
         else:
-            # below each frontier node: its value times its rule's pattern
-            patterns: dict[tuple, Row] = {}
-            blocks = []
-            frontier = list(all_strings(self.depth))
-            for v, rule in zip(map(self.table.__getitem__, frontier), map(self.tails.__getitem__, frontier)):
-                key = rule.aligned
-                if key not in patterns:
-                    patterns[key] = rule.pattern(n - self.depth)
-                num = v.numerator if not limit or rule.conserving else 0
-                blocks.append((num, v.exponent, patterns[key]))
-            e = max(ve + pe for _num, ve, (_pattern, pe) in blocks)
+            # below each frontier node: its value times its rule's pattern,
+            # the patterns built once per rule over one power of two
+            fnums, fe = self.table.rows[self.depth]
+            patterns = [rule.pattern(n - self.depth) for rule in self.tails.rules]
+            pe = max(x for _pattern, x in patterns)
+            blocks = [
+                [p << (pe - x) for p in pattern] if not limit or rule.conserving else [0] * len(pattern)
+                for rule, (pattern, x) in zip(self.tails.rules, patterns)
+            ]
             row = []
-            for num, ve, (pattern, pe) in blocks:
-                m = num << (e - ve - pe)
-                row.extend([m * p for p in pattern])
+            for num, i in zip(fnums, self.tails.index):
+                row.extend([num * p for p in blocks[i]])
+            e = fe + pe
         if self.tilt and n:
             # the strings with j leading ones form one slice; scaled by
-            # 2**(-tilt * j) over the common 2**(tilt * n)
+            # 2**(-tilt * j) over the common 2**(tilt * n), on a copy
+            shifted = []
             lo = 0
             for j in range(n + 1):
                 hi = (1 << n) - (1 << (n - j - 1)) if j < n else 1 << n
                 shift = self.tilt * (n - j)
-                row[lo:hi] = [x << shift for x in row[lo:hi]]
+                shifted += [x << shift for x in row[lo:hi]]
                 lo = hi
-            e += self.tilt * n
+            row, e = shifted, e + self.tilt * n
         return row, e
 
     def level_sum(self, sigma: str, n: int | None) -> Dyadic:
@@ -307,9 +456,8 @@ class SemiMeasureStage:
         the i-th value ``numerators[i] / 2**e``; weights and tilts are folded
         in.  Every string is checked to be a 0/1 literal."""
         items = list(strings)
-        for s in items:
-            check_bits(s)
-        return self._fold([(comp._values(items), comp.weight) for comp in self.components], len(items))
+        positions = [int(s, 2) if s else 0 for s in map(check_bits, items)]
+        return self._fold([(comp._values(items, positions), comp.weight) for comp in self.components], len(items))
 
     @staticmethod
     def _fold(rows: Sequence[tuple[Row, Dyadic]], size: int) -> Row:
@@ -399,15 +547,12 @@ def validate_measure(stage: SemiMeasureStage) -> ValidationReport:
 
 def _validate(stage: SemiMeasureStage, additive: bool, rows: list[Row] | None = None) -> ValidationReport:
     # ``rows``, when given, receives the level rows 0..max_depth as read
+    # tables and tail maps are complete by construction; each distinct rule
+    # is checked once, and reported at its first frontier node in lex order
     for idx, comp in enumerate(stage.components):
-        keys = set(comp.table)
-        if keys != set(strings_up_to(comp.depth)):
-            return ValidationReport(False, message=f"component {idx}: incomplete table")
-        if set(comp.tails) != set(all_strings(comp.depth)):
-            return ValidationReport(False, message=f"component {idx}: tail map must cover the frontier")
-        for node, rule in comp.tails.items():
-            z, o, e = rule.aligned
+        for i, (z, o, e) in enumerate(comp.tails.aligned):
             if z + o > 1 << e:
+                node = string_at(comp.depth, comp.tails.index.index(i))
                 return ValidationReport(
                     False, node=node, message=f"component {idx}: tail fractions must be >= 0 and sum to <= 1"
                 )
@@ -450,9 +595,12 @@ def _validate(stage: SemiMeasureStage, additive: bool, rows: list[Row] | None = 
     if not additive:
         return _OK
     for comp in stage.components:
-        for node, rule in comp.tails.items():
-            if not rule.conserving and comp.table[node] != ZERO:
-                return ValidationReport(False, node=node, message="tail loses mass at a charged frontier node")
+        lossy = [not rule.conserving for rule in comp.tails.rules]
+        charged = zip(comp.table.rows[comp.depth][0], comp.tails.index)
+        k = next((k for k, (num, i) in enumerate(charged) if num and lossy[i]), None)
+        if k is not None:
+            node = string_at(comp.depth, k)
+            return ValidationReport(False, node=node, message="tail loses mass at a charged frontier node")
     if gap is not None:
         return ValidationReport(False, node=gap, message=f"additivity fails at {gap!r}")
     return _OK
@@ -636,15 +784,15 @@ def complete_to_measure(stage: SemiMeasureStage, depth: int | None = None) -> Se
 
     parts = []  # (weight, target-level row, tails) of each completed component
     for comp in stage.components:
-        distinct = {rule.aligned: rule for rule in comp.tails.values()}
-        padded = {key: rule.padded() for key, rule in distinct.items()}
-        tails = {node: padded[comp.tails[node[: comp.depth]].aligned] for node in all_strings(target)}
+        # the padded rules of the frontier node above each target node
+        rules, remap = _intern(rule.padded() for rule in comp.tails.rules)
+        index, shift = comp.tails.index, target - comp.depth
+        tails = TailsView(target, rules, [remap[index[k >> shift]] for k in range(1 << target)])
         parts.append((comp.weight, comp._row(target), tails))
-    parts.append((ONE, (surplus, me), dict.fromkeys(all_strings(target), TailRule.uniform())))
+    parts.append((ONE, (surplus, me), TailsView.single(TailRule.uniform(), target)))
     new_comps = []
     for weight, (row, e), tails in parts:
-        levels = summed_rows(row, target)
-        table = {s: Dyadic(x, e) for n in range(target + 1) for s, x in zip(all_strings(n), levels[n])}
+        table = TableView((nums, e) for nums in summed_rows(row, target))
         new_comps.append(Component(weight=weight, depth=target, table=table, tails=tails))
     return SemiMeasureStage(tuple(new_comps), strict=True)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
-from .dyadic import Dyadic
+from .dyadic import Dyadic, parse_literal
 from .errors import ParseError
 from .functional import MonotoneFunctional
 from .mltest import LevelStatus, MLTest
@@ -20,6 +20,7 @@ from .semimeasure import (
     Component,
     LeftCeSemiMeasure,
     SemiMeasureStage,
+    TableView,
     TailRule,
     infimum_semimeasure,
 )
@@ -34,9 +35,16 @@ def dyadic_to_text(d: Dyadic) -> str:
 def dyadic_from_text(text: Any) -> Dyadic:
     if isinstance(text, Dyadic):
         return text
+    return Dyadic(*_literal_ints(text))
+
+
+def _literal_ints(text: Any) -> tuple[int, int]:
+    """``(m, n)`` of a literal ``m/2^n``, or of a Dyadic."""
+    if isinstance(text, Dyadic):
+        return text.numerator, text.exponent
     if not isinstance(text, str):
         raise ParseError(f"dyadic literals must be strings, got {type(text).__name__}")
-    return Dyadic.from_text(text)
+    return parse_literal(text)
 
 
 def _is_int(value: Any) -> bool:
@@ -77,19 +85,18 @@ def tail_from_json(obj: Any) -> TailRule:
 
 
 def component_to_json(comp: Component) -> dict:
-    table = [
-        [str(comp.table[s]) for s in all_strings(level)] for level in range(comp.depth + 1)
-    ]
-    rules = {node: comp.tails[node] for node in all_strings(comp.depth)}
+    table = [[str(Dyadic(x, e)) for x in nums] for nums, e in comp.table.rows]
+    rules = comp.tails.rules  # interned: one rule per distinct value
     out: dict[str, Any] = {
         "weight": str(comp.weight),
         "depth": comp.depth,
         "table": table,
     }
-    if len(set(rules.values())) == 1:  # rules are canonical: equal rules, equal text
-        out["tail"] = tail_to_json(next(iter(rules.values())))
+    if len(rules) == 1:
+        out["tail"] = tail_to_json(rules[0])
     else:
-        out["tails"] = {node: tail_to_json(r) for node, r in sorted(rules.items())}
+        texts = [tail_to_json(r) for r in rules]
+        out["tails"] = {node: dict(texts[i]) for node, i in zip(all_strings(comp.depth), comp.tails.index)}
     if comp.tilt:
         out["tilt"] = comp.tilt
     return out
@@ -110,13 +117,14 @@ def component_from_json(obj: Any) -> Component:
         raise ParseError("component 'depth' must be an integer")
     if depth != len(rows) - 1:
         raise ParseError(f"component depth {depth} does not match {len(rows)} table rows")
-    table: dict[str, Dyadic] = {}
+    levels = []
     for level, row in enumerate(rows):
-        nodes = list(all_strings(level))
-        if not isinstance(row, list) or len(row) != len(nodes):
-            raise ParseError(f"table row {level} must list {len(nodes)} values")
-        for node, text in zip(nodes, row):
-            table[node] = dyadic_from_text(text)
+        if not isinstance(row, list) or len(row) != 1 << level:
+            raise ParseError(f"table row {level} must list {1 << level} values")
+        literals = [_literal_ints(text) for text in row]
+        e = max(n for _m, n in literals)
+        levels.append(([m << (e - n) for m, n in literals], e))
+    table = TableView(levels)
     tails = None
     tail = None
     if "tails" in obj:

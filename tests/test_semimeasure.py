@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -138,6 +142,132 @@ class TestComponentBuild:
     def test_negative_tilt_rejected(self):
         with pytest.raises(ValueError):
             Component.build(ONE, {EPSILON: ONE}, tilt=-1)
+
+    def test_constructor_converts_only_complete_mappings(self):
+        tails = {"0": TailRule.uniform(), "1": TailRule.vanish()}
+        with pytest.raises(ValueError) as info:
+            Component(ONE, 1, {EPSILON: ONE, "0": HALF}, tails)
+        assert str(info.value) == "table must cover every string of length <= 1; missing ['1']"
+        with pytest.raises(ValueError) as info:
+            Component(ONE, 2, {EPSILON: ONE, "0": HALF, "1": HALF}, tails)
+        assert str(info.value) == "a table of depth 2 has 7 nodes, not 3"
+        with pytest.raises(ValueError):
+            Component(ONE, 1, {EPSILON: ONE, "0": HALF, "1": HALF}, {"0": TailRule.uniform()})
+        with pytest.raises(ValueError):
+            Component(ONE, 0, uniform_measure(1).components[0].table, {EPSILON: TailRule.uniform()})
+
+
+def _retained(make):
+    """``make()`` and the bytes it allocated: (result, held afterwards, peak)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = make()
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, held - base, peak - base
+
+
+class TestStoredForm:
+    """``table`` and ``tails`` are read-only views of one stored form: an
+    ``int`` row per level and an interned rule index per frontier node."""
+
+    @staticmethod
+    def stage_with_inputs(seed: int, kind: str):
+        """A tilted or a jointly valid stage, with the (table, tails)
+        mappings each of its components was built from."""
+        inputs = []
+        build = Component.build
+
+        def recording(weight, table, tail=None, tails=None, tilt=0):
+            inputs.append((dict(table), dict(tails)))
+            return build(weight, table, tail=tail, tails=tails, tilt=tilt)
+
+        rng = random.Random(seed)
+        with mock.patch.object(Component, "build", recording):
+            if kind == "tilted":
+                stage = random_stage(rng, depth=rng.randint(0, 3), tilt_allowed=True)
+            else:
+                stage = random_joint_stage(rng, depth=rng.randint(0, 3))
+        return stage, inputs
+
+    @given(seeds, st.sampled_from(["tilted", "joint"]))
+    def test_views_read_back_the_mappings_they_were_built_from(self, seed, kind):
+        stage, inputs = self.stage_with_inputs(seed, kind)
+        for comp, (table, tails) in zip(stage.components, inputs):
+            assert dict(comp.table) == table and dict(comp.tails) == tails
+            assert list(comp.table) == list(strings_up_to(comp.depth))  # (length, lex) order
+            assert list(comp.tails) == list(all_strings(comp.depth))
+            assert len(comp.table) == (2 << comp.depth) - 1 and len(comp.tails) == 1 << comp.depth
+            again = Component(comp.weight, comp.depth, dict(comp.table), dict(comp.tails), comp.tilt)
+            assert again == comp
+            assert again.table.rows == comp.table.rows
+
+    @given(seeds, st.sampled_from(["tilted", "joint"]))
+    def test_keys_outside_a_view_are_absent(self, seed, kind):
+        stage, _inputs = self.stage_with_inputs(seed, kind)
+        for comp in stage.components:
+            deeper = "0" * (comp.depth + 1)
+            for view in (comp.table, comp.tails):
+                for key in ("2", "0b1", " ", deeper, 0, None):
+                    assert key not in view
+                    with pytest.raises(KeyError):
+                        view[key]
+            assert EPSILON in comp.table and comp.table[EPSILON] == dict(comp.table)[EPSILON]
+            assert (EPSILON in comp.tails) == (comp.depth == 0)
+            if comp.depth:
+                with pytest.raises(KeyError):
+                    comp.tails[EPSILON]
+
+    @given(seeds, st.sampled_from(["tilted", "joint"]))
+    def test_reads_agree_with_the_reference_evaluators(self, seed, kind):
+        stage, _inputs = self.stage_with_inputs(seed, kind)
+        rng = random.Random(seed)
+        strings = list(strings_up_to(stage.max_depth + 2))
+        nums, e = stage.values(strings)
+        assert [Fraction(x, 1 << e) for x in nums] == [oracle_stage_value(stage, s) for s in strings]
+        for comp in stage.components:
+            assert all(comp.value(s) == reference_component_value(comp, s) for s in strings)
+        for n in range(stage.max_depth + 3):
+            row, e = stage.level_row(n)
+            assert [Fraction(x, 1 << e) for x in row] == [oracle_stage_value(stage, s) for s in all_strings(n)]
+        sigma = random_bits(rng, stage.max_depth + 1)
+        for n in range(len(sigma), len(sigma) + 3):
+            assert as_fraction(stage.level_mass(sigma, n)) == oracle_level_sum(stage.value, sigma, n)
+
+    def test_rows_are_canonical_and_rules_interned(self):
+        table = {EPSILON: ONE, "0": HALF, "1": Dyadic(2, 2)}
+        comp = Component.build(ONE, table, tails={"0": TailRule.split(Dyadic(2, 2), HALF), "1": TailRule.uniform()})
+        assert comp.table.rows == (([1], 0), ([1, 1], 1))
+        assert comp.tails.rules == (TailRule.uniform(),) and comp.tails.index == [0, 0]
+        assert comp == Component.build(ONE, table, tail=TailRule.uniform())
+
+    def test_replace_and_views_share_storage(self):
+        spine = dirac_spine("1").components[0]
+        head = Component(weight=HALF, depth=spine.depth, table=spine.table, tails=spine.tails)
+        for comp in (head, replace(spine, weight=HALF), tilt_by_ones(SemiMeasureStage((spine,))).components[0]):
+            assert comp.table is spine.table and comp.tails is spine.tails
+
+    def test_a_table_node_costs_at_most_64_bytes(self):
+        comp, held, _peak = _retained(lambda: random_component(random.Random(12), depth=12))
+        assert comp.depth == 12
+        assert held <= 64 * len(comp.table)
+
+    def test_heads_over_one_spine_share_it(self):
+        spine = random_component(random.Random(5), depth=12)
+        weights = [Dyadic(k, 9) for k in range(500)]
+        heads, _held, peak = _retained(
+            lambda: [Component(weight=w, depth=spine.depth, table=spine.table, tails=spine.tails) for w in weights]
+        )
+        assert len(heads) == 500
+        assert peak < 100_000
 
 
 class TestEval:
@@ -304,6 +434,26 @@ class TestValidate:
         stage = SemiMeasureStage(tuple(comps), strict=stage.strict)
         got, want = validate(stage), reference_validate(stage)
         assert (got.ok, got.node, got.message, got.children) == (want.ok, want.node, want.message, want.children)
+
+
+    @given(seeds)
+    def test_bad_tail_fractions_are_reported_at_their_first_frontier_node(self, seed):
+        """Each distinct rule is checked once; the witness is the first
+        frontier node, in lex order, that carries a bad one."""
+        rng = random.Random(seed)
+        stage = random_stage(rng, depth=rng.randint(0, 3))
+        comps = list(stage.components)
+        k = rng.randrange(len(comps))
+        comp = comps[k]
+        tails = dict(comp.tails)
+        bad = [TailRule.split(ONE, HALF), TailRule.split(Dyadic(5, 3), Dyadic(5, 3))]
+        for node in rng.sample(list(tails), rng.randint(1, len(tails))):
+            tails[node] = rng.choice(bad)
+        comps[k] = Component(comp.weight, comp.depth, comp.table, tails, comp.tilt)
+        stage = SemiMeasureStage(tuple(comps), strict=stage.strict)
+        got, want = validate(stage), reference_validate(stage)
+        assert not got.ok
+        assert (got.node, got.message) == (want.node, want.message)
 
 
 class TestLevelRow:

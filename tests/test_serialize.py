@@ -132,12 +132,9 @@ class TestComponentJson:
     def test_equal_rules_built_apart_collapse_to_one_field(self):
         from semimeasures import Component
 
-        comp = Component.build(
-            ONE,
-            {"": ONE, "0": HALF, "1": HALF},
-            tails={"0": TailRule.uniform(), "1": TailRule.split(Dyadic(2, 2), HALF)},
-        )
-        assert comp.tails["0"] is not comp.tails["1"]
+        uniform, split = TailRule.uniform(), TailRule.split(Dyadic(2, 2), HALF)
+        assert uniform is not split
+        comp = Component.build(ONE, {"": ONE, "0": HALF, "1": HALF}, tails={"0": uniform, "1": split})
         assert component_to_json(comp)["tail"] == {"kind": "uniform"}
 
     @given(st.integers(0, 2**32 - 1))
