@@ -66,9 +66,11 @@ def _flatten(prefix: str, obj: Any, rows: list[tuple[str, str]]) -> None:
     if isinstance(obj, dict):
         for key in sorted(obj):
             _flatten(f"{prefix}.{key}" if prefix else str(key), obj[key], rows)
-    elif isinstance(obj, list):
+    elif isinstance(obj, list) and any(isinstance(item, (dict, list)) for item in obj):
         for idx, item in enumerate(obj):
             _flatten(f"{prefix}[{idx}]", item, rows)
+    elif isinstance(obj, list):  # scalars only: one row each, no recursion
+        rows.extend((f"{prefix}[{idx}]", "" if item is None else str(item)) for idx, item in enumerate(obj))
     else:
         rows.append((prefix, "" if obj is None else str(obj)))
 

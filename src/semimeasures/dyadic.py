@@ -55,15 +55,6 @@ class Dyadic:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_text(cls, text: str) -> "Dyadic":
-        """Parse ``m/2^n`` or a bare integer literal.
-
-        Anything else (negative signs, floats, non power-of-two
-        denominators such as ``1/3``) raises ParseError.
-        """
-        return cls(*parse_literal(text))
-
-    @classmethod
     def pow2(cls, k: int) -> "Dyadic":
         """2**k for any integer k (negative k gives 1/2^|k|)."""
         if k >= 0:
@@ -158,8 +149,10 @@ class Dyadic:
 
 
 def parse_literal(text: str) -> tuple[int, int]:
-    """``(m, n)`` of an ``m/2^n`` or bare integer literal, as written (not
-    canonicalised); anything else raises ParseError."""
+    """``(m, n)`` of an ``m/2^n`` or bare integer literal string, as written
+    (not canonicalised); anything else raises ParseError."""
+    if not isinstance(text, str):
+        raise ParseError(f"dyadic literals must be strings, got {type(text).__name__}")
     m = _LITERAL.match(text.strip())
     if m is None:
         raise ParseError(f"not a dyadic literal: {text!r}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .dyadic import Dyadic, ONE, expansion_bits
 from .errors import CertificateError, PreconditionError
@@ -79,7 +79,12 @@ class MonotoneFunctional:
             if t < 0:
                 raise ValueError("stage must be non-negative")
             batches.setdefault(t, set()).add((check_bits(i), check_bits(o)))
-        return cls(lambda t: batches.get(t, ()), max(batches, default=0))
+        return cls.from_batches(batches)
+
+    @classmethod
+    def from_batches(cls, batches: Mapping[int, set[Pair]]) -> "MonotoneFunctional":
+        """Checked pairs ``batches[t]`` enter at t; ``last`` is the last t with any."""
+        return cls(lambda t: batches.get(t, ()), max((t for t, b in batches.items() if b), default=0))
 
     @classmethod
     def constant(cls, pairs: Iterable[Pair]) -> "MonotoneFunctional":
@@ -383,7 +388,7 @@ def from_semimeasure(
     # children; pools[0][0], the root's pool, is the whole space
     pools: list[list[list[Block]]] = [[[(0, 0)]]]
     pools += [[[] for _ in range(1 << (n - 1))] for n in range(1, depth + 1)]
-    events: list[tuple[int, str, str]] = []
+    batches: dict[int, set[Pair]] = {}
     for t in range(stage + 1):
         st = rho.stage_at(t)
         rows = [st.level_row(n) for n in range(depth + 1)]
@@ -410,11 +415,11 @@ def from_semimeasure(
                 if n < depth:
                     pools[n + 1][i].extend(fresh)
                 have[i] = targets[i]
-                events.extend((t, string_at(L - k, a >> k), node) for a, k in fresh)
+                batches.setdefault(t, set()).update((string_at(L - k, a >> k), node) for a, k in fresh)
             if bad is not None:
                 value, node = Dyadic(nums[bad], e), string_at(n, bad)
                 raise PreconditionError(f"stage value {value} at {node!r} finer than 2^-{granularity_cap}")
-    return MonotoneFunctional.from_events(events)
+    return MonotoneFunctional.from_batches(batches)
 
 
 # -- worked constructions ------------------------------------------------------

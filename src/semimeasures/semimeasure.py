@@ -838,23 +838,17 @@ def from_infimum_sequence(rows: Sequence, stage: int, depth: int) -> SemiMeasure
     """
     if not rows:
         raise ValueError("at least one generator row is required")
-    gens = [_as_generator(r) for r in rows]
     vals = []
-    for i, g in enumerate(gens):
+    for i, g in enumerate(map(_as_generator, rows)):
         v = g(stage)
         if not isinstance(v, Dyadic) or v > ONE:
             raise ValueError(f"generator {i} must yield dyadics in [0, 1], got {v}")
         vals.append(v)
-    table: dict[str, Dyadic] = {}
-    running = vals[0]
-    level_min = {0: running}
-    for n in range(1, depth + 1):
-        if n < len(vals):
-            running = min(running, vals[n])
-        level_min[n] = running
-    for s in strings_up_to(depth):
-        table[s] = Dyadic.pow2(-len(s)) * level_min[len(s)]
-    comp = Component.build(ONE, table, tail=TailRule.uniform())
+    rows = []
+    for n in range(depth + 1):
+        low = min(vals[: n + 1])  # frozen past the last generator
+        rows.append(([low.numerator] * (1 << n), low.exponent + n))  # low / 2^n at every node
+    comp = Component.build(ONE, TableView(rows), tail=TailRule.uniform())
     return SemiMeasureStage((comp,), strict=vals[0] == ONE)
 
 

@@ -4,12 +4,15 @@ All numbers travel as exact ``m/2^n`` text literals; binary strings are 0/1
 text with the empty string for the root.  Component tables are row-major:
 one list per level, lexicographic within the level.  Emission is
 deterministic (sorted keys, fixed field order) so equal values serialize to
-identical bytes.
+identical bytes, those of ``json.dumps(obj, indent=2, sort_keys=True)``.
+Parsing reads each distinct literal text and tail rule of a document once.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import suppress
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping
 
 from .dyadic import Dyadic, parse_literal
@@ -33,18 +36,13 @@ def dyadic_to_text(d: Dyadic) -> str:
 
 
 def dyadic_from_text(text: Any) -> Dyadic:
-    if isinstance(text, Dyadic):
-        return text
-    return Dyadic(*_literal_ints(text))
+    return text if isinstance(text, Dyadic) else Dyadic(*parse_literal(text))
 
 
-def _literal_ints(text: Any) -> tuple[int, int]:
-    """``(m, n)`` of a literal ``m/2^n``, or of a Dyadic."""
-    if isinstance(text, Dyadic):
-        return text.numerator, text.exponent
-    if not isinstance(text, str):
-        raise ParseError(f"dyadic literals must be strings, got {type(text).__name__}")
-    return parse_literal(text)
+def _text(x: int, e: int) -> str:
+    """``str(Dyadic(x, e))``, written without building the Dyadic."""
+    shift = min(e, (x & -x).bit_length() - 1) if x else e
+    return f"{x >> shift}/2^{e - shift}"
 
 
 def _is_int(value: Any) -> bool:
@@ -71,21 +69,21 @@ def tail_from_json(obj: Any) -> TailRule:
         return TailRule.uniform()
     if kind == "geometric":
         try:
-            return TailRule.geometric(dyadic_from_text(obj["beta"]))
+            return TailRule.geometric(Dyadic(*parse_literal(obj["beta"])))
         except KeyError:
             raise ParseError("geometric tail needs a 'beta'") from None
         except ValueError as exc:
             raise ParseError(str(exc)) from None
     if kind == "split":
         try:
-            return TailRule.split(dyadic_from_text(obj["zero"]), dyadic_from_text(obj["one"]))
+            return TailRule.split(Dyadic(*parse_literal(obj["zero"])), Dyadic(*parse_literal(obj["one"])))
         except KeyError:
             raise ParseError("split tail needs 'zero' and 'one'") from None
     raise ParseError(f"unknown tail kind {kind!r}")
 
 
 def component_to_json(comp: Component) -> dict:
-    table = [[str(Dyadic(x, e)) for x in nums] for nums, e in comp.table.rows]
+    table = [[_text(x, e) for x in nums] for nums, e in comp.table.rows]
     rules = comp.tails.rules  # interned: one rule per distinct value
     out: dict[str, Any] = {
         "weight": str(comp.weight),
@@ -102,11 +100,24 @@ def component_to_json(comp: Component) -> dict:
     return out
 
 
+def _rule(obj: Any, rules: dict) -> TailRule:
+    """tail_from_json kept by raw fields: rules read only text, so equal fields read alike."""
+    try:
+        key = tuple(obj.items())
+        return rules.get(key) or rules.setdefault(key, tail_from_json(obj))
+    except (AttributeError, TypeError):  # not an object, or a field not hashable
+        return tail_from_json(obj)
+
+
 def component_from_json(obj: Any) -> Component:
+    return _component(obj, {}, {})
+
+
+def _component(obj: Any, literals: dict, rules: dict) -> Component:
     if not isinstance(obj, Mapping):
         raise ParseError("component must be an object")
     try:
-        weight = dyadic_from_text(obj["weight"])
+        weight = Dyadic(*parse_literal(obj["weight"]))
         rows = obj["table"]
     except KeyError as exc:
         raise ParseError(f"component missing field {exc}") from None
@@ -117,22 +128,24 @@ def component_from_json(obj: Any) -> Component:
         raise ParseError("component 'depth' must be an integer")
     if depth != len(rows) - 1:
         raise ParseError(f"component depth {depth} does not match {len(rows)} table rows")
-    levels = []
+    levels, read = [], literals.get
     for level, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 1 << level:
             raise ParseError(f"table row {level} must list {1 << level} values")
-        literals = [_literal_ints(text) for text in row]
-        e = max(n for _m, n in literals)
-        levels.append(([m << (e - n) for m, n in literals], e))
+        try:
+            lits = [read(t) or literals.setdefault(t, parse_literal(t)) for t in row]
+        except TypeError:  # a value that is not hashable: read in order to name the first bad one
+            lits = [parse_literal(t) for t in row]
+        e = max(n for _m, n in lits)
+        levels.append(([m << (e - n) for m, n in lits], e))
     table = TableView(levels)
-    tails = None
-    tail = None
+    tail = tails = None
     if "tails" in obj:
         if not isinstance(obj["tails"], Mapping):
             raise ParseError("'tails' must map frontier nodes to rules")
-        tails = {check_bits(str(k)): tail_from_json(v) for k, v in obj["tails"].items()}
+        tails = {check_bits(str(k)): _rule(v, rules) for k, v in obj["tails"].items()}
     if "tail" in obj:
-        tail = tail_from_json(obj["tail"])
+        tail = _rule(obj["tail"], rules)
     if tail is None and tails is None:
         raise ParseError("component needs a 'tail' or a 'tails' field")
     tilt = obj.get("tilt", 0)
@@ -160,7 +173,8 @@ def stage_from_json(obj: Any) -> SemiMeasureStage:
     strict = obj.get("strict", True)
     if not isinstance(strict, bool):
         raise ParseError("'strict' must be a boolean")
-    return SemiMeasureStage(tuple(component_from_json(c) for c in comps), strict=strict)
+    literals, rules = {}, {}  # one document's reads
+    return SemiMeasureStage(tuple(_component(c, literals, rules) for c in comps), strict=strict)
 
 
 def staged_from_json(obj: Any) -> LeftCeSemiMeasure:
@@ -182,7 +196,7 @@ def staged_from_json(obj: Any) -> LeftCeSemiMeasure:
         for i, row in enumerate(rows):
             if not isinstance(row, list) or not row:
                 raise ParseError(f"infimum row {i} must be a non-empty list of dyadic literals")
-        parsed = [[dyadic_from_text(v) for v in row] for row in rows]
+        parsed = [[Dyadic(*parse_literal(v)) for v in row] for row in rows]
         depth = obj.get("depth", len(rows) - 1)
         if not _is_int(depth) or depth < 0:
             raise ParseError("'depth' must be a non-negative integer")
@@ -204,15 +218,17 @@ def functional_from_json(obj: Any) -> MonotoneFunctional:
     stages = obj["stages"]
     if not isinstance(stages, list):
         raise ParseError("'stages' must be a list of pair lists")
-    events = []
     for t, pairs in enumerate(stages):
         if not isinstance(pairs, list):
             raise ParseError(f"stage {t} must be a list of [input, output] pairs")
-        for pair in pairs:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ParseError(f"stage {t}: each pair must be [input, output]")
-            events.append((t, *pair))
-    return MonotoneFunctional.from_events(events)
+        if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+            raise ParseError(f"stage {t}: each pair must be [input, output]")
+    strings = [x for pairs in stages for pair in pairs for x in pair]
+    with suppress(TypeError):  # each distinct string once, in order, when all are hashable
+        strings = dict.fromkeys(strings)
+    for x in strings:
+        check_bits(x)
+    return MonotoneFunctional.from_batches({t: set(map(tuple, pairs)) for t, pairs in enumerate(stages)})
 
 
 def test_to_json(test: MLTest) -> dict:
@@ -265,5 +281,23 @@ def level_statuses_to_json(statuses: tuple[LevelStatus, ...]) -> list[dict]:
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent, newline end."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline; keys must be strings."""
+    return _emit(obj, "\n") + "\n"
+
+
+def _emit(obj: Any, newline: str) -> str:
+    """``obj`` as JSON indented after ``newline``.  With indent set, ``json.dumps``
+    runs its pure-Python encoder; here lists of strings go through C quoting."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        body = [f"{_quote(k)}: {_emit(obj[k], inner)}" for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(body) + newline + "}" if body else "{}"
+    if isinstance(obj, (list, tuple)):
+        try:
+            body = list(map(_quote, obj))
+        except TypeError:  # not all strings
+            body = [_emit(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(body) + newline + "]" if body else "[]"
+    return json.dumps(obj)

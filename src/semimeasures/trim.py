@@ -170,7 +170,9 @@ def decode_atom(
     emitted.  If both children qualify at that first stage the certificate
     was wrong and AmbiguityError reports the node; if no child qualifies
     within ``max_stage`` stages BudgetExhaustedError reports the position.
-    Returns the ``bits`` emitted bits (seed excluded).
+    Returns the ``bits`` emitted bits (seed excluded).  Every stage must be
+    super-additive (:func:`validate`): each bit's scan starts at the stage that
+    decided the previous bit; before it the node was below q, so its children were.
     """
     check_bits(seed)
     if not ZERO < q:
@@ -179,11 +181,11 @@ def decode_atom(
         raise ValueError("bit budget must be non-negative")
     if max_stage < 0:
         raise ValueError("stage budget must be non-negative")
-    current = seed
+    current, start = seed, 0
     out: list[str] = []
     for _ in range(bits):
         emitted = None
-        for s in range(max_stage + 1):
+        for s in range(start, max_stage + 1):
             (low, high), e = rho.stage_at(s).values((current + "0", current + "1"))
             # low / 2**e >= q exactly when low * 2**q.exponent >= q.numerator * 2**e
             bar = q.numerator << e
@@ -195,7 +197,7 @@ def decode_atom(
                     stage=s,
                 )
             if low_hit or high_hit:
-                emitted = "0" if low_hit else "1"
+                emitted, start = "0" if low_hit else "1", s
                 break
         if emitted is None:
             raise BudgetExhaustedError(

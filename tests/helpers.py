@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from semimeasures import (
+    AmbiguityError,
+    BudgetExhaustedError,
     CertificateError,
     Component,
     ConsistencyReport,
@@ -25,21 +27,26 @@ from semimeasures import (
     MLTest,
     MonotoneFunctional,
     ONE,
+    ParseError,
     PreconditionError,
     SemiMeasureStage,
     TailRule,
     ValidationReport,
     ZERO,
     all_strings,
+    dyadic_from_text,
     derived_measure,
     leading_ones,
     lebesgue_of_set,
     preimage_buckets,
     prefix_free_normalize,
     strings_up_to,
+    tail_from_json,
     uniform_measure,
 )
-from semimeasures.strings import canon, comparable
+from semimeasures.dyadic import parse_literal
+from semimeasures.semimeasure import TableView, _as_generator
+from semimeasures.strings import canon, check_bits, comparable
 
 Pair = tuple[str, str]
 
@@ -649,3 +656,125 @@ def reference_universal_functional(family: Sequence[PairsFn]) -> PairsFn:
         return frozenset(pairs)
 
     return fn
+
+
+# -- document boundary and atom decoding: the straightforward paths ---------
+#
+# One Dyadic per literal, one tail rule read per frontier node, events
+# checked string by string, one row per key while flattening, and a stage
+# scan from 0 for every bit.  The package's paths read each distinct
+# literal and rule once, build integer rows and stage batches directly,
+# and resume each scan at the deciding stage; they must give equal objects,
+# equal text and the same errors.
+
+
+def reference_component_from_json(obj: Any) -> Component:
+    if not isinstance(obj, Mapping):
+        raise ParseError("component must be an object")
+    try:
+        weight = dyadic_from_text(obj["weight"])
+        rows = obj["table"]
+    except KeyError as exc:
+        raise ParseError(f"component missing field {exc}") from None
+    if not isinstance(rows, list) or not rows:
+        raise ParseError("component table must be a non-empty list of rows")
+    depth = obj.get("depth", len(rows) - 1)
+    if not isinstance(depth, int) or isinstance(depth, bool):
+        raise ParseError("component 'depth' must be an integer")
+    if depth != len(rows) - 1:
+        raise ParseError(f"component depth {depth} does not match {len(rows)} table rows")
+    table = {}
+    for level, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != 1 << level:
+            raise ParseError(f"table row {level} must list {1 << level} values")
+        for node, text in zip(all_strings(level), row):
+            table[node] = Dyadic(*parse_literal(text))
+    tails = None
+    tail = None
+    if "tails" in obj:
+        if not isinstance(obj["tails"], Mapping):
+            raise ParseError("'tails' must map frontier nodes to rules")
+        tails = {check_bits(str(k)): tail_from_json(v) for k, v in obj["tails"].items()}
+    if "tail" in obj:
+        tail = tail_from_json(obj["tail"])
+    if tail is None and tails is None:
+        raise ParseError("component needs a 'tail' or a 'tails' field")
+    tilt = obj.get("tilt", 0)
+    if not isinstance(tilt, int) or isinstance(tilt, bool) or tilt < 0:
+        raise ParseError("'tilt' must be a non-negative integer")
+    try:
+        return Component.build(weight, TableView.of(table), tail=tail, tails=tails, tilt=tilt)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def reference_functional_from_json(obj: Any) -> MonotoneFunctional:
+    if isinstance(obj, Mapping) and obj.get("kind") == "identity":
+        return MonotoneFunctional.identity()
+    if not isinstance(obj, Mapping) or "stages" not in obj:
+        raise ParseError("functional must be an object with 'stages'")
+    stages = obj["stages"]
+    if not isinstance(stages, list):
+        raise ParseError("'stages' must be a list of pair lists")
+    events = []
+    for t, pairs in enumerate(stages):
+        if not isinstance(pairs, list):
+            raise ParseError(f"stage {t} must be a list of [input, output] pairs")
+        for pair in pairs:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ParseError(f"stage {t}: each pair must be [input, output]")
+            events.append((t, *pair))
+    return MonotoneFunctional.from_events(events)
+
+
+def reference_from_infimum_sequence(rows: Sequence, stage: int, depth: int) -> SemiMeasureStage:
+    """sigma -> 2^-|sigma| * min_{i <= |sigma|} r_i(stage), one Dyadic product per node."""
+    if not rows:
+        raise ValueError("at least one generator row is required")
+    vals = []
+    for i, g in enumerate(_as_generator(r) for r in rows):
+        v = g(stage)
+        if not isinstance(v, Dyadic) or v > ONE:
+            raise ValueError(f"generator {i} must yield dyadics in [0, 1], got {v}")
+        vals.append(v)
+    table = {s: Dyadic.pow2(-len(s)) * min(vals[: len(s) + 1]) for s in strings_up_to(depth)}
+    comp = Component.build(ONE, table, tail=TailRule.uniform())
+    return SemiMeasureStage((comp,), strict=vals[0] == ONE)
+
+
+def reference_flatten(prefix: str, obj: Any, rows: list[tuple[str, str]]) -> None:
+    """Key/value rows of the CSV form, one recursive call per value."""
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            reference_flatten(f"{prefix}.{key}" if prefix else str(key), obj[key], rows)
+    elif isinstance(obj, list):
+        for idx, item in enumerate(obj):
+            reference_flatten(f"{prefix}[{idx}]", item, rows)
+    else:
+        rows.append((prefix, "" if obj is None else str(obj)))
+
+
+def reference_decode_atom(
+    rho: LeftCeSemiMeasure, q: Dyadic, seed: str, bits: int, max_stage: int = 256
+) -> str:
+    """decode_atom with every bit's stage scan starting at stage 0."""
+    current = seed
+    for _ in range(bits):
+        emitted = None
+        for s in range(max_stage + 1):
+            low, high = (rho.stage_at(s).value(current + b) for b in "01")
+            if low >= q and high >= q:
+                raise AmbiguityError(
+                    f"both children of {current!r} reached {q} at stage {s}", node=current, stage=s
+                )
+            if low >= q or high >= q:
+                emitted = "0" if low >= q else "1"
+                break
+        if emitted is None:
+            raise BudgetExhaustedError(
+                f"no child of {current!r} reached {q} within {max_stage} stages",
+                position=len(current),
+                max_stage=max_stage,
+            )
+        current += emitted
+    return current[len(seed):]

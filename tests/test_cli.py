@@ -8,8 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
+import csv
+import io
 
+import pytest
+from hypothesis import given, strategies as st
+
+from helpers import reference_flatten
 from semimeasures import (
     Dyadic,
     MonotoneFunctional,
@@ -534,3 +539,34 @@ class TestOneProcess:
             assert main(argv) == codes[f"{name}.json"]
             assert capsys.readouterr().out == (golden / "expected" / f"{name}.json").read_text(encoding="utf-8")
         assert cli.build_parser.cache_info().misses == 1
+
+
+# ---------------------------------------------------------------------------
+# CSV key/value rows against the one-call-per-value reference
+# ---------------------------------------------------------------------------
+
+keys = st.text(st.sampled_from("ab.[]0,\" é"), max_size=4)
+payload_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | keys,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(keys, kids, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestFlatten:
+    @given(payload_values)
+    def test_rows_of_the_reference(self, value):
+        rows, expected = [], []
+        cli._flatten("", value, rows)
+        reference_flatten("", value, expected)
+        assert rows == expected
+
+    @given(st.dictionaries(keys.filter(lambda k: k != "header"), payload_values, max_size=4))
+    def test_csv_rendering_of_the_reference(self, payload):
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["key", "value"])
+        rows: list[tuple[str, str]] = []
+        reference_flatten("", payload, rows)
+        writer.writerows(rows)
+        assert cli._render(payload, "csv") == out.getvalue()

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import random_stage
+from helpers import (
+    random_stage,
+    reference_component_from_json,
+    reference_from_infimum_sequence,
+    reference_functional_from_json,
+)
 from semimeasures import (
     HALF,
     ONE,
@@ -19,12 +25,14 @@ from semimeasures import (
     ParseError,
     TailRule,
     TrimResult,
+    all_strings,
     component_from_json,
     component_to_json,
     derived_measure,
     dumps,
     dyadic_from_text,
     dyadic_to_text,
+    from_infimum_sequence,
     functional_from_json,
     functional_to_json,
     pad_with_identity,
@@ -43,6 +51,7 @@ from semimeasures import (
     uniform_measure,
     universal_functional,
 )
+from semimeasures.serialize import _text
 
 QUARTER = Dyadic(1, 2)
 
@@ -359,3 +368,208 @@ class TestDumps:
         first = dumps(stage_to_json(stage))
         again = stage_from_json(stage_to_json(stage))
         assert dumps(stage_to_json(again)) == first
+
+
+# -- emission: the indented-JSON emitter and the row text --------------------
+
+texts = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7f é漢😀') | st.characters(), max_size=6)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | texts,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(texts, kids, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestEmitter:
+    @given(json_values)
+    def test_bytes_of_the_stdlib_encoder(self, value):
+        assert dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "value", [[], {}, [[]], {"a": {}}, [{}, []], ["a", 1], [1, "a"], ['"\\\x01é'], {"": [None, True]}]
+    )
+    def test_empty_containers_and_mixed_lists(self, value):
+        assert dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    @given(st.integers(0, 2**70), st.integers(0, 70))
+    def test_row_text_is_the_canonical_literal(self, x, e):
+        assert _text(x, e) == str(Dyadic(x, e))
+
+    @pytest.mark.parametrize("x, e", [(0, 0), (0, 5), (6, 0), (1, 0), (8, 3), (12, 3), (16, 3), (5, 2)])
+    def test_row_text_edges(self, x, e):
+        assert _text(x, e) == str(Dyadic(x, e))
+
+
+# -- parsing: each distinct literal and rule read once, same objects ---------
+
+
+def outcome(parse, doc):
+    """The parsed value, or the ParseError message it raised."""
+    try:
+        return parse(doc)
+    except ParseError as exc:
+        return ("ParseError", str(exc))
+
+
+def reference_stage(doc):
+    return tuple(reference_component_from_json(c) for c in doc["components"])
+
+
+def new_stage(doc):
+    return stage_from_json(doc).components
+
+
+def respelled(rng: random.Random, text: str) -> str:
+    """An equal literal in another spelling: shifted, bare, or padded."""
+    m, _, n = text.partition("/2^")
+    m, n = int(m), int(n or 0)
+    k = rng.choice([0, 0, 1, 3])
+    spelled = f"{m << k}/2^{n + k}" if n + k or rng.random() < 0.5 else str(m)
+    return rng.choice(["", " "]) + spelled + rng.choice(["", " "])
+
+
+def rule_variant(rng: random.Random, rule: dict) -> dict:
+    """The same rule with its fields in another order, maybe an extra one."""
+    items = list(rule.items())
+    rng.shuffle(items)
+    if rng.random() < 0.3:
+        items.append(("note", "ignored"))
+    return dict(items)
+
+
+def random_stage_doc(rng: random.Random) -> dict:
+    """A stage document with per-node tails maps, tilts, and repeated and
+    respelled literals."""
+    doc = stage_to_json(random_stage(rng, depth=rng.randint(0, 3), tilt_allowed=True))
+    for comp in doc["components"]:
+        comp["table"] = [[respelled(rng, t) if rng.random() < 0.3 else t for t in row] for row in comp["table"]]
+        if "tail" in comp and rng.random() < 0.5:
+            rule = comp.pop("tail")
+            comp["tails"] = {node: dict(rule) for node in all_strings(comp["depth"])}
+        if "tails" in comp:
+            comp["tails"] = {node: rule_variant(rng, r) for node, r in comp["tails"].items()}
+    return doc
+
+
+class TestParseEquivalence:
+    @given(st.integers(0, 2**32 - 1))
+    def test_components_equal_the_reference(self, seed):
+        doc = random_stage_doc(random.Random(seed))
+        assert new_stage(doc) == reference_stage(doc)
+        for comp in doc["components"]:
+            assert component_from_json(comp) == reference_component_from_json(comp)
+
+    @given(st.lists(st.lists(st.tuples(st.text("01", max_size=4), st.text("01", max_size=4)), max_size=4), max_size=5))
+    def test_functionals_equal_the_reference(self, stages):
+        doc = {"stages": [[list(p) for p in pairs] for pairs in stages]}
+        phi, ref = functional_from_json(doc), reference_functional_from_json(doc)
+        assert phi.last == ref.last
+        assert phi.events == ref.events
+        for t in range(len(stages) + 2):
+            assert set(phi.batch(t)) == set(ref.batch(t))
+            assert phi.pairs_at(t) == ref.pairs_at(t)
+
+    @given(st.lists(st.lists(st.integers(0, 16).map(lambda k: Dyadic(k, 4)), min_size=1, max_size=4), min_size=1, max_size=5),
+           st.integers(0, 5))
+    def test_infimum_stages_equal_the_reference(self, rows, depth):
+        doc = {"kind": "infimum", "rows": [[str(v) for v in row] for row in rows], "depth": depth}
+        rho = staged_from_json(doc)
+        for s in range(5):
+            assert rho.stage_at(s) == reference_from_infimum_sequence(rows, s, depth)
+            assert from_infimum_sequence(rows, s, depth) == reference_from_infimum_sequence(rows, s, depth)
+
+
+BAD_LITERALS = ["1/3", "-1/2^1", "0.5", "1/2^-1", "", 1, 0, None, 0.5, True, ["1/2^1"], {"m": 1}]
+
+
+class TestParseErrors:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(BAD_LITERALS))
+    def test_a_bad_literal_anywhere_in_a_row(self, seed, bad):
+        rng = random.Random(seed)
+        doc = random_stage_doc(rng)
+        comp = rng.choice(doc["components"])
+        row = rng.choice(comp["table"])
+        row[rng.randrange(len(row))] = bad
+        assert outcome(new_stage, doc) == outcome(reference_stage, doc)
+        assert outcome(new_stage, doc)[0] == "ParseError"
+
+    @pytest.mark.parametrize("bad", [1, True, ["1/2^1"], " 1/2^1 x", "1/2^1/2^1"])
+    def test_a_bad_twin_of_a_literal_read_before(self, bad):
+        # "1/2^1" reads fine first; its bad twin later in the document must still fail
+        good = {"weight": "1/2^1", "table": [["1/2^0"], ["1/2^1", "1/2^1"]], "tail": {"kind": "uniform"}}
+        twin = {"weight": "1/2^1", "table": [["1/2^0"], ["1/2^1", bad]], "tail": {"kind": "uniform"}}
+        doc = {"components": [good, twin]}
+        assert outcome(new_stage, doc) == outcome(reference_stage, doc)
+        assert outcome(new_stage, doc)[0] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            {"kind": "geometric"},
+            {"kind": "geometric", "beta": 1},
+            {"kind": "geometric", "beta": ["1/2^2"]},
+            {"kind": "geometric", "beta": "3/2^2"},
+            {"kind": "split", "zero": "1/2^1"},
+            {"kind": "split", "one": "1/2^1"},
+            {"kind": "split", "zero": "1/2^1", "one": "x"},
+            {"zero": "1/2^1", "one": "1/2^1"},
+            {"kind": "spiral"},
+            {"kind": ["uniform"]},
+            "uniform",
+            ["kind", "uniform"],
+        ],
+    )
+    def test_a_bad_tail_rule_after_a_good_twin(self, rule):
+        good = {"kind": "split", "zero": "1/2^1", "one": "1/2^1"}
+        geometric = {"kind": "geometric", "beta": "1/2^2"}
+        comp = {"weight": "1/2^0", "table": [["1/2^0"], ["1/2^1", "1/2^1"]],
+                "tails": {"0": good, "1": geometric}}
+        doc = {"components": [comp, dict(comp, tails={"0": dict(good), "1": rule})]}
+        assert outcome(new_stage, doc) == outcome(reference_stage, doc)
+        assert outcome(new_stage, doc)[0] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            lambda c: c.update(weight=1),
+            lambda c: c.update(weight=["1/2^0"]),
+            lambda c: c.update(table=[["1/2^0"], "1/2^1"]),
+            lambda c: c.update(table=[["1/2^0"], ["1/2^1"]]),
+            lambda c: c.update(tails={"0": {"kind": "uniform"}}),
+            lambda c: c.update(tails={"0": {"kind": "uniform"}, "1": {"kind": "uniform"}, "2": {"kind": "uniform"}}),
+            lambda c: c.update(tails="uniform"),
+            lambda c: c.update(tail={"kind": "uniform"}),
+            lambda c: c.update(tilt=True),
+            lambda c: c.pop("weight"),
+        ],
+    )
+    def test_malformed_components(self, mutation):
+        comp = {"weight": "1/2^0", "table": [["1/2^0"], ["1/2^1", "1/2^1"]],
+                "tails": {"0": {"kind": "uniform"}, "1": {"kind": "vanish"}}}
+        mutation(comp)
+        assert outcome(component_from_json, comp) == outcome(reference_component_from_json, comp)
+        assert outcome(component_from_json, comp)[0] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "stages",
+        [
+            [[["0", "2"]]],
+            [[["3", "2"]]],
+            [[["x", "0"]], [["0", "y"], ["x", "0"]]],
+            [[["0", "1"]], [["01", "x"]]],
+            [[["0", 1]]],
+            [[["0", ["1"]]]],
+            [[["01", "0"]], [["01", None]]],
+            [[["0"]]],
+            [[["0", "1", "1"]]],
+            [[["0", "1"], "01"]],
+            [[["0", "2"]], [["0"]]],
+            ["nope"],
+            [[["0", "1"]], {"0": "1"}],
+            [[["2", "0"]], "nope"],
+        ],
+    )
+    def test_malformed_functionals(self, stages):
+        doc = {"stages": stages}
+        assert outcome(functional_from_json, doc) == outcome(reference_functional_from_json, doc)
+        assert outcome(functional_from_json, doc)[0] == "ParseError"

@@ -16,6 +16,7 @@ from helpers import (
     random_table,
     reference_lebesgue_like_check,
     reference_plain_level_sum,
+    reference_decode_atom,
     reference_trim,
 )
 from semimeasures import (
@@ -377,3 +378,68 @@ class TestDecodeAtom:
             decode_atom(rho, q=ZERO, seed="", bits=4)
         with pytest.raises(ValueError):
             decode_atom(rho, q=HALF, seed="", bits=-1)
+
+
+# ---------------------------------------------------------------------------
+# Atom decoding resumes at the deciding stage: same outcome as a scan from 0
+# ---------------------------------------------------------------------------
+
+
+def decode_outcome(decode, rho, q, seed, bits, max_stage):
+    try:
+        return decode(rho, q, seed, bits, max_stage=max_stage)
+    except AmbiguityError as exc:
+        return ("ambiguous", exc.node, exc.stage, str(exc))
+    except BudgetExhaustedError as exc:
+        return ("budget", exc.position, exc.max_stage, str(exc))
+
+
+def ramp(path: str, reveal: list[int]) -> LeftCeSemiMeasure:
+    """Stage s puts mass 1 on the first reveal[s] nodes below the root of
+    ``path`` (reveal frozen at its last entry) and on nothing else: the
+    values fall along the path, so every stage is super-additive, and the
+    node of length n reaches any q <= 1 at the first s with reveal[s] >= n."""
+
+    def stage_fn(s: int) -> SemiMeasureStage:
+        shown = path[: reveal[min(s, len(reveal) - 1)]]
+        table = {x: ONE if shown.startswith(x) else ZERO for x in strings_up_to(len(path))}
+        return table_semimeasure(table, tail=TailRule.vanish())
+
+    return LeftCeSemiMeasure(stage_fn)
+
+
+class TestDecodeResumes:
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_stages_match_the_linear_scan(self, seed):
+        rng = random.Random(seed)
+        stages = [random_stage(rng, depth=rng.randint(1, 3)) for _ in range(rng.randint(1, 6))]
+        rho = LeftCeSemiMeasure(lambda s: stages[min(s, len(stages) - 1)])
+        q = Dyadic(rng.randint(1, 16), 5)
+        start = "".join(rng.choice("01") for _ in range(rng.randint(0, 2)))
+        bits, budget = rng.randint(0, 5), rng.randint(0, 8)
+        assert decode_outcome(decode_atom, rho, q, start, bits, budget) == decode_outcome(
+            reference_decode_atom, rho, q, start, bits, budget
+        )
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_ramps_decide_bits_at_different_stages(self, seed):
+        rng = random.Random(seed)
+        path = "".join(rng.choice("01") for _ in range(rng.randint(1, 7)))
+        reveal = sorted(rng.randint(0, len(path)) for _ in range(rng.randint(1, 9)))
+        noise = random_stage(rng, depth=2)
+        plain = ramp(path, reveal)
+        noisy = LeftCeSemiMeasure(lambda s: mix_stages([plain.stage_at(s), noise], [HALF, HALF]))
+        q = Dyadic(rng.randint(1, 8), 3)
+        bits, budget = rng.randint(0, len(path) + 1), rng.randint(0, 12)
+        for rho in (plain, noisy):
+            assert decode_outcome(decode_atom, rho, q, "", bits, budget) == decode_outcome(
+                reference_decode_atom, rho, q, "", bits, budget
+            )
+
+    def test_a_ramp_emits_each_bit_at_its_own_stage(self):
+        rho = ramp("0110", [0, 1, 1, 2, 2, 2, 3, 4])
+        assert decode_outcome(decode_atom, rho, HALF, "", 4, 7) == "0110"
+        assert decode_outcome(decode_atom, rho, HALF, "", 4, 6) == decode_outcome(
+            reference_decode_atom, rho, HALF, "", 4, 6
+        )
+        assert decode_outcome(decode_atom, rho, HALF, "", 4, 6)[:3] == ("budget", 3, 6)
