@@ -844,11 +844,12 @@ def from_infimum_sequence(rows: Sequence, stage: int, depth: int) -> SemiMeasure
         if not isinstance(v, Dyadic) or v > ONE:
             raise ValueError(f"generator {i} must yield dyadics in [0, 1], got {v}")
         vals.append(v)
-    rows = []
+    levels, low = [], vals[0]
     for n in range(depth + 1):
-        low = min(vals[: n + 1])  # frozen past the last generator
-        rows.append(([low.numerator] * (1 << n), low.exponent + n))  # low / 2^n at every node
-    comp = Component.build(ONE, TableView(rows), tail=TailRule.uniform())
+        if n < len(vals):  # frozen past the last generator
+            low = min(low, vals[n])
+        levels.append(([low.numerator] * (1 << n), low.exponent + n))  # low / 2^n at every node
+    comp = Component.build(ONE, TableView(levels), tail=TailRule.uniform())
     return SemiMeasureStage((comp,), strict=vals[0] == ONE)
 
 

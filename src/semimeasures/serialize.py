@@ -11,7 +11,6 @@ Parsing reads each distinct literal text and tail rule of a document once.
 from __future__ import annotations
 
 import json
-from contextlib import suppress
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping
 
@@ -103,10 +102,10 @@ def component_to_json(comp: Component) -> dict:
 def _rule(obj: Any, rules: dict) -> TailRule:
     """tail_from_json kept by raw fields: rules read only text, so equal fields read alike."""
     try:
-        key = tuple(obj.items())
-        return rules.get(key) or rules.setdefault(key, tail_from_json(obj))
+        hit = rules.get(key := tuple(obj.items()))
     except (AttributeError, TypeError):  # not an object, or a field not hashable
         return tail_from_json(obj)
+    return hit or rules.setdefault(key, tail_from_json(obj))
 
 
 def component_from_json(obj: Any) -> Component:
@@ -223,10 +222,7 @@ def functional_from_json(obj: Any) -> MonotoneFunctional:
             raise ParseError(f"stage {t} must be a list of [input, output] pairs")
         if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
             raise ParseError(f"stage {t}: each pair must be [input, output]")
-    strings = [x for pairs in stages for pair in pairs for x in pair]
-    with suppress(TypeError):  # each distinct string once, in order, when all are hashable
-        strings = dict.fromkeys(strings)
-    for x in strings:
+    for x in [x for pairs in stages for pair in pairs for x in pair]:
         check_bits(x)
     return MonotoneFunctional.from_batches({t: set(map(tuple, pairs)) for t, pairs in enumerate(stages)})
 
@@ -281,7 +277,7 @@ def level_statuses_to_json(statuses: tuple[LevelStatus, ...]) -> list[dict]:
 
 
 def dumps(obj: Any) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline; keys must be strings."""
+    """``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline."""
     return _emit(obj, "\n") + "\n"
 
 
@@ -292,6 +288,8 @@ def _emit(obj: Any, newline: str) -> str:
         return _quote(obj)
     inner = newline + "  "
     if isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):  # json.dumps converts or refuses other keys
+            return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
         body = [f"{_quote(k)}: {_emit(obj[k], inner)}" for k in sorted(obj)]
         return "{" + inner + ("," + inner).join(body) + newline + "}" if body else "{}"
     if isinstance(obj, (list, tuple)):
@@ -301,3 +299,4 @@ def _emit(obj: Any, newline: str) -> str:
             body = [_emit(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(body) + newline + "]" if body else "[]"
     return json.dumps(obj)
+

@@ -373,9 +373,11 @@ class TestDumps:
 # -- emission: the indented-JSON emitter and the row text --------------------
 
 texts = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7f é漢😀') | st.characters(), max_size=6)
+key_types = (texts, st.integers(), st.floats(), st.booleans(), st.none())
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | texts,
-    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(texts, kids, max_size=4),
+    st.none() | st.booleans() | st.integers() | st.floats() | texts,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.one_of(*(st.dictionaries(k, kids, max_size=4) for k in key_types)),  # one key type per object
     max_leaves=24,
 )
 
@@ -386,10 +388,19 @@ class TestEmitter:
         assert dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize(
-        "value", [[], {}, [[]], {"a": {}}, [{}, []], ["a", 1], [1, "a"], ['"\\\x01é'], {"": [None, True]}]
+        "value",
+        [[], {}, [[]], {"a": {}}, [{}, []], ["a", 1], [1, "a"], ['"\\\x01é'], {"": [None, True]}]
+        + [{1: "a", 2.5: "b"}, {True: 1, False: 2}, {None: []}, [{-3: {0: "x"}}]],  # keys json converts
     )
     def test_empty_containers_and_mixed_lists(self, value):
         assert dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [{(1, 2): "a"}, {1: "a", "b": 2}, [{None: 1, 0: 2}]])
+    def test_keys_the_stdlib_refuses_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            dumps(value)
 
     @given(st.integers(0, 2**70), st.integers(0, 70))
     def test_row_text_is_the_canonical_literal(self, x, e):
