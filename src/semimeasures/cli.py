@@ -66,13 +66,17 @@ def _flatten(prefix: str, obj: Any, rows: list[tuple[str, str]]) -> None:
     if isinstance(obj, dict):
         for key in sorted(obj):
             _flatten(f"{prefix}.{key}" if prefix else str(key), obj[key], rows)
-    elif isinstance(obj, list) and any(isinstance(item, (dict, list)) for item in obj):
+    elif not isinstance(obj, list):
+        rows.append((prefix, "" if obj is None else str(obj)))
+    elif not any(isinstance(item, (dict, list)) for item in obj):  # scalars: one row each, no recursion
+        rows.extend((f"{prefix}[{idx}]", "" if item is None else str(item)) for idx, item in enumerate(obj))
+    elif all(isinstance(y, list) for y in obj) and not any(isinstance(x, (dict, list)) for y in obj for x in y):
+        # lists of scalars, such as a functional's pairs: one row per scalar, no call per list
+        rows.extend((f"{prefix}[{i}][{j}]", "" if x is None else str(x))
+                    for i, y in enumerate(obj) for j, x in enumerate(y))
+    else:
         for idx, item in enumerate(obj):
             _flatten(f"{prefix}[{idx}]", item, rows)
-    elif isinstance(obj, list):  # scalars only: one row each, no recursion
-        rows.extend((f"{prefix}[{idx}]", "" if item is None else str(item)) for idx, item in enumerate(obj))
-    else:
-        rows.append((prefix, "" if obj is None else str(obj)))
 
 
 def _render(payload: Any, fmt: str) -> str:

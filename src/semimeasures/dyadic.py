@@ -16,10 +16,10 @@ literals are accepted on input and rendered with exponent zero on output.
 from __future__ import annotations
 
 import re
+import sys
 from functools import total_ordering
-from typing import Iterable
 
-from .errors import ParseError
+from .errors import ParseError, PreconditionError
 
 _LITERAL = re.compile(r"\A(\d+)(?:/2\^(\d+))?\Z")
 
@@ -142,10 +142,21 @@ class Dyadic:
     # -- text ------------------------------------------------------------
 
     def __str__(self):
-        return f"{self.numerator}/2^{self.exponent}"
+        return _text(self.numerator, self.exponent)
 
     def __repr__(self):
         return f"Dyadic('{self}')"
+
+
+def _text(x: int, e: int) -> str:
+    """Canonical ``m/2^n`` text of x / 2**e, with no Dyadic built; PreconditionError
+    when the numerator passes the interpreter's int-to-text digit limit."""
+    shift = min(e, (x & -x).bit_length() - 1) if x else e
+    try:
+        return f"{x >> shift}/2^{e - shift}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise PreconditionError(f"an exact value's numerator has more than {limit} digits, too many to write") from None
 
 
 def parse_literal(text: str) -> tuple[int, int]:
@@ -162,14 +173,6 @@ def parse_literal(text: str) -> tuple[int, int]:
 ZERO = Dyadic(0)
 ONE = Dyadic(1)
 HALF = Dyadic(1, 1)
-
-
-def dyadic_sum(values: Iterable[Dyadic]) -> Dyadic:
-    """Exact sum built as one Dyadic: every numerator is shifted onto the
-    largest exponent and the integers are added."""
-    items = list(values)
-    e = max((v.exponent for v in items), default=0)
-    return Dyadic(sum(v.numerator << (e - v.exponent) for v in items), e)
 
 
 def expansion_bits(value: Dyadic, n: int) -> str:

@@ -39,8 +39,11 @@ components (and, below a frontier, rows built per tail rule).  Point
 evaluation has the same form: :meth:`SemiMeasureStage.values` returns the
 values of any list of strings as ``int`` numerators over one power of two,
 and ``value``, ``set_mass``, the certificates of :mod:`mltest` and atom
-decoding all read it.  ``Dyadic`` values are built only for what a sweep
-or a point read returns.
+decoding all read it.  Level sums and trims are integers too:
+``Component.level_sum`` is ``(numerator, e)``, each tail rule keeping
+((zero + one) in lowest terms)**levels of its frontier mass, and
+``level_mass`` folds the weights once.  ``Dyadic`` values are built only for
+what a sweep, a point read or a level mass returns.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from functools import reduce
 from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .dyadic import Dyadic, HALF, ONE, ZERO, dyadic_sum
+from .dyadic import Dyadic, HALF, ONE, ZERO
 from .errors import PreconditionError
 from .strings import (
     EPSILON,
@@ -125,16 +128,6 @@ class TailRule:
         for _ in range(levels):
             row = [x * f for x in row for f in (z, o)]
         return row, e * levels
-
-    def kept(self, levels: int | None) -> Dyadic:
-        """Fraction of a node's mass left ``levels`` levels below it.
-
-        ``None`` is the limit: total**k tends to 1 when the rule conserves
-        mass and to 0 otherwise, since total <= 1.
-        """
-        if levels is None:
-            return ONE if self.conserving else ZERO
-        return self.total**levels
 
     @property
     def kind(self) -> str:
@@ -239,11 +232,13 @@ class TailsView(Mapping[str, TailRule]):
     in order of first use and ``index[k]`` is the rule of the k-th frontier
     node in lex order, so equal maps have equal fields."""
 
-    __slots__ = ("depth", "rules", "index", "aligned")
+    __slots__ = ("depth", "rules", "index", "aligned", "totals")
 
     def __init__(self, depth: int, rules: tuple[TailRule, ...], index: list[int]):
         self.depth, self.rules, self.index = depth, rules, index
         self.aligned = tuple(rule.aligned for rule in rules)
+        # (t, x): zero + one = t / 2**x in lowest terms, (1, 0) exactly when the rule conserves mass
+        self.totals = tuple((t, x) for (t,), x in (_canonical([z + o], e) for z, o, e in self.aligned))
 
     @classmethod
     def single(cls, rule: TailRule, depth: int) -> "TailsView":
@@ -372,25 +367,31 @@ class Component:
         e = max(exps, default=0)
         return [m << (e - x) for m, x in zip(nums, exps)], e
 
-    def _plain_level_sum(self, sigma: str, n: int | None) -> Dyadic:
-        # sum of untilted values over all length-n extensions of sigma;
+    def _plain_level_sum(self, sigma: str, n: int | None) -> tuple[int, int]:
+        # sum of untilted values over all length-n extensions of sigma, as (numerator, e);
         # n = None takes the limit n -> infinity, the trimmed mass of sigma
-        depth = self.depth
+        depth, rows, index, totals = self.depth, self.table.rows, self.tails.index, self.tails.totals
         if n is not None and n <= depth:
-            nums, e = self.table.rows[n]
+            nums, e = rows[n]
             lo = _lex(sigma) << (n - len(sigma))
-            return Dyadic(sum(nums[lo : lo + (1 << (n - len(sigma)))]), e)
-        levels = None if n is None else n - max(len(sigma), depth)
+            return sum(nums[lo : lo + (1 << (n - len(sigma)))]), e
         if len(sigma) >= depth:
             (num,), e = self._values((sigma,), [_lex(sigma)], tilted=False)
-            return Dyadic(num, e) * self.tails[sigma[:depth]].kept(levels)
-        # frontier values summed per tail rule, so each rule's factor is taken once
-        nums, e = self.table.rows[depth]
-        lo = _lex(sigma) << (depth - len(sigma))
-        sums = [0] * len(self.tails.rules)
-        for k in range(lo, lo + (1 << (depth - len(sigma)))):
-            sums[self.tails.index[k]] += nums[k]
-        return dyadic_sum(rule.kept(levels) * Dyadic(x, e) for rule, x in zip(self.tails.rules, sums))
+            terms = [(num, totals[index[_lex(sigma) >> (len(sigma) - depth)]])]
+        else:  # frontier values summed per tail rule, so each rule's factor is taken once
+            nums, e = rows[depth]
+            lo, hi = _lex(sigma) << (depth - len(sigma)), (_lex(sigma) + 1) << (depth - len(sigma))
+            sums = [0] * len(totals)
+            for i, x in zip(index[lo:hi], nums[lo:hi]):
+                sums[i] += x
+            terms = [(x, total) for x, total in zip(sums, totals) if x]
+        if n is None:  # total**k tends to 1 for a conserving rule and to 0 for any other
+            return sum(x for x, total in terms if total == (1, 0)), e
+        # a rule keeps total**levels of a node's mass levels below it
+        levels = n - max(len(sigma), depth)
+        kept = [(x * t**levels, y * levels) for x, (t, y) in terms]
+        top = max((y for _x, y in kept), default=0)
+        return sum(x << (top - y) for x, y in kept), e + top
 
     def _row(self, n: int, limit: bool = False) -> Row:
         # values (tilt included, weight not) of all length-n strings in lex
@@ -407,9 +408,7 @@ class Component:
                 [p << (pe - x) for p in pattern] if not limit or rule.conserving else [0] * len(pattern)
                 for rule, (pattern, x) in zip(self.tails.rules, patterns)
             ]
-            row = []
-            for num, i in zip(fnums, self.tails.index):
-                row.extend([num * p for p in blocks[i]])
+            row = [num * p for num, i in zip(fnums, self.tails.index) for p in blocks[i]]
             e = fe + pe
         if self.tilt and n:
             # the strings with j leading ones form one slice; scaled by
@@ -424,10 +423,11 @@ class Component:
             row, e = shifted, e + self.tilt * n
         return row, e
 
-    def level_sum(self, sigma: str, n: int | None) -> Dyadic:
-        """Sum of values over all extensions of sigma at length exactly n;
-        n = None is the limit n -> infinity, the trimmed mass of sigma,
-        which tilted components do not have in closed form."""
+    def level_sum(self, sigma: str, n: int | None) -> tuple[int, int]:
+        """Sum of values over all extensions of sigma at length exactly n, as
+        ``(numerator, e)`` with the sum ``numerator / 2**e``; n = None is the
+        limit n -> infinity, the trimmed mass of sigma, which tilted
+        components do not have in closed form."""
         if n is None:
             if self.tilt:
                 raise ValueError("no closed-form trim for tilted components")
@@ -435,9 +435,12 @@ class Component:
             raise ValueError("level must not be above the string")
         elif self.tilt and n > len(sigma) and "0" not in sigma:
             # sigma lies on the 1-spine: split off the spine step by step
-            return self.level_sum(sigma + "0", n) + self.level_sum(sigma + "1", n)
+            (a, ea), (b, eb) = self.level_sum(sigma + "0", n), self.level_sum(sigma + "1", n)
+            e = max(ea, eb)
+            return (a << (e - ea)) + (b << (e - eb)), e
         # the all-ones prefix of every extension is that of sigma
-        return Dyadic.pow2(-self.tilt * leading_ones(sigma)) * self._plain_level_sum(sigma, n)
+        num, e = self._plain_level_sum(sigma, n)
+        return num, e + self.tilt * leading_ones(sigma)
 
 
 @dataclass(frozen=True)
@@ -475,7 +478,13 @@ class SemiMeasureStage:
         the trimmed mass: conserving frontier subtrees keep their mass and
         every other subtree trims to zero.  Tilted components have no
         closed-form limit."""
-        return dyadic_sum(comp.weight * comp.level_sum(sigma, n) for comp in self.components)
+        return Dyadic(*self._level_mass(sigma, n))
+
+    def _level_mass(self, sigma: str, n: int | None) -> tuple[int, int]:
+        # level_mass as (numerator, e): the component sums weighted over one power of two
+        sums = [(comp.level_sum(sigma, n), comp.weight) for comp in self.components]
+        e = max((x + w.exponent for (_num, x), w in sums), default=0)
+        return sum((num * w.numerator) << (e - x - w.exponent) for (num, x), w in sums), e
 
     def level_row(self, n: int, limit: bool = False) -> Row:
         """Values of all length-n strings in lex order, as ``(numerators, e)``

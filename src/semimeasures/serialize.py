@@ -14,7 +14,7 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping
 
-from .dyadic import Dyadic, parse_literal
+from .dyadic import Dyadic, _text, parse_literal
 from .errors import ParseError
 from .functional import MonotoneFunctional
 from .mltest import LevelStatus, MLTest
@@ -36,12 +36,6 @@ def dyadic_to_text(d: Dyadic) -> str:
 
 def dyadic_from_text(text: Any) -> Dyadic:
     return text if isinstance(text, Dyadic) else Dyadic(*parse_literal(text))
-
-
-def _text(x: int, e: int) -> str:
-    """``str(Dyadic(x, e))``, written without building the Dyadic."""
-    shift = min(e, (x & -x).bit_length() - 1) if x else e
-    return f"{x >> shift}/2^{e - shift}"
 
 
 def _is_int(value: Any) -> bool:
@@ -293,8 +287,12 @@ def _emit(obj: Any, newline: str) -> str:
         body = [f"{_quote(k)}: {_emit(obj[k], inner)}" for k in sorted(obj)]
         return "{" + inner + ("," + inner).join(body) + newline + "}" if body else "{}"
     if isinstance(obj, (list, tuple)):
+        sep = "," + inner + "  "  # between the items of an inner list
         try:
-            body = list(map(_quote, obj))
+            if all(isinstance(x, (list, tuple)) for x in obj):  # lists of strings: one join each
+                body = ["[" + sep[1:] + sep.join(map(_quote, x)) + inner + "]" if x else "[]" for x in obj]
+            else:
+                body = list(map(_quote, obj))
         except TypeError:  # not all strings
             body = [_emit(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(body) + newline + "]" if body else "[]"

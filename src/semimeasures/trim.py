@@ -8,7 +8,8 @@ iff its tail rule conserves mass (zero + one == 1), all other subtrees trim
 to nothing, and mixtures trim summand by summand because the level sums
 converge monotonically.  Tilted components fall outside the closed family
 (their limit is not dyadic in general), so they only get certified upper
-bounds.
+bounds.  Level sums and trims are taken on integer ``(numerator, e)`` pairs,
+and one ``Dyadic`` is built per value returned.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ def derived_measure(stage: SemiMeasureStage, sigma: str, probe_depth: int | None
     check_bits(sigma)
     settled = max(len(sigma), stage.max_depth)
     if all(c.tilt == 0 for c in stage.components):
-        total = stage.level_mass(sigma, None)
-        if total > partial_trim(stage, sigma, settled):
+        (t, te), (v, ve) = stage._level_mass(sigma, None), stage._level_mass(sigma, settled)
+        if t << ve > v << te:
             raise AssertionError("closed-form trim exceeded a level sum")  # pragma: no cover
-        return TrimResult(value=total, depth=settled, stabilized=True)
+        return TrimResult(value=Dyadic(t, te), depth=settled, stabilized=True)
     depth = probe_depth if probe_depth is not None else len(sigma) + 16
     depth = max(depth, len(sigma))
     return TrimResult(value=partial_trim(stage, sigma, depth), depth=depth, stabilized=False)
@@ -81,19 +82,13 @@ def open_set_derived(stage: SemiMeasureStage, members: Iterable[str], m_max: int
         raise PreconditionError("the open set must be given as a prefix-free antichain")
     masses = []
     for m in range(m_max + 1):
-        total = ZERO
-        for s in items:
-            total = total + stage.level_mass(s, len(s) + m)
-        masses.append(total)
-    value = ZERO
-    depth = 0
-    stabilized = True
-    for s in items:
-        r = derived_measure(stage, s)
-        value = value + r.value
-        depth = max(depth, r.depth)
-        stabilized = stabilized and r.stabilized
-    return OpenSetTrim(masses=tuple(masses), limit=TrimResult(value, depth, stabilized))
+        terms = [stage._level_mass(s, len(s) + m) for s in items]
+        e = max((x for _num, x in terms), default=0)
+        masses.append(Dyadic(sum(num << (e - x) for num, x in terms), e))
+    limits = [derived_measure(stage, s) for s in items]
+    value = sum((r.value for r in limits), ZERO)
+    limit = TrimResult(value, max((r.depth for r in limits), default=0), all(r.stabilized for r in limits))
+    return OpenSetTrim(masses=tuple(masses), limit=limit)
 
 
 @dataclass(frozen=True)

@@ -337,25 +337,34 @@ def reference_trim(comp: Component, sigma: str) -> Fraction:
     return sum((as_fraction(comp.table[f]) for f in frontier if comp.tails[f].conserving), Fraction(0))
 
 
-def reference_plain_level_sum(comp: Component, sigma: str, n: int | None) -> Dyadic:
+def reference_kept(rule: TailRule, levels: int | None) -> Fraction:
+    """Fraction of a node's mass left ``levels`` levels below it, (zero + one)**levels;
+    None is the limit, 1 for a conserving rule and 0 for any other."""
+    total = as_fraction(rule.zero) + as_fraction(rule.one)
+    if levels is None:
+        return Fraction(int(total == 1))
+    return total**levels
+
+
+def reference_plain_level_sum(comp: Component, sigma: str, n: int | None) -> Fraction:
     """Untilted level sum (n = None: the trim limit) added up one table or
     frontier node at a time, each frontier node times its own kept factor."""
     if n is not None and n <= comp.depth:
         total = ZERO
         for tail in all_strings(n - len(sigma)):
             total = total + comp.table[sigma + tail]
-        return total
+        return as_fraction(total)
     levels = None if n is None else n - max(len(sigma), comp.depth)
     if len(sigma) >= comp.depth:
         rule = comp.tails[sigma[: comp.depth]]
         v = comp.table[sigma[: comp.depth]]
         for bit in sigma[comp.depth :]:
             v = v * rule.factor(bit)
-        return v * rule.kept(levels)
-    total = ZERO
+        return as_fraction(v) * reference_kept(rule, levels)
+    total = Fraction(0)
     for tail in all_strings(comp.depth - len(sigma)):
         frontier = sigma + tail
-        total = total + comp.table[frontier] * comp.tails[frontier].kept(levels)
+        total += as_fraction(comp.table[frontier]) * reference_kept(comp.tails[frontier], levels)
     return total
 
 

@@ -178,6 +178,22 @@ class TestTrim:
         assert captured.out == ""
         assert captured.err == f"parse error: {message}\n"
 
+    @pytest.mark.parametrize("out", [False, True])
+    def test_values_too_long_to_write_exit_4(self, tmp_path, capsys, out):
+        """Exact level masses whose numerators pass the interpreter's
+        int-to-text digit limit: a precondition failure, nothing written."""
+        comp = {"weight": "1", "table": [["1"]], "tail": {"kind": "split", "zero": "1/2^1", "one": "1048575/2^21"}}
+        path = write_json(tmp_path, "long.json", {"components": [comp]})
+        target = tmp_path / "out.json"
+        argv = ["trim", path, "--depth", "1000"] + (["--out", str(target)] if out else [])
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and not target.exists()
+        limit = sys.get_int_max_str_digits()
+        assert captured.err == (
+            f"precondition failed: an exact value's numerator has more than {limit} digits, too many to write\n"
+        )
+
 
 # ---------------------------------------------------------------------------
 # induce / invert
@@ -552,6 +568,9 @@ payload_values = st.recursive(
     max_leaves=24,
 )
 
+scalars = st.none() | st.booleans() | st.integers() | keys | st.tuples(keys, st.integers())
+scalar_lists = st.lists(scalars, max_size=3)
+
 
 class TestFlatten:
     @given(payload_values)
@@ -560,6 +579,16 @@ class TestFlatten:
         cli._flatten("", value, rows)
         reference_flatten("", value, expected)
         assert rows == expected
+
+    @given(st.lists(scalar_lists | st.dictionaries(keys, scalars, max_size=2) | scalars, max_size=5))
+    def test_lists_of_scalar_lists(self, value):
+        """Lists of scalar lists take one pass; lists that also hold dicts or
+        scalars fall back to the call per item."""
+        for payload in (value, [v for v in value if isinstance(v, list)]):
+            rows, expected = [], []
+            cli._flatten("p", payload, rows)
+            reference_flatten("p", payload, expected)
+            assert rows == expected
 
     @given(st.dictionaries(keys.filter(lambda k: k != "header"), payload_values, max_size=4))
     def test_csv_rendering_of_the_reference(self, payload):

@@ -381,15 +381,26 @@ json_values = st.recursive(
     max_leaves=24,
 )
 
+scalars = st.none() | st.booleans() | st.integers() | texts
+inner_lists = st.lists(texts, max_size=3) | st.tuples(texts, texts) | st.lists(scalars, max_size=3)
+
 
 class TestEmitter:
     @given(json_values)
     def test_bytes_of_the_stdlib_encoder(self, value):
         assert dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
+    @given(st.lists(inner_lists | st.dictionaries(texts, scalars, max_size=2) | scalars, max_size=5))
+    def test_lists_of_lists(self, value):
+        """Lists of string lists take one join per inner list; lists of other
+        lists, and lists that also hold dicts or scalars, fall back."""
+        for obj in (value, [v for v in value if isinstance(v, (list, tuple))], {"k": value}):
+            assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
     @pytest.mark.parametrize(
         "value",
         [[], {}, [[]], {"a": {}}, [{}, []], ["a", 1], [1, "a"], ['"\\\x01é'], {"": [None, True]}]
+        + [["ab", ["c"]], [("a", "b"), [], ["c"]], [["a"], {"b": "c"}], [["a"], ["b", 1]]]  # lists of lists
         + [{1: "a", 2.5: "b"}, {True: 1, False: 2}, {None: []}, [{-3: {0: "x"}}]],  # keys json converts
     )
     def test_empty_containers_and_mixed_lists(self, value):
@@ -404,11 +415,13 @@ class TestEmitter:
 
     @given(st.integers(0, 2**70), st.integers(0, 70))
     def test_row_text_is_the_canonical_literal(self, x, e):
-        assert _text(x, e) == str(Dyadic(x, e))
+        d = Dyadic(x, e)
+        assert _text(x, e) == str(d) == f"{d.numerator}/2^{d.exponent}"
 
     @pytest.mark.parametrize("x, e", [(0, 0), (0, 5), (6, 0), (1, 0), (8, 3), (12, 3), (16, 3), (5, 2)])
     def test_row_text_edges(self, x, e):
-        assert _text(x, e) == str(Dyadic(x, e))
+        d = Dyadic(x, e)
+        assert _text(x, e) == str(d) == f"{d.numerator}/2^{d.exponent}"
 
 
 # -- parsing: each distinct literal and rule read once, same objects ---------

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,7 @@ from hypothesis import given, strategies as st
 from helpers import (
     as_fraction,
     oracle_level_sum,
+    oracle_stage_value,
     random_component,
     random_joint_stage,
     random_stage,
@@ -199,7 +202,7 @@ class TestDerivedMeasure:
         for sigma in strings_up_to(max(depth_a, depth_b) + 1):
             for n in [*range(len(sigma), max(depth_a, depth_b) + 3), None]:
                 for c in comps:
-                    assert c._plain_level_sum(sigma, n) == reference_plain_level_sum(c, sigma, n)
+                    assert as_fraction(Dyadic(*c._plain_level_sum(sigma, n))) == reference_plain_level_sum(c, sigma, n)
                 if n is None:
                     expected = sum(as_fraction(c.weight) * reference_trim(c, sigma) for c in comps)
                     assert as_fraction(derived_measure(stage, sigma).value) == expected
@@ -251,6 +254,95 @@ class TestOpenSetDerived:
         for a, b in zip(result.masses, result.masses[1:]):
             assert a >= b
         assert result.masses[-1] >= result.limit.value
+
+
+# ---------------------------------------------------------------------------
+# Integer level sums against the Fraction definitions
+# ---------------------------------------------------------------------------
+
+
+def definition_level_sum(stage: SemiMeasureStage, sigma: str, n: int) -> Fraction:
+    return sum((oracle_stage_value(stage, sigma + t) for t in all_strings(n - len(sigma))), Fraction(0))
+
+
+def definition_trim(stage: SemiMeasureStage, sigma: str) -> Fraction:
+    return sum((as_fraction(c.weight) * reference_trim(c, sigma) for c in stage.components), Fraction(0))
+
+
+class TestIntegerLevelSums:
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 3), st.sampled_from([0, 0, 1, 2]))
+    def test_masses_trims_and_open_sets(self, seed, depth_a, depth_b, tilt):
+        """Mixed vanish, uniform, geometric and split tails, conserving and
+        lossy, under weights of different exponents; sigma above, at and
+        below each frontier, on the 1-spine and off it; n at or above each
+        frontier and the limit n = None."""
+        rng = random.Random(seed)
+        comps = (
+            random_component(rng, weight=HALF, depth=depth_a, tilt=tilt),
+            random_component(rng, weight=Dyadic(3, 3), depth=depth_b),
+        )
+        stage = SemiMeasureStage(comps, strict=False)
+        top = max(depth_a, depth_b)
+        for sigma in strings_up_to(top + 1):
+            for n in range(len(sigma), top + 3):
+                expected = definition_level_sum(stage, sigma, n)
+                assert as_fraction(stage.level_mass(sigma, n)) == expected
+                assert as_fraction(partial_trim(stage, sigma, n)) == expected
+            if tilt:
+                with pytest.raises(ValueError):
+                    stage.level_mass(sigma, None)
+                probe = len(sigma) + 2
+                result = derived_measure(stage, sigma, probe_depth=probe)
+                assert not result.stabilized
+                assert as_fraction(result.value) == definition_level_sum(stage, sigma, probe)
+            else:
+                assert as_fraction(stage.level_mass(sigma, None)) == definition_trim(stage, sigma)
+                result = derived_measure(stage, sigma)
+                assert result.stabilized and result.depth == max(len(sigma), top)
+                assert as_fraction(result.value) == definition_trim(stage, sigma)
+        members = sorted({"".join(rng.choice("01") for _ in range(k)) for k in (1, 2, 3)}, key=len)
+        members = [m for i, m in enumerate(members) if not any(m.startswith(p) for p in members[:i])]
+        got = open_set_derived(stage, members, m_max=2)
+        for m, mass in enumerate(got.masses):
+            assert as_fraction(mass) == sum(definition_level_sum(stage, s, len(s) + m) for s in members)
+        if not tilt:
+            assert as_fraction(got.limit.value) == sum(definition_trim(stage, s) for s in members)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            TailRule.vanish(),
+            TailRule.uniform(),
+            TailRule.geometric(Dyadic(3, 3)),
+            TailRule.split(Dyadic(3, 2), Dyadic(1, 2)),
+            TailRule.split(Dyadic(1, 3), Dyadic(3, 3)),
+        ],
+    )
+    def test_kept_fraction_of_each_rule(self, rule):
+        """The lowest-terms total, and level sums zero, one and more levels
+        below the frontier and in the limit, against the Fraction reference."""
+        comp = Component.build(ONE, {"": HALF, "0": QUARTER, "1": QUARTER}, tail=rule)
+        t, x = comp.tails.totals[0]
+        assert Fraction(t, 2**x) == as_fraction(rule.total) and (t % 2 or x == 0)
+        for sigma in ("", "1", "01", "110"):
+            for levels in (0, 1, 2, 5, None):
+                n = None if levels is None else max(len(sigma), 1) + levels
+                expected = reference_plain_level_sum(comp, sigma, n)
+                assert as_fraction(Dyadic(*comp._plain_level_sum(sigma, n))) == expected
+
+    @pytest.mark.parametrize("rule", [TailRule.uniform(), TailRule.split(HALF, HALF)])
+    def test_conserving_rules_stay_small_far_down(self, rule):
+        """A conserving rule's factor is 1 at any level, not 2**n / 2**n."""
+        table = {"": ONE, "0": Dyadic(3, 2), "1": QUARTER}
+        tails = {"0": rule, "1": TailRule.vanish()}
+        stage = SemiMeasureStage((Component.build(HALF, table, tails=tails),), strict=True)
+        comp = stage.components[0]
+        start = time.perf_counter()
+        for sigma, mass in (("", Dyadic(3, 3)), ("0", Dyadic(3, 3)), ("01", Dyadic(3, 4))):
+            num, e = comp.level_sum(sigma, 10**6)
+            assert num.bit_length() <= 4 and e <= 4
+            assert partial_trim(stage, sigma, 10**6) == mass
+        assert time.perf_counter() - start < 0.5
 
 
 # ---------------------------------------------------------------------------
