@@ -72,7 +72,6 @@ from .serialize import (
     component_to_json,
     dumps,
     dyadic_from_text,
-    dyadic_to_text,
     functional_from_json,
     functional_to_json,
     level_statuses_to_json,

@@ -7,7 +7,7 @@ operation on them is exact.  Floats never appear.
 Canonical form: the numerator is odd unless the exponent is zero, and zero
 is stored as ``0/2^0``.  Because construction always canonicalises,
 structural equality coincides with numeric equality and instances are safe
-to hash and to use as dict keys.
+to hash and to use as dict keys.  Lowest terms have one rule, :func:`lowest`.
 
 The text form is ``m/2^n`` (for example ``3/2^2`` for 3/4).  Bare integer
 literals are accepted on input and rendered with exponent zero on output.
@@ -38,16 +38,9 @@ class Dyadic:
             raise ValueError("dyadic values are non-negative")
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
-        if numerator == 0:
-            exponent = 0
-        else:
-            # strip common factors of two: keep numerator odd or exponent zero
-            trailing = (numerator & -numerator).bit_length() - 1
-            shift = min(trailing, exponent)
-            numerator >>= shift
-            exponent -= shift
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "exponent", exponent)
+        shift = lowest(numerator, exponent)
+        object.__setattr__(self, "numerator", numerator >> shift)
+        object.__setattr__(self, "exponent", exponent - shift)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Dyadic is immutable")
@@ -148,10 +141,16 @@ class Dyadic:
         return f"Dyadic('{self}')"
 
 
+def lowest(x: int, e: int) -> int:
+    """The number of factors of two that x and 2**e share, e when x is 0:
+    x / 2**e in lowest terms is (x >> k) / 2**(e - k) for k = lowest(x, e)."""
+    return min(e, (x & -x).bit_length() - 1) if x else e
+
+
 def _text(x: int, e: int) -> str:
     """Canonical ``m/2^n`` text of x / 2**e, with no Dyadic built; PreconditionError
     when the numerator passes the interpreter's int-to-text digit limit."""
-    shift = min(e, (x & -x).bit_length() - 1) if x else e
+    shift = lowest(x, e)
     try:
         return f"{x >> shift}/2^{e - shift}"
     except ValueError:

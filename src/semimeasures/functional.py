@@ -26,7 +26,7 @@ from functools import reduce
 from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .dyadic import Dyadic, ONE, expansion_bits
+from .dyadic import Dyadic, ONE, expansion_bits, lowest
 from .errors import CertificateError, PreconditionError
 from .semimeasure import Component, LeftCeSemiMeasure, SemiMeasureStage, TableView, TailRule
 from .strings import (
@@ -337,19 +337,13 @@ def _take_leftmost(free: Sequence[Block], need: int, exponent: int) -> tuple[lis
                     taken.append((start + offset, b))
                     offset += 1 << b
             while offset < size:
-                b = (offset & -offset).bit_length() - 1
+                b = lowest(offset, k)
                 left.append((start + offset, b))
                 offset += 1 << b
             need = 0
     if need:
         raise PreconditionError(f"allocation pool too small by {Dyadic(need, exponent)}")
     return taken, left
-
-
-def _exponent(num: int, e: int) -> int:
-    """Exponent of num / 2**e in canonical form; for a bitwise OR of
-    numerators, the largest exponent among them."""
-    return max(0, e - ((num & -num).bit_length() - 1)) if num else 0
 
 
 def from_semimeasure(
@@ -392,7 +386,8 @@ def from_semimeasure(
     for t in range(stage + 1):
         st = rho.stage_at(t)
         rows = [st.level_row(n) for n in range(depth + 1)]
-        fine = [_exponent(reduce(or_, nums, 0), e) for nums, e in rows]  # finest value per level
+        # finest value per level: the lowest-terms exponent of the OR of its numerators
+        fine = [e - lowest(reduce(or_, nums, 0), e) for nums, e in rows]
         finest = min(granularity_cap, max(fine))
         if finest > L:
             up, L = finest - L, finest
@@ -401,7 +396,7 @@ def from_semimeasure(
         for n, (nums, e) in enumerate(rows):
             bad = None
             if fine[n] > granularity_cap:
-                bad = next(i for i, x in enumerate(nums) if _exponent(x, e) > granularity_cap)
+                bad = next(i for i, x in enumerate(nums) if e - lowest(x, e) > granularity_cap)
             # every value before ``bad`` is at most as fine as L
             kept = nums[:bad]
             targets = [x >> (e - L) for x in kept] if e >= L else [x << (L - e) for x in kept]

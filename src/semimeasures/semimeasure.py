@@ -43,7 +43,8 @@ decoding all read it.  Level sums and trims are integers too:
 ``Component.level_sum`` is ``(numerator, e)``, each tail rule keeping
 ((zero + one) in lowest terms)**levels of its frontier mass, and
 ``level_mass`` folds the weights once.  ``Dyadic`` values are built only for
-what a sweep, a point read or a level mass returns.
+what a sweep, a point read or a level mass returns.  A tail rule's integer
+form lives in :class:`TailsView` alone, and lowest terms in ``dyadic.lowest``.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from functools import reduce
 from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .dyadic import Dyadic, HALF, ONE, ZERO
+from .dyadic import Dyadic, HALF, ONE, ZERO, lowest
 from .errors import PreconditionError
 from .strings import (
     EPSILON,
@@ -100,34 +101,14 @@ class TailRule:
         return self.zero + self.one
 
     @property
-    def aligned(self) -> tuple[int, int, int]:
-        """(z, o, e) with zero = z / 2**e and one = o / 2**e; equal rules
-        give equal triples."""
-        e = max(self.zero.exponent, self.one.exponent)
-        return self.zero.numerator << (e - self.zero.exponent), self.one.numerator << (e - self.one.exponent), e
-
-    @property
     def conserving(self) -> bool:
         """True when no mass is lost below the frontier (total == 1)."""
-        z, o, e = self.aligned
-        return z + o == 1 << e
-
-    def factor(self, bit: str) -> Dyadic:
-        return self.zero if bit == "0" else self.one
+        return self.total == ONE
 
     def padded(self) -> "TailRule":
         """The conserving rule that splits the lost fraction evenly."""
         pad = HALF * (ONE - self.total)
         return TailRule(self.zero + pad, self.one + pad)
-
-    def pattern(self, levels: int) -> Row:
-        """zero**a * one**b for every string of the given length below a
-        node (a zeros, b ones), in lex order."""
-        z, o, e = self.aligned
-        row = [1]
-        for _ in range(levels):
-            row = [x * f for x in row for f in (z, o)]
-        return row, e * levels
 
     @property
     def kind(self) -> str:
@@ -147,8 +128,7 @@ def _lex(s: str) -> int:
 
 def _canonical(nums: list[int], e: int) -> Row:
     """The same values over the least exponent that keeps them integers."""
-    bits = reduce(or_, nums, 0)
-    shift = min(e, (bits & -bits).bit_length() - 1) if bits else e
+    shift = lowest(reduce(or_, nums, 0), e)
     return ([x >> shift for x in nums] if shift else nums), e - shift
 
 
@@ -230,15 +210,21 @@ class TableView(Mapping[str, Dyadic]):
 class TailsView(Mapping[str, TailRule]):
     """A component's tail rules, read-only: ``rules`` are the distinct rules
     in order of first use and ``index[k]`` is the rule of the k-th frontier
-    node in lex order, so equal maps have equal fields."""
+    node in lex order, so equal maps have equal fields.  The integer form of
+    each rule lives here: ``aligned[i]`` is ``(z, o, e)`` with zero = z / 2**e
+    and one = o / 2**e, and ``totals[i]`` is ``(t, x)`` with zero + one =
+    t / 2**x in lowest terms, ``(1, 0)`` exactly when the rule conserves mass."""
 
     __slots__ = ("depth", "rules", "index", "aligned", "totals")
 
     def __init__(self, depth: int, rules: tuple[TailRule, ...], index: list[int]):
         self.depth, self.rules, self.index = depth, rules, index
-        self.aligned = tuple(rule.aligned for rule in rules)
-        # (t, x): zero + one = t / 2**x in lowest terms, (1, 0) exactly when the rule conserves mass
-        self.totals = tuple((t, x) for (t,), x in (_canonical([z + o], e) for z, o, e in self.aligned))
+        exps = [max(rule.zero.exponent, rule.one.exponent) for rule in rules]
+        self.aligned = tuple(
+            (rule.zero.numerator << (e - rule.zero.exponent), rule.one.numerator << (e - rule.one.exponent), e)
+            for rule, e in zip(rules, exps)
+        )
+        self.totals = tuple((t.numerator, t.exponent) for t in (rule.total for rule in rules))
 
     @classmethod
     def single(cls, rule: TailRule, depth: int) -> "TailsView":
@@ -399,28 +385,31 @@ class Component:
         if n <= self.depth and not limit:
             row, e = self.table.rows[n]
         else:
-            # below each frontier node: its value times its rule's pattern,
-            # the patterns built once per rule over one power of two
+            # below each frontier node: its value times its rule's block,
+            # z**a * o**b for the strings with a zeros and b ones below the
+            # node in lex order, built once per rule over one power of two
             fnums, fe = self.table.rows[self.depth]
-            patterns = [rule.pattern(n - self.depth) for rule in self.tails.rules]
-            pe = max(x for _pattern, x in patterns)
-            blocks = [
-                [p << (pe - x) for p in pattern] if not limit or rule.conserving else [0] * len(pattern)
-                for rule, (pattern, x) in zip(self.tails.rules, patterns)
-            ]
+            below = n - self.depth
+            top = max(e for _z, _o, e in self.tails.aligned)
+            blocks = []
+            for (z, o, e), total in zip(self.tails.aligned, self.tails.totals):
+                # with limit, a rule that loses mass keeps none of it
+                block = [0 if limit and total != (1, 0) else 1 << ((top - e) * below)]
+                for _ in range(below):
+                    block = [x * f for x in block for f in (z, o)]
+                blocks.append(block)
             row = [num * p for num, i in zip(fnums, self.tails.index) for p in blocks[i]]
-            e = fe + pe
-        if self.tilt and n:
-            # the strings with j leading ones form one slice; scaled by
+            e = fe + top * below
+        if self.tilt:
+            # the strings with j leading ones are one slice, scaled by
             # 2**(-tilt * j) over the common 2**(tilt * n), on a copy
-            shifted = []
-            lo = 0
-            for j in range(n + 1):
-                hi = (1 << n) - (1 << (n - j - 1)) if j < n else 1 << n
-                shift = self.tilt * (n - j)
-                shifted += [x << shift for x in row[lo:hi]]
-                lo = hi
-            row, e = shifted, e + self.tilt * n
+            full = 1 << n
+            row = [
+                x << (self.tilt * (n - j))
+                for j in range(n + 1)
+                for x in row[full - (full >> j) : full - (full >> (j + 1))]
+            ]
+            e += self.tilt * n
         return row, e
 
     def level_sum(self, sigma: str, n: int | None) -> tuple[int, int]:
@@ -434,10 +423,12 @@ class Component:
         elif n < len(sigma):
             raise ValueError("level must not be above the string")
         elif self.tilt and n > len(sigma) and "0" not in sigma:
-            # sigma lies on the 1-spine: split off the spine step by step
-            (a, ea), (b, eb) = self.level_sum(sigma + "0", n), self.level_sum(sigma + "1", n)
-            e = max(ea, eb)
-            return (a << (e - ea)) + (b << (e - eb)), e
+            # sigma lies on the 1-spine: an extension leaves it at 1^j 0 for
+            # len(sigma) <= j < n or is 1^n, and each exit is a plain sum
+            exits = ["1" * j + "0" for j in range(len(sigma), n)] + ["1" * n]
+            sums = [self.level_sum(tau, n) for tau in exits]
+            e = max(x for _num, x in sums)
+            return sum(num << (e - x) for num, x in sums), e
         # the all-ones prefix of every extension is that of sigma
         num, e = self._plain_level_sum(sigma, n)
         return num, e + self.tilt * leading_ones(sigma)
@@ -481,10 +472,10 @@ class SemiMeasureStage:
         return Dyadic(*self._level_mass(sigma, n))
 
     def _level_mass(self, sigma: str, n: int | None) -> tuple[int, int]:
-        # level_mass as (numerator, e): the component sums weighted over one power of two
-        sums = [(comp.level_sum(sigma, n), comp.weight) for comp in self.components]
-        e = max((x + w.exponent for (_num, x), w in sums), default=0)
-        return sum((num * w.numerator) << (e - x - w.exponent) for (num, x), w in sums), e
+        # level_mass as (numerator, e): the component sums folded as one-entry rows
+        sums = [comp.level_sum(sigma, n) for comp in self.components]
+        (num,), e = self._fold([(([x], y), comp.weight) for (x, y), comp in zip(sums, self.components)], 1)
+        return num, e
 
     def level_row(self, n: int, limit: bool = False) -> Row:
         """Values of all length-n strings in lex order, as ``(numerators, e)``
@@ -604,7 +595,7 @@ def _validate(stage: SemiMeasureStage, additive: bool, rows: list[Row] | None = 
     if not additive:
         return _OK
     for comp in stage.components:
-        lossy = [not rule.conserving for rule in comp.tails.rules]
+        lossy = [total != (1, 0) for total in comp.tails.totals]
         charged = zip(comp.table.rows[comp.depth][0], comp.tails.index)
         k = next((k for k, (num, i) in enumerate(charged) if num and lossy[i]), None)
         if k is not None:

@@ -30,10 +30,6 @@ from .strings import all_strings, check_bits
 from .trim import TrimResult
 
 
-def dyadic_to_text(d: Dyadic) -> str:
-    return str(d)
-
-
 def dyadic_from_text(text: Any) -> Dyadic:
     return text if isinstance(text, Dyadic) else Dyadic(*parse_literal(text))
 

@@ -190,6 +190,3 @@ class StagedFamily:
             if lv == level and t <= stage and (s not in first or t < first[s]):
                 first[s] = t
         return first
-
-    def level_at(self, level: int, stage: int) -> StringSet:
-        return tuple(self.first_stages(level, stage))

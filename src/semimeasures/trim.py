@@ -100,10 +100,6 @@ class LebesgueLikeReport:
     alpha: Dyadic | None
     witness: str | None
 
-    @property
-    def is_lebesgue_like(self) -> bool:
-        return self.alpha is not None
-
 
 def _trims_and_sums(stage: SemiMeasureStage, n: int) -> tuple[list[int], list[int], int]:
     """Trimmed masses and values of the length-n strings, n at or below

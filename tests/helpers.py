@@ -316,7 +316,7 @@ def reference_component_value(comp: Component, sigma: str) -> Dyadic:
             if v.is_zero:
                 v = ZERO
                 break
-            v = v * rule.factor(bit)
+            v = v * (rule.zero if bit == "0" else rule.one)
     return v * Dyadic.pow2(-comp.tilt * leading_ones(sigma))
 
 
@@ -356,16 +356,25 @@ def reference_plain_level_sum(comp: Component, sigma: str, n: int | None) -> Fra
         return as_fraction(total)
     levels = None if n is None else n - max(len(sigma), comp.depth)
     if len(sigma) >= comp.depth:
-        rule = comp.tails[sigma[: comp.depth]]
-        v = comp.table[sigma[: comp.depth]]
-        for bit in sigma[comp.depth :]:
-            v = v * rule.factor(bit)
-        return as_fraction(v) * reference_kept(rule, levels)
+        node, below = sigma[: comp.depth], sigma[comp.depth :]
+        rule = comp.tails[node]
+        v = as_fraction(comp.table[node])
+        v *= as_fraction(rule.zero) ** below.count("0") * as_fraction(rule.one) ** below.count("1")
+        return v * reference_kept(rule, levels)
     total = Fraction(0)
     for tail in all_strings(comp.depth - len(sigma)):
         frontier = sigma + tail
         total += as_fraction(comp.table[frontier]) * reference_kept(comp.tails[frontier], levels)
     return total
+
+
+def reference_spine_level_sum(comp: Component, sigma: str, n: int) -> Fraction:
+    """Level sum at a sigma on the 1-spine, tilt included, in Fractions: an
+    extension of sigma leaves the spine at 1^j 0 for |sigma| <= j < n or is
+    1^n, and each exit adds its untilted level sum times 2**(-tilt * j)."""
+    assert "0" not in sigma
+    exits = [("1" * j + "0", j) for j in range(len(sigma), n)] + [("1" * n, n)]
+    return sum((reference_plain_level_sum(comp, tau, n) / 2 ** (comp.tilt * j) for tau, j in exits), Fraction(0))
 
 
 def reference_lebesgue_like_check(stage: SemiMeasureStage, depth: int) -> LebesgueLikeReport:

@@ -567,10 +567,10 @@ def test_criterion_10_defeating_semimeasure_charges_every_family():
         assert rho.strict and rho.value(EPSILON) == ONE
         charged = 0
         for e, family in enumerate(families):
-            members = family.level_at(e + 2, 8)
+            members = tuple(family.first_stages(e + 2, 8))
             assert "000000" not in members
             if members:
                 charged += 1
                 assert rho.set_mass(members) > Dyadic.pow2(-(e + 2))
         assert charged == 5
-        assert not families[4].level_at(6, 8)
+        assert not tuple(families[4].first_stages(6, 8))

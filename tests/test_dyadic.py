@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from conftest import dyadics
 from helpers import as_fraction
 from semimeasures import Dyadic, HALF, ONE, ParseError, ZERO, dyadic_from_text
+from semimeasures.dyadic import lowest
 
 
 class TestCanonicalForm:
@@ -41,6 +42,19 @@ class TestCanonicalForm:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             ONE.numerator = 2
+
+
+class TestLowestTerms:
+    @given(st.integers(1, 2**80), st.integers(0, 90))
+    def test_lowest_matches_the_fraction(self, x, e):
+        k = lowest(x, e)
+        assert 0 <= k <= e
+        assert Fraction(x, 2**e) == Fraction(x >> k, 2 ** (e - k))
+        assert Fraction(x, 2**e).denominator == 2 ** (e - k)
+
+    def test_zero_reduces_to_exponent_zero(self):
+        assert [lowest(0, e) for e in (0, 1, 7)] == [0, 1, 7]
+        assert (lowest(12, 1), lowest(12, 5), lowest(3, 4)) == (1, 2, 0)
 
 
 class TestParsing:

@@ -26,6 +26,7 @@ from helpers import (
     random_tail,
     reference_component_value,
     reference_pushdown,
+    reference_trim,
     reference_validate,
     reference_validate_measure,
 )
@@ -59,7 +60,7 @@ from semimeasures import (
     validate_measure,
 )
 from semimeasures import test_defeating_semimeasure as defeating_semimeasure
-from semimeasures.semimeasure import LeftCeSemiMeasure
+from semimeasures.semimeasure import LeftCeSemiMeasure, TailsView, _canonical
 from semimeasures.strings import StagedFamily
 
 QUARTER = Dyadic(1, 2)
@@ -95,10 +96,18 @@ class TestTailRule:
         assert TailRule.geometric(QUARTER).kind == "geometric"
         assert TailRule.split(ZERO, ONE).kind == "split"
 
-    def test_factor_selects_child(self):
-        rule = TailRule.split(QUARTER, HALF)
-        assert rule.factor("0") == QUARTER
-        assert rule.factor("1") == HALF
+    @given(seeds)
+    def test_view_holds_each_rules_integers(self, seed):
+        """``aligned`` over the larger exponent of the two fractions, ``totals``
+        in lowest terms and (1, 0) exactly for a conserving rule."""
+        rng = random.Random(seed)
+        rules = tuple(random_tail(rng) for _ in range(4))
+        view = TailsView(2, rules, [0, 1, 2, 3])
+        for rule, (z, o, e), (t, x) in zip(rules, view.aligned, view.totals):
+            assert (Fraction(z, 2**e), Fraction(o, 2**e)) == (as_fraction(rule.zero), as_fraction(rule.one))
+            assert e == max(rule.zero.exponent, rule.one.exponent)
+            assert Fraction(t, 2**x) == as_fraction(rule.total) and (t % 2 or x == 0)
+            assert ((t, x) == (1, 0)) == rule.conserving
 
 
 class TestComponentBuild:
@@ -248,6 +257,13 @@ class TestStoredForm:
         assert comp.table.rows == (([1], 0), ([1, 1], 1))
         assert comp.tails.rules == (TailRule.uniform(),) and comp.tails.index == [0, 0]
         assert comp == Component.build(ONE, table, tail=TailRule.uniform())
+
+    @given(st.lists(st.integers(0, 2**40), max_size=6), st.integers(0, 50))
+    def test_canonical_rows_stay_integral_and_minimal(self, nums, e):
+        got, ge = _canonical(nums, e)
+        assert 0 <= ge <= e and all(isinstance(x, int) for x in got)
+        assert [Fraction(x, 2**ge) for x in got] == [Fraction(x, 2**e) for x in nums]
+        assert ge == 0 or any(x % 2 for x in got)
 
     def test_replace_and_views_share_storage(self):
         spine = dirac_spine("1").components[0]
@@ -479,6 +495,31 @@ class TestLevelRow:
         n = stage.max_depth + extra
         row, e = stage.level_row(n, limit=True)
         assert [Dyadic(x, e) for x in row] == [stage.level_mass(s, None) for s in all_strings(n)]
+
+    @given(seeds, st.sampled_from([(0, 0), (1, 0), (0, 2), (1, 2)]))
+    def test_rows_above_at_and_below_each_frontier(self, seed, tilts):
+        """Two components with per-node conserving and lossy rules, under
+        weights of different exponents: every row against the Fraction
+        values and, untilted, every limit row against the reference trims."""
+        rng = random.Random(seed)
+        comps = []
+        for weight, tilt in zip((HALF, Dyadic(3, 3)), tilts):
+            depth = rng.randint(0, 3)
+            tails = {node: random_tail(rng, conserving=rng.random() < 0.5) for node in all_strings(depth)}
+            comps.append(Component.build(weight, random_table(rng, depth), tails=tails, tilt=tilt))
+        stage = SemiMeasureStage(tuple(comps), strict=False)
+        for n in range(stage.max_depth + 3):
+            row, e = stage.level_row(n)
+            assert [Fraction(x, 2**e) for x in row] == [oracle_stage_value(stage, s) for s in all_strings(n)]
+            if n < stage.max_depth:
+                continue
+            if any(tilts):
+                with pytest.raises(ValueError):
+                    stage.level_row(n, limit=True)
+                continue
+            row, e = stage.level_row(n, limit=True)
+            trims = [sum(as_fraction(c.weight) * reference_trim(c, s) for c in comps) for s in all_strings(n)]
+            assert [Fraction(x, 2**e) for x in row] == trims
 
     def test_limit_rows_lie_below_every_frontier_and_need_no_tilt(self):
         with pytest.raises(ValueError):
@@ -861,8 +902,8 @@ class TestTestDefeating:
         assert rho.value(EPSILON) == ONE
         assert rho.value("0") == HALF
         assert rho.value("01") == HALF
-        assert rho.set_mass(fam.level_at(2, 3)) == HALF
-        assert rho.set_mass(fam.level_at(2, 3)) > Dyadic.pow2(-2)
+        assert rho.set_mass(tuple(fam.first_stages(2, 3))) == HALF
+        assert rho.set_mass(tuple(fam.first_stages(2, 3))) > Dyadic.pow2(-2)
 
     def test_before_entry_only_slack(self):
         fam = StagedFamily.from_events([(3, 2, "01")])
@@ -905,7 +946,7 @@ class TestTestDefeating:
         rho = defeating_semimeasure(fams, stage=stage)
         assert validate(rho).ok and rho.strict
         for e, fam in enumerate(fams):
-            members = fam.level_at(e + 2, stage)
+            members = tuple(fam.first_stages(e + 2, stage))
             if members:
                 assert rho.set_mass(members) > Dyadic.pow2(-(e + 2))
 

@@ -213,11 +213,11 @@ class TestMatchesPairwiseReference:
 class TestStagedFamily:
     def test_levels_are_cumulative(self):
         fam = StagedFamily.from_events([(0, 2, "01"), (3, 2, "11"), (1, 1, "0")])
-        assert fam.level_at(2, 0) == ("01",)
-        assert fam.level_at(2, 2) == ("01",)
-        assert fam.level_at(2, 3) == ("01", "11")
-        assert fam.level_at(1, 5) == ("0",)
-        assert fam.level_at(0, 5) == ()
+        assert tuple(fam.first_stages(2, 0)) == ("01",)
+        assert tuple(fam.first_stages(2, 2)) == ("01",)
+        assert tuple(fam.first_stages(2, 3)) == ("01", "11")
+        assert tuple(fam.first_stages(1, 5)) == ("0",)
+        assert tuple(fam.first_stages(0, 5)) == ()
 
     def test_first_stages(self):
         fam = StagedFamily.from_events([(4, 0, "1"), (3, 0, "0"), (2, 0, "1"), (5, 0, "1")])
@@ -225,7 +225,7 @@ class TestStagedFamily:
         assert list(fam.first_stages(0, 10)) == ["1", "0"]
         assert fam.first_stages(0, 2) == {"1": 2}
         assert fam.first_stages(0, 1) == {}
-        assert fam.level_at(0, 10) == ("1", "0")
+        assert tuple(fam.first_stages(0, 10)) == ("1", "0")
 
     def test_rejects_bad_events(self):
         with pytest.raises(ValueError):

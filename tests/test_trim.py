@@ -19,6 +19,7 @@ from helpers import (
     random_table,
     reference_lebesgue_like_check,
     reference_plain_level_sum,
+    reference_spine_level_sum,
     reference_decode_atom,
     reference_trim,
 )
@@ -345,6 +346,37 @@ class TestIntegerLevelSums:
         assert time.perf_counter() - start < 0.5
 
 
+class TestSpineLevelSums:
+    """A level sum at a sigma on a tilted 1-spine adds one plain sum per
+    spine exit, in a loop: deep levels need no deep recursion."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.sampled_from([1, 2]))
+    def test_exit_sums_match_the_brute_force_sum(self, seed, depth, tilt):
+        comp = random_component(random.Random(seed), depth=depth, tilt=tilt)
+        stage = SemiMeasureStage((comp,), strict=False)
+        for sigma in ("", "1", "11"):
+            for n in range(len(sigma), len(sigma) + 5):
+                expected = oracle_level_sum(stage.value, sigma, n)
+                assert reference_spine_level_sum(comp, sigma, n) == expected
+                num, e = comp.level_sum(sigma, n)
+                assert Fraction(num, 2**e) == expected
+
+    @pytest.mark.parametrize("tilt", [1, 2])
+    def test_three_thousand_levels_down(self, tilt):
+        """Mass on and off the spine, under conserving and lossy rules."""
+        table = {"": ONE, "0": QUARTER, "1": Dyadic(3, 2), "00": Dyadic(1, 3), "01": Dyadic(1, 3), "10": QUARTER, "11": HALF}
+        tails = {
+            "00": TailRule.uniform(),
+            "01": TailRule.geometric(QUARTER),
+            "10": TailRule.split(QUARTER, HALF),
+            "11": TailRule.split(QUARTER, Dyadic(3, 2)),
+        }
+        comp = Component.build(ONE, table, tails=tails, tilt=tilt)
+        for sigma in ("1", ""):
+            num, e = comp.level_sum(sigma, 3000)
+            assert num and Fraction(num, 2**e) == reference_spine_level_sum(comp, sigma, 3000)
+
+
 # ---------------------------------------------------------------------------
 # Proportionality to the fair coin
 # ---------------------------------------------------------------------------
@@ -353,7 +385,7 @@ class TestIntegerLevelSums:
 class TestLebesgueLikeCheck:
     def test_blend_is_half_uniform(self):
         report = lebesgue_like_check(example_two(), depth=4)
-        assert report.is_lebesgue_like
+        assert report.alpha is not None
         assert report.alpha == HALF
         assert report.witness is None
 
@@ -362,12 +394,12 @@ class TestLebesgueLikeCheck:
 
     def test_vanishing_trim_witnessed_at_the_root(self):
         report = lebesgue_like_check(geometric_semimeasure(QUARTER), depth=3)
-        assert not report.is_lebesgue_like
+        assert report.alpha is None
         assert report.witness == EPSILON
 
     def test_lopsided_measure_witnessed_off_root(self):
         report = lebesgue_like_check(dirac_spine("0"), depth=2)
-        assert not report.is_lebesgue_like
+        assert report.alpha is None
         assert report.witness == "0"
 
     def test_tilted_presentation_rejected(self):
