@@ -52,7 +52,6 @@ from .semimeasure import (
     ValidationReport,
     check_domination,
     complete_to_measure,
-    default_family,
     dirac_spine,
     enumerate_limsup,
     from_infimum_sequence,
@@ -74,7 +73,6 @@ from .serialize import (
     dyadic_from_text,
     functional_from_json,
     functional_to_json,
-    level_statuses_to_json,
     stage_from_json,
     stage_to_json,
     staged_from_json,

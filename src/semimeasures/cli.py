@@ -18,7 +18,7 @@ import os
 import sys
 from typing import Any
 
-from .dyadic import ZERO, Dyadic
+from .dyadic import ZERO, Dyadic, common
 from .errors import BudgetExhaustedError, CertificateError, ParseError, PreconditionError
 from .functional import (
     MonotoneFunctional,
@@ -173,11 +173,9 @@ def _mirror_gap(
         right = induced_semimeasure(psi, s, depth)
         spine = []
         for n in range(depth + 1):
-            (a, ea), (b, eb) = left.level_row(n), right.level_row(n)
-            e = max(ea, eb)
-            gap = max(abs((x << e - ea) - (y << e - eb)) for x, y in zip(a, b))
-            worst = max(worst, Dyadic(gap, e))
-            spine.append(Dyadic(a[0], ea))
+            (a, b), e = common(left.level_row(n), right.level_row(n))
+            worst = max(worst, Dyadic(max(abs(x - y) for x, y in zip(a, b)), e))
+            spine.append(Dyadic(a[0], e))
     return worst, spine
 
 
@@ -286,7 +284,7 @@ def cmd_mirror_pair(args: argparse.Namespace) -> tuple[Any, int]:
     phi, psi = mirror_pair(approx)
     depth = args.depth if args.depth is not None else min(len(approx) - 1, 8)
     gap, spine = _mirror_gap(phi, psi, len(approx), depth)
-    agree = gap.is_zero
+    agree = not gap
     payload = {
         "first": functional_to_json(phi),
         "second": functional_to_json(psi),

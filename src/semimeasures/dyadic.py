@@ -7,7 +7,10 @@ operation on them is exact.  Floats never appear.
 Canonical form: the numerator is odd unless the exponent is zero, and zero
 is stored as ``0/2^0``.  Because construction always canonicalises,
 structural equality coincides with numeric equality and instances are safe
-to hash and to use as dict keys.  Lowest terms have one rule, :func:`lowest`.
+to hash and to use as dict keys.  Lowest terms have one rule, :func:`lowest`
+(:func:`row_lowest` for a row of numerators over one power of two), and so
+does putting terms over their largest power of two: :func:`add` sums
+``(numerator, e)`` terms and :func:`common` aligns ``(numerators, e)`` rows.
 
 The text form is ``m/2^n`` (for example ``3/2^2`` for 3/4).  Bare integer
 literals are accepted on input and rendered with exponent zero on output.
@@ -17,11 +20,13 @@ from __future__ import annotations
 
 import re
 import sys
-from functools import total_ordering
+from functools import reduce, total_ordering
+from operator import or_
+from typing import Iterable
 
 from .errors import ParseError, PreconditionError
 
-_LITERAL = re.compile(r"\A(\d+)(?:/2\^(\d+))?\Z")
+_LITERAL = re.compile(r"\A([0-9]+)(?:/2\^([0-9]+))?\Z")  # ASCII digits only
 
 
 @total_ordering
@@ -128,10 +133,6 @@ class Dyadic:
     def __bool__(self):
         return self.numerator != 0
 
-    @property
-    def is_zero(self) -> bool:
-        return self.numerator == 0
-
     # -- text ------------------------------------------------------------
 
     def __str__(self):
@@ -145,6 +146,28 @@ def lowest(x: int, e: int) -> int:
     """The number of factors of two that x and 2**e share, e when x is 0:
     x / 2**e in lowest terms is (x >> k) / 2**(e - k) for k = lowest(x, e)."""
     return min(e, (x & -x).bit_length() - 1) if x else e
+
+
+def row_lowest(nums: Iterable[int], e: int) -> int:
+    """:func:`lowest` for a whole row: the largest k with every x in nums a
+    multiple of 2**k, at most e (e for an all-zero or empty row)."""
+    return lowest(reduce(or_, nums, 0), e)
+
+
+def add(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of the values x / 2**e of ``(x, e)`` terms, as ``(numerator, e)``
+    over their largest exponent; ``(0, 0)`` for no terms."""
+    terms = list(terms)
+    e = max((y for _x, y in terms), default=0)
+    return sum(x << (e - y) for x, y in terms), e
+
+
+def common(*rows: tuple[list[int], int]) -> tuple[list[list[int]], int]:
+    """The numerators of ``(numerators, e)`` rows over their largest exponent,
+    and that exponent.  A row already over it is returned as it is, not
+    copied."""
+    e = max(y for _nums, y in rows)
+    return [nums if y == e else [x << (e - y) for x in nums] for nums, y in rows], e
 
 
 def _text(x: int, e: int) -> str:

@@ -22,11 +22,9 @@ function returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .dyadic import Dyadic, ONE, expansion_bits, lowest
+from .dyadic import Dyadic, ONE, expansion_bits, lowest, row_lowest
 from .errors import CertificateError, PreconditionError
 from .semimeasure import Component, LeftCeSemiMeasure, SemiMeasureStage, TableView, TailRule
 from .strings import (
@@ -89,10 +87,6 @@ class MonotoneFunctional:
     @classmethod
     def constant(cls, pairs: Iterable[Pair]) -> "MonotoneFunctional":
         return cls.from_events((0, i, o) for i, o in pairs)
-
-    @classmethod
-    def empty(cls) -> "MonotoneFunctional":
-        return cls.from_events(())
 
     @classmethod
     def identity(cls) -> "MonotoneFunctional":
@@ -386,8 +380,8 @@ def from_semimeasure(
     for t in range(stage + 1):
         st = rho.stage_at(t)
         rows = [st.level_row(n) for n in range(depth + 1)]
-        # finest value per level: the lowest-terms exponent of the OR of its numerators
-        fine = [e - lowest(reduce(or_, nums, 0), e) for nums, e in rows]
+        # finest value per level: the exponent of its row in lowest terms
+        fine = [e - row_lowest(nums, e) for nums, e in rows]
         finest = min(granularity_cap, max(fine))
         if finest > L:
             up, L = finest - L, finest

@@ -42,19 +42,19 @@ and ``value``, ``set_mass``, the certificates of :mod:`mltest` and atom
 decoding all read it.  Level sums and trims are integers too:
 ``Component.level_sum`` is ``(numerator, e)``, each tail rule keeping
 ((zero + one) in lowest terms)**levels of its frontier mass, and
-``level_mass`` folds the weights once.  ``Dyadic`` values are built only for
-what a sweep, a point read or a level mass returns.  A tail rule's integer
-form lives in :class:`TailsView` alone, and lowest terms in ``dyadic.lowest``.
+``level_mass`` adds the weighted component sums directly.  ``Dyadic`` values
+are built only for what a sweep, a point read or a level mass returns.  A
+tail rule's integer form lives in :class:`TailsView` alone; lowest terms and
+common exponents live in :mod:`dyadic` (``lowest``, ``row_lowest``, ``add``,
+``common``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
-from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .dyadic import Dyadic, HALF, ONE, ZERO, lowest
+from .dyadic import Dyadic, HALF, ONE, ZERO, add, common, row_lowest
 from .errors import PreconditionError
 from .strings import (
     EPSILON,
@@ -128,7 +128,7 @@ def _lex(s: str) -> int:
 
 def _canonical(nums: list[int], e: int) -> Row:
     """The same values over the least exponent that keeps them integers."""
-    shift = lowest(reduce(or_, nums, 0), e)
+    shift = row_lowest(nums, e)
     return ([x >> shift for x in nums] if shift else nums), e - shift
 
 
@@ -375,9 +375,8 @@ class Component:
             return sum(x for x, total in terms if total == (1, 0)), e
         # a rule keeps total**levels of a node's mass levels below it
         levels = n - max(len(sigma), depth)
-        kept = [(x * t**levels, y * levels) for x, (t, y) in terms]
-        top = max((y for _x, y in kept), default=0)
-        return sum(x << (top - y) for x, y in kept), e + top
+        num, top = add((x * t**levels, y * levels) for x, (t, y) in terms)
+        return num, e + top
 
     def _row(self, n: int, limit: bool = False) -> Row:
         # values (tilt included, weight not) of all length-n strings in lex
@@ -426,9 +425,7 @@ class Component:
             # sigma lies on the 1-spine: an extension leaves it at 1^j 0 for
             # len(sigma) <= j < n or is 1^n, and each exit is a plain sum
             exits = ["1" * j + "0" for j in range(len(sigma), n)] + ["1" * n]
-            sums = [self.level_sum(tau, n) for tau in exits]
-            e = max(x for _num, x in sums)
-            return sum(num << (e - x) for num, x in sums), e
+            return add(self.level_sum(tau, n) for tau in exits)
         # the all-ones prefix of every extension is that of sigma
         num, e = self._plain_level_sum(sigma, n)
         return num, e + self.tilt * leading_ones(sigma)
@@ -472,10 +469,9 @@ class SemiMeasureStage:
         return Dyadic(*self._level_mass(sigma, n))
 
     def _level_mass(self, sigma: str, n: int | None) -> tuple[int, int]:
-        # level_mass as (numerator, e): the component sums folded as one-entry rows
-        sums = [comp.level_sum(sigma, n) for comp in self.components]
-        (num,), e = self._fold([(([x], y), comp.weight) for (x, y), comp in zip(sums, self.components)], 1)
-        return num, e
+        # level_mass as (numerator, e): the weighted component sums added
+        sums = [(comp.weight, comp.level_sum(sigma, n)) for comp in self.components]
+        return add((w.numerator * x, w.exponent + y) for w, (x, y) in sums)
 
     def level_row(self, n: int, limit: bool = False) -> Row:
         """Values of all length-n strings in lex order, as ``(numerators, e)``
@@ -575,9 +571,8 @@ def _validate(stage: SemiMeasureStage, additive: bool, rows: list[Row] | None = 
         children, ce = stage.level_row(n)
         if rows is not None:
             rows.append((children, ce))
-        e = max(pe, ce)
-        above = [p << (e - pe) for p in parents]
-        both = [(a + b) << (e - ce) for a, b in zip(children[0::2], children[1::2])]
+        pairs = [a + b for a, b in zip(children[0::2], children[1::2])]
+        (above, both), _e = common((parents, pe), (pairs, ce))
         bad = next((i for i, (b, p) in enumerate(zip(both, above)) if b > p), None)
         if bad is not None:
             node = string_at(n - 1, bad)
@@ -771,16 +766,14 @@ def complete_to_measure(stage: SemiMeasureStage, depth: int | None = None) -> Se
     # 2a + g, 2b + g over one more power of two so that halving stays exact
     values, ve = mu, me
     for n in range(1, target + 1):
-        values, ve = rows[n] if n < len(rows) else stage.level_row(n)
-        e = max(me, ve)
-        mu = [m << (e - me) for m in mu]
-        values, ve = [v << (e - ve) for v in values], e
+        (mu, values), ve = common((mu, me), rows[n] if n < len(rows) else stage.level_row(n))
         pushed = []
         for m, a, b in zip(mu, values[0::2], values[1::2]):
             g = m - a - b
             pushed += (2 * a + g, 2 * b + g)
-        mu, me = pushed, e + 1
-    surplus = [m - (v << (me - ve)) for m, v in zip(mu, values)]
+        mu, me = pushed, ve + 1
+    (mu, values), me = common((mu, me), (values, ve))
+    surplus = [m - v for m, v in zip(mu, values)]
 
     parts = []  # (weight, target-level row, tails) of each completed component
     for comp in stage.components:
@@ -907,30 +900,3 @@ def test_defeating_semimeasure(families: Sequence[StagedFamily], stage: int) -> 
     if slack > ZERO:
         comps.append(Component.build(slack, {EPSILON: ONE}, tail=TailRule.vanish()))
     return SemiMeasureStage(tuple(comps), strict=True)
-
-
-# -- a small registry used by demos and mixture tests -------------------------
-
-
-def default_family(count: int = 8) -> tuple[LeftCeSemiMeasure, ...]:
-    """Stock staged semi-measures for mixture demos; size is configurable."""
-    quarter = Dyadic(1, 2)
-
-    def growing_uniform(s: int) -> SemiMeasureStage:
-        return uniform_measure().scaled(Dyadic.pow2(-max(0, 3 - s)))
-
-    pool = [
-        LeftCeSemiMeasure.constant(uniform_measure()),
-        LeftCeSemiMeasure.constant(dirac_spine("1")),
-        LeftCeSemiMeasure.constant(dirac_spine("0")),
-        LeftCeSemiMeasure.constant(geometric_semimeasure(quarter)),
-        LeftCeSemiMeasure.constant(
-            mix_stages([uniform_measure(), geometric_semimeasure(quarter)], [HALF, HALF])
-        ),
-        infimum_semimeasure([[ONE], [HALF], [HALF]], depth=3),
-        LeftCeSemiMeasure.constant(tilt_by_ones(uniform_measure())),
-        LeftCeSemiMeasure(growing_uniform),
-    ]
-    if not 1 <= count <= len(pool):
-        raise ValueError(f"registry size must be between 1 and {len(pool)}")
-    return tuple(pool[:count])

@@ -17,7 +17,7 @@ from typing import Any, Mapping
 from .dyadic import Dyadic, _text, parse_literal
 from .errors import ParseError
 from .functional import MonotoneFunctional
-from .mltest import LevelStatus, MLTest
+from .mltest import MLTest
 from .semimeasure import (
     Component,
     LeftCeSemiMeasure,
@@ -258,12 +258,6 @@ def test_from_json(obj: Any) -> MLTest:
 
 def trim_result_to_json(result: TrimResult) -> dict:
     return {"value": str(result.value), "depth": result.depth, "stabilized": result.stabilized}
-
-
-def level_statuses_to_json(statuses: tuple[LevelStatus, ...]) -> list[dict]:
-    return [
-        {"level": st.level, "status": st.status, "mass": str(st.mass)} for st in statuses
-    ]
 
 
 def dumps(obj: Any) -> str:

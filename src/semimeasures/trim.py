@@ -9,7 +9,8 @@ to nothing, and mixtures trim summand by summand because the level sums
 converge monotonically.  Tilted components fall outside the closed family
 (their limit is not dyadic in general), so they only get certified upper
 bounds.  Level sums and trims are taken on integer ``(numerator, e)`` pairs,
-and one ``Dyadic`` is built per value returned.
+added and aligned by ``dyadic.add`` and ``dyadic.common``, and one ``Dyadic``
+is built per value returned.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .dyadic import Dyadic, ZERO
+from .dyadic import Dyadic, ZERO, add, common
 from .errors import AmbiguityError, BudgetExhaustedError, PreconditionError
 from .semimeasure import LeftCeSemiMeasure, SemiMeasureStage, summed_rows
 from .strings import EPSILON, canon, check_bits, is_prefix_free, string_at
@@ -82,9 +83,7 @@ def open_set_derived(stage: SemiMeasureStage, members: Iterable[str], m_max: int
         raise PreconditionError("the open set must be given as a prefix-free antichain")
     masses = []
     for m in range(m_max + 1):
-        terms = [stage._level_mass(s, len(s) + m) for s in items]
-        e = max((x for _num, x in terms), default=0)
-        masses.append(Dyadic(sum(num << (e - x) for num, x in terms), e))
+        masses.append(Dyadic(*add(stage._level_mass(s, len(s) + m) for s in items)))
     limits = [derived_measure(stage, s) for s in items]
     value = sum((r.value for r in limits), ZERO)
     limit = TrimResult(value, max((r.depth for r in limits), default=0), all(r.stabilized for r in limits))
@@ -99,15 +98,6 @@ class LebesgueLikeReport:
 
     alpha: Dyadic | None
     witness: str | None
-
-
-def _trims_and_sums(stage: SemiMeasureStage, n: int) -> tuple[list[int], list[int], int]:
-    """Trimmed masses and values of the length-n strings, n at or below
-    every frontier, over one common 2**e."""
-    trims, te = stage.level_row(n, limit=True)
-    sums, se = stage.level_row(n)
-    e = max(te, se)
-    return [t << (e - te) for t in trims], [v << (e - se) for v in sums], e
 
 
 def lebesgue_like_check(stage: SemiMeasureStage, depth: int) -> LebesgueLikeReport:
@@ -125,7 +115,7 @@ def lebesgue_like_check(stage: SemiMeasureStage, depth: int) -> LebesgueLikeRepo
     if any(c.tilt for c in stage.components):
         raise PreconditionError("exact trimming unavailable for this presentation")
     top = stage.max_depth
-    trims, sums, e = _trims_and_sums(stage, top)
+    (trims, sums), e = common(stage.level_row(top, limit=True), stage.level_row(top))
     levels = list(zip(summed_rows(trims, top), summed_rows(sums, top)))
     alpha = levels[0][0][0]
     if alpha == 0:
@@ -134,7 +124,7 @@ def lebesgue_like_check(stage: SemiMeasureStage, depth: int) -> LebesgueLikeRepo
         if n <= top:
             (trims, sums), row_e = levels[n], e
         else:
-            trims, sums, row_e = _trims_and_sums(stage, n)
+            (trims, sums), row_e = common(stage.level_row(n, limit=True), stage.level_row(n))
         if any(t > v for t, v in zip(trims, sums)):
             raise AssertionError("closed-form trim exceeded a level sum")  # pragma: no cover
         # t / 2**row_e == alpha / 2**(e + n)

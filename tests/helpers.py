@@ -313,7 +313,7 @@ def reference_component_value(comp: Component, sigma: str) -> Dyadic:
         v = comp.table[frontier]
         rule = comp.tails[frontier]
         for bit in sigma[comp.depth :]:
-            if v.is_zero:
+            if not v:
                 v = ZERO
                 break
             v = v * (rule.zero if bit == "0" else rule.one)
@@ -385,7 +385,7 @@ def reference_lebesgue_like_check(stage: SemiMeasureStage, depth: int) -> Lebesg
     if not root.stabilized:
         raise PreconditionError("exact trimming unavailable for this presentation")
     alpha = root.value
-    if alpha.is_zero:
+    if not alpha:
         return LebesgueLikeReport(alpha=None, witness=EPSILON)
     for s in strings_up_to(depth):
         if derived_measure(stage, s).value != alpha * Dyadic.pow2(-len(s)):
@@ -491,23 +491,23 @@ def _reference_take_leftmost(free: Sequence[str], need: Dyadic) -> list[str]:
     taken: list[str] = []
 
     def carve(cyl: str, want: Dyadic) -> Dyadic:
-        if want.is_zero:
+        if not want:
             return want
         m = Dyadic.pow2(-len(cyl))
         if m <= want:
             taken.append(cyl)
             return want - m
         want = carve(cyl + "0", want)
-        if not want.is_zero:
+        if want:
             want = carve(cyl + "1", want)
         return want
 
     remaining = need
     for cyl in sorted(free):
-        if remaining.is_zero:
+        if not remaining:
             break
         remaining = carve(cyl, remaining)
-    if not remaining.is_zero:
+    if remaining:
         raise PreconditionError(f"allocation pool too small by {remaining}")
     return taken
 

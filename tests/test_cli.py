@@ -74,6 +74,14 @@ class TestValidate:
         assert payload["node"] == ""
         assert payload["children"] == {"0": "3/2^2", "1": "3/2^2"}
 
+    @pytest.mark.parametrize("literal", ["\u0661", "\uff13/2^1", "1/2^\u0662"])
+    def test_non_ascii_digits_are_a_parse_error(self, tmp_path, capsys, literal):
+        doc = {"components": [{"weight": literal, "table": [[literal]], "tail": {"kind": "vanish"}}]}
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_consistent_functional_passes(self, tmp_path):
         phi = {"stages": [[["0", "0"], ["00", "01"]]]}
         assert main(["validate", write_json(tmp_path, "phi.json", phi)]) == 0

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from conftest import dyadics
 from helpers import as_fraction
 from semimeasures import Dyadic, HALF, ONE, ParseError, ZERO, dyadic_from_text
-from semimeasures.dyadic import lowest
+from semimeasures.dyadic import add, common, lowest, parse_literal, row_lowest
 
 
 class TestCanonicalForm:
@@ -56,6 +56,45 @@ class TestLowestTerms:
         assert [lowest(0, e) for e in (0, 1, 7)] == [0, 1, 7]
         assert (lowest(12, 1), lowest(12, 5), lowest(3, 4)) == (1, 2, 0)
 
+    @given(st.lists(st.integers(0, 2**40), max_size=6), st.integers(0, 50))
+    def test_row_lowest_is_the_least_exponent_of_the_row(self, nums, e):
+        k = row_lowest(nums, e)
+        assert 0 <= k <= e and all(x % 2**k == 0 for x in nums)
+        assert k == e or any((x >> k) % 2 for x in nums)
+
+    def test_row_lowest_known_values(self):
+        assert [row_lowest([], 3), row_lowest([0, 0], 2), row_lowest([4, 12], 5), row_lowest([4, 12], 1)] == [3, 2, 2, 1]
+        assert row_lowest([6, 3], 4) == 0
+
+
+term_lists = st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 50)), max_size=5)
+
+
+class TestCommonExponents:
+    @given(term_lists)
+    def test_add_matches_the_fraction_sum(self, terms):
+        x, e = add(iter(terms))
+        assert e == max((k for _m, k in terms), default=0)
+        assert Fraction(x, 2**e) == sum((Fraction(m, 2**k) for m, k in terms), Fraction(0))
+
+    def test_add_known_values(self):
+        assert add([]) == (0, 0)
+        assert add([(3, 2), (1, 0), (5, 4)]) == (12 + 16 + 5, 4)
+
+    @given(st.lists(st.tuples(st.lists(st.integers(0, 2**40), max_size=4), st.integers(0, 50)), min_size=1, max_size=3))
+    def test_common_keeps_every_value(self, rows):
+        got, e = common(*rows)
+        assert e == max(k for _nums, k in rows)
+        assert [[Fraction(x, 2**e) for x in nums] for nums in got] == [
+            [Fraction(x, 2**k) for x in nums] for nums, k in rows
+        ]
+
+    def test_common_known_values(self):
+        low, high = [1, 3], [5]
+        (a, b, c), e = common((low, 1), (high, 3), ([], 0))
+        assert ((a, b, c), e) == (([4, 12], [5], []), 3)
+        assert b is high and low == [1, 3]
+
 
 class TestParsing:
     def test_round_trip_literals(self):
@@ -71,6 +110,13 @@ class TestParsing:
 
     @pytest.mark.parametrize("bad", ["1/3", "-1/2^1", "0.5", "1/2^-1", "", "2^3", "a/2^b"])
     def test_rejects_non_dyadic(self, bad):
+        with pytest.raises(ParseError):
+            dyadic_from_text(bad)
+
+    @pytest.mark.parametrize("bad", ["\u0661/2^\u0662", "\uff13/2^1", "1/2^\u0662", "\u0661", "\u00b2", "1/2^\u00b9"])
+    def test_rejects_non_ascii_digits(self, bad):
+        with pytest.raises(ParseError, match="^not a dyadic literal"):
+            parse_literal(bad)
         with pytest.raises(ParseError):
             dyadic_from_text(bad)
 

@@ -371,7 +371,7 @@ class TestDomainApprox:
         assert lebesgue_of_set(approx.intersection) == ONE
 
     def test_empty_functional_has_empty_domain(self):
-        empty = MonotoneFunctional.empty()
+        empty = MonotoneFunctional.from_events(())
         approx = domain_clopen_approx(empty, e=2, ell=1, modulus=lambda k, j: 0)
         assert approx.clopen == ()
         assert approx.intersection == ()
@@ -654,7 +654,7 @@ class TestMirrorPair:
 
 class TestPadWithIdentity:
     def test_empty_functional_pads_to_half_uniform(self):
-        padded = pad_with_identity(MonotoneFunctional.empty())
+        padded = pad_with_identity(MonotoneFunctional.from_events(()))
         rho = induced_semimeasure(padded, stage=3, depth=2)
         lam = uniform_measure(2)
         for s in strings_up_to(2):

@@ -10,7 +10,10 @@ must stay empty, and a run whose expected stdout is empty (an error written
 to stderr alone) must create no file.  A change that means to alter CLI
 output regenerates them with ``python tests/test_golden.py --write`` and
 shows the diff; run without arguments the script prints the results of
-both runs as JSON.
+both runs as JSON.  ``python tests/test_golden.py --command CMD`` runs every
+invocation through the command line CMD instead (for example the installed
+``semimeasures`` console script), prints one line per run whose stdout or
+exit code differs from ``expected/``, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -73,6 +77,21 @@ def expected() -> dict[str, tuple[int, str]]:
     return {name: (code, (EXPECTED / name).read_bytes().decode("utf-8")) for name, code in codes.items()}
 
 
+def command_mismatches(command: list[str]) -> list[str]:
+    """Run every invocation as ``command + argv``; one line per run whose
+    stdout or exit code differs from the expected ones."""
+    want = expected()
+    out = []
+    for name, argv in invocations():
+        proc = subprocess.run([*command, *argv], capture_output=True, timeout=120)
+        code, text = want[name]
+        if proc.returncode != code:
+            out.append(f"{name}: exit code {proc.returncode}, expected {code}")
+        elif proc.stdout.decode("utf-8") != text:
+            out.append(f"{name}: stdout differs from expected/{name}")
+    return out
+
+
 def write_expected() -> None:
     EXPECTED.mkdir(exist_ok=True)
     results = run_corpus()
@@ -116,6 +135,15 @@ def test_module_entry_point(tmp_path):
     assert sorted(want[name][0] for name in runs) == [0, 1, 2]
 
 
+def test_command_mode_reports_every_mismatch():
+    """``true`` prints nothing and exits 0, which no golden run does."""
+    proc = subprocess.run(
+        [sys.executable, __file__, "--command", "true"], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert sorted(line.split(":")[0] for line in proc.stdout.splitlines()) == sorted(expected())
+
+
 def test_golden_outputs_do_not_depend_on_the_hash_seed():
     want = {name: list(v) for name, v in expected().items()}
     want_out = {name: [code, text or None] for name, (code, text) in expected().items()}
@@ -134,5 +162,9 @@ def test_golden_outputs_do_not_depend_on_the_hash_seed():
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
         write_expected()
+    elif len(sys.argv) == 3 and sys.argv[1] == "--command":
+        mismatches = command_mismatches(shlex.split(sys.argv[2]))
+        print("\n".join(mismatches), end="\n" if mismatches else "")
+        sys.exit(1 if mismatches else 0)
     else:
         print(json.dumps(both_runs()))

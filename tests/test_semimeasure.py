@@ -44,7 +44,6 @@ from semimeasures import (
     all_strings,
     check_domination,
     complete_to_measure,
-    default_family,
     dirac_spine,
     enumerate_limsup,
     from_infimum_sequence,
@@ -64,6 +63,25 @@ from semimeasures.semimeasure import LeftCeSemiMeasure, TailsView, _canonical
 from semimeasures.strings import StagedFamily
 
 QUARTER = Dyadic(1, 2)
+
+
+def stock_family() -> list[LeftCeSemiMeasure]:
+    """Eight staged semi-measures for the mixture tests: constant stock
+    presentations, an infimum sequence and a stage-growing uniform measure."""
+
+    def growing_uniform(s: int) -> SemiMeasureStage:
+        return uniform_measure().scaled(Dyadic.pow2(-max(0, 3 - s)))
+
+    return [
+        LeftCeSemiMeasure.constant(uniform_measure()),
+        LeftCeSemiMeasure.constant(dirac_spine("1")),
+        LeftCeSemiMeasure.constant(dirac_spine("0")),
+        LeftCeSemiMeasure.constant(geometric_semimeasure(QUARTER)),
+        LeftCeSemiMeasure.constant(mix_stages([uniform_measure(), geometric_semimeasure(QUARTER)], [HALF, HALF])),
+        infimum_semimeasure([[ONE], [HALF], [HALF]], depth=3),
+        LeftCeSemiMeasure.constant(tilt_by_ones(uniform_measure())),
+        LeftCeSemiMeasure(growing_uniform),
+    ]
 
 
 def example_two() -> SemiMeasureStage:
@@ -714,13 +732,13 @@ class TestMixture:
             mix_stages([uniform_measure(), uniform_measure()], [ONE, HALF])
 
     def test_default_weights_halve(self):
-        fam = default_family(2)
+        fam = stock_family()[:2]
         mixed = mixture(fam, None, stage=0)
         assert mixed.value(EPSILON) == Dyadic(3, 2)  # 1/2 + 1/4 roots
 
     def test_domination_certificate_for_registry(self):
         """Every registered member is dominated by the weighted mixture."""
-        fam = default_family(8)
+        fam = stock_family()
         weights = [Dyadic.pow2(-(e + 1)) for e in range(len(fam))]
         for s in [0, 2, 5]:
             mixed = mixture(fam, weights, stage=s)
@@ -734,7 +752,7 @@ class TestMixture:
 
     def test_stage_monotonicity_of_registry(self):
         """Registered staged semi-measures never decrease in the stage."""
-        for member in default_family(8):
+        for member in stock_family():
             for sigma in strings_up_to(3):
                 values = [member.value(sigma, s) for s in range(6)]
                 assert all(a <= b for a, b in zip(values, values[1:]))

@@ -35,8 +35,6 @@ from semimeasures import (
     functional_from_json,
     functional_to_json,
     pad_with_identity,
-    passes_at_depth,
-    level_statuses_to_json,
     stage_from_json,
     stage_to_json,
     staged_from_json,
@@ -339,13 +337,6 @@ class TestReports:
             "depth": 4,
             "stabilized": True,
         }
-
-    def test_level_statuses_fields(self):
-        test = MLTest.build({1: ["0"]}, uniform_measure())
-        (status,) = passes_at_depth(test, "00")
-        assert level_statuses_to_json((status,)) == [
-            {"level": 1, "status": "captured", "mass": "1/2^1"}
-        ]
 
 
 class TestDumps:
