@@ -100,13 +100,9 @@ def _granularity_cap() -> int:
     raw = os.environ.get(GRANULARITY_ENV)
     if raw is None:
         return 16
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ParseError(f"{GRANULARITY_ENV} must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise ParseError(f"{GRANULARITY_ENV} must be non-negative")
-    return cap
+    if not (raw.isascii() and raw.isdigit()):  # [0-9]+, as dyadic literals
+        raise ParseError(f"{GRANULARITY_ENV} must be a non-negative integer in ASCII digits, got {raw!r}")
+    return int(raw)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -264,14 +260,13 @@ def cmd_invert(args: argparse.Namespace) -> tuple[Any, int]:
 def cmd_atom_decode(args: argparse.Namespace) -> tuple[Any, int]:
     rho = staged_from_json(_load_json(args.file))
     q = dyadic_from_text(args.q)
-    seed = check_bits(args.seed)
-    decoded = decode_atom(rho, q, seed, args.bits, max_stage=args.budget)
-    payload = {"seed": seed, "q": str(q), "bits": decoded}
+    decoded = decode_atom(rho, q, args.seed, args.bits, max_stage=args.budget)
+    payload = {"seed": args.seed, "q": str(q), "bits": decoded}
     return payload, 0
 
 
 def cmd_mirror_pair(args: argparse.Namespace) -> tuple[Any, int]:
-    if args.stages_file:
+    if args.stages_file is not None:
         raw = _load_json(args.stages_file)
         if not isinstance(raw, list):
             raise ParseError(f"{args.stages_file}: expected a JSON list of dyadic literals")
@@ -303,7 +298,7 @@ def cmd_eval(args: argparse.Namespace) -> tuple[Any, int]:
     except CertificateError as exc:
         sys.stderr.write(f"validation failed: {exc}\n")
         return None, 1
-    payload = {"input": check_bits(args.sigma), "stage": args.stage, "output": output}
+    payload = {"input": args.sigma, "stage": args.stage, "output": output}
     return payload, 0
 
 
@@ -357,8 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_atom_decode)
 
     p = sub.add_parser("mirror-pair", parents=[common], help="twin functionals from a dyadic approximation")
-    p.add_argument("--stages", default=None, help="comma-separated m/2^n literals")
-    p.add_argument("--stages-file", default=None, help="JSON list of m/2^n literals")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--stages", help="comma-separated m/2^n literals")
+    given.add_argument("--stages-file", help="JSON list of m/2^n literals")
     p.add_argument("--depth", type=int, default=None)
     p.set_defaults(handler=cmd_mirror_pair)
 
@@ -377,9 +373,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "command", None) == "mirror-pair" and not (args.stages or args.stages_file):
-        sys.stderr.write("mirror-pair needs --stages or --stages-file\n")
-        return 2
     try:
         payload, code = args.handler(args)
         if payload is not None:

@@ -203,15 +203,10 @@ def expansion_bits(value: Dyadic, n: int) -> str:
     Dyadics have a finite expansion; past it the digits are zero.  (The
     all-ones alternative expansion is never used.)
     """
-    if not ZERO <= value or not value < ONE:
+    if not value < ONE:
         raise ValueError("expansion requires a value in [0, 1)")
     if n < 0:
         raise ValueError("digit count must be non-negative")
-    if n == 0:
-        return ""
-    if n >= value.exponent:
-        digits = format(value.numerator, f"0{value.exponent}b") if value.numerator else ""
-        return digits.rjust(value.exponent, "0") + "0" * (n - value.exponent)
-    # truncate: shift out the digits beyond position n
-    kept = value.numerator >> (value.exponent - n)
-    return format(kept, f"0{n}b")
+    # floor(value * 2**n) in n binary digits: a 1 put in front keeps its
+    # leading zeros, and [3:] drops the "0b1"
+    return bin((value.numerator << n) >> value.exponent | 1 << n)[3:]

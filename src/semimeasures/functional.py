@@ -34,7 +34,6 @@ from .strings import (
     check_bits,
     comparable,
     intersect_sets,
-    lebesgue_of_set,
     prefix_free_normalize,
     string_at,
 )
@@ -275,8 +274,9 @@ def domain_clopen_approx(
 
     ``modulus(k, j)`` must return a stage whose reach set at length k is
     within 2^-j of the limit in measure; it is a caller-supplied certificate
-    and only sanity-checked here (stage non-negative, mass at most 1).  The
-    k-th level is taken at stage modulus(k, k + e + 1).
+    and only its stage is checked here (a non-negative integer).  A reach set
+    is an antichain, so its mass is at most 1.  The k-th level is taken at
+    stage modulus(k, k + e + 1).
     """
     if e < 0 or ell < 0:
         raise ValueError("index and length must be non-negative")
@@ -285,10 +285,7 @@ def domain_clopen_approx(
         s = modulus(k, k + e + 1)
         if not isinstance(s, int) or s < 0:
             raise PreconditionError(f"modulus returned a bad stage for k={k}: {s!r}")
-        level = reach_set(phi, k, s)
-        if lebesgue_of_set(level) > ONE:
-            raise PreconditionError("reach set mass exceeded 1")  # unreachable for antichains
-        levels.append(level)
+        levels.append(reach_set(phi, k, s))
     inter = levels[0]
     for level in levels[1:]:
         inter = intersect_sets(inter, level)

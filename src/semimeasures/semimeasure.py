@@ -88,7 +88,7 @@ class TailRule:
 
     @classmethod
     def geometric(cls, beta: Dyadic) -> "TailRule":
-        if not ZERO <= beta <= HALF:
+        if not beta <= HALF:
             raise ValueError("geometric ratio must lie in [0, 1/2]")
         return cls(beta, beta)
 
@@ -285,6 +285,8 @@ class Component:
     tilt: int = 0
 
     def __post_init__(self):
+        if self.tilt < 0:
+            raise ValueError("tilt power must be non-negative")
         if not isinstance(self.table, TableView):
             object.__setattr__(self, "table", TableView.of(self.table, self.depth))
         if not isinstance(self.tails, TailsView):
@@ -315,8 +317,6 @@ class Component:
             raise ValueError("give a 'tail' or a 'tails' map, not both")
         else:
             tail_view = TailsView.of(tails, depth)
-        if tilt < 0:
-            raise ValueError("tilt power must be non-negative")
         return cls(weight=weight, depth=depth, table=view, tails=tail_view, tilt=tilt)
 
     # -- evaluation (weight NOT included) --------------------------------
@@ -552,8 +552,6 @@ def _validate(stage: SemiMeasureStage, additive: bool, rows: list[Row] | None = 
                 return ValidationReport(
                     False, node=node, message=f"component {idx}: tail fractions must be >= 0 and sum to <= 1"
                 )
-        if comp.tilt < 0:
-            return ValidationReport(False, message=f"component {idx}: negative tilt")
 
     parents, pe = stage.level_row(0)
     if rows is not None:
@@ -650,11 +648,7 @@ def mix_stages(stages: Sequence[SemiMeasureStage], weights: Sequence[Dyadic]) ->
     """Weighted sum of presentations.  Weights must total at most 1."""
     if len(stages) != len(weights):
         raise ValueError("one weight per stage")
-    total = ZERO
-    for w in weights:
-        if w < ZERO:
-            raise ValueError("weights must be non-negative")
-        total = total + w
+    total = sum(weights, ZERO)
     if total > ONE:
         raise PreconditionError(f"mixture weights total {total} > 1")
     comps: list[Component] = []
@@ -670,20 +664,18 @@ def mix_stages(stages: Sequence[SemiMeasureStage], weights: Sequence[Dyadic]) ->
 
 
 class LeftCeSemiMeasure:
-    """Deterministic stage generator: stage_at(s) is a presentation and the
-    values are pointwise non-decreasing in s (the caller's obligation,
-    spot-checked in the test suite, never assumed silently elsewhere)."""
+    """Stage generator: stage_at(s) is a presentation and the values are
+    pointwise non-decreasing in s (the caller's obligation, spot-checked in
+    the test suite, never assumed silently elsewhere).  Nothing is stored:
+    every read calls the stage function, which must be deterministic."""
 
     def __init__(self, stage_fn: Callable[[int], SemiMeasureStage]):
         self._fn = stage_fn
-        self._cache: dict[int, SemiMeasureStage] = {}
 
     def stage_at(self, s: int) -> SemiMeasureStage:
         if s < 0:
             raise ValueError("stage must be non-negative")
-        if s not in self._cache:
-            self._cache[s] = self._fn(s)
-        return self._cache[s]
+        return self._fn(s)
 
     def value(self, sigma: str, s: int) -> Dyadic:
         return self.stage_at(s).value(sigma)

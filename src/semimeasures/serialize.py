@@ -249,10 +249,9 @@ def test_from_json(obj: Any) -> MLTest:
             raise ParseError("'decay' must map accuracies to level indices")
         if not all(_is_int(v) for v in decay_obj.values()):
             raise ParseError("'decay' values must be integers")
-        try:
-            decay = {int(k): v for k, v in decay_obj.items()}
-        except (TypeError, ValueError):
-            raise ParseError("'decay' keys must be integers") from None
+        if not all(isinstance(k, str) and k.isascii() and k.isdigit() for k in decay_obj):  # [0-9]+
+            raise ParseError("'decay' keys must be integers in ASCII digits")
+        decay = {int(k): v for k, v in decay_obj.items()}
     return MLTest.build(levels, base, decay)
 
 

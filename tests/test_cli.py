@@ -272,6 +272,18 @@ class TestInvert:
         monkeypatch.setenv(GRANULARITY_ENV, "many")
         assert main(["invert", uniform_file, "--depth", "1"]) == 2
 
+    @pytest.mark.parametrize("raw", ["\u0661\u0666", "1_6", " 16 ", "+2", "-1"])
+    def test_cap_takes_ascii_digits_only(self, uniform_file, monkeypatch, capsys, raw):
+        monkeypatch.setenv(GRANULARITY_ENV, raw)
+        assert main(["invert", uniform_file, "--depth", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"parse error: {GRANULARITY_ENV} must be a non-negative integer in ASCII digits, got {raw!r}\n"
+        )
+        monkeypatch.setenv(GRANULARITY_ENV, "16")
+        assert main(["invert", uniform_file, "--depth", "1"]) == 0
+
     @pytest.mark.parametrize(
         "name, argv",
         [
@@ -339,6 +351,11 @@ class TestMirrorPair:
 
     def test_missing_stage_arguments_rejected(self):
         assert main(["mirror-pair"]) == 2
+
+    def test_both_stage_arguments_rejected(self, tmp_path, capsys):
+        path = write_json(tmp_path, "approx.json", ["0", "1/2^2", "1/2^1"])
+        assert main(["mirror-pair", "--stages", "0,1/2^1", "--stages-file", path]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_decreasing_stages_fail_the_precondition(self):
         assert main(["mirror-pair", "--stages", "1/2^1,1/2^2"]) == 4
@@ -481,6 +498,19 @@ class TestFieldTypes:
         }
         assert main(["validate", write_json(tmp_path, "t.json", obj)]) == 2
 
+    @pytest.mark.parametrize("key", ["\u0661", "1_0", " +1", "-1"])
+    def test_decay_keys_are_ascii_digits(self, tmp_path, capsys, key):
+        obj = {
+            "kind": "generalized",
+            "base": stage_to_json(uniform_measure(1)),
+            "levels": [["0"], ["00"], ["000"], ["0000"]],
+            "decay": {key: 1},
+        }
+        assert main(["validate", write_json(tmp_path, "t.json", obj)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: 'decay' keys must be integers in ASCII digits\n"
+
     def test_decay_accepts_integer_levels(self, tmp_path):
         obj = {
             "kind": "generalized",
@@ -499,6 +529,46 @@ class TestFieldTypes:
     def test_functional_pairs_must_be_strings(self, tmp_path, pair):
         path = write_json(tmp_path, "phi.json", {"stages": [[pair]]})
         assert main(["eval", path, "--sigma", "0"]) == 2
+
+
+class TestInputErrors:
+    """Each bad input exits 2 with one stderr line and nothing on stdout."""
+
+    BASE = {"components": [{"weight": "1", "table": [["1"]], "tail": {"kind": "uniform"}}]}
+    DOCUMENTS = {
+        "uniform": BASE,
+        "functional": {"stages": [[["0", "0"]]]},
+        "scalar-component": {"components": [1]},
+        "empty-table": {"components": [{"weight": "1", "table": [], "tail": {"kind": "uniform"}}]},
+        "string-level": {"kind": "ml", "base": BASE, "levels": ["0"]},
+        "decay-list": {"kind": "generalized", "base": BASE, "levels": [["0"]], "decay": [1]},
+    }
+
+    @pytest.mark.parametrize(
+        "document, argv, message",
+        [
+            ("uniform", ["trim", "--stage", "-1"], "stage must be non-negative"),
+            ("uniform", ["validate", "--stage", "-1"], "stage must be non-negative"),
+            ("functional", ["eval", "--sigma", "0", "--stage", "-1"], "stage must be non-negative"),
+            ("uniform", ["invert", "--depth", "-1"], "depth must be non-negative"),
+            ("scalar-component", ["validate"], "component must be an object"),
+            ("empty-table", ["validate"], "component table must be a non-empty list of rows"),
+            ("string-level", ["validate"], "level 0 must be a list of strings"),
+            ("decay-list", ["validate"], "'decay' must map accuracies to level indices"),
+        ],
+    )
+    def test_document_errors(self, tmp_path, capsys, document, argv, message):
+        path = write_json(tmp_path, "doc.json", self.DOCUMENTS[document])
+        assert main([argv[0], path, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {message}\n"
+
+    def test_no_approximation_stages(self, capsys):
+        assert main(["mirror-pair", "--stages", ","]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: no approximation stages given\n"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import dyadics
+from conftest import dyadics, unit_dyadics
 from helpers import as_fraction
 from semimeasures import Dyadic, HALF, ONE, ParseError, ZERO, dyadic_from_text
 from semimeasures.dyadic import add, common, lowest, parse_literal, row_lowest
@@ -207,6 +207,15 @@ def test_expansion_bits_truncation_matches_fractions():
             bits = expansion_bits(value, n)
             encoded = int(bits, 2) if bits else 0
             assert encoded == (as_fraction(value) * 2**n).__floor__()
+
+
+@given(unit_dyadics(max_exponent=12).filter(lambda v: v < ONE), st.integers(0, 16))
+def test_expansion_bits_is_the_floor_in_n_digits(value, n):
+    """expansion_bits(v, n) is floor(v * 2^n) written in exactly n binary digits."""
+    from semimeasures import expansion_bits
+
+    floor = (as_fraction(value) * 2**n).__floor__()
+    assert expansion_bits(value, n) == (format(floor, f"0{n}b") if n else "")
 
 
 class TestHashing:

@@ -167,8 +167,14 @@ class TestComponentBuild:
             Component.build(ONE, {EPSILON: ONE}, tail=TailRule.uniform(), tails={EPSILON: TailRule.uniform()})
 
     def test_negative_tilt_rejected(self):
-        with pytest.raises(ValueError):
+        """By ``build``, the direct constructor and ``dataclasses.replace`` alike."""
+        message = "tilt power must be non-negative"
+        with pytest.raises(ValueError, match=message):
             Component.build(ONE, {EPSILON: ONE}, tilt=-1)
+        with pytest.raises(ValueError, match=message):
+            Component(weight=ONE, depth=0, table={EPSILON: ONE}, tails={EPSILON: TailRule.uniform()}, tilt=-1)
+        with pytest.raises(ValueError, match=message):
+            replace(uniform_measure(1).components[0], tilt=-1)
 
     def test_constructor_converts_only_complete_mappings(self):
         tails = {"0": TailRule.uniform(), "1": TailRule.vanish()}
