@@ -42,8 +42,9 @@ and ``value``, ``set_mass``, the certificates of :mod:`mltest` and atom
 decoding all read it.  Level sums and trims are integers too:
 ``Component.level_sum`` is ``(numerator, e)``, each tail rule keeping
 ((zero + one) in lowest terms)**levels of its frontier mass, and
-``level_mass`` adds the weighted component sums directly.  ``Dyadic`` values
-are built only for what a sweep, a point read or a level mass returns.  A
+``level_mass`` adds the weighted component sums directly, as ``(numerator,
+e)`` too.  ``Dyadic`` values are built only for what a sweep, a point read or
+a trim returns.  A
 tail rule's integer form lives in :class:`TailsView` alone; lowest terms and
 common exponents live in :mod:`dyadic` (``lowest``, ``row_lowest``, ``add``,
 ``common``).
@@ -461,15 +462,12 @@ class SemiMeasureStage:
                 total = [t + factor * x for t, x in zip(total, row)]
         return total, e
 
-    def level_mass(self, sigma: str, n: int | None) -> Dyadic:
-        """Mass at level n above sigma.  n = None is the limit n -> infinity,
-        the trimmed mass: conserving frontier subtrees keep their mass and
-        every other subtree trims to zero.  Tilted components have no
-        closed-form limit."""
-        return Dyadic(*self._level_mass(sigma, n))
-
-    def _level_mass(self, sigma: str, n: int | None) -> tuple[int, int]:
-        # level_mass as (numerator, e): the weighted component sums added
+    def level_mass(self, sigma: str, n: int | None) -> tuple[int, int]:
+        """Mass at level n above sigma, as ``(numerator, e)``: the weighted
+        component sums added.  n = None is the limit n -> infinity, the
+        trimmed mass: conserving frontier subtrees keep their mass and every
+        other subtree trims to zero.  Tilted components have no closed-form
+        limit."""
         sums = [(comp.weight, comp.level_sum(sigma, n)) for comp in self.components]
         return add((w.numerator * x, w.exponent + y) for w, (x, y) in sums)
 

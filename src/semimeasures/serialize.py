@@ -138,8 +138,8 @@ def _component(obj: Any, literals: dict, rules: dict) -> Component:
     if tail is None and tails is None:
         raise ParseError("component needs a 'tail' or a 'tails' field")
     tilt = obj.get("tilt", 0)
-    if not _is_int(tilt) or tilt < 0:
-        raise ParseError("'tilt' must be a non-negative integer")
+    if not _is_int(tilt):
+        raise ParseError("'tilt' must be an integer")
     try:
         return Component.build(weight, table, tail=tail, tails=tails, tilt=tilt)
     except ValueError as exc:

@@ -29,7 +29,7 @@ def partial_trim(stage: SemiMeasureStage, sigma: str, n: int) -> Dyadic:
     check_bits(sigma)
     if n < len(sigma):
         raise ValueError(f"level {n} is above the string (length {len(sigma)})")
-    return stage.level_mass(sigma, n)
+    return Dyadic(*stage.level_mass(sigma, n))
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def derived_measure(stage: SemiMeasureStage, sigma: str, probe_depth: int | None
     check_bits(sigma)
     settled = max(len(sigma), stage.max_depth)
     if all(c.tilt == 0 for c in stage.components):
-        (t, te), (v, ve) = stage._level_mass(sigma, None), stage._level_mass(sigma, settled)
+        (t, te), (v, ve) = stage.level_mass(sigma, None), stage.level_mass(sigma, settled)
         if t << ve > v << te:
             raise AssertionError("closed-form trim exceeded a level sum")  # pragma: no cover
         return TrimResult(value=Dyadic(t, te), depth=settled, stabilized=True)
@@ -74,7 +74,8 @@ def open_set_derived(stage: SemiMeasureStage, members: Iterable[str], m_max: int
 
     The m-th entry is the stage's mass on the set with every member extended
     by m levels; the sequence is non-increasing and tends to the summed
-    derived measure of the members.
+    derived measure of the members.  A tilted member's bound is probed
+    max(m_max, 16) levels below it, so it never exceeds the last mass.
     """
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
@@ -83,8 +84,8 @@ def open_set_derived(stage: SemiMeasureStage, members: Iterable[str], m_max: int
         raise PreconditionError("the open set must be given as a prefix-free antichain")
     masses = []
     for m in range(m_max + 1):
-        masses.append(Dyadic(*add(stage._level_mass(s, len(s) + m) for s in items)))
-    limits = [derived_measure(stage, s) for s in items]
+        masses.append(Dyadic(*add(stage.level_mass(s, len(s) + m) for s in items)))
+    limits = [derived_measure(stage, s, len(s) + max(m_max, 16)) for s in items]
     value = sum((r.value for r in limits), ZERO)
     limit = TrimResult(value, max((r.depth for r in limits), default=0), all(r.stabilized for r in limits))
     return OpenSetTrim(masses=tuple(masses), limit=limit)

@@ -1,10 +1,13 @@
-"""Shared instance generators and independent brute-force oracles.
+"""Shared instance generators, one Fraction oracle per quantity, and the
+references that pin exact outputs.
 
-The oracles recompute quantities straight from the definitions — Fractions
-plus exhaustive enumeration over fixed-length strings — so they share no
-code with the package's closed-form or incremental paths.  Generators are
-driven by ``random.Random`` so both the property tests and the seeded
-acceptance batches can use them deterministically.
+The oracles recompute values, level sums and trims from their definitions,
+in Fractions and by enumeration over fixed-length strings, and share no
+code with the package.  A reference copy of a package path stays only
+where an oracle value is not enough: it pins exact tuples, events,
+messages or error order.  Generators are driven by ``random.Random`` so
+both the property tests and the seeded acceptance batches can use them
+deterministically.
 """
 
 from __future__ import annotations
@@ -189,15 +192,16 @@ def random_bits(rng: random.Random, max_len: int = 8) -> str:
 
 
 def oracle_component_value(comp: Component, sigma: str) -> Fraction:
-    """Component value from the raw definition, in Fractions."""
-    if len(sigma) <= comp.depth:
-        base = as_fraction(comp.table[sigma])
-    else:
-        node = sigma[: comp.depth]
+    """Component value from the raw definition, in Fractions: the table
+    entry, below the frontier times the rule's fraction one bit at a time,
+    over 2**(tilt * leading ones)."""
+    node, below = sigma[: comp.depth], sigma[comp.depth :]
+    base = as_fraction(comp.table[node])
+    if below:
         rule = comp.tails[node]
-        base = as_fraction(comp.table[node])
-        for b in sigma[comp.depth :]:
-            base *= as_fraction(rule.zero if b == "0" else rule.one)
+        zero, one = as_fraction(rule.zero), as_fraction(rule.one)
+        for b in below:
+            base *= zero if b == "0" else one
     return base / 2 ** (comp.tilt * leading_ones(sigma))
 
 
@@ -208,10 +212,52 @@ def oracle_stage_value(stage: SemiMeasureStage, sigma: str) -> Fraction:
     )
 
 
-def oracle_level_sum(value: Callable[[str], Dyadic], sigma: str, n: int) -> Fraction:
-    """Brute-force sum of values over all length-n extensions of sigma."""
+def oracle_level_sum(stage: SemiMeasureStage, sigma: str, n: int) -> Fraction:
+    """Sum of the stage's values over all length-n extensions of sigma."""
+    return sum((oracle_stage_value(stage, sigma + tail) for tail in all_strings(n - len(sigma))), Fraction(0))
+
+
+def reference_plain_level_sum(comp: Component, sigma: str, n: int | None) -> Fraction:
+    """Untilted level sum (n = None: the trim limit), one table or frontier
+    node at a time: levels below it a frontier node keeps (zero + one)**levels
+    of its mass, in the limit all of it under a conserving rule and none
+    under any other."""
+    if n is not None and n <= comp.depth:
+        return sum((as_fraction(comp.table[sigma + tail]) for tail in all_strings(n - len(sigma))), Fraction(0))
+    levels = None if n is None else n - max(len(sigma), comp.depth)
+
+    def kept(rule: TailRule) -> Fraction:
+        total = as_fraction(rule.zero) + as_fraction(rule.one)
+        return Fraction(int(total == 1)) if levels is None else total**levels
+
+    if len(sigma) >= comp.depth:
+        node, below = sigma[: comp.depth], sigma[comp.depth :]
+        rule = comp.tails[node]
+        v = as_fraction(comp.table[node])
+        v *= as_fraction(rule.zero) ** below.count("0") * as_fraction(rule.one) ** below.count("1")
+        return v * kept(rule)
+    total = Fraction(0)
+    for tail in all_strings(comp.depth - len(sigma)):
+        frontier = sigma + tail
+        total += as_fraction(comp.table[frontier]) * kept(comp.tails[frontier])
+    return total
+
+
+def reference_spine_level_sum(comp: Component, sigma: str, n: int) -> Fraction:
+    """Level sum at a sigma on the 1-spine, tilt included, in Fractions: an
+    extension of sigma leaves the spine at 1^j 0 for |sigma| <= j < n or is
+    1^n, and each exit adds its untilted level sum times 2**(-tilt * j)."""
+    assert "0" not in sigma
+    exits = [("1" * j + "0", j) for j in range(len(sigma), n)] + [("1" * n, n)]
+    return sum((reference_plain_level_sum(comp, tau, n) / 2 ** (comp.tilt * j) for tau, j in exits), Fraction(0))
+
+
+def oracle_trim(stage: SemiMeasureStage, sigma: str) -> Fraction:
+    """Trimmed mass of an untilted stage at sigma: the weighted sum of each
+    component's limit."""
+    assert all(c.tilt == 0 for c in stage.components), "tilted components have no closed-form trim"
     return sum(
-        (as_fraction(value(sigma + tail)) for tail in all_strings(n - len(sigma))),
+        (as_fraction(c.weight) * reference_plain_level_sum(c, sigma, None) for c in stage.components),
         Fraction(0),
     )
 
@@ -264,15 +310,15 @@ def oracle_stage_mass(stage: SemiMeasureStage, members: Iterable[str]) -> Fracti
     return sum((oracle_stage_value(stage, m) for m in prefix_free_normalize(members)), Fraction(0))
 
 
-# -- pairwise references -----------------------------------------------------------
+# -- references that pin exact outputs ----------------------------------------------
 #
-# Pairwise scans and a per-bit loop: the direct forms of the package's
-# antichain functions and component tails.  The length-indexed and
-# closed-form versions in the package must return exactly what these do.
-# Likewise the trim limit taken frontier node by frontier node, level sums
-# added one Dyadic at a time, the Lebesgue-likeness check as one trim per
-# node, the mixture's pushdown in Fractions, and validation node by node in
-# separate passes, against the package's sweeps over integer level rows.
+# Pairwise scans, the direct forms of the package's antichain functions: the
+# length-indexed versions must return exactly these tuples.  The
+# Lebesgue-likeness check as one trim per node, which pins the witness node
+# and the error; the mixture's pushdown in Fractions, which pins every
+# entry of the completed table; and validation node by node in separate
+# passes, which pins the first failing node, its message and its children
+# against the package's sweeps over integer level rows.
 
 
 def reference_prefix_free_normalize(strings: Iterable[str]) -> tuple[str, ...]:
@@ -304,79 +350,6 @@ def reference_intersect_sets(a: Iterable[str], b: Iterable[str]) -> tuple[str, .
     return reference_prefix_free_normalize(out)
 
 
-def reference_component_value(comp: Component, sigma: str) -> Dyadic:
-    """Component value with the tail applied one bit at a time."""
-    if len(sigma) <= comp.depth:
-        v = comp.table[sigma]
-    else:
-        frontier = sigma[: comp.depth]
-        v = comp.table[frontier]
-        rule = comp.tails[frontier]
-        for bit in sigma[comp.depth :]:
-            if not v:
-                v = ZERO
-                break
-            v = v * (rule.zero if bit == "0" else rule.one)
-    return v * Dyadic.pow2(-comp.tilt * leading_ones(sigma))
-
-
-def reference_trim(comp: Component, sigma: str) -> Fraction:
-    """Trim limit of an untilted component at sigma, in Fractions.
-
-    A frontier subtree whose tail conserves mass keeps its value and every
-    other subtree goes to 0: at or below the frontier that is the value of
-    sigma or nothing, above it the sum over the conserving frontier nodes
-    extending sigma.
-    """
-    assert comp.tilt == 0, "tilted components have no closed-form trim"
-    if len(sigma) >= comp.depth:
-        if comp.tails[sigma[: comp.depth]].conserving:
-            return oracle_component_value(comp, sigma)
-        return Fraction(0)
-    frontier = (sigma + tail for tail in all_strings(comp.depth - len(sigma)))
-    return sum((as_fraction(comp.table[f]) for f in frontier if comp.tails[f].conserving), Fraction(0))
-
-
-def reference_kept(rule: TailRule, levels: int | None) -> Fraction:
-    """Fraction of a node's mass left ``levels`` levels below it, (zero + one)**levels;
-    None is the limit, 1 for a conserving rule and 0 for any other."""
-    total = as_fraction(rule.zero) + as_fraction(rule.one)
-    if levels is None:
-        return Fraction(int(total == 1))
-    return total**levels
-
-
-def reference_plain_level_sum(comp: Component, sigma: str, n: int | None) -> Fraction:
-    """Untilted level sum (n = None: the trim limit) added up one table or
-    frontier node at a time, each frontier node times its own kept factor."""
-    if n is not None and n <= comp.depth:
-        total = ZERO
-        for tail in all_strings(n - len(sigma)):
-            total = total + comp.table[sigma + tail]
-        return as_fraction(total)
-    levels = None if n is None else n - max(len(sigma), comp.depth)
-    if len(sigma) >= comp.depth:
-        node, below = sigma[: comp.depth], sigma[comp.depth :]
-        rule = comp.tails[node]
-        v = as_fraction(comp.table[node])
-        v *= as_fraction(rule.zero) ** below.count("0") * as_fraction(rule.one) ** below.count("1")
-        return v * reference_kept(rule, levels)
-    total = Fraction(0)
-    for tail in all_strings(comp.depth - len(sigma)):
-        frontier = sigma + tail
-        total += as_fraction(comp.table[frontier]) * reference_kept(comp.tails[frontier], levels)
-    return total
-
-
-def reference_spine_level_sum(comp: Component, sigma: str, n: int) -> Fraction:
-    """Level sum at a sigma on the 1-spine, tilt included, in Fractions: an
-    extension of sigma leaves the spine at 1^j 0 for |sigma| <= j < n or is
-    1^n, and each exit adds its untilted level sum times 2**(-tilt * j)."""
-    assert "0" not in sigma
-    exits = [("1" * j + "0", j) for j in range(len(sigma), n)] + [("1" * n, n)]
-    return sum((reference_plain_level_sum(comp, tau, n) / 2 ** (comp.tilt * j) for tau, j in exits), Fraction(0))
-
-
 def reference_lebesgue_like_check(stage: SemiMeasureStage, depth: int) -> LebesgueLikeReport:
     """One derived measure per node of length <= depth, top-down."""
     if depth < 0:
@@ -406,25 +379,14 @@ def reference_pushdown(stage: SemiMeasureStage, depth: int) -> dict[str, Fractio
 
 
 def reference_validate(stage: SemiMeasureStage) -> ValidationReport:
-    """Structure, root, then super-additivity node by node, each node's
+    """Tail totals, root, then super-additivity node by node, each node's
     value recomputed as parent and again as child."""
     for idx, comp in enumerate(stage.components):
-        if comp.weight < ZERO:
-            return ValidationReport(False, message=f"component {idx}: negative weight")
-        if set(comp.table) != set(strings_up_to(comp.depth)):
-            return ValidationReport(False, message=f"component {idx}: incomplete table")
-        for node, v in comp.table.items():
-            if v < ZERO:
-                return ValidationReport(False, node=node, message=f"component {idx}: negative value")
-        if set(comp.tails) != set(all_strings(comp.depth)):
-            return ValidationReport(False, message=f"component {idx}: tail map must cover the frontier")
         for node, rule in comp.tails.items():
-            if rule.zero < ZERO or rule.one < ZERO or rule.total > ONE:
+            if rule.total > ONE:
                 return ValidationReport(
                     False, node=node, message=f"component {idx}: tail fractions must be >= 0 and sum to <= 1"
                 )
-        if comp.tilt < 0:
-            return ValidationReport(False, message=f"component {idx}: negative tilt")
     root = stage.value(EPSILON)
     if stage.strict and root != ONE:
         return ValidationReport(False, node=EPSILON, message=f"strict presentation has root mass {root}")
@@ -718,8 +680,8 @@ def reference_component_from_json(obj: Any) -> Component:
     if tail is None and tails is None:
         raise ParseError("component needs a 'tail' or a 'tails' field")
     tilt = obj.get("tilt", 0)
-    if not isinstance(tilt, int) or isinstance(tilt, bool) or tilt < 0:
-        raise ParseError("'tilt' must be a non-negative integer")
+    if not isinstance(tilt, int) or isinstance(tilt, bool):
+        raise ParseError("'tilt' must be an integer")
     try:
         return Component.build(weight, TableView.of(table), tail=tail, tails=tails, tilt=tilt)
     except ValueError as exc:

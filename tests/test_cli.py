@@ -456,6 +456,14 @@ class TestFieldTypes:
         obj["components"][0]["tilt"] = tilt
         assert main(["validate", write_json(tmp_path, "m.json", obj)]) == 2
 
+    def test_negative_tilt_is_rejected_by_the_component(self, tmp_path, capsys):
+        obj = stage_to_json(uniform_measure(1))
+        obj["components"][0]["tilt"] = -1
+        assert main(["validate", write_json(tmp_path, "m.json", obj)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: tilt power must be non-negative\n"
+
     @pytest.mark.parametrize("depth", [True, 1.0, "1"])
     def test_infimum_depth_must_be_an_integer(self, tmp_path, depth):
         obj = {"kind": "infimum", "rows": [["1"], ["1/2^1"]], "depth": depth}

@@ -39,6 +39,10 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             Dyadic(1, -1)
 
+    def test_rejects_non_int_parts(self):
+        with pytest.raises(TypeError, match="^numerator and exponent must be int$"):
+            Dyadic(1.5)
+
     def test_immutable(self):
         with pytest.raises(AttributeError):
             ONE.numerator = 2
@@ -139,6 +143,20 @@ class TestArithmetic:
     def test_int_coercion_for_sum(self):
         assert sum([HALF, HALF, ONE]) == Dyadic(2)
 
+    @pytest.mark.parametrize(
+        "op, message",
+        [
+            (lambda a, b: a + b, "unsupported operand type(s) for +: 'Dyadic' and 'float'"),
+            (lambda a, b: a - b, "unsupported operand type(s) for -: 'Dyadic' and 'float'"),
+            (lambda a, b: a * b, "unsupported operand type(s) for *: 'Dyadic' and 'float'"),
+            (lambda a, b: a < b, "'<' not supported between instances of 'Dyadic' and 'float'"),
+        ],
+    )
+    def test_float_operands_are_type_errors(self, op, message):
+        with pytest.raises(TypeError) as info:
+            op(Dyadic(1), 0.5)
+        assert str(info.value) == message
+
     def test_power_requires_non_negative_int(self):
         with pytest.raises(ValueError):
             ONE ** -1
@@ -195,6 +213,12 @@ class TestExpansionBits:
 
         with pytest.raises(ValueError):
             expansion_bits(ONE, 2)
+
+    def test_rejects_a_negative_digit_count(self):
+        from semimeasures import expansion_bits
+
+        with pytest.raises(ValueError, match="^digit count must be non-negative$"):
+            expansion_bits(HALF, -1)
 
 
 def test_expansion_bits_truncation_matches_fractions():

@@ -194,6 +194,9 @@ class TestEval:
         assert eval_on_string(ident, "0110", stage=2) == "01"
         assert eval_on_string(ident, "0110", stage=6) == "0110"
 
+    def test_identity_has_no_finite_event_list(self):
+        assert MonotoneFunctional.identity().events is None
+
     @given(st.text(alphabet="01", max_size=6), st.integers(0, 5), st.integers(0, 6))
     def test_monotone_in_input_and_stage(self, sigma, stage, cut):
         ident = MonotoneFunctional.identity()
@@ -387,6 +390,11 @@ class TestDomainApprox:
         ident = MonotoneFunctional.identity()
         with pytest.raises(PreconditionError):
             domain_clopen_approx(ident, e=1, ell=1, modulus=lambda k, j: -1)
+
+    def test_negative_index_rejected(self):
+        ident = MonotoneFunctional.identity()
+        with pytest.raises(ValueError, match="^index and length must be non-negative$"):
+            domain_clopen_approx(ident, e=-1, ell=0, modulus=lambda k, j: 0)
 
 
 # ---------------------------------------------------------------------------

@@ -555,6 +555,7 @@ class TestParseErrors:
             lambda c: c.update(tail={"kind": "uniform"}),
             lambda c: c.update(tilt=True),
             lambda c: c.pop("weight"),
+            lambda c: c.update(tilt=-1),
         ],
     )
     def test_malformed_components(self, mutation):

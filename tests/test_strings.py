@@ -127,6 +127,10 @@ class TestExtendSet:
         with pytest.raises(ValueError):
             extend_set(["0", "00"], 1)
 
+    def test_rejects_a_negative_depth(self):
+        with pytest.raises(ValueError, match="^extension depth must be non-negative$"):
+            extend_set(["0"], -1)
+
     @given(string_sets, st.integers(0, 3))
     def test_measure_preserved(self, strings, m):
         antichain = prefix_free_normalize(strings)

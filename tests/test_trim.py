@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from helpers import (
     as_fraction,
     oracle_level_sum,
-    oracle_stage_value,
+    oracle_trim,
     random_component,
     random_joint_stage,
     random_stage,
@@ -21,7 +21,6 @@ from helpers import (
     reference_plain_level_sum,
     reference_spine_level_sum,
     reference_decode_atom,
-    reference_trim,
 )
 from semimeasures import (
     EPSILON,
@@ -41,6 +40,7 @@ from semimeasures import (
     derived_measure,
     dirac_spine,
     geometric_semimeasure,
+    leading_ones,
     lebesgue_like_check,
     mix_stages,
     open_set_derived,
@@ -92,28 +92,6 @@ class TestPartialTrim:
         rng = random.Random(seed)
         stage = random_stage(rng, depth=2, tilt_allowed=True)
         assert partial_trim(stage, "", n) >= partial_trim(stage, "", n + 1)
-
-    @given(st.integers(0, 2**32 - 1))
-    def test_tilted_level_sums_off_the_root(self, seed):
-        """Every sigma of length <= 3, on the 1-spine or holding a 0, and
-        every n from |sigma| to |sigma| + 4, with a tilted component."""
-        rng = random.Random(seed)
-        comps = (
-            random_component(rng, weight=HALF, depth=rng.randint(0, 2), tilt=rng.choice([1, 2])),
-            random_component(rng, weight=HALF, depth=rng.randint(0, 2), tilt=rng.choice([0, 1, 2])),
-        )
-        stage = SemiMeasureStage(comps, strict=True)
-        for sigma in strings_up_to(3):
-            for n in range(len(sigma), len(sigma) + 5):
-                assert as_fraction(partial_trim(stage, sigma, n)) == oracle_level_sum(stage.value, sigma, n)
-
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 5))
-    def test_matches_brute_force_sum(self, seed, n):
-        rng = random.Random(seed)
-        stage = random_stage(rng, depth=2, tilt_allowed=True)
-        assert as_fraction(partial_trim(stage, "", n)) == oracle_level_sum(
-            stage.value, "", n
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -173,45 +151,6 @@ class TestDerivedMeasure:
             assert result.value == children
 
 
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 3))
-    def test_trim_matches_the_frontier_reference(self, seed, depth_a, depth_b):
-        """Above, at and below each frontier the trim is the sum of the
-        conserving frontier subtrees that sigma reaches."""
-        rng = random.Random(seed)
-        comps = (
-            random_component(rng, weight=HALF, depth=depth_a),
-            random_component(rng, weight=HALF, depth=depth_b),
-        )
-        stage = SemiMeasureStage(comps, strict=True)
-        for sigma in strings_up_to(max(depth_a, depth_b) + 2):
-            expected = sum(as_fraction(c.weight) * reference_trim(c, sigma) for c in comps)
-            result = derived_measure(stage, sigma)
-            assert result.stabilized
-            assert as_fraction(result.value) == expected
-
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 3))
-    def test_integer_sums_match_the_node_by_node_sums(self, seed, depth_a, depth_b):
-        """Level sums at n <= depth and n > depth, and the limit n = None,
-        added as shifted ints per tail rule: the same Dyadic as adding one
-        node at a time, and the Fraction sums of the values and trims."""
-        rng = random.Random(seed)
-        comps = (
-            random_component(rng, weight=HALF, depth=depth_a),
-            random_component(rng, weight=HALF, depth=depth_b),
-        )
-        stage = SemiMeasureStage(comps, strict=True)
-        for sigma in strings_up_to(max(depth_a, depth_b) + 1):
-            for n in [*range(len(sigma), max(depth_a, depth_b) + 3), None]:
-                for c in comps:
-                    assert as_fraction(Dyadic(*c._plain_level_sum(sigma, n))) == reference_plain_level_sum(c, sigma, n)
-                if n is None:
-                    expected = sum(as_fraction(c.weight) * reference_trim(c, sigma) for c in comps)
-                    assert as_fraction(derived_measure(stage, sigma).value) == expected
-                else:
-                    expected = oracle_level_sum(stage.value, sigma, n)
-                    assert as_fraction(partial_trim(stage, sigma, n)) == expected
-
-
 # ---------------------------------------------------------------------------
 # Open sets
 # ---------------------------------------------------------------------------
@@ -256,58 +195,79 @@ class TestOpenSetDerived:
             assert a >= b
         assert result.masses[-1] >= result.limit.value
 
+    def test_tilted_limit_lies_below_the_deepest_refinement(self):
+        """Refinements past the default probe depth of 16 levels still bound
+        the tilted limit from above."""
+        result = open_set_derived(tilt_by_ones(uniform_measure()), ["1"], m_max=20)
+        assert not result.limit.stabilized
+        assert result.limit.depth == 21
+        assert result.limit.value <= result.masses[-1]
+
 
 # ---------------------------------------------------------------------------
 # Integer level sums against the Fraction definitions
 # ---------------------------------------------------------------------------
 
 
-def definition_level_sum(stage: SemiMeasureStage, sigma: str, n: int) -> Fraction:
-    return sum((oracle_stage_value(stage, sigma + t) for t in all_strings(n - len(sigma))), Fraction(0))
-
-
-def definition_trim(stage: SemiMeasureStage, sigma: str) -> Fraction:
-    return sum((as_fraction(c.weight) * reference_trim(c, sigma) for c in stage.components), Fraction(0))
-
-
 class TestIntegerLevelSums:
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 3), st.sampled_from([0, 0, 1, 2]))
-    def test_masses_trims_and_open_sets(self, seed, depth_a, depth_b, tilt):
-        """Mixed vanish, uniform, geometric and split tails, conserving and
-        lossy, under weights of different exponents; sigma above, at and
-        below each frontier, on the 1-spine and off it; n at or above each
-        frontier and the limit n = None."""
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(ONE,), (HALF, HALF), (HALF, Dyadic(3, 3))]),
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.tuples(*[st.sampled_from([0, 0, 1, 2])] * 2),
+    )
+    def test_masses_trims_and_open_sets(self, seed, weights, depths, tilts):
+        """One or two components with mixed vanish, uniform, geometric and
+        split tails, conserving and lossy, under weights of equal and of
+        different exponents, tilted or not; sigma above, at and below each
+        frontier, on the 1-spine and off it; n from |sigma| to two levels
+        below the deepest frontier, to four levels below a sigma of length
+        <= 3 (and to 5 at the root), and the limit n = None.  Each
+        component's level sum against its Fraction reference, and the
+        stage's level masses, partial trims, derived measures and open-set
+        masses against the oracles."""
         rng = random.Random(seed)
-        comps = (
-            random_component(rng, weight=HALF, depth=depth_a, tilt=tilt),
-            random_component(rng, weight=Dyadic(3, 3), depth=depth_b),
+        comps = tuple(
+            random_component(rng, weight=w, depth=d, tilt=t) for w, d, t in zip(weights, depths, tilts)
         )
         stage = SemiMeasureStage(comps, strict=False)
-        top = max(depth_a, depth_b)
-        for sigma in strings_up_to(top + 1):
-            for n in range(len(sigma), top + 3):
-                expected = definition_level_sum(stage, sigma, n)
-                assert as_fraction(stage.level_mass(sigma, n)) == expected
-                assert as_fraction(partial_trim(stage, sigma, n)) == expected
-            if tilt:
+        top = stage.max_depth
+        tilted = any(c.tilt for c in comps)
+        levels = {(s, n) for s in strings_up_to(top + 1) for n in range(len(s), top + 3)}
+        levels |= {(s, n) for s in strings_up_to(3) for n in range(len(s), max(len(s) + 4, 5) + 1)}
+        for sigma, n in sorted(levels):
+            for c in comps:
+                if c.tilt and "0" not in sigma:
+                    want = reference_spine_level_sum(c, sigma, n)
+                else:
+                    want = reference_plain_level_sum(c, sigma, n) / 2 ** (c.tilt * leading_ones(sigma))
+                assert as_fraction(Dyadic(*c.level_sum(sigma, n))) == want
+            expected = oracle_level_sum(stage, sigma, n)
+            assert as_fraction(Dyadic(*stage.level_mass(sigma, n))) == expected
+            assert as_fraction(partial_trim(stage, sigma, n)) == expected
+        for sigma in strings_up_to(top + 2):
+            for c in comps:
+                assert as_fraction(Dyadic(*c._plain_level_sum(sigma, None))) == reference_plain_level_sum(c, sigma, None)
+            if tilted:
                 with pytest.raises(ValueError):
                     stage.level_mass(sigma, None)
                 probe = len(sigma) + 2
                 result = derived_measure(stage, sigma, probe_depth=probe)
-                assert not result.stabilized
-                assert as_fraction(result.value) == definition_level_sum(stage, sigma, probe)
+                assert not result.stabilized and result.depth == probe
+                assert as_fraction(result.value) == oracle_level_sum(stage, sigma, probe)
             else:
-                assert as_fraction(stage.level_mass(sigma, None)) == definition_trim(stage, sigma)
+                assert as_fraction(Dyadic(*stage.level_mass(sigma, None))) == oracle_trim(stage, sigma)
                 result = derived_measure(stage, sigma)
                 assert result.stabilized and result.depth == max(len(sigma), top)
-                assert as_fraction(result.value) == definition_trim(stage, sigma)
+                assert as_fraction(result.value) == oracle_trim(stage, sigma)
         members = sorted({"".join(rng.choice("01") for _ in range(k)) for k in (1, 2, 3)}, key=len)
         members = [m for i, m in enumerate(members) if not any(m.startswith(p) for p in members[:i])]
         got = open_set_derived(stage, members, m_max=2)
         for m, mass in enumerate(got.masses):
-            assert as_fraction(mass) == sum(definition_level_sum(stage, s, len(s) + m) for s in members)
-        if not tilt:
-            assert as_fraction(got.limit.value) == sum(definition_trim(stage, s) for s in members)
+            assert as_fraction(mass) == sum(oracle_level_sum(stage, s, len(s) + m) for s in members)
+        assert got.limit.value <= got.masses[-1]
+        if not tilted:
+            assert as_fraction(got.limit.value) == sum(oracle_trim(stage, s) for s in members)
 
     @pytest.mark.parametrize(
         "rule",
@@ -349,17 +309,6 @@ class TestIntegerLevelSums:
 class TestSpineLevelSums:
     """A level sum at a sigma on a tilted 1-spine adds one plain sum per
     spine exit, in a loop: deep levels need no deep recursion."""
-
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.sampled_from([1, 2]))
-    def test_exit_sums_match_the_brute_force_sum(self, seed, depth, tilt):
-        comp = random_component(random.Random(seed), depth=depth, tilt=tilt)
-        stage = SemiMeasureStage((comp,), strict=False)
-        for sigma in ("", "1", "11"):
-            for n in range(len(sigma), len(sigma) + 5):
-                expected = oracle_level_sum(stage.value, sigma, n)
-                assert reference_spine_level_sum(comp, sigma, n) == expected
-                num, e = comp.level_sum(sigma, n)
-                assert Fraction(num, 2**e) == expected
 
     @pytest.mark.parametrize("tilt", [1, 2])
     def test_three_thousand_levels_down(self, tilt):
