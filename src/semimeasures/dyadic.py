@@ -2,7 +2,12 @@
 
 Every quantity in this package (masses of cylinder sets, stage values of
 semi-measures, thresholds) is a non-negative dyadic rational, and every
-operation on them is exact.  Floats never appear.
+operation on them is exact.  Floats never appear, and a ``Dyadic`` declines
+them: ``ONE == 1`` but ``ONE != 1.0``, ``ONE < 1.0`` raises ``TypeError``,
+and a float key finds no ``Dyadic`` in a dict, although an integral
+``Dyadic`` hashes like its integer and so like that float.  Equality with
+floats is left out because it would stay transitive only with Fraction
+equality and a numeric hash as well.
 
 Canonical form: the numerator is odd unless the exponent is zero, and zero
 is stored as ``0/2^0``.  Because construction always canonicalises,

@@ -467,7 +467,11 @@ class SemiMeasureStage:
         component sums added.  n = None is the limit n -> infinity, the
         trimmed mass: conserving frontier subtrees keep their mass and every
         other subtree trims to zero.  Tilted components have no closed-form
-        limit."""
+        limit.  sigma must be a 0/1 literal and n, unless None, at least
+        its length."""
+        check_bits(sigma)
+        if n is not None and n < len(sigma):
+            raise ValueError(f"level {n} is above the string (length {len(sigma)})")
         sums = [(comp.weight, comp.level_sum(sigma, n)) for comp in self.components]
         return add((w.numerator * x, w.exponent + y) for w, (x, y) in sums)
 

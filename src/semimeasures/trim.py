@@ -26,9 +26,6 @@ from .strings import EPSILON, canon, check_bits, is_prefix_free, string_at
 
 def partial_trim(stage: SemiMeasureStage, sigma: str, n: int) -> Dyadic:
     """Mass at level n above sigma: exact, via per-component closed sums."""
-    check_bits(sigma)
-    if n < len(sigma):
-        raise ValueError(f"level {n} is above the string (length {len(sigma)})")
     return Dyadic(*stage.level_mass(sigma, n))
 
 
@@ -51,7 +48,6 @@ def derived_measure(stage: SemiMeasureStage, sigma: str, probe_depth: int | None
     (default |sigma| + 16), a certified upper bound.  Either way the value
     is cross-checked against a concrete level sum before being returned.
     """
-    check_bits(sigma)
     settled = max(len(sigma), stage.max_depth)
     if all(c.tilt == 0 for c in stage.components):
         (t, te), (v, ve) = stage.level_mass(sigma, None), stage.level_mass(sigma, settled)

@@ -5,7 +5,10 @@ The oracles recompute values, level sums and trims from their definitions,
 in Fractions and by enumeration over fixed-length strings, and share no
 code with the package.  A reference copy of a package path stays only
 where an oracle value is not enough: it pins exact tuples, events,
-messages or error order.  Generators are driven by ``random.Random`` so
+messages or error order, and it reads every value and trim it needs from
+the oracles, never from the package's evaluators.  Point values with
+level rows, and validation, each have one property test against these
+(``test_semimeasure.py``).  Generators are driven by ``random.Random`` so
 both the property tests and the seeded acceptance batches can use them
 deterministically.
 """
@@ -38,9 +41,10 @@ from semimeasures import (
     ZERO,
     all_strings,
     dyadic_from_text,
-    derived_measure,
+    geometric_semimeasure,
     leading_ones,
     lebesgue_of_set,
+    mix_stages,
     preimage_buckets,
     prefix_free_normalize,
     strings_up_to,
@@ -172,6 +176,11 @@ def random_joint_stage(rng: random.Random, depth: int = 2, parts: int | None = N
         for w, table in zip(weights, tables)
     )
     return SemiMeasureStage(comps, strict=True)
+
+
+def half_blend() -> SemiMeasureStage:
+    """Half the fair coin plus half the quarter-geometric decay, which leaks mass."""
+    return mix_stages([uniform_measure(), geometric_semimeasure(Dyadic(1, 2))], [HALF, HALF])
 
 
 def random_antichain(rng: random.Random, max_len: int = 5, draws: int = 5) -> tuple[str, ...]:
@@ -351,19 +360,18 @@ def reference_intersect_sets(a: Iterable[str], b: Iterable[str]) -> tuple[str, .
 
 
 def reference_lebesgue_like_check(stage: SemiMeasureStage, depth: int) -> LebesgueLikeReport:
-    """One derived measure per node of length <= depth, top-down."""
+    """One trim per node of length <= depth, top-down."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    root = derived_measure(stage, EPSILON)
-    if not root.stabilized:
+    if any(c.tilt for c in stage.components):
         raise PreconditionError("exact trimming unavailable for this presentation")
-    alpha = root.value
+    alpha = oracle_trim(stage, EPSILON)
     if not alpha:
         return LebesgueLikeReport(alpha=None, witness=EPSILON)
     for s in strings_up_to(depth):
-        if derived_measure(stage, s).value != alpha * Dyadic.pow2(-len(s)):
+        if oracle_trim(stage, s) != alpha / 2 ** len(s):
             return LebesgueLikeReport(alpha=None, witness=s)
-    return LebesgueLikeReport(alpha=alpha, witness=None)
+    return LebesgueLikeReport(alpha=from_fraction(alpha), witness=None)
 
 
 def reference_pushdown(stage: SemiMeasureStage, depth: int) -> dict[str, Fraction]:
@@ -387,15 +395,13 @@ def reference_validate(stage: SemiMeasureStage) -> ValidationReport:
                 return ValidationReport(
                     False, node=node, message=f"component {idx}: tail fractions must be >= 0 and sum to <= 1"
                 )
-    root = stage.value(EPSILON)
+    root = from_fraction(oracle_stage_value(stage, EPSILON))
     if stage.strict and root != ONE:
         return ValidationReport(False, node=EPSILON, message=f"strict presentation has root mass {root}")
     if root > ONE:
         return ValidationReport(False, node=EPSILON, message=f"root mass {root} exceeds 1")
     for node in strings_up_to(stage.max_depth - 1):
-        parent = stage.value(node)
-        left = stage.value(node + "0")
-        right = stage.value(node + "1")
+        parent, left, right = (from_fraction(oracle_stage_value(stage, s)) for s in (node, node + "0", node + "1"))
         if left + right > parent:
             return ValidationReport(
                 False,
@@ -417,7 +423,7 @@ def reference_validate_measure(stage: SemiMeasureStage) -> ValidationReport:
             if not rule.conserving and comp.table[node] != ZERO:
                 return ValidationReport(False, node=node, message="tail loses mass at a charged frontier node")
     for node in strings_up_to(stage.max_depth - 1):
-        if stage.value(node + "0") + stage.value(node + "1") != stage.value(node):
+        if oracle_stage_value(stage, node + "0") + oracle_stage_value(stage, node + "1") != oracle_stage_value(stage, node):
             return ValidationReport(False, node=node, message=f"additivity fails at {node!r}")
     return ValidationReport(ok=True)
 
@@ -487,7 +493,7 @@ def reference_from_semimeasure(
     for t in range(stage + 1):
         st = rho.stage_at(t)
         for node in strings_up_to(depth):
-            target = st.value(node)
+            target = from_fraction(oracle_stage_value(st, node))
             if target.exponent > granularity_cap:
                 raise PreconditionError(f"stage value {target} at {node!r} finer than 2^-{granularity_cap}")
             have = held[node]
@@ -742,7 +748,7 @@ def reference_decode_atom(
     for _ in range(bits):
         emitted = None
         for s in range(max_stage + 1):
-            low, high = (rho.stage_at(s).value(current + b) for b in "01")
+            low, high = (from_fraction(oracle_stage_value(rho.stage_at(s), current + b)) for b in "01")
             if low >= q and high >= q:
                 raise AmbiguityError(
                     f"both children of {current!r} reached {q} at stage {s}", node=current, stage=s

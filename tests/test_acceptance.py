@@ -13,7 +13,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from helpers import random_antichain, random_component, random_stage, random_table
+from helpers import half_blend, random_antichain, random_stage, random_table
 from semimeasures import (
     EPSILON,
     HALF,
@@ -33,7 +33,6 @@ from semimeasures import (
     complete_to_measure,
     decode_atom,
     derived_measure,
-    extend_set,
     from_semimeasure,
     geometric_semimeasure,
     induced_semimeasure,
@@ -96,10 +95,6 @@ def test_criterion_01_quarter_geometric_trims_to_zero():
 
 
 # -- 2: the half fair-coin / half quarter-geometric blend -----------------------
-
-
-def half_blend() -> SemiMeasureStage:
-    return mix_stages([uniform_measure(), geometric_semimeasure(QUARTER)], [HALF, HALF])
 
 
 def test_criterion_02_blend_trims_to_half_lebesgue():

@@ -249,6 +249,12 @@ class TestHashing:
         assert len({Dyadic(1), 1}) == 1
         assert {Dyadic(6): "six"}[6] == "six"
 
+    def test_floats_are_declined_even_when_integral(self):
+        """An integral Dyadic hashes like its int, and so like the float, yet no float equals it."""
+        assert ONE != 1.0 and hash(ONE) == hash(1.0) and {ONE: 0}.get(1.0) is None
+        with pytest.raises(TypeError):
+            ONE < 1.0
+
     @given(dyadics())
     def test_equal_values_hash_equal(self, a):
         same = Dyadic(a.numerator << 3, a.exponent + 3)  # a non-canonical spelling

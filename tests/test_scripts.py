@@ -1,0 +1,44 @@
+"""The two scripts under ``scripts/`` run end to end and print their known results."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run(script: str, *args: str) -> list[str]:
+    """stdout lines of ``python scripts/<script> <args>`` against ``src``; the run must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, str(ROOT / "scripts" / script), *args]
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_worked_examples_rebuild_the_golden_table(tmp_path):
+    run("worked_examples.py", "--out-dir", str(tmp_path))
+    golden = ROOT / "tests" / "golden" / "expected" / "worked-examples.json"
+    assert (tmp_path / "worked_examples.json").read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args, last",
+    [
+        ("half-blend --members 0,1 --levels 12", "limit: 1/2^1 (exact)"),
+        ("tilted-fair-coin --members 1 --levels 20", "limit: 733007751851/2^42 (upper bound at depth 21)"),
+    ],
+)
+def test_trim_convergence_ends_at_the_limit(args, last):
+    assert run("trim_convergence.py", *args.split())[-1].strip() == last
+
+
+def test_trim_convergence_csv_has_one_row_per_level():
+    lines = run("trim_convergence.py", *"--file tests/golden/inputs/tilted.json --members 0,1 --levels 4 --format csv".split())
+    assert lines[0] == "level,mass,gap"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]

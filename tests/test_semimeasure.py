@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 from conftest import seeds, string_sets, unit_dyadics
 from helpers import (
     as_fraction,
+    half_blend,
     oracle_component_value,
     oracle_level_sum,
     oracle_stage_mass,
@@ -44,6 +45,7 @@ from semimeasures import (
     all_strings,
     check_domination,
     complete_to_measure,
+    derived_measure,
     dirac_spine,
     enumerate_limsup,
     from_infimum_sequence,
@@ -51,6 +53,7 @@ from semimeasures import (
     infimum_semimeasure,
     mix_stages,
     mixture,
+    partial_trim,
     strings_up_to,
     table_semimeasure,
     tilt_by_ones,
@@ -84,11 +87,104 @@ def stock_family() -> list[LeftCeSemiMeasure]:
     ]
 
 
-def example_two() -> SemiMeasureStage:
-    """Half the fair coin plus half a leaky geometric decay."""
-    return mix_stages(
-        [uniform_measure(), geometric_semimeasure(QUARTER)], [HALF, HALF]
+# The draws for the point-value and level-row properties: a plain or a
+# tilted mixture of 1-3 components, or a mixture valid only jointly.
+MIXED_KINDS = st.sampled_from(["plain", "tilted", "joint"])
+
+
+def mixed_stage(rng: random.Random, kind: str) -> SemiMeasureStage:
+    """Weights 1, 1/2, 1/4 and 3/8, depths 0-3, tilts 0-2 when tilted, and
+    per-node tails."""
+    if kind == "joint":
+        return random_joint_stage(rng, depth=rng.randint(0, 3))
+    comps = tuple(
+        random_component(
+            rng,
+            weight=rng.choice((ONE, HALF, QUARTER, Dyadic(3, 3))),
+            depth=rng.randint(0, 3),
+            tilt=rng.choice([0, 1, 2]) if kind == "tilted" else 0,
+        )
+        for _ in range(rng.randint(1, 3))
     )
+    return SemiMeasureStage(comps, strict=False)
+
+
+def probe_strings(rng: random.Random, stage: SemiMeasureStage) -> list[str]:
+    """Every string down to two levels below the deepest frontier, then
+    strings above, at and below each component's frontier, some on the
+    1-spine, with duplicates."""
+    out = []
+    for comp in stage.components:
+        frontier = "".join(rng.choice("01") for _ in range(comp.depth))
+        out += [
+            frontier[: rng.randint(0, comp.depth)],
+            frontier,
+            frontier + random_bits(rng, 6),
+            "1" * rng.randint(0, comp.depth + 3) + random_bits(rng, 3),
+        ]
+    out += rng.choices(out, k=rng.randint(0, 3))
+    rng.shuffle(out)
+    return list(strings_up_to(stage.max_depth + 2)) + out
+
+
+def row_levels(stage: SemiMeasureStage) -> range:
+    """The levels whose rows the row properties read: above, at and below
+    every frontier."""
+    return range(max(stage.max_depth + 3, 6))
+
+
+# The draws for the validation properties, and what may be done to them.
+VALIDATION_KINDS = st.sampled_from(["tilted", "joint", "mixed"])
+CORRUPTIONS = ("raise", "halve", "tails")
+
+
+def validation_stage(rng: random.Random, kind: str) -> SemiMeasureStage:
+    """A tilted mixture, a mixture valid only jointly, or ("mixed") a
+    mixture of additive and merely super-additive tables with roots 1 or
+    1/2 under a strict claim that may be wrong; depths 0-3."""
+    if kind == "tilted":
+        return random_stage(rng, depth=rng.randint(0, 3), tilt_allowed=True)
+    if kind == "joint":
+        return random_joint_stage(rng, depth=rng.randint(0, 3))
+    comps = []
+    for w in rng.choice([[ONE], [HALF, HALF]]):
+        depth = rng.randint(0, 3)
+        table = random_table(rng, depth, root=rng.choice([ONE, ONE, ONE, HALF]), additive=rng.random() < 0.7)
+        tails = {node: random_tail(rng, rng.choice([True, True, None])) for node in all_strings(depth)}
+        comps.append(Component.build(w, table, tails=tails))
+    return SemiMeasureStage(tuple(comps), strict=rng.random() < 0.9)
+
+
+def corrupted(rng: random.Random, stage: SemiMeasureStage, corruptions) -> SemiMeasureStage:
+    """``stage`` after each corruption in turn, on a random component:
+    "raise" adds 1/4 or 1 to a table entry, "halve" halves a frontier entry
+    (an additivity gap above it), "tails" gives some frontier nodes a rule
+    whose fractions sum to more than 1."""
+    bad_tails = (TailRule.split(ONE, HALF), TailRule.split(Dyadic(5, 3), Dyadic(5, 3)))
+    comps = list(stage.components)
+    for corruption in corruptions:
+        k = rng.randrange(len(comps))
+        comp = comps[k]
+        table, tails = dict(comp.table), dict(comp.tails)
+        if corruption == "raise":
+            node = rng.choice(list(table))
+            table[node] = table[node] + rng.choice([QUARTER, ONE])
+        elif corruption == "halve":
+            node = rng.choice(list(tails))
+            table[node] = table[node] * HALF
+        else:
+            for node in rng.sample(list(tails), rng.randint(1, len(tails))):
+                tails[node] = rng.choice(bad_tails)
+        comps[k] = Component(comp.weight, comp.depth, table, tails, comp.tilt)
+    return SemiMeasureStage(tuple(comps), strict=stage.strict)
+
+
+def assert_reports_match_the_node_walk(stage: SemiMeasureStage) -> None:
+    """``validate`` and ``validate_measure`` give the same (ok, node,
+    message, children) as the walk that evaluates every node on its own."""
+    for check, reference in ((validate, reference_validate), (validate_measure, reference_validate_measure)):
+        got, want = check(stage), reference(stage)
+        assert (got.ok, got.node, got.message, got.children) == (want.ok, want.node, want.message, want.children)
 
 
 class TestTailRule:
@@ -197,8 +293,9 @@ class TestComponentBuild:
         (lambda: mix_stages([uniform_measure()], []), "one weight per stage"),
         (lambda: from_infimum_sequence([], 0, 0), "at least one generator row is required"),
         (lambda: uniform_measure().components[0].level_sum("01", 1), "level must not be above the string"),
+        (lambda: uniform_measure().level_mass("01", 1), "level 1 is above the string (length 2)"),
     ],
-    ids=["dirac-bit", "mix-weights", "infimum-rows", "level-above-string"],
+    ids=["dirac-bit", "mix-weights", "infimum-rows", "level-above-string", "mass-level-above-string"],
 )
 def test_bad_arguments_are_value_errors(call, message):
     with pytest.raises(ValueError) as info:
@@ -275,18 +372,12 @@ class TestStoredForm:
                 with pytest.raises(KeyError):
                     comp.tails[EPSILON]
 
-    @given(seeds, st.sampled_from(["tilted", "joint"]))
+    @given(seeds, MIXED_KINDS)
     def test_reads_agree_with_the_reference_evaluators(self, seed, kind):
-        stage, _inputs = self.stage_with_inputs(seed, kind)
+        """``level_mass`` sums the stored rows at a random string, from its
+        own level to two below it."""
         rng = random.Random(seed)
-        strings = list(strings_up_to(stage.max_depth + 2))
-        nums, e = stage.values(strings)
-        assert [Fraction(x, 1 << e) for x in nums] == [oracle_stage_value(stage, s) for s in strings]
-        for comp in stage.components:
-            assert all(as_fraction(comp.value(s)) == oracle_component_value(comp, s) for s in strings)
-        for n in range(stage.max_depth + 3):
-            row, e = stage.level_row(n)
-            assert [Fraction(x, 1 << e) for x in row] == [oracle_stage_value(stage, s) for s in all_strings(n)]
+        stage = mixed_stage(rng, kind)
         sigma = random_bits(rng, stage.max_depth + 1)
         for n in range(len(sigma), len(sigma) + 3):
             assert as_fraction(Dyadic(*stage.level_mass(sigma, n))) == oracle_level_sum(stage, sigma, n)
@@ -338,7 +429,7 @@ class TestEval:
 
     def test_blend_closed_form(self):
         """The two-component blend evaluates to 2^-n-1 + 2^-2n-1."""
-        rho = example_two()
+        rho = half_blend()
         for n in range(6):
             sigma = ("01" * 3)[:n]
             assert rho.value(sigma) == Dyadic.pow2(-n - 1) + Dyadic.pow2(-2 * n - 1)
@@ -351,24 +442,23 @@ class TestEval:
         assert dirac_spine("1").value("10") == ZERO
         assert dirac_spine("1").value(EPSILON) == ONE
 
-    @given(seeds, st.integers(0, 3))
-    def test_matches_fraction_oracle(self, seed, extra_len):
-        """Mixture evaluation agrees with a Fraction re-computation."""
+    @given(seeds, MIXED_KINDS)
+    def test_matches_fraction_oracle(self, seed, kind):
         rng = random.Random(seed)
-        stage = random_stage(rng, depth=2, tilt_allowed=True)
-        probe = "".join(rng.choice("01") for _ in range(rng.randint(0, 2 + extra_len)))
-        assert as_fraction(stage.value(probe)) == oracle_stage_value(stage, probe)
+        stage = mixed_stage(rng, kind)
+        strings = probe_strings(rng, stage)
+        assert [as_fraction(stage.value(s)) for s in strings] == [oracle_stage_value(stage, s) for s in strings]
 
-    @given(seeds, st.integers(0, 3), st.integers(0, 2), st.text(alphabet="01", max_size=12))
-    def test_tail_matches_per_bit_reference(self, seed, depth, tilt, below):
+    @given(seeds, MIXED_KINDS)
+    def test_tail_matches_per_bit_reference(self, seed, kind):
         """The closed-form tail equals the Fraction definition, which applies
-        the tail one bit at a time."""
+        the tail one bit at a time, along a frontier path and up to 12 bits
+        below it."""
         rng = random.Random(seed)
-        comp = random_component(rng, depth=depth, tilt=tilt)
-        frontier = "".join(rng.choice("01") for _ in range(depth))
-        for cut in range(len(frontier + below) + 1):
-            sigma = (frontier + below)[:cut]
-            assert as_fraction(comp.value(sigma)) == oracle_component_value(comp, sigma)
+        for comp in mixed_stage(rng, kind).components:
+            path = "".join(rng.choice("01") for _ in range(comp.depth)) + random_bits(rng, 12)
+            prefixes = [path[:k] for k in range(len(path) + 1)]
+            assert [as_fraction(comp.value(s)) for s in prefixes] == [oracle_component_value(comp, s) for s in prefixes]
 
     @pytest.mark.parametrize(
         "rule",
@@ -398,157 +488,80 @@ class TestValidate:
         assert validate(geometric_semimeasure(QUARTER)).ok
 
     def test_overfull_children_flagged_at_root(self):
-        rho = table_semimeasure(
-            {EPSILON: ONE, "0": Dyadic(3, 2), "1": Dyadic(3, 2)}, tail=TailRule.vanish()
-        )
+        rho = table_semimeasure({EPSILON: ONE, "0": Dyadic(3, 2), "1": Dyadic(3, 2)}, tail=TailRule.vanish())
         report = validate(rho)
-        assert not report.ok
-        assert report.node == EPSILON
-        assert report.children == (Dyadic(3, 2), Dyadic(3, 2))
+        assert (report.ok, report.node, report.children) == (False, EPSILON, (Dyadic(3, 2), Dyadic(3, 2)))
 
     def test_strict_root_below_one_flagged(self):
-        rho = SemiMeasureStage(
-            (Component.build(HALF, {EPSILON: ONE}, tail=TailRule.uniform()),), strict=True
-        )
+        rho = SemiMeasureStage((Component.build(HALF, {EPSILON: ONE}, tail=TailRule.uniform()),), strict=True)
         report = validate(rho)
-        assert not report.ok and report.node == EPSILON
+        assert (report.ok, report.node, report.message) == (False, EPSILON, "strict presentation has root mass 1/2^1")
 
     def test_root_above_one_flagged(self):
-        rho = SemiMeasureStage(
-            (Component.build(Dyadic(3, 1), {EPSILON: ONE}, tail=TailRule.uniform()),),
-            strict=False,
-        )
-        assert not validate(rho).ok
+        rho = SemiMeasureStage((Component.build(Dyadic(3, 1), {EPSILON: ONE}, tail=TailRule.uniform()),), strict=False)
+        report = validate(rho)
+        assert (report.ok, report.node, report.message) == (False, EPSILON, "root mass 3/2^1 exceeds 1")
 
-    @given(seeds)
-    def test_generated_stages_validate(self, seed):
-        """The random generator only produces valid presentations."""
-        stage = random_stage(random.Random(seed), depth=3, tilt_allowed=True)
-        assert validate(stage).ok
+    @given(seeds, st.sampled_from(["tilted", "joint"]))
+    def test_generated_stages_validate(self, seed, kind):
+        """The tilted and the joint generators only produce valid presentations."""
+        assert validate(validation_stage(random.Random(seed), kind)).ok
 
-    @given(seeds)
-    def test_brute_force_agreement(self, seed):
-        """validate() agrees with a node-by-node Fraction checker."""
+    @given(seeds, VALIDATION_KINDS)
+    def test_integer_rows_report_what_the_node_walk_reports(self, seed, kind):
+        """Up to three table entries raised or frontier entries halved, so
+        one level may hold several violations."""
         rng = random.Random(seed)
-        stage = random_stage(rng, depth=2, tilt_allowed=True)
-        # corrupt half the time by inflating one deep child
-        corrupt = rng.random() < 0.5
-        if corrupt:
-            comp = stage.components[0]
-            node = rng.choice(["0", "1"])
-            table = dict(comp.table)
-            table[node] = table[EPSILON] + ONE
-            bad = Component(comp.weight, comp.depth, table, comp.tails, comp.tilt)
-            stage = SemiMeasureStage((bad,) + stage.components[1:], strict=stage.strict)
-        ok = True
-        root = oracle_stage_value(stage, EPSILON)
-        if stage.strict and root != 1:
-            ok = False
-        if root > 1:
-            ok = False
-        if ok:
-            for node in strings_up_to(stage.max_depth - 1):
-                parent = oracle_stage_value(stage, node)
-                if oracle_stage_value(stage, node + "0") + oracle_stage_value(
-                    stage, node + "1"
-                ) > parent:
-                    ok = False
-                    break
-        assert validate(stage).ok == ok
+        stage = validation_stage(rng, kind)
+        assert_reports_match_the_node_walk(corrupted(rng, stage, rng.choices(["raise", "halve"], k=rng.randint(1, 3))))
 
-
-    @given(seeds)
-    def test_integer_rows_report_what_the_node_walk_reports(self, seed):
-        """Tilted mixtures and mixtures valid only jointly, with up to three
-        table entries raised (so one level may hold several violations):
-        the same (ok, node, message, children) as a walk that evaluates
-        every node on its own."""
-        rng = random.Random(seed)
-        depth = rng.randint(0, 3)
-        if rng.random() < 0.4:
-            stage = random_stage(rng, depth=depth, tilt_allowed=True)
-        else:
-            stage = random_joint_stage(rng, depth=depth)
-        comps = list(stage.components)
-        for _ in range(rng.choice([0, 1, 2, 3])):
-            k = rng.randrange(len(comps))
-            comp = comps[k]
-            table = dict(comp.table)
-            node = rng.choice(list(table))
-            table[node] = table[node] + QUARTER
-            comps[k] = Component(comp.weight, comp.depth, table, comp.tails, comp.tilt)
-        stage = SemiMeasureStage(tuple(comps), strict=stage.strict)
-        got, want = validate(stage), reference_validate(stage)
-        assert (got.ok, got.node, got.message, got.children) == (want.ok, want.node, want.message, want.children)
-
-
-    @given(seeds)
-    def test_bad_tail_fractions_are_reported_at_their_first_frontier_node(self, seed):
+    @given(seeds, VALIDATION_KINDS)
+    def test_bad_tail_fractions_are_reported_at_their_first_frontier_node(self, seed, kind):
         """Each distinct rule is checked once; the witness is the first
         frontier node, in lex order, that carries a bad one."""
         rng = random.Random(seed)
-        stage = random_stage(rng, depth=rng.randint(0, 3))
-        comps = list(stage.components)
-        k = rng.randrange(len(comps))
-        comp = comps[k]
-        tails = dict(comp.tails)
-        bad = [TailRule.split(ONE, HALF), TailRule.split(Dyadic(5, 3), Dyadic(5, 3))]
-        for node in rng.sample(list(tails), rng.randint(1, len(tails))):
-            tails[node] = rng.choice(bad)
-        comps[k] = Component(comp.weight, comp.depth, comp.table, tails, comp.tilt)
-        stage = SemiMeasureStage(tuple(comps), strict=stage.strict)
-        got, want = validate(stage), reference_validate(stage)
-        assert not got.ok
-        assert (got.node, got.message) == (want.node, want.message)
+        stage = corrupted(rng, validation_stage(rng, kind), ["tails"])
+        assert not validate(stage).ok
+        assert_reports_match_the_node_walk(stage)
+
+    @given(seeds, VALIDATION_KINDS)
+    def test_brute_force_agreement(self, seed, kind):
+        """Two or three corruptions of any sort at once."""
+        rng = random.Random(seed)
+        stage = validation_stage(rng, kind)
+        assert_reports_match_the_node_walk(corrupted(rng, stage, rng.choices(CORRUPTIONS, k=rng.randint(2, 3))))
 
 
 class TestLevelRow:
-    @staticmethod
-    def two_part_stage(rng: random.Random, tilts: bool) -> SemiMeasureStage:
-        comps = tuple(
-            random_component(rng, weight=HALF, depth=rng.randint(0, 3), tilt=rng.choice([0, 0, 1, 2]) * tilts)
-            for _ in range(2)
-        )
-        return SemiMeasureStage(comps, strict=True)
-
-    @given(seeds, st.integers(0, 5))
-    def test_row_holds_the_values_of_the_level(self, seed, n):
+    @given(seeds, MIXED_KINDS)
+    def test_row_holds_the_values_of_the_level(self, seed, kind):
         """Weights and tilts folded in: numerator i over 2**e is the value
         of the i-th string of length n."""
-        stage = self.two_part_stage(random.Random(seed), tilts=True)
-        row, e = stage.level_row(n)
-        assert [Dyadic(x, e) for x in row] == [stage.value(s) for s in all_strings(n)]
-
-    @given(seeds, st.integers(0, 2))
-    def test_limit_row_holds_the_trimmed_masses(self, seed, extra):
-        stage = self.two_part_stage(random.Random(seed), tilts=False)
-        n = stage.max_depth + extra
-        row, e = stage.level_row(n, limit=True)
-        assert [Dyadic(x, e) for x in row] == [Dyadic(*stage.level_mass(s, None)) for s in all_strings(n)]
-
-    @given(seeds, st.sampled_from([(0, 0), (1, 0), (0, 2), (1, 2)]))
-    def test_rows_above_at_and_below_each_frontier(self, seed, tilts):
-        """Two components with per-node conserving and lossy rules, under
-        weights of different exponents: every row against the Fraction
-        values and, untilted, every limit row against the reference trims."""
-        rng = random.Random(seed)
-        comps = []
-        for weight, tilt in zip((HALF, Dyadic(3, 3)), tilts):
-            depth = rng.randint(0, 3)
-            tails = {node: random_tail(rng, conserving=rng.random() < 0.5) for node in all_strings(depth)}
-            comps.append(Component.build(weight, random_table(rng, depth), tails=tails, tilt=tilt))
-        stage = SemiMeasureStage(tuple(comps), strict=False)
-        for n in range(stage.max_depth + 3):
+        stage = mixed_stage(random.Random(seed), kind)
+        for n in row_levels(stage):
             row, e = stage.level_row(n)
-            assert [Fraction(x, 2**e) for x in row] == [oracle_stage_value(stage, s) for s in all_strings(n)]
-            if n < stage.max_depth:
-                continue
-            if any(tilts):
+            assert [Fraction(x, 1 << e) for x in row] == [oracle_stage_value(stage, s) for s in all_strings(n)]
+
+    @given(seeds, st.sampled_from(["plain", "joint"]))
+    def test_limit_row_holds_the_trimmed_masses(self, seed, kind):
+        stage = mixed_stage(random.Random(seed), kind)
+        for n in row_levels(stage)[stage.max_depth :]:
+            row, e = stage.level_row(n, limit=True)
+            assert [Fraction(x, 1 << e) for x in row] == [oracle_trim(stage, s) for s in all_strings(n)]
+
+    @given(seeds, MIXED_KINDS)
+    def test_rows_above_at_and_below_each_frontier(self, seed, kind):
+        """Every row is there; a limit row is there only at or below the
+        deepest frontier of an untilted stage."""
+        stage = mixed_stage(random.Random(seed), kind)
+        tilted = any(c.tilt for c in stage.components)
+        for n in row_levels(stage):
+            assert len(stage.level_row(n)[0]) == 1 << n
+            if n < stage.max_depth or tilted:
                 with pytest.raises(ValueError):
                     stage.level_row(n, limit=True)
-                continue
-            row, e = stage.level_row(n, limit=True)
-            assert [Fraction(x, 2**e) for x in row] == [oracle_trim(stage, s) for s in all_strings(n)]
+            else:
+                assert len(stage.level_row(n, limit=True)[0]) == 1 << n
 
     def test_limit_rows_lie_below_every_frontier_and_need_no_tilt(self):
         with pytest.raises(ValueError):
@@ -570,52 +583,17 @@ class TestValues:
     """``values`` is the one point-evaluation path: ``value``, ``set_mass``
     and the certificates all read it."""
 
-    WEIGHTS = (ONE, HALF, QUARTER, Dyadic(3, 3))
-
-    def mixed_stage(self, rng: random.Random, kind: str) -> SemiMeasureStage:
-        if kind == "joint":
-            return random_joint_stage(rng, depth=rng.randint(0, 3))
-        comps = tuple(
-            random_component(
-                rng,
-                weight=rng.choice(self.WEIGHTS),
-                depth=rng.randint(0, 3),
-                tilt=rng.choice([0, 1, 2]) if kind == "tilted" else 0,
-            )
-            for _ in range(rng.randint(1, 3))
-        )
-        return SemiMeasureStage(comps, strict=False)
-
-    @staticmethod
-    def probe_strings(rng: random.Random, stage: SemiMeasureStage) -> list[str]:
-        """Strings above, at and below each component's frontier, some on
-        the 1-spine, with duplicates."""
-        out = []
-        for comp in stage.components:
-            frontier = "".join(rng.choice("01") for _ in range(comp.depth))
-            out += [
-                frontier[: rng.randint(0, comp.depth)],
-                frontier,
-                frontier + random_bits(rng, 6),
-                "1" * rng.randint(0, comp.depth + 3) + random_bits(rng, 3),
-            ]
-        out += rng.choices(out, k=rng.randint(0, 3))
-        rng.shuffle(out)
-        return out
-
-    @given(seeds, st.sampled_from(["plain", "tilted", "joint"]))
+    @given(seeds, MIXED_KINDS)
     def test_values_match_the_fraction_reference(self, seed, kind):
         rng = random.Random(seed)
-        stage = self.mixed_stage(rng, kind)
-        strings = self.probe_strings(rng, stage)
+        stage = mixed_stage(rng, kind)
+        strings = probe_strings(rng, stage)
         nums, e = stage.values(strings)
-        assert len(nums) == len(strings)
         assert [Fraction(x, 1 << e) for x in nums] == [oracle_stage_value(stage, s) for s in strings]
-        assert [stage.value(s) for s in strings] == [Dyadic(x, e) for x in nums]
 
-    @given(seeds, st.sampled_from(["plain", "tilted", "joint"]), string_sets)
+    @given(seeds, MIXED_KINDS, string_sets)
     def test_set_mass_is_the_sum_over_the_normalised_antichain(self, seed, kind, strings):
-        stage = self.mixed_stage(random.Random(seed), kind)
+        stage = mixed_stage(random.Random(seed), kind)
         assert as_fraction(stage.set_mass(strings)) == oracle_stage_mass(stage, strings)
 
     def test_empty_list_gives_an_empty_row(self):
@@ -637,6 +615,13 @@ class TestValues:
         with pytest.raises(ParseError):
             uniform_measure().values(["0", bad])
 
+    @pytest.mark.parametrize("bad", [" 1", "1_0", "+1"])
+    def test_level_mass_and_the_trims_check_the_string(self, bad):
+        """``int(s, 2)`` would read these as "01", "010" and "01"."""
+        for stage in (uniform_measure(), tilt_by_ones(uniform_measure())):
+            for read in (lambda: stage.level_mass(bad, 3), lambda: partial_trim(stage, bad, 3), lambda: derived_measure(stage, bad)):
+                pytest.raises(ParseError, read)
+
 
 class TestValidateMeasure:
     def test_uniform_is_a_measure(self):
@@ -657,31 +642,18 @@ class TestValidateMeasure:
 
     @given(seeds)
     def test_one_walk_reports_what_the_passes_report(self, seed):
-        """Mixtures of additive and merely super-additive tables, lossy and
-        conserving tails, broken super-additivity and wrong root claims:
-        both checks give the same (ok, node, message) as separate passes."""
-        rng = random.Random(seed)
-        weights = rng.choice([[ONE], [HALF, HALF]])
-        comps = []
-        for w in weights:
-            depth = rng.randint(0, 3)
-            root = rng.choice([ONE, ONE, ONE, HALF])
-            table = random_table(rng, depth, root=root, additive=rng.random() < 0.7)
-            if depth and rng.random() < 0.2:
-                node = rng.choice(list(table)[1:])
-                table[node] = table[node] + QUARTER
-            conserving = rng.choice([True, True, None])
-            tails = {node: random_tail(rng, conserving) for node in all_strings(depth)}
-            comps.append(Component.build(w, table, tails=tails))
-        stage = SemiMeasureStage(tuple(comps), strict=rng.random() < 0.9)
-        for check, reference in ((validate, reference_validate), (validate_measure, reference_validate_measure)):
-            got, want = check(stage), reference(stage)
-            assert (got.ok, got.node, got.message, got.children) == (
-                want.ok,
-                want.node,
-                want.message,
-                want.children,
-            )
+        """Untouched mixtures of additive and merely super-additive tables,
+        lossy and conserving tails, and wrong root claims."""
+        assert_reports_match_the_node_walk(validation_stage(random.Random(seed), "mixed"))
+
+    def test_the_first_additivity_gap_of_a_level_is_reported(self):
+        """Both nodes of level 1 have a gap; the first in lex order is the witness."""
+        eighth = Dyadic(1, 3)
+        table = {EPSILON: ONE, "0": HALF, "1": HALF, "00": eighth, "01": eighth, "10": eighth, "11": eighth}
+        rho = table_semimeasure(table, tail=TailRule.uniform())
+        assert validate(rho).ok
+        report = validate_measure(rho)
+        assert (report.ok, report.node, report.message) == (False, "0", "additivity fails at '0'")
 
 
 class TestTilt:

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from helpers import (
     as_fraction,
+    half_blend,
     oracle_level_sum,
     oracle_trim,
     random_component,
@@ -54,12 +55,6 @@ from semimeasures import (
 QUARTER = Dyadic(1, 2)
 
 
-def example_two():
-    return mix_stages(
-        [uniform_measure(), geometric_semimeasure(QUARTER)], [HALF, HALF]
-    )
-
-
 # ---------------------------------------------------------------------------
 # Level masses
 # ---------------------------------------------------------------------------
@@ -72,7 +67,7 @@ class TestPartialTrim:
             assert partial_trim(geo, "", n) == Dyadic.pow2(-n)
 
     def test_blend_splits_into_constant_and_decaying_parts(self):
-        blend = example_two()
+        blend = half_blend()
         assert partial_trim(blend, "0", 1) == Dyadic(3, 3)
         assert partial_trim(blend, "0", 3) == Dyadic(9, 5)
         assert partial_trim(blend, "", 4) == Dyadic(17, 5)
@@ -108,7 +103,7 @@ class TestDerivedMeasure:
             assert result.value == ZERO
 
     def test_blend_trims_to_half_uniform(self):
-        blend = example_two()
+        blend = half_blend()
         for sigma in ("", "0", "01", "110"):
             result = derived_measure(blend, sigma)
             assert result.stabilized
@@ -169,7 +164,7 @@ class TestOpenSetDerived:
         assert result.limit.value == ZERO
 
     def test_blend_on_the_full_space(self):
-        result = open_set_derived(example_two(), ["0", "1"], m_max=3)
+        result = open_set_derived(half_blend(), ["0", "1"], m_max=3)
         assert result.masses == (
             Dyadic(3, 2),
             Dyadic(5, 3),
@@ -333,7 +328,7 @@ class TestSpineLevelSums:
 
 class TestLebesgueLikeCheck:
     def test_blend_is_half_uniform(self):
-        report = lebesgue_like_check(example_two(), depth=4)
+        report = lebesgue_like_check(half_blend(), depth=4)
         assert report.alpha is not None
         assert report.alpha == HALF
         assert report.witness is None
