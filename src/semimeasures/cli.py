@@ -80,19 +80,23 @@ def _flatten(prefix: str, obj: Any, rows: list[tuple[str, str]]) -> None:
 
 
 def _render(payload: Any, fmt: str) -> str:
-    """JSON as-is; CSV as a table when the payload carries one, else key,value."""
+    """JSON as-is; CSV as a table when the payload carries one, else key,value.
+
+    The key,value rows are joined as plain text.  ``csv.writer`` writes the
+    same bytes unless a field holds a comma or a quote, or the text a line
+    break; only then are the rows handed to it, to be quoted."""
     if fmt == "json":
         return dumps(payload)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     if isinstance(payload, dict) and "rows" in payload and "header" in payload:
-        writer.writerow(payload["header"])
-        writer.writerows(payload["rows"])
+        rows = [payload["header"], *payload["rows"]]
     else:
-        writer.writerow(["key", "value"])
-        rows: list[tuple[str, str]] = []
+        rows = [("key", "value")]
         _flatten("", payload, rows)
-        writer.writerows(rows)
+        text = "".join([f"{k},{v}\n" for k, v in rows])
+        if text.count(",") == text.count("\n") == len(rows) and '"' not in text and "\r" not in text:
+            return text
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
 
 

@@ -127,21 +127,28 @@ def consistency_check(phi: MonotoneFunctional, stage: int) -> ConsistencyReport:
     incomparable pairs, chain order being (input length, output).
     """
     by_input: dict[str, list[str]] = {}
-    for i, o in sorted(phi.pairs_at(stage)):
+    for i, o in phi.pairs_at(stage):
         by_input.setdefault(i, []).append(o)
     stack: list[tuple[str, str]] = []
-    for i, outs in by_input.items():
+    for i in sorted(by_input):
+        outs = by_input[i]
         while stack and not i.startswith(stack[-1][0]):
             stack.pop()
         above = stack[-1][1] if stack else EPSILON
-        longest = max(outs, key=len)
-        if len(above) > len(longest):
-            longest = above
-        if longest.startswith(above) and all(longest.startswith(o) for o in outs):
-            stack.append((i, longest))
-            continue
+        if len(outs) == 1:  # most inputs: the chain holds when the output and the one above compare
+            (o,) = outs
+            if o.startswith(above) or above.startswith(o):
+                stack.append((i, o if len(o) > len(above) else above))
+                continue
+        else:
+            longest = max(outs, key=len)
+            if len(above) > len(longest):
+                longest = above
+            if longest.startswith(above) and all(longest.startswith(o) for o in outs):
+                stack.append((i, longest))
+                continue
         # includes i itself at k == len(i)
-        chain = [(i[:k], o) for k in range(len(i) + 1) for o in by_input.get(i[:k], ())]
+        chain = [(i[:k], o) for k in range(len(i) + 1) for o in sorted(by_input.get(i[:k], ()))]
         return ConsistencyReport(False, *_first_conflict(chain))
     return ConsistencyReport(True)
 

@@ -5,7 +5,9 @@ text with the empty string for the root.  Component tables are row-major:
 one list per level, lexicographic within the level.  Emission is
 deterministic (sorted keys, fixed field order) so equal values serialize to
 identical bytes, those of ``json.dumps(obj, indent=2, sort_keys=True)``.
-Parsing reads each distinct literal text and tail rule of a document once.
+Parsing reads each distinct literal text and tail rule of a document once,
+and checks a functional's bit strings, or a ``tails`` map's nodes, in one
+pass; emission writes the text of each distinct value of a table row once.
 """
 
 from __future__ import annotations
@@ -71,8 +73,14 @@ def tail_from_json(obj: Any) -> TailRule:
     raise ParseError(f"unknown tail kind {kind!r}")
 
 
+def _row_texts(nums: list[int], e: int) -> list[str]:
+    """The texts of one table row, each distinct value written once."""
+    texts = {x: _text(x, e) for x in set(nums)}
+    return list(map(texts.__getitem__, nums))
+
+
 def component_to_json(comp: Component) -> dict:
-    table = [[_text(x, e) for x in nums] for nums, e in comp.table.rows]
+    table = [_row_texts(nums, e) for nums, e in comp.table.rows]
     rules = comp.tails.rules  # interned: one rule per distinct value
     out: dict[str, Any] = {
         "weight": str(comp.weight),
@@ -87,6 +95,15 @@ def component_to_json(comp: Component) -> dict:
     if comp.tilt:
         out["tilt"] = comp.tilt
     return out
+
+
+def _all_bits(strings: list) -> bool:
+    """Whether every item is a 0/1 string, in one join and one strip.  Callers
+    that get False run ``check_bits`` item by item to name the first bad one."""
+    try:
+        return not "".join(strings).strip("01")
+    except TypeError:  # an item that is not a string
+        return False
 
 
 def _rule(obj: Any, rules: dict) -> TailRule:
@@ -132,7 +149,10 @@ def _component(obj: Any, literals: dict, rules: dict) -> Component:
     if "tails" in obj:
         if not isinstance(obj["tails"], Mapping):
             raise ParseError("'tails' must map frontier nodes to rules")
-        tails = {check_bits(str(k)): _rule(v, rules) for k, v in obj["tails"].items()}
+        if _all_bits(list(obj["tails"])):
+            tails = {k: _rule(v, rules) for k, v in obj["tails"].items()}
+        else:  # node by node, so a bad rule before the first bad node is still named first
+            tails = {check_bits(str(k)): _rule(v, rules) for k, v in obj["tails"].items()}
     if "tail" in obj:
         tail = _rule(obj["tail"], rules)
     if tail is None and tails is None:
@@ -212,8 +232,10 @@ def functional_from_json(obj: Any) -> MonotoneFunctional:
             raise ParseError(f"stage {t} must be a list of [input, output] pairs")
         if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
             raise ParseError(f"stage {t}: each pair must be [input, output]")
-    for x in [x for pairs in stages for pair in pairs for x in pair]:
-        check_bits(x)
+    strings = [x for pairs in stages for pair in pairs for x in pair]
+    if not _all_bits(strings):
+        for x in strings:
+            check_bits(x)
     return MonotoneFunctional.from_batches({t: set(map(tuple, pairs)) for t, pairs in enumerate(stages)})
 
 

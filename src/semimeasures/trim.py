@@ -48,6 +48,7 @@ def derived_measure(stage: SemiMeasureStage, sigma: str, probe_depth: int | None
     (default |sigma| + 16), a certified upper bound.  Either way the value
     is cross-checked against a concrete level sum before being returned.
     """
+    check_bits(sigma)  # its length is read before any level sum checks it
     settled = max(len(sigma), stage.max_depth)
     if all(c.tilt == 0 for c in stage.components):
         (t, te), (v, ve) = stage.level_mass(sigma, None), stage.level_mass(sigma, settled)

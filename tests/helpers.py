@@ -57,6 +57,8 @@ from semimeasures.strings import canon, check_bits, comparable
 
 Pair = tuple[str, str]
 
+QUARTER = Dyadic(1, 2)
+
 
 def as_fraction(d: Dyadic) -> Fraction:
     return Fraction(d.numerator, 2**d.exponent)

@@ -13,7 +13,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from helpers import half_blend, random_antichain, random_stage, random_table
+from helpers import QUARTER, half_blend, random_antichain, random_stage, random_table
 from semimeasures import (
     EPSILON,
     HALF,
@@ -59,8 +59,6 @@ from semimeasures import (
 )
 
 import pytest
-
-QUARTER = Dyadic(1, 2)
 
 
 @contextmanager

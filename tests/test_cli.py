@@ -14,20 +14,20 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import reference_flatten
+from helpers import QUARTER, reference_flatten
 from semimeasures import (
     Dyadic,
     MonotoneFunctional,
     SemiMeasureStage,
+    all_strings,
     dirac_spine,
+    functional_to_json,
     geometric_semimeasure,
     stage_to_json,
     uniform_measure,
 )
 import semimeasures.cli as cli
 from semimeasures.cli import GRANULARITY_ENV, main
-
-QUARTER = Dyadic(1, 2)
 
 
 def write_json(tmp_path, name, obj):
@@ -647,7 +647,7 @@ class TestOneProcess:
 # CSV key/value rows against the one-call-per-value reference
 # ---------------------------------------------------------------------------
 
-keys = st.text(st.sampled_from("ab.[]0,\" é"), max_size=4)
+keys = st.text(st.sampled_from("ab.[]0,\" é\n\r"), max_size=4)
 payload_values = st.recursive(
     st.none() | st.booleans() | st.integers() | keys,
     lambda kids: st.lists(kids, max_size=4) | st.dictionaries(keys, kids, max_size=4),
@@ -656,6 +656,19 @@ payload_values = st.recursive(
 
 scalars = st.none() | st.booleans() | st.integers() | keys | st.tuples(keys, st.integers())
 scalar_lists = st.lists(scalars, max_size=3)
+
+WRITER = csv.writer
+
+
+def reference_csv(payload) -> str:
+    """The key,value CSV form written by ``csv.writer``."""
+    out = io.StringIO()
+    writer = WRITER(out, lineterminator="\n")
+    writer.writerow(["key", "value"])
+    rows: list[tuple[str, str]] = []
+    reference_flatten("", payload, rows)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 class TestFlatten:
@@ -678,10 +691,45 @@ class TestFlatten:
 
     @given(st.dictionaries(keys.filter(lambda k: k != "header"), payload_values, max_size=4))
     def test_csv_rendering_of_the_reference(self, payload):
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        rows: list[tuple[str, str]] = []
-        reference_flatten("", payload, rows)
-        writer.writerows(rows)
-        assert cli._render(payload, "csv") == out.getvalue()
+        assert cli._render(payload, "csv") == reference_csv(payload)
+
+    def test_a_field_to_quote_goes_through_the_writer(self, monkeypatch):
+        payload = {"message": 'a "b", c', "node": "01"}
+        expected = reference_csv(payload)
+        assert expected == 'key,value\nmessage,"a ""b"", c"\nnode,01\n'
+        calls = []
+        monkeypatch.setattr(csv, "writer", lambda *a, **k: calls.append(a) or WRITER(*a, **k))
+        assert cli._render(payload, "csv") == expected
+        assert len(calls) == 1
+
+    def test_a_large_stages_payload_is_joined_without_the_writer(self, monkeypatch):
+        phi = MonotoneFunctional.constant((s, s[:6]) for s in all_strings(12))  # 4,096 pairs
+        payload = functional_to_json(phi)
+        expected = reference_csv(payload)
+        monkeypatch.setattr(csv, "writer", None)
+        assert cli._render(payload, "csv") == expected
+        assert expected.count("\n") == 1 + 2 * 4096
+
+
+# ---------------------------------------------------------------------------
+# CSV and JSON forms of deep outputs
+# ---------------------------------------------------------------------------
+
+
+class TestDeepOutputs:
+    def test_invert_and_induce_write_the_same_leaves_in_both_forms(self, tmp_path, capsys):
+        """invert --depth 6, then induce --depth 12 on its functional: each CSV
+        row is one leaf of the JSON document, in key order."""
+        staged = str(Path(__file__).parent / "golden" / "inputs" / "staged.json")
+        fn, induced = str(tmp_path / "fn.json"), str(tmp_path / "induced.json")
+        for argv, out in [
+            (["invert", staged, "--stage", "3", "--depth", "6"], fn),
+            (["induce", fn, "--stage", "3", "--depth", "12"], induced),
+        ]:
+            assert main(argv + ["--out", out]) == 0
+            assert main(argv + ["--format", "csv"]) == 0
+            rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+            leaves: list[tuple[str, str]] = []
+            reference_flatten("", json.loads(Path(out).read_text(encoding="utf-8")), leaves)
+            assert rows == [["key", "value"], *map(list, leaves)]
+        assert len(rows) == 1 + 4 + (2 << 12) - 1  # strict, depth, tail and weight, and the table

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from helpers import (
+    QUARTER,
     as_fraction,
     oracle_functional_eval,
     oracle_induced_mass,
@@ -57,8 +58,6 @@ from semimeasures import (
     validate,
 )
 from semimeasures.strings import comparable
-
-QUARTER = Dyadic(1, 2)
 
 pair_lists = st.lists(
     st.tuples(st.text(alphabet="01", max_size=4), st.text(alphabet="01", max_size=4)),

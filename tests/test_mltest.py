@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
+    QUARTER,
     oracle_intersection_leaves,
     random_antichain,
     random_bits,
@@ -42,8 +43,6 @@ from semimeasures import (
     validate_generalized_test,
     validate_ml_test,
 )
-
-QUARTER = Dyadic(1, 2)
 
 
 def spine_test(base, count=5):

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from conftest import seeds, string_sets, unit_dyadics
 from helpers import (
+    QUARTER,
     as_fraction,
     half_blend,
     oracle_component_value,
@@ -64,8 +65,6 @@ from semimeasures import (
 from semimeasures import test_defeating_semimeasure as defeating_semimeasure
 from semimeasures.semimeasure import LeftCeSemiMeasure, TailsView, _canonical
 from semimeasures.strings import StagedFamily
-
-QUARTER = Dyadic(1, 2)
 
 
 def stock_family() -> list[LeftCeSemiMeasure]:

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
+    QUARTER,
+    random_bits,
     random_stage,
+    random_tail,
     reference_component_from_json,
     reference_from_infimum_sequence,
     reference_functional_from_json,
@@ -18,6 +21,7 @@ from semimeasures import (
     HALF,
     ONE,
     ZERO,
+    Component,
     Dyadic,
     GeneralizedTest,
     MLTest,
@@ -48,9 +52,8 @@ from semimeasures import (
     uniform_measure,
     universal_functional,
 )
+from semimeasures.semimeasure import TableView
 from semimeasures.serialize import _text
-
-QUARTER = Dyadic(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +152,20 @@ class TestComponentJson:
         comp = random_stage(rng, depth=rng.randint(0, 2)).components[0]
         obj = component_to_json(comp)
         assert ("tail" in obj) == (len({str(r) for r in comp.tails.values()}) == 1)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 3, 12]), st.integers(0, 2))
+    def test_table_texts_are_the_per_entry_literals(self, seed, depth, tilt):
+        """Rows of zeros, of a few repeated values or of spread values, up to
+        depth 12 (rows of 4,096 entries), tilted or not: each entry's text is
+        the literal of its own Dyadic."""
+        rng = random.Random(seed)
+        pool = [rng.randrange(1 << 20) for _ in range(rng.randint(1, 4))]
+        rows = []
+        for n in range(depth + 1):
+            values = rng.choice([[0], pool, range(1 << 21)])  # all zero, a few repeated, or spread
+            rows.append(([rng.choice(values) for _ in range(1 << n)], rng.randint(0, 24)))
+        comp = Component.build(Dyadic(rng.randint(1, 4), 2), TableView(rows), tail=random_tail(rng), tilt=tilt)
+        assert component_to_json(comp)["table"] == [[str(Dyadic(x, e)) for x in nums] for nums, e in rows]
 
     @given(st.integers(0, 2**32 - 1))
     def test_round_trip_preserves_values(self, seed):
@@ -588,3 +605,52 @@ class TestParseErrors:
         doc = {"stages": stages}
         assert outcome(functional_from_json, doc) == outcome(reference_functional_from_json, doc)
         assert outcome(functional_from_json, doc)[0] == "ParseError"
+
+
+# -- long documents: the bulk bit-string checks give the per-string errors ---
+
+BAD_BITS = ["01x", "2", " 0", "0\n", "é", 1, 0, None, ["0"], []]
+BAD_NODES = ["01x", "2", " 0", "é", 1, 0, None, ("0",)]
+
+
+@st.composite
+def long_functional_docs(draw):
+    """50-500 pairs over 1-6 stages, 0-3 of their strings replaced by a bad entry."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    stages = [[] for _ in range(rng.randint(1, 6))]
+    for _ in range(draw(st.integers(50, 500))):
+        rng.choice(stages).append([random_bits(rng), random_bits(rng)])
+    slots = [(pair, side) for pairs in stages for pair in pairs for side in (0, 1)]
+    for _ in range(draw(st.integers(0, 3))):
+        pair, side = slots[draw(st.integers(0, len(slots) - 1))]
+        pair[side] = draw(st.sampled_from(BAD_BITS))
+    return {"stages": stages}
+
+
+@st.composite
+def long_tails_components(draw):
+    """A depth 5-8 component with one rule per frontier node; 0-3 nodes get a
+    bad key or an unknown rule."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    depth = draw(st.integers(5, 8))
+    items = [(node, tail_to_json(random_tail(rng))) for node in all_strings(depth)]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(items) - 1))
+        node, rule = items[k]
+        items[k] = (draw(st.sampled_from(BAD_NODES)), rule) if draw(st.booleans()) else (node, {"kind": "spiral"})
+    table = [[f"1/2^{n}"] * (1 << n) for n in range(depth + 1)]
+    return {"weight": "1/2^1", "table": table, "tails": dict(items)}
+
+
+class TestLongDocuments:
+    @given(long_functional_docs())
+    def test_functionals_read_as_the_reference_reads_them(self, doc):
+        assert outcome(lambda d: functional_from_json(d).events, doc) == outcome(
+            lambda d: reference_functional_from_json(d).events, doc
+        )
+
+    @given(long_tails_components())
+    def test_tails_maps_read_as_the_reference_reads_them(self, comp):
+        assert outcome(component_from_json, comp) == outcome(reference_component_from_json, comp)
+        doc = {"components": [comp]}
+        assert outcome(new_stage, doc) == outcome(reference_stage, doc)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
+    QUARTER,
     as_fraction,
     half_blend,
     oracle_level_sum,
@@ -33,6 +34,7 @@ from semimeasures import (
     Component,
     Dyadic,
     LeftCeSemiMeasure,
+    ParseError,
     PreconditionError,
     SemiMeasureStage,
     TailRule,
@@ -51,8 +53,6 @@ from semimeasures import (
     tilt_by_ones,
     uniform_measure,
 )
-
-QUARTER = Dyadic(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +130,12 @@ class TestDerivedMeasure:
         assert result.value == partial_trim(tilted, "", result.depth)
         deeper = derived_measure(tilted, "", probe_depth=24)
         assert deeper.value <= result.value
+
+    @pytest.mark.parametrize("sigma", [None, 0, 1, ["0"], "01x", " 1"])
+    @pytest.mark.parametrize("stage", [uniform_measure(), tilt_by_ones(uniform_measure())], ids=["untilted", "tilted"])
+    def test_a_sigma_that_is_not_a_bit_string_is_a_parse_error(self, stage, sigma):
+        with pytest.raises(ParseError, match="not a binary string"):
+            derived_measure(stage, sigma)
 
     @given(st.integers(0, 2**32 - 1))
     def test_untilted_trim_is_a_lower_bound_and_additive(self, seed):
