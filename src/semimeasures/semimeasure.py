@@ -38,21 +38,27 @@ Whole-table sweeps (validation, completion, the Lebesgue-likeness check in
 components (and, below a frontier, rows built per tail rule).  Point
 evaluation has the same form: :meth:`SemiMeasureStage.values` returns the
 values of any list of strings as ``int`` numerators over one power of two,
-and ``value``, ``set_mass``, the certificates of :mod:`mltest` and atom
-decoding all read it.  Level sums and trims are integers too:
-``Component.level_sum`` is ``(numerator, e)``, each tail rule keeping
+and ``value``, the certificates of :mod:`mltest` and atom decoding all read
+it.  ``set_mass`` builds no value per member: each component sums the
+stored row entries of the members at or above the frontier, and
+below it the frontier numerators per tail rule and count of ones, each
+such sum taking its rule's factor once.  Level sums and trims are integers
+too: ``Component.level_sum`` is ``(numerator, e)``, each tail rule keeping
 ((zero + one) in lowest terms)**levels of its frontier mass, and
 ``level_mass`` adds the weighted component sums directly, as ``(numerator,
-e)`` too.  ``Dyadic`` values are built only for what a sweep, a point read or
-a trim returns.  A
-tail rule's integer form lives in :class:`TailsView` alone; lowest terms and
-common exponents live in :mod:`dyadic` (``lowest``, ``row_lowest``, ``add``,
-``common``).
+e)`` too.  ``Dyadic`` values are built only for what a sweep, a point read,
+a set mass or a trim returns.  A tail rule's integer form lives in
+:class:`TailsView` alone; lowest terms and common exponents live in
+:mod:`dyadic` (``lowest``, ``row_lowest``, ``add``, ``common``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
+from itertools import groupby, repeat
+from operator import and_, rshift
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .dyadic import Dyadic, HALF, ONE, ZERO, add, common, row_lowest
@@ -61,6 +67,7 @@ from .strings import (
     EPSILON,
     StagedFamily,
     all_strings,
+    check_all_bits,
     check_bits,
     leading_ones,
     prefix_free_normalize,
@@ -125,6 +132,16 @@ class TailRule:
 def _lex(s: str) -> int:
     """Position of a bit string among the strings of its length, in lex order."""
     return int(s, 2) if s else 0
+
+
+def _runs_by_leading_ones(positions: list[int], n: int) -> list[tuple[int, list[int]]]:
+    """Ascending lex positions of length-n strings split by the number j of
+    leading ones of their strings, as (j, positions) for each j present: for
+    j < n those are the positions in [2^n - 2^(n-j), 2^n - 2^(n-j-1)), and
+    the all-ones string has j = n."""
+    full = 1 << n
+    cuts = [bisect_left(positions, full - (full >> j)) for j in range(n + 1)] + [len(positions)]
+    return [(j, positions[lo:hi]) for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if lo < hi]
 
 
 def _canonical(nums: list[int], e: int) -> Row:
@@ -354,6 +371,42 @@ class Component:
         e = max(exps, default=0)
         return [m << (e - x) for m, x in zip(nums, exps)], e
 
+    def _group_sum(self, groups: Sequence[tuple[int, list[int]]]) -> tuple[int, int]:
+        # sum of values (weight not included) over the strings given as
+        # (length, ascending lex positions) groups, as (numerator, e); the
+        # strings of a group with j leading ones are one run of it, which the
+        # tilt scales by 2**(-tilt * j), an exponent shift
+        terms = []
+        for n, positions in groups:
+            for j, run in _runs_by_leading_ones(positions, n) if self.tilt else [(0, positions)]:
+                num, e = self._plain_group_sum(n, run)
+                terms.append((num, e + self.tilt * j))
+        return add(terms)
+
+    def _plain_group_sum(self, n: int, positions: list[int]) -> tuple[int, int]:
+        # sum of untilted values over the length-n strings at the given lex
+        # positions, as (numerator, e): stored row entries at or above the
+        # frontier; below it the frontier numerators summed per (rule, ones
+        # below the frontier), each sum times one z**zeros * o**ones
+        depth, rows = self.depth, self.table.rows
+        if n <= depth:
+            row, e = rows[n]
+            return sum(map(row.__getitem__, positions)), e
+        below = n - depth
+        fnums, fe = rows[depth]
+        index, aligned = self.tails.index, self.tails.aligned
+        nodes = map(rshift, positions, repeat(below))
+        ones = map(int.bit_count, map(and_, positions, repeat((1 << below) - 1)))
+        sums: defaultdict[tuple[int, int], int] = defaultdict(int)
+        for (k, b), count in Counter(zip(nodes, ones)).items():
+            sums[index[k], b] += count * fnums[k]
+        top = max(e for _z, _o, e in aligned)  # every rule's powers over 2**(top * below)
+        num = 0
+        for (i, b), x in sums.items():
+            z, o, e = aligned[i]
+            num += (x * z ** (below - b) * o**b) << ((top - e) * below)
+        return num, fe + top * below
+
     def _plain_level_sum(self, sigma: str, n: int | None) -> tuple[int, int]:
         # sum of untilted values over all length-n extensions of sigma, as (numerator, e);
         # n = None takes the limit n -> infinity, the trimmed mass of sigma
@@ -494,9 +547,17 @@ class SemiMeasureStage:
         return self._fold([(comp._row(n, limit), comp.weight) for comp in self.components], 1 << n)
 
     def set_mass(self, strings: Iterable[str]) -> Dyadic:
-        """Mass of a string set: normalise to an antichain, then sum values."""
-        nums, e = self.values(prefix_free_normalize(strings))
-        return Dyadic(sum(nums), e)
+        """Mass of a string set: normalise to an antichain, then sum values.
+
+        No value is built per member: the members are grouped by length,
+        with their lex positions ascending, and each component sums a group
+        at once.  Every member is checked to be a 0/1 literal, in
+        (length, lex) order."""
+        items = prefix_free_normalize(strings)
+        check_all_bits(items)
+        groups = [(n, list(map(int, g, repeat(2))) if n else [0]) for n, g in groupby(items, len)]
+        sums = [(comp.weight, comp._group_sum(groups)) for comp in self.components]
+        return Dyadic(*add((w.numerator * x, w.exponent + y) for w, (x, y) in sums))
 
     @property
     def max_depth(self) -> int:

@@ -6,8 +6,9 @@ one list per level, lexicographic within the level.  Emission is
 deterministic (sorted keys, fixed field order) so equal values serialize to
 identical bytes, those of ``json.dumps(obj, indent=2, sort_keys=True)``.
 Parsing reads each distinct literal text and tail rule of a document once,
-and checks a functional's bit strings, or a ``tails`` map's nodes, in one
-pass; emission writes the text of each distinct value of a table row once.
+and checks a functional's bit strings, a test's level members or a
+``tails`` map's nodes in one pass; emission writes the text of each
+distinct value of a table row once.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .semimeasure import (
     TailRule,
     infimum_semimeasure,
 )
-from .strings import all_strings, check_bits
+from .strings import all_bits, all_strings, check_all_bits, check_bits
 from .trim import TrimResult
 
 
@@ -97,15 +98,6 @@ def component_to_json(comp: Component) -> dict:
     return out
 
 
-def _all_bits(strings: list) -> bool:
-    """Whether every item is a 0/1 string, in one join and one strip.  Callers
-    that get False run ``check_bits`` item by item to name the first bad one."""
-    try:
-        return not "".join(strings).strip("01")
-    except TypeError:  # an item that is not a string
-        return False
-
-
 def _rule(obj: Any, rules: dict) -> TailRule:
     """tail_from_json kept by raw fields: rules read only text, so equal fields read alike."""
     try:
@@ -149,7 +141,7 @@ def _component(obj: Any, literals: dict, rules: dict) -> Component:
     if "tails" in obj:
         if not isinstance(obj["tails"], Mapping):
             raise ParseError("'tails' must map frontier nodes to rules")
-        if _all_bits(list(obj["tails"])):
+        if all_bits(list(obj["tails"])):
             tails = {k: _rule(v, rules) for k, v in obj["tails"].items()}
         else:  # node by node, so a bad rule before the first bad node is still named first
             tails = {check_bits(str(k)): _rule(v, rules) for k, v in obj["tails"].items()}
@@ -230,12 +222,9 @@ def functional_from_json(obj: Any) -> MonotoneFunctional:
     for t, pairs in enumerate(stages):
         if not isinstance(pairs, list):
             raise ParseError(f"stage {t} must be a list of [input, output] pairs")
-        if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+        if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
             raise ParseError(f"stage {t}: each pair must be [input, output]")
-    strings = [x for pairs in stages for pair in pairs for x in pair]
-    if not _all_bits(strings):
-        for x in strings:
-            check_bits(x)
+    check_all_bits([x for pairs in stages for pair in pairs for x in pair])
     return MonotoneFunctional.from_batches({t: set(map(tuple, pairs)) for t, pairs in enumerate(stages)})
 
 
@@ -258,11 +247,13 @@ def test_from_json(obj: Any) -> MLTest:
     rows = obj["levels"]
     if not isinstance(rows, list):
         raise ParseError("'levels' must be a list of string lists")
-    levels = {}
-    for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise ParseError(f"level {i} must be a list of strings")
-        levels[i] = tuple(check_bits(s) for s in row)
+    # the members of the levels before the first that is not a list are
+    # checked first, so the first error in level order is the one raised
+    bad = next((i for i, row in enumerate(rows) if not isinstance(row, list)), len(rows))
+    check_all_bits([s for row in rows[:bad] for s in row])
+    if bad < len(rows):
+        raise ParseError(f"level {bad} must be a list of strings")
+    levels = dict(enumerate(map(tuple, rows)))
     base = stage_from_json(obj["base"])
     decay = None
     if obj.get("kind") == "generalized" or "decay" in obj:

@@ -9,16 +9,20 @@ lexicographic), duplicates removed.
 For antichains plain string sorting agrees with left-to-right order of the
 cylinders on the unit interval, which the interval-allocation code relies on.
 
-Prefix tests never compare members pairwise.  A set is indexed by its
-members and the distinct lengths they have, and a string has a prefix in
-the set exactly when one of its prefixes at those lengths is a member.  So
-``prefix_free_normalize``, ``is_prefix_free`` and ``intersect_sets`` cost
-one set lookup per member per distinct length (plus a sort where the
-result is ordered), not one comparison per pair of members.
+Prefix tests never compare members pairwise.  In plain lex order the
+extensions of a string come directly after it, so a member with a proper
+prefix in a set follows a member it extends: a set is prefix-free exactly
+when no member is a prefix of its lex successor, and its minimal members
+are the strings that do not extend the last minimal member before them.
+So ``canon``, ``prefix_free_normalize`` and ``is_prefix_free`` cost one
+C-level lex sort, a linear pass and, where the result is ordered, one
+stable sort by length; ``intersect_sets`` adds one binary search per
+minimal member.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
@@ -38,6 +42,23 @@ def check_bits(s: str) -> str:
     return s
 
 
+def all_bits(strings: Sequence[str]) -> bool:
+    """Whether every item is a 0/1 string, in one join and one strip.  Callers
+    that get False run ``check_bits`` item by item to name the first bad one."""
+    try:
+        return not "".join(strings).strip("01")
+    except TypeError:  # an item that is not a string
+        return False
+
+
+def check_all_bits(strings: Sequence[str]) -> None:
+    """``check_bits`` on every item: one :func:`all_bits` pass, and item by
+    item only when it fails, so the first bad item is the one named."""
+    if not all_bits(strings):
+        for s in strings:
+            check_bits(s)
+
+
 def comparable(a: str, b: str) -> bool:
     return a.startswith(b) or b.startswith(a)
 
@@ -48,7 +69,7 @@ def sort_key(s: str):
 
 def canon(strings: Iterable[str]) -> StringSet:
     """Deduplicate and sort into the canonical (length, lex) order."""
-    return tuple(sorted(set(strings), key=sort_key))
+    return tuple(sorted(sorted(set(strings)), key=len))
 
 
 def string_at(length: int, k: int) -> str:
@@ -80,24 +101,27 @@ def leading_ones(s: str) -> int:
     return len(s) - len(s.lstrip("1"))
 
 
-def _has_prefix_in(s: str, members: set[str], lengths: Sequence[int], longest: int) -> bool:
-    """True when s[:n] is a member for some n in ``lengths`` (ascending) up to ``longest``."""
-    for n in lengths:
-        if n > longest:
-            return False
-        if s[:n] in members:
-            return True
-    return False
+def _minimal(strings: Iterable[str]) -> list[str]:
+    """The members of the set with no proper prefix in it, in lex order: a
+    string is one exactly when it does not extend the last one kept."""
+    items = sorted(set(strings))
+    if _lex_prefix_free(items):
+        return items
+    kept = items[:1]
+    for s in items:  # the first item extends itself, so it is not kept twice
+        if not str.startswith(s, kept[-1]):
+            kept.append(s)
+    return kept
 
 
-def _lengths(items: Iterable[str]) -> list[int]:
-    return sorted({len(s) for s in items})
+def _lex_prefix_free(items: list[str]) -> bool:
+    """Whether a lex-sorted list of distinct strings is prefix-free: whether
+    no item is a prefix of the next."""
+    return not any(map(str.startswith, items[1:], items))
 
 
 def is_prefix_free(strings: Iterable[str]) -> bool:
-    members = set(strings)
-    lengths = _lengths(members)
-    return not any(_has_prefix_in(s, members, lengths, len(s) - 1) for s in members)
+    return _lex_prefix_free(sorted(set(strings)))
 
 
 def prefix_free_normalize(strings: Iterable[str]) -> StringSet:
@@ -106,16 +130,7 @@ def prefix_free_normalize(strings: Iterable[str]) -> StringSet:
     The result denotes the same open set of infinite sequences and is an
     antichain.  Normalising twice is the same as normalising once.
     """
-    kept: list[str] = []
-    members: set[str] = set()
-    lengths: list[int] = []  # distinct lengths of the kept members, ascending
-    for s in canon(strings):  # shortest first, so minimal members survive
-        if not _has_prefix_in(s, members, lengths, len(s) - 1):
-            kept.append(s)
-            members.add(s)
-            if not lengths or lengths[-1] < len(s):
-                lengths.append(len(s))
-    return tuple(kept)
+    return tuple(sorted(_minimal(strings), key=len))
 
 
 def lebesgue_of_set(strings: Iterable[str]) -> Dyadic:
@@ -151,15 +166,16 @@ def intersect_sets(a: Iterable[str], b: Iterable[str]) -> StringSet:
 
     For comparable members the longer one carves out the overlap: a member
     of b with a prefix in a, or a member of a with a proper prefix in b.
-    For prefix-free inputs the result is prefix-free.
+    The result is prefix-free.
     """
-    items_b = canon(b)
-    items_a = canon(a)
-    set_a, lengths_a = set(items_a), _lengths(items_a)
-    set_b, lengths_b = set(items_b), _lengths(items_b)
-    out = [y for y in items_b if _has_prefix_in(y, set_a, lengths_a, len(y))]
-    out += [x for x in items_a if _has_prefix_in(x, set_b, lengths_b, len(x) - 1)]
-    return prefix_free_normalize(out)
+    # the intersection is that of the minimal members.  In a lex-sorted
+    # antichain the one member that can be a prefix of a string is the last
+    # one not after it (strictly before it, for a proper prefix), and the
+    # strings kept are pairwise incomparable, so no normalisation is left
+    items_a, items_b = _minimal(a), _minimal(b)
+    out = [y for y in items_b if (i := bisect_right(items_a, y)) and y.startswith(items_a[i - 1])]
+    out += [x for x in items_a if (i := bisect_left(items_b, x)) and x.startswith(items_b[i - 1])]
+    return canon(out)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,16 @@ bit_strings = st.text(alphabet="01", max_size=8)
 
 string_sets = st.lists(st.text(alphabet="01", min_size=0, max_size=5), max_size=6)
 
+
+@st.composite
+def messy_string_sets(draw) -> list[str]:
+    """Up to ~60 strings of length <= 10, salted with duplicates and prefixes."""
+    base = draw(st.lists(st.text(alphabet="01", max_size=10), max_size=40))
+    cuts = draw(st.lists(st.tuples(st.integers(0, 39), st.integers(0, 10)), max_size=20))
+    salted = base + [base[k % len(base)][:cut] for k, cut in cuts if base]
+    return draw(st.permutations(salted))
+
+
 seeds = st.integers(0, 2**32 - 1)
 
 

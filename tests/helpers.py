@@ -46,14 +46,13 @@ from semimeasures import (
     lebesgue_of_set,
     mix_stages,
     preimage_buckets,
-    prefix_free_normalize,
     strings_up_to,
     tail_from_json,
     uniform_measure,
 )
 from semimeasures.dyadic import parse_literal
 from semimeasures.semimeasure import TableView, _as_generator
-from semimeasures.strings import canon, check_bits, comparable
+from semimeasures.strings import check_bits, comparable
 
 Pair = tuple[str, str]
 
@@ -318,13 +317,14 @@ def oracle_intersection_leaves(sets: Sequence[Iterable[str]], depth: int) -> set
 
 def oracle_stage_mass(stage: SemiMeasureStage, members: Iterable[str]) -> Fraction:
     """Mass of the normalised set, each member's value from the definition."""
-    return sum((oracle_stage_value(stage, m) for m in prefix_free_normalize(members)), Fraction(0))
+    return sum((oracle_stage_value(stage, m) for m in reference_prefix_free_normalize(members)), Fraction(0))
 
 
 # -- references that pin exact outputs ----------------------------------------------
 #
-# Pairwise scans, the direct forms of the package's antichain functions: the
-# length-indexed versions must return exactly these tuples.  The
+# Pairwise scans in a (length, lex) order of their own, the direct forms of
+# the package's antichain functions: its one-lex-pass versions must return
+# exactly these tuples.  The
 # Lebesgue-likeness check as one trim per node, which pins the witness node
 # and the error; the mixture's pushdown in Fractions, which pins every
 # entry of the completed table; and validation node by node in separate
@@ -332,16 +332,21 @@ def oracle_stage_mass(stage: SemiMeasureStage, members: Iterable[str]) -> Fracti
 # against the package's sweeps over integer level rows.
 
 
+def reference_canon(strings: Iterable[str]) -> tuple[str, ...]:
+    """Deduplicated, in (length, lex) order, by a key of its own."""
+    return tuple(sorted(set(strings), key=lambda s: (len(s), s)))
+
+
 def reference_prefix_free_normalize(strings: Iterable[str]) -> tuple[str, ...]:
     kept: list[str] = []
-    for s in canon(strings):
+    for s in reference_canon(strings):
         if not any(s.startswith(k) for k in kept):
             kept.append(s)
     return tuple(kept)
 
 
 def reference_is_prefix_free(strings: Iterable[str]) -> bool:
-    items = canon(strings)
+    items = reference_canon(strings)
     for i, a in enumerate(items):
         for b in items[i + 1 :]:
             if b.startswith(a):
@@ -351,8 +356,8 @@ def reference_is_prefix_free(strings: Iterable[str]) -> bool:
 
 def reference_intersect_sets(a: Iterable[str], b: Iterable[str]) -> tuple[str, ...]:
     out = []
-    items_b = canon(b)
-    for x in canon(a):
+    items_b = reference_canon(b)
+    for x in reference_canon(a):
         for y in items_b:
             if y.startswith(x):
                 out.append(y)
@@ -441,7 +446,7 @@ def reference_validate_measure(stage: SemiMeasureStage) -> ValidationReport:
 
 def reference_subtract_sets(a: Iterable[str], b: Iterable[str]) -> tuple[str, ...]:
     """Antichain denoting (union of a) minus (union of b), carved cylinder by cylinder."""
-    removed = canon(b)
+    removed = reference_canon(b)
 
     def carve(cyl: str, blockers: Sequence[str]) -> list[str]:
         if any(cyl.startswith(q) for q in blockers):
@@ -452,9 +457,9 @@ def reference_subtract_sets(a: Iterable[str], b: Iterable[str]) -> tuple[str, ..
         return carve(cyl + "0", inner) + carve(cyl + "1", inner)
 
     out: list[str] = []
-    for cyl in canon(a):
+    for cyl in reference_canon(a):
         out.extend(carve(cyl, removed))
-    return canon(out)
+    return reference_canon(out)
 
 
 def _reference_take_leftmost(free: Sequence[str], need: Dyadic) -> list[str]:
@@ -549,7 +554,7 @@ def reference_consistency_check(phi: MonotoneFunctional, stage: int) -> Consiste
 
 def reference_preimage_set(phi: MonotoneFunctional, tau: str, stage: int) -> tuple[str, ...]:
     """Preimage of tau by its own scan of every pair."""
-    return prefix_free_normalize(i for i, o in phi.pairs_at(stage) if o.startswith(tau))
+    return reference_prefix_free_normalize(i for i, o in phi.pairs_at(stage) if o.startswith(tau))
 
 
 def reference_pullback_test(test: MLTest, phi: MonotoneFunctional, stage: int) -> MLTest:
@@ -559,7 +564,7 @@ def reference_pullback_test(test: MLTest, phi: MonotoneFunctional, stage: int) -
             raise CertificateError(f"test base disagrees with the induced semi-measure at {s!r}", witness=s)
     new_levels = {}
     for i, level in test.levels.items():
-        new_levels[i] = prefix_free_normalize(x for s in level for x in reference_preimage_set(phi, s, stage))
+        new_levels[i] = reference_prefix_free_normalize(x for s in level for x in reference_preimage_set(phi, s, stage))
     return MLTest.build(new_levels, uniform_measure())
 
 
@@ -713,6 +718,17 @@ def reference_functional_from_json(obj: Any) -> MonotoneFunctional:
                 raise ParseError(f"stage {t}: each pair must be [input, output]")
             events.append((t, *pair))
     return MonotoneFunctional.from_events(events)
+
+
+def reference_test_levels_from_json(obj: Any) -> dict[int, tuple[str, ...]]:
+    """The canonical levels of a test document, read level by level and
+    member by member."""
+    levels = {}
+    for i, row in enumerate(obj["levels"]):
+        if not isinstance(row, list):
+            raise ParseError(f"level {i} must be a list of strings")
+        levels[i] = reference_canon(check_bits(s) for s in row)
+    return levels
 
 
 def reference_from_infimum_sequence(rows: Sequence, stage: int, depth: int) -> SemiMeasureStage:

@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import seeds, string_sets, unit_dyadics
+from conftest import messy_string_sets, seeds, unit_dyadics
 from helpers import (
     QUARTER,
     as_fraction,
@@ -579,8 +579,9 @@ class TestRandomTail:
 
 
 class TestValues:
-    """``values`` is the one point-evaluation path: ``value``, ``set_mass``
-    and the certificates all read it."""
+    """``values`` is the one point-evaluation path, which ``value`` and the
+    certificates read; ``set_mass`` sums each component's values over
+    groups of members without building one value per member."""
 
     @given(seeds, MIXED_KINDS)
     def test_values_match_the_fraction_reference(self, seed, kind):
@@ -590,10 +591,25 @@ class TestValues:
         nums, e = stage.values(strings)
         assert [Fraction(x, 1 << e) for x in nums] == [oracle_stage_value(stage, s) for s in strings]
 
-    @given(seeds, MIXED_KINDS, string_sets)
+    @given(seeds, MIXED_KINDS, messy_string_sets())
     def test_set_mass_is_the_sum_over_the_normalised_antichain(self, seed, kind, strings):
+        """Sets of up to ~60 strings of length <= 10 with duplicates, prefixes
+        and the root, so groups of one length hold several members below one
+        frontier node."""
         stage = mixed_stage(random.Random(seed), kind)
         assert as_fraction(stage.set_mass(strings)) == oracle_stage_mass(stage, strings)
+
+    @pytest.mark.parametrize("kind", ["plain", "tilted", "joint"])
+    def test_set_mass_of_a_full_level_is_its_level_mass(self, kind):
+        for seed in range(8):
+            stage = mixed_stage(random.Random(seed), kind)
+            for n in range(stage.max_depth + 5):
+                assert stage.set_mass(all_strings(n)) == Dyadic(*stage.level_mass(EPSILON, n))
+
+    @pytest.mark.parametrize("members, bad", [(["01", "2"], "2"), (["0x", "2", "01"], "2"), (["1", "0 1"], "0 1")])
+    def test_set_mass_names_the_first_bad_member_in_canonical_order(self, members, bad):
+        with pytest.raises(ParseError, match=f"^not a binary string: {bad!r}$"):
+            uniform_measure().set_mass(members)
 
     def test_empty_list_gives_an_empty_row(self):
         assert geometric_semimeasure(QUARTER).values([])[0] == []

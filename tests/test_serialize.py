@@ -16,6 +16,7 @@ from helpers import (
     reference_component_from_json,
     reference_from_infimum_sequence,
     reference_functional_from_json,
+    reference_test_levels_from_json,
 )
 from semimeasures import (
     HALF,
@@ -599,6 +600,9 @@ class TestParseErrors:
             ["nope"],
             [[["0", "1"]], {"0": "1"}],
             [[["2", "0"]], "nope"],
+            [[["0", "1"]], [("0", "1")]],
+            [[["0", "1"], {"0": "1", "1": "0"}]],
+            [[["0", "1"], 5]],
         ],
     )
     def test_malformed_functionals(self, stages):
@@ -628,6 +632,22 @@ def long_functional_docs(draw):
 
 
 @st.composite
+def long_test_docs(draw):
+    """1-5 levels of 50-500 members over the empty base, 0-3 members replaced
+    by a bad entry and, at times, one level by a non-list."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    levels = [[] for _ in range(rng.randint(1, 5))]
+    for _ in range(draw(st.integers(50, 500))):
+        rng.choice(levels).append(random_bits(rng))
+    for _ in range(draw(st.integers(0, 3))):
+        level = rng.choice([row for row in levels if row])
+        level[rng.randrange(len(level))] = draw(st.sampled_from(BAD_BITS))
+    if draw(st.booleans()):
+        levels[rng.randrange(len(levels))] = draw(st.sampled_from(["nope", {"0": "1"}, None]))
+    return {"base": {"components": []}, "levels": levels}
+
+
+@st.composite
 def long_tails_components(draw):
     """A depth 5-8 component with one rule per frontier node; 0-3 nodes get a
     bad key or an unknown rule."""
@@ -648,6 +668,10 @@ class TestLongDocuments:
         assert outcome(lambda d: functional_from_json(d).events, doc) == outcome(
             lambda d: reference_functional_from_json(d).events, doc
         )
+
+    @given(long_test_docs())
+    def test_test_levels_read_as_the_reference_reads_them(self, doc):
+        assert outcome(lambda d: mltest_from_json(d).levels, doc) == outcome(reference_test_levels_from_json, doc)
 
     @given(long_tails_components())
     def test_tails_maps_read_as_the_reference_reads_them(self, comp):

@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import string_sets
+from conftest import messy_string_sets, string_sets
 from helpers import (
     as_fraction,
     oracle_cylinder_leaves,
     oracle_intersection_leaves,
+    reference_canon,
     reference_intersect_sets,
     reference_is_prefix_free,
     reference_prefix_free_normalize,
@@ -162,17 +163,12 @@ class TestIntersectSubtract:
         assert is_prefix_free(intersect_sets(a, b))
 
 
-@st.composite
-def messy_string_sets(draw) -> list[str]:
-    """Up to ~60 strings of length <= 10, salted with duplicates and prefixes."""
-    base = draw(st.lists(st.text(alphabet="01", max_size=10), max_size=40))
-    cuts = draw(st.lists(st.tuples(st.integers(0, 39), st.integers(0, 10)), max_size=20))
-    salted = base + [base[k % len(base)][:cut] for k, cut in cuts if base]
-    return draw(st.permutations(salted))
-
-
 class TestMatchesPairwiseReference:
-    """The indexed antichain functions return exactly the pairwise results."""
+    """The lex-pass antichain functions return exactly the pairwise results."""
+
+    @given(messy_string_sets())
+    def test_canon(self, strings):
+        assert canon(strings) == reference_canon(strings)
 
     @given(messy_string_sets())
     def test_normalize(self, strings):
