@@ -3,15 +3,14 @@
 For a chosen presentation and antichain, prints the exact mass of the
 m-level refinement for m = 0..--levels together with the certified limit
 and per-level gap, all as m/2^n literals.  Stock presentations are built
-in-process; --file reads any serialized presentation instead.
+in-process; --file reads any serialized presentation instead.  Bad input
+ends in one stderr line and the exit codes of the ``semimeasures`` command:
+2 for a parse error or bad value, 4 for a failed precondition.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import pathlib
-import sys
 
 from semimeasures import (
     HALF,
@@ -24,6 +23,7 @@ from semimeasures import (
     tilt_by_ones,
     uniform_measure,
 )
+from semimeasures.cli import load_json, report_failure
 
 QUARTER = Dyadic(1, 2)
 
@@ -53,10 +53,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--levels", type=int, default=12)
     parser.add_argument("--format", choices=("table", "csv"), default="table")
     args = parser.parse_args(argv)
+    try:
+        return tabulate(args)
+    except ValueError as exc:
+        return report_failure(exc)
 
+
+def tabulate(args: argparse.Namespace) -> int:
     if args.file is not None:
-        payload = json.loads(pathlib.Path(args.file).read_text(encoding="utf-8"))
-        stage = staged_from_json(payload).stage_at(args.stage)
+        stage = staged_from_json(load_json(args.file)).stage_at(args.stage)
         name = args.file
     else:
         stage = STOCK[args.presentation]()

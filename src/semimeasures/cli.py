@@ -18,7 +18,7 @@ import os
 import sys
 from typing import Any
 
-from .dyadic import ZERO, Dyadic, common
+from .dyadic import ZERO, Dyadic, _text, common
 from .errors import BudgetExhaustedError, CertificateError, ParseError, PreconditionError
 from .functional import (
     MonotoneFunctional,
@@ -47,12 +47,12 @@ from .serialize import (
     trim_result_to_json,
 )
 from .strings import EPSILON, check_bits
-from .trim import decode_atom, derived_measure, lebesgue_like_check, partial_trim
+from .trim import decode_atom, derived_measure, lebesgue_like_check
 
 GRANULARITY_ENV = "SEMIMEASURES_GRANULARITY_CAP"
 
 
-def _load_json(path: str) -> Any:
+def load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -115,7 +115,7 @@ def _granularity_cap() -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> tuple[Any, int]:
-    obj = _load_json(args.file)
+    obj = load_json(args.file)
     if isinstance(obj, dict) and ("components" in obj or obj.get("kind") in ("constant", "infimum")):
         stage = staged_from_json(obj).stage_at(args.stage)
         report = validate(stage)
@@ -227,11 +227,12 @@ def cmd_worked_examples(args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def cmd_trim(args: argparse.Namespace) -> tuple[Any, int]:
-    stage = staged_from_json(_load_json(args.file)).stage_at(args.stage)
+    stage = staged_from_json(load_json(args.file)).stage_at(args.stage)
     sigma = check_bits(args.sigma)
     if args.depth < len(sigma):
         raise ParseError("--depth must be at least the length of --sigma")
-    table = [[n, str(partial_trim(stage, sigma, n))] for n in range(len(sigma), args.depth + 1)]
+    levels = stage.level_masses(sigma, args.depth)
+    table = [[n, _text(*level)] for n, level in enumerate(levels, len(sigma))]
     result = derived_measure(stage, sigma, probe_depth=args.depth)
     payload = {
         "sigma": sigma,
@@ -243,7 +244,7 @@ def cmd_trim(args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def cmd_induce(args: argparse.Namespace) -> tuple[Any, int]:
-    phi = functional_from_json(_load_json(args.file))
+    phi = functional_from_json(load_json(args.file))
     report = consistency_check(phi, args.stage)
     if not report.ok:
         sys.stderr.write(
@@ -256,13 +257,13 @@ def cmd_induce(args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def cmd_invert(args: argparse.Namespace) -> tuple[Any, int]:
-    rho = staged_from_json(_load_json(args.file))
+    rho = staged_from_json(load_json(args.file))
     phi = from_semimeasure(rho, args.stage, args.depth, granularity_cap=_granularity_cap())
     return functional_to_json(phi), 0
 
 
 def cmd_atom_decode(args: argparse.Namespace) -> tuple[Any, int]:
-    rho = staged_from_json(_load_json(args.file))
+    rho = staged_from_json(load_json(args.file))
     q = dyadic_from_text(args.q)
     decoded = decode_atom(rho, q, args.seed, args.bits, max_stage=args.budget)
     payload = {"seed": args.seed, "q": str(q), "bits": decoded}
@@ -271,7 +272,7 @@ def cmd_atom_decode(args: argparse.Namespace) -> tuple[Any, int]:
 
 def cmd_mirror_pair(args: argparse.Namespace) -> tuple[Any, int]:
     if args.stages_file is not None:
-        raw = _load_json(args.stages_file)
+        raw = load_json(args.stages_file)
         if not isinstance(raw, list):
             raise ParseError(f"{args.stages_file}: expected a JSON list of dyadic literals")
         texts = raw
@@ -296,7 +297,7 @@ def cmd_mirror_pair(args: argparse.Namespace) -> tuple[Any, int]:
 
 
 def cmd_eval(args: argparse.Namespace) -> tuple[Any, int]:
-    phi = functional_from_json(_load_json(args.file))
+    phi = functional_from_json(load_json(args.file))
     try:
         output = eval_on_string(phi, args.sigma, args.stage)
     except CertificateError as exc:
@@ -390,18 +391,22 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 sys.stdout.write(text)
         return code
-    except ParseError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return 2
-    except BudgetExhaustedError as exc:
-        sys.stderr.write(f"budget exhausted: {exc}\n")
-        return 3
-    except PreconditionError as exc:
-        sys.stderr.write(f"precondition failed: {exc}\n")
-        return 4
-    except ValueError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return 2
+    except (ValueError, BudgetExhaustedError) as exc:
+        return report_failure(exc)
+
+
+def report_failure(exc: ValueError | BudgetExhaustedError) -> int:
+    """Write the one stderr line of an error that ends a run and return its
+    exit code: 3 for an exhausted budget, 4 for a failed precondition, and 2
+    for a parse error or any other bad value."""
+    if isinstance(exc, BudgetExhaustedError):
+        label, code = "budget exhausted", 3
+    elif isinstance(exc, PreconditionError):
+        label, code = "precondition failed", 4
+    else:
+        label, code = "parse error", 2
+    sys.stderr.write(f"{label}: {exc}\n")
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -382,7 +382,7 @@ def from_semimeasure(
     pools += [[[] for _ in range(1 << (n - 1))] for n in range(1, depth + 1)]
     batches: dict[int, set[Pair]] = {}
     for t in range(stage + 1):
-        st = rho.stage_at(t)
+        st = final if t == stage else rho.stage_at(t)
         rows = [st.level_row(n) for n in range(depth + 1)]
         # finest value per level: the exponent of its row in lowest terms
         fine = [e - row_lowest(nums, e) for nums, e in rows]

@@ -43,10 +43,17 @@ it.  ``set_mass`` builds no value per member: each component sums the
 stored row entries of the members at or above the frontier, and
 below it the frontier numerators per tail rule and count of ones, each
 such sum taking its rule's factor once.  Level sums and trims are integers
-too: ``Component.level_sum`` is ``(numerator, e)``, each tail rule keeping
-((zero + one) in lowest terms)**levels of its frontier mass, and
-``level_mass`` adds the weighted component sums directly, as ``(numerator,
-e)`` too.  ``Dyadic`` values are built only for what a sweep, a point read,
+too, as ``(numerator, e)``.  At or above a frontier a level sum is a slice
+of a stored row.  Below it a component reads the frontier under sigma once,
+for one level (``Component.level_sum``) or for a whole pass of levels
+(``Component.level_sums``): the mass under conserving rules is one
+``compress`` over a per-node mask, the rest is summed per rule total, and a
+total keeps ((zero + one) in lowest terms)**levels of its mass, one power
+per level asked.  On a tilted 1-spine the all-ones node's subtree follows
+the recurrence S(L+1) = T (S(L) - sp(L)) + sp(L) (z + o 2**-tilt), taken in
+closed form at each level asked, so no level sum walks the spine's exits.
+``level_mass`` and ``level_masses`` add the weighted component sums.
+``Dyadic`` values are built only for what a sweep, a point read,
 a set mass or a trim returns.  A tail rule's integer form lives in
 :class:`TailsView` alone; lowest terms and common exponents live in
 :mod:`dyadic` (``lowest``, ``row_lowest``, ``add``, ``common``).
@@ -57,9 +64,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from itertools import groupby, repeat
+from itertools import compress, groupby, repeat
 from operator import and_, rshift
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .dyadic import Dyadic, HALF, ONE, ZERO, add, common, row_lowest
 from .errors import PreconditionError
@@ -231,9 +238,15 @@ class TailsView(Mapping[str, TailRule]):
     node in lex order, so equal maps have equal fields.  The integer form of
     each rule lives here: ``aligned[i]`` is ``(z, o, e)`` with zero = z / 2**e
     and one = o / 2**e, and ``totals[i]`` is ``(t, x)`` with zero + one =
-    t / 2**x in lowest terms, ``(1, 0)`` exactly when the rule conserves mass."""
+    t / 2**x in lowest terms, ``(1, 0)`` exactly when the rule conserves mass.
+    With two or more rules, ``keeps`` and ``decays`` hold one byte per
+    frontier node: ``keeps`` is 1 where its rule conserves mass, ``decays``
+    1 where it keeps a fraction strictly between none and all of it (the
+    totals in the set ``decaying``); the mass under either kind of rule
+    below a string is one ``compress`` over a slice.  A one-rule view leaves
+    them empty."""
 
-    __slots__ = ("depth", "rules", "index", "aligned", "totals")
+    __slots__ = ("depth", "rules", "index", "aligned", "totals", "decaying", "keeps", "decays")
 
     def __init__(self, depth: int, rules: tuple[TailRule, ...], index: list[int]):
         self.depth, self.rules, self.index = depth, rules, index
@@ -243,6 +256,12 @@ class TailsView(Mapping[str, TailRule]):
             for rule, e in zip(rules, exps)
         )
         self.totals = tuple((t.numerator, t.exponent) for t in (rule.total for rule in rules))
+        self.decaying = frozenset(total for total in self.totals if total != (1, 0) and total[0])
+        self.keeps = self.decays = b""  # unread for one rule: Component._frontier sums its frontier whole
+        if len(rules) > 1:
+            keep = [total == (1, 0) for total in self.totals]
+            decay = [total in self.decaying for total in self.totals]
+            self.keeps, self.decays = bytes(map(keep.__getitem__, index)), bytes(map(decay.__getitem__, index))
 
     @classmethod
     def single(cls, rule: TailRule, depth: int) -> "TailsView":
@@ -407,30 +426,91 @@ class Component:
             num += (x * z ** (below - b) * o**b) << ((top - e) * below)
         return num, fe + top * below
 
-    def _plain_level_sum(self, sigma: str, n: int | None) -> tuple[int, int]:
-        # sum of untilted values over all length-n extensions of sigma, as (numerator, e);
-        # n = None takes the limit n -> infinity, the trimmed mass of sigma
-        depth, rows, index, totals = self.depth, self.table.rows, self.tails.index, self.tails.totals
-        if n is not None and n <= depth:
-            nums, e = rows[n]
-            lo = _lex(sigma) << (n - len(sigma))
-            return sum(nums[lo : lo + (1 << (n - len(sigma)))]), e
-        if len(sigma) >= depth:
-            (num,), e = self._values((sigma,), [_lex(sigma)], tilted=False)
-            terms = [(num, totals[index[_lex(sigma) >> (len(sigma) - depth)]])]
-        else:  # frontier values summed per tail rule, so each rule's factor is taken once
-            nums, e = rows[depth]
-            lo, hi = _lex(sigma) << (depth - len(sigma)), (_lex(sigma) + 1) << (depth - len(sigma))
-            sums = [0] * len(totals)
-            for i, x in zip(index[lo:hi], nums[lo:hi]):
-                sums[i] += x
-            terms = [(x, total) for x, total in zip(sums, totals) if x]
-        if n is None:  # total**k tends to 1 for a conserving rule and to 0 for any other
-            return sum(x for x, total in terms if total == (1, 0)), e
-        # a rule keeps total**levels of a node's mass levels below it
-        levels = n - max(len(sigma), depth)
-        num, top = add((x * t**levels, y * levels) for x, (t, y) in terms)
-        return num, e + top
+    def _runs(self, sigma: str, n: int) -> tuple[list[tuple[int, int, int]], int]:
+        # the length-n extensions of sigma (n >= |sigma|) as (lo, hi, s) slices
+        # of lex positions, and an exponent x: the tilt scales the values of a
+        # slice by 2**(s - x).  On a tilted 1-spine each count j of leading
+        # ones is one slice, j = n the all-ones string alone; elsewhere every
+        # extension has the leading ones of sigma
+        k = len(sigma)
+        if self.tilt and "0" not in sigma:
+            full = 1 << n
+            runs = [(full - (full >> j), full - (full >> (j + 1)), self.tilt * (n - j)) for j in range(k, n + 1)]
+            return runs, self.tilt * n
+        lo = _lex(sigma) << (n - k)
+        return [(lo, lo + (1 << (n - k)), 0)], self.tilt * leading_ones(sigma) if self.tilt else 0
+
+    def _row_sum(self, sigma: str, n: int) -> tuple[int, int]:
+        # the level sum at |sigma| <= n <= depth, from slices of the stored row
+        nums, e = self.table.rows[n]
+        runs, x = self._runs(sigma, n)
+        return sum(sum(nums[lo:hi]) << s for lo, hi, s in runs), e + x
+
+    def _frontier(self, sigma: str, split: bool) -> tuple[list[tuple[int, tuple[int, int]]], tuple | None, int]:
+        # the extensions of sigma at level k0 = max(|sigma|, depth) as
+        # (x, (t, y)) terms over 2**e: x of their mass lies under tail rules
+        # that keep t / 2**y of a node's mass per level further down.  When
+        # sigma is above the frontier the terms are read only for the levels
+        # below k0, so mass under rules that keep none may be left out.  One
+        # pass over the frontier under sigma: one sum for a single rule;
+        # else the mass under conserving rules is one compress over the
+        # keeps mask, and so, with split, is the mass under the rules that
+        # keep a fraction in between when these share one total; with two
+        # or more such totals, one sum per rule in a loop, merged per total.
+        # Without split only the conserving mass is wanted: the limit.  On a
+        # tilted 1-spine the all-ones extension is left out of the terms and
+        # returned as spine = (v, z, o, ez): its numerator over 2**e and the
+        # aligned fields of its rule
+        k, d = len(sigma), self.depth
+        index, totals = self.tails.index, self.tails.totals
+        on_spine = self.tilt and "0" not in sigma
+        if k >= d:  # a single extension, under a single frontier node
+            (v,), e = self._values((sigma,), [_lex(sigma)])
+            i = index[_lex(sigma) >> (k - d)]
+            return ([], (v, *self.tails.aligned[i]), e) if on_spine else ([(v, totals[i])], None, e)
+        fnums, fe = self.table.rows[d]
+        runs, x = self._runs(sigma, d)
+        spine = None
+        if on_spine:
+            pos = runs.pop()[0]
+            spine = (fnums[pos], *self.tails.aligned[index[pos]])
+        if len(totals) == 1:  # one rule, so one sum, which a limit needs only if the rule conserves
+            if not split and totals[0] != (1, 0):
+                return [], spine, fe + x
+            return [(sum(sum(fnums[lo:hi]) << s for lo, hi, s in runs), totals[0])], spine, fe + x
+        decaying = self.tails.decaying if split else ()
+        if len(decaying) > 1:  # one sum per rule, in a loop, and one term per total
+            merged: dict[tuple[int, int], int] = {}
+            for lo, hi, s in runs:
+                sums = [0] * len(totals)
+                for i, v in zip(index[lo:hi], fnums[lo:hi]):
+                    sums[i] += v
+                for v, total in zip(sums, totals):
+                    if v:
+                        merged[total] = merged.get(total, 0) + (v << s)
+            return [(v, total) for total, v in merged.items()], spine, fe + x
+        keeps, decays = self.tails.keeps, self.tails.decays
+        terms = [(sum(sum(compress(fnums[lo:hi], keeps[lo:hi])) << s for lo, hi, s in runs), (1, 0))]
+        if decaying:
+            decayed = sum(sum(compress(fnums[lo:hi], decays[lo:hi])) << s for lo, hi, s in runs)
+            terms.append((decayed, *decaying))
+        return terms, spine, fe + x
+
+    def _below(self, terms: list[tuple[int, tuple[int, int]]], spine: tuple | None, e: int, levels: int) -> tuple[int, int]:
+        # the level sum ``levels`` below the level of a _frontier, in closed
+        # form: a term keeps t**levels / 2**(y * levels) of its mass.  On the
+        # spine, sp(L) = sp(0) (o 2**-tilt)**L, and the mass S(L) of the spine
+        # node's subtree follows S(L+1) = T (S(L) - sp(L)) + sp(L) (z + o 2**-tilt)
+        # with T = z + o, since mass off the spine keeps T per level; over
+        # 2**((ez + tilt) L) it is sp(0) times z 2**tilt (X**L - o**L) / (X - o)
+        # + o**L with X = (z + o) 2**tilt, and X == o only when z = o = 0
+        parts = [(x * t**levels, e + y * levels) for x, (t, y) in terms if x]
+        if spine is not None:
+            v, z, o, ez = spine
+            big = (z + o) << self.tilt
+            geometric = (big**levels - o**levels) // (big - o) if big != o else 0
+            parts.append((v * ((z << self.tilt) * geometric + o**levels), e + (ez + self.tilt) * levels))
+        return add(parts)
 
     def _row(self, n: int, limit: bool = False) -> Row:
         # values (tilt included, weight not) of all length-n strings in lex
@@ -469,20 +549,33 @@ class Component:
         """Sum of values over all extensions of sigma at length exactly n, as
         ``(numerator, e)`` with the sum ``numerator / 2**e``; n = None is the
         limit n -> infinity, the trimmed mass of sigma, which tilted
-        components do not have in closed form."""
+        components do not have in closed form.  At or above the frontier it
+        sums slices of the stored row; below it, it reads the frontier under
+        sigma once and takes each rule's powers, and the tilted 1-spine's
+        closed form, for the n asked, never walking the levels between."""
         if n is None:
             if self.tilt:
                 raise ValueError("no closed-form trim for tilted components")
-        elif n < len(sigma):
+            terms, _spine, e = self._frontier(sigma, split=False)
+            return sum(x for x, total in terms if total == (1, 0)), e
+        if n < len(sigma):
             raise ValueError("level must not be above the string")
-        elif self.tilt and n > len(sigma) and "0" not in sigma:
-            # sigma lies on the 1-spine: an extension leaves it at 1^j 0 for
-            # len(sigma) <= j < n or is 1^n, and each exit is a plain sum
-            exits = ["1" * j + "0" for j in range(len(sigma), n)] + ["1" * n]
-            return add(self.level_sum(tau, n) for tau in exits)
-        # the all-ones prefix of every extension is that of sigma
-        num, e = self._plain_level_sum(sigma, n)
-        return num, e + self.tilt * leading_ones(sigma)
+        if n <= self.depth:
+            return self._row_sum(sigma, n)
+        return self._below(*self._frontier(sigma, split=True), n - max(len(sigma), self.depth))
+
+    def level_sums(self, sigma: str, n_max: int) -> Iterator[tuple[int, int]]:
+        """``level_sum(sigma, n)`` for n = |sigma|..n_max, reading the
+        frontier under sigma once: each level below it is ``_below``'s closed
+        form at that level, a constant number of powers per term."""
+        k, d = len(sigma), self.depth
+        for n in range(k, min(n_max, d) + 1):
+            yield self._row_sum(sigma, n)
+        first = max(k, d + 1)  # the first level below the frontier
+        if n_max >= first:
+            terms, spine, e = self._frontier(sigma, split=True)
+            for n in range(first, n_max + 1):
+                yield self._below(terms, spine, e, n - max(k, d))
 
 
 @dataclass(frozen=True)
@@ -527,6 +620,21 @@ class SemiMeasureStage:
             raise ValueError(f"level {n} is above the string (length {len(sigma)})")
         sums = [(comp.weight, comp.level_sum(sigma, n)) for comp in self.components]
         return add((w.numerator * x, w.exponent + y) for w, (x, y) in sums)
+
+    def level_masses(self, sigma: str, n_max: int) -> Iterator[tuple[int, int]]:
+        """``level_mass(sigma, n)`` for n = |sigma|..n_max.  Each component
+        reads the frontier under sigma once (:meth:`Component.level_sums`),
+        so each level below every frontier costs a constant number of integer
+        powers per tail rule and component, the tilted 1-spine included.
+        The limit is ``level_mass(sigma, None)``, one more frontier read.
+        sigma must be a 0/1 literal and n_max at least its length."""
+        check_bits(sigma)
+        if n_max < len(sigma):
+            raise ValueError(f"level {n_max} is above the string (length {len(sigma)})")
+        weights = [comp.weight for comp in self.components]
+        passes = [comp.level_sums(sigma, n_max) for comp in self.components]
+        for _ in range(len(sigma), n_max + 1):
+            yield add((w.numerator * x, w.exponent + y) for w, (x, y) in zip(weights, map(next, passes)))
 
     def level_row(self, n: int, limit: bool = False) -> Row:
         """Values of all length-n strings in lex order, as ``(numerators, e)``

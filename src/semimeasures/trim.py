@@ -10,7 +10,13 @@ converge monotonically.  Tilted components fall outside the closed family
 (their limit is not dyadic in general), so they only get certified upper
 bounds.  Level sums and trims are taken on integer ``(numerator, e)`` pairs,
 added and aligned by ``dyadic.add`` and ``dyadic.common``, and one ``Dyadic``
-is built per value returned.
+is built per value returned.  A single level, or the limit, is one read of
+the frontier under sigma per component, in closed form at any depth; a run
+of levels is one ``SemiMeasureStage.level_masses`` pass, which reads that
+frontier once and then costs a constant number of integer powers per level
+and tail rule, the tilted 1-spine included.  Every member of
+``open_set_derived`` and the ``trim`` command take one pass for their
+levels, and ``derived_measure`` for their trim.
 """
 
 from __future__ import annotations
@@ -43,10 +49,12 @@ def derived_measure(stage: SemiMeasureStage, sigma: str, probe_depth: int | None
     """Trim limit at sigma.
 
     Exact (stabilized) whenever every component is untilted; the reported
-    depth is then the level from which only decaying terms remain.  With a
-    tilted component present the result is the level sum at ``probe_depth``
-    (default |sigma| + 16), a certified upper bound.  Either way the value
-    is cross-checked against a concrete level sum before being returned.
+    depth is then the level from which only decaying terms remain, and the
+    value is cross-checked against the level sum there.  With a tilted
+    component present the value is the level sum at ``probe_depth``
+    (default |sigma| + 16), a certified upper bound: there the value *is*
+    that level sum, and nothing is cross-checked.  Each of these reads is
+    one closed-form read of the frontier under sigma per component.
     """
     check_bits(sigma)  # its length is read before any level sum checks it
     settled = max(len(sigma), stage.max_depth)
@@ -71,7 +79,8 @@ def open_set_derived(stage: SemiMeasureStage, members: Iterable[str], m_max: int
 
     The m-th entry is the stage's mass on the set with every member extended
     by m levels; the sequence is non-increasing and tends to the summed
-    derived measure of the members.  A tilted member's bound is probed
+    derived measure of the members.  Each member takes one ``level_masses``
+    pass for its refinement masses; a tilted member's bound is probed
     max(m_max, 16) levels below it, so it never exceeds the last mass.
     """
     if m_max < 0:
@@ -79,13 +88,14 @@ def open_set_derived(stage: SemiMeasureStage, members: Iterable[str], m_max: int
     items = canon(members)
     if not is_prefix_free(items):
         raise PreconditionError("the open set must be given as a prefix-free antichain")
-    masses = []
-    for m in range(m_max + 1):
-        masses.append(Dyadic(*add(stage.level_mass(s, len(s) + m) for s in items)))
+    sums: list[list[tuple[int, int]]] = [[] for _ in range(m_max + 1)]
+    for s in items:
+        for terms, level in zip(sums, stage.level_masses(s, len(s) + m_max)):
+            terms.append(level)
     limits = [derived_measure(stage, s, len(s) + max(m_max, 16)) for s in items]
     value = sum((r.value for r in limits), ZERO)
     limit = TrimResult(value, max((r.depth for r in limits), default=0), all(r.stabilized for r in limits))
-    return OpenSetTrim(masses=tuple(masses), limit=limit)
+    return OpenSetTrim(masses=tuple(Dyadic(*add(terms)) for terms in sums), limit=limit)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import csv
@@ -14,7 +17,7 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import QUARTER, reference_flatten
+from helpers import QUARTER, random_stage, reference_flatten
 from semimeasures import (
     Dyadic,
     MonotoneFunctional,
@@ -22,12 +25,19 @@ from semimeasures import (
     all_strings,
     dirac_spine,
     functional_to_json,
+    derived_measure,
     geometric_semimeasure,
+    partial_trim,
     stage_to_json,
+    staged_from_json,
+    trim_result_to_json,
     uniform_measure,
 )
 import semimeasures.cli as cli
 from semimeasures.cli import GRANULARITY_ENV, main
+
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def write_json(tmp_path, name, obj):
@@ -164,6 +174,55 @@ class TestTrim:
         payload = json.loads(capsys.readouterr().out)
         assert payload["derived"] == {"value": "0/2^0", "depth": 0, "stabilized": True}
         assert payload["sigma"] == ""
+
+    def test_trim_is_checked_at_the_settled_level(self, tmp_path, capsys):
+        """A table that is not super-additive (its root holds less than its
+        children) trimmed above its frontier: the derived measure is checked
+        against the level sum at the frontier, where the limit fits, not at
+        the last level asked."""
+        comp = {"weight": "1", "table": [["1/2^1"], ["1/2^0", "1/2^0"]], "tail": {"kind": "uniform"}}
+        path = write_json(tmp_path, "lopsided.json", {"components": [comp]})
+        assert main(["trim", path, "--depth", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["rows"] == [[0, "1/2^1"]]
+        assert payload["derived"] == {"value": "2/2^0", "depth": 1, "stabilized": True}
+
+    @staticmethod
+    def trim_matches_the_library(path, sigma, depth):
+        """The in-process ``trim`` payload: one row per level equal to that
+        level's ``partial_trim``, and ``derived`` equal to ``derived_measure``
+        probed at the last level."""
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["trim", path, "--sigma", sigma, "--depth", str(depth)]) == 0
+        payload = json.loads(out.getvalue())
+        stage = staged_from_json(json.loads(Path(path).read_text(encoding="utf-8"))).stage_at(0)
+        assert payload["rows"] == [[n, str(partial_trim(stage, sigma, n))] for n in range(len(sigma), depth + 1)]
+        assert payload["derived"] == trim_result_to_json(derived_measure(stage, sigma, probe_depth=depth))
+
+    @pytest.mark.parametrize("name", ["presentation.json", "tilted.json", "spine.json"])
+    @pytest.mark.parametrize("sigma, depth", [("", 0), ("", 7), ("1", 9), ("11", 2), ("10", 6), ("0110", 12)])
+    def test_rows_and_derived_are_the_library_reads(self, name, sigma, depth):
+        self.trim_matches_the_library(str(GOLDEN_INPUTS / name), sigma, depth)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["", "1", "11", "01"]))
+    def test_drawn_tilted_stages_trim_as_the_library_does(self, seed, sigma):
+        stage = random_stage(random.Random(seed), depth=2, strict=False, tilt_allowed=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_json(Path(tmp), "drawn.json", stage_to_json(stage))
+            self.trim_matches_the_library(path, sigma, len(sigma) + 6)
+
+    def test_four_thousand_levels_down_the_tilted_spine(self, capsys):
+        """The golden tilted document trimmed 4,000 levels down its 1-spine,
+        in closed form at every level: its last numerator has 2,409 digits,
+        under the interpreter's int-to-text limit."""
+        argv = ["trim", str(GOLDEN_INPUTS / "tilted.json"), "--sigma", "1", "--depth", "4000"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["rows"]) == 4000 and payload["rows"][-1][0] == 4000
+        digits = len(payload["rows"][-1][1].split("/")[0])
+        assert digits == 2409 < sys.get_int_max_str_digits()
+        assert payload["derived"] == {"value": payload["rows"][-1][1], "depth": 4000, "stabilized": False}
 
     def test_depth_must_reach_sigma(self, uniform_file):
         assert main(["trim", uniform_file, "--sigma", "0101", "--depth", "2"]) == 2

@@ -434,6 +434,15 @@ class TestFromSemimeasure:
             for s in strings_up_to(2):
                 assert rho.value(s) == target.value(s, t)
 
+    def test_each_stage_is_built_once(self):
+        """The final stage, built first for the strictness check, is reused
+        when the replay reaches it."""
+        built = []
+        target = infimum_semimeasure([[HALF, ONE], [HALF, ONE]], depth=2)
+        counted = LeftCeSemiMeasure(lambda s: built.append(s) or target.stage_at(s))
+        from_semimeasure(counted, stage=2, depth=2)
+        assert built == [2, 0, 1]
+
     def test_non_strict_final_stage_rejected(self):
         leaky = LeftCeSemiMeasure.constant(uniform_measure(2).scaled(HALF))
         with pytest.raises(PreconditionError):

@@ -12,11 +12,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run(script: str, *args: str) -> list[str]:
-    """stdout lines of ``python scripts/<script> <args>`` against ``src``; the run must exit 0."""
+def launch(script: str, *args: str) -> subprocess.CompletedProcess:
+    """``python scripts/<script> <args>`` run against ``src``."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     argv = [sys.executable, str(ROOT / "scripts" / script), *args]
-    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+def run(script: str, *args: str) -> list[str]:
+    """stdout lines of a script run that must exit 0."""
+    proc = launch(script, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -42,3 +47,18 @@ def test_trim_convergence_csv_has_one_row_per_level():
     lines = run("trim_convergence.py", *"--file tests/golden/inputs/tilted.json --members 0,1 --levels 4 --format csv".split())
     assert lines[0] == "level,mass,gap"
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
+
+
+@pytest.mark.parametrize(
+    "args, code, line",
+    [
+        ("--members 0,2", 2, "parse error: not a binary string: '2'"),
+        ("--members 0,01", 4, "precondition failed: the open set must be given as a prefix-free antichain"),
+        ("--levels -1", 2, "parse error: m_max must be non-negative"),
+    ],
+)
+def test_trim_convergence_reports_bad_input_as_the_cli_does(args, code, line):
+    """One stderr line, no traceback and no stdout, and the CLI's exit code:
+    2 for a parse error or bad value, 4 for a failed precondition."""
+    proc = launch("trim_convergence.py", *args.split())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", line + "\n")

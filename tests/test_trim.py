@@ -24,6 +24,7 @@ from helpers import (
     reference_spine_level_sum,
     reference_decode_atom,
 )
+from semimeasures.dyadic import add
 from semimeasures import (
     EPSILON,
     HALF,
@@ -248,7 +249,8 @@ class TestIntegerLevelSums:
             assert as_fraction(partial_trim(stage, sigma, n)) == expected
         for sigma in strings_up_to(top + 2):
             for c in comps:
-                assert as_fraction(Dyadic(*c._plain_level_sum(sigma, None))) == reference_plain_level_sum(c, sigma, None)
+                if not c.tilt:
+                    assert as_fraction(Dyadic(*c.level_sum(sigma, None))) == reference_plain_level_sum(c, sigma, None)
             if tilted:
                 with pytest.raises(ValueError):
                     stage.level_mass(sigma, None)
@@ -290,7 +292,7 @@ class TestIntegerLevelSums:
             for levels in (0, 1, 2, 5, None):
                 n = None if levels is None else max(len(sigma), 1) + levels
                 expected = reference_plain_level_sum(comp, sigma, n)
-                assert as_fraction(Dyadic(*comp._plain_level_sum(sigma, n))) == expected
+                assert as_fraction(Dyadic(*comp.level_sum(sigma, n))) == expected
 
     @pytest.mark.parametrize("rule", [TailRule.uniform(), TailRule.split(HALF, HALF)])
     def test_conserving_rules_stay_small_far_down(self, rule):
@@ -307,9 +309,117 @@ class TestIntegerLevelSums:
         assert time.perf_counter() - start < 0.5
 
 
+def reference_level_mass(stage: SemiMeasureStage, sigma: str, n: int) -> Fraction:
+    """The stage's level mass from the per-component references: a tilted
+    component with sigma on its 1-spine sums its spine exits, any other
+    scales its plain level sum by the tilt of sigma's leading ones."""
+    total = Fraction(0)
+    for c in stage.components:
+        if c.tilt and "0" not in sigma:
+            part = reference_spine_level_sum(c, sigma, n)
+        else:
+            part = reference_plain_level_sum(c, sigma, n) / 2 ** (c.tilt * leading_ones(sigma))
+        total += as_fraction(c.weight) * part
+    return total
+
+
+PASS_TABLE = {"": ONE, "0": QUARTER, "1": Dyadic(3, 2), "00": Dyadic(1, 3), "01": Dyadic(1, 3), "10": QUARTER, "11": HALF}
+PASS_RULES = {
+    "uniform": TailRule.uniform(),
+    "split": TailRule.split(QUARTER, Dyadic(5, 3)),
+    "geometric": TailRule.geometric(Dyadic(3, 3)),
+    # per node: two lossy rules, so one sum per rule, and a conserving one on the spine
+    "per-node": {
+        "00": TailRule.uniform(),
+        "01": TailRule.geometric(QUARTER),
+        "10": TailRule.split(QUARTER, HALF),
+        "11": TailRule.split(QUARTER, Dyadic(3, 2)),
+    },
+    # per node with one lossy rule: the lossy mass is the frontier's less the kept
+    "per-node-one-lossy": {
+        "00": TailRule.uniform(),
+        "01": TailRule.geometric(QUARTER),
+        "10": TailRule.uniform(),
+        "11": TailRule.split(QUARTER, Dyadic(3, 2)),
+    },
+}
+
+
+class TestLevelMassPasses:
+    """``level_masses`` (one frontier read, then the closed form level by
+    level) and ``level_mass`` (one frontier read and the closed form at the
+    level asked) against the Fraction references on every level to 40, the
+    enumerating oracle on the first levels, and the trim oracle in the
+    limit."""
+
+    @pytest.mark.parametrize("tilt", [0, 1, 2])
+    @pytest.mark.parametrize("rules", sorted(PASS_RULES))
+    def test_every_level_to_forty_and_the_limit(self, tilt, rules):
+        rule = PASS_RULES[rules]
+        tails = dict(tails=rule) if isinstance(rule, dict) else dict(tail=rule)
+        comp = Component.build(HALF, PASS_TABLE, tilt=tilt, **tails)
+        plain = Component.build(HALF, PASS_TABLE, tails=PASS_RULES["per-node"])
+        stage = SemiMeasureStage((comp, plain), strict=True)
+        for sigma in ("", "1", "111", "0", "10", "0110"):
+            levels = list(stage.level_masses(sigma, 40))
+            assert len(levels) == 41 - len(sigma)
+            for n, level in enumerate(levels, len(sigma)):
+                want = reference_level_mass(stage, sigma, n)
+                assert as_fraction(Dyadic(*level)) == want
+                assert as_fraction(Dyadic(*stage.level_mass(sigma, n))) == want
+                if n <= len(sigma) + 6:
+                    assert want == oracle_level_sum(stage, sigma, n)
+            if not tilt:
+                assert as_fraction(Dyadic(*stage.level_mass(sigma, None))) == oracle_trim(stage, sigma)
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_drawn_stages_and_open_sets(self, seed):
+        """Drawn one- and two-component stages, tilted or not: every level of
+        a pass equals the single-level read, and the open-set masses are the
+        members' summed level masses."""
+        rng = random.Random(seed)
+        stage = random_stage(rng, depth=rng.randint(0, 3), strict=False, tilt_allowed=True)
+        for sigma in strings_up_to(3):
+            levels = stage.level_masses(sigma, len(sigma) + 5)
+            singles = [stage.level_mass(sigma, n) for n in range(len(sigma), len(sigma) + 6)]
+            assert [Dyadic(*level) for level in levels] == [Dyadic(*level) for level in singles]
+        members = ("00", "010", "1")
+        got = open_set_derived(stage, members, m_max=5)
+        for m, mass in enumerate(got.masses):
+            assert mass == Dyadic(*add(stage.level_mass(s, len(s) + m) for s in members))
+
+    def test_more_rules_than_a_byte_holds(self):
+        """512 frontier nodes under 512 distinct rules, conserving and lossy
+        in turn with many totals: the keeps and decays masks, level sums and
+        limits against the references."""
+        rng = random.Random(7)
+        table = random_table(rng, 9)
+        tails = {}
+        for k, node in enumerate(all_strings(9)):
+            zero = Dyadic(k, 10)
+            tails[node] = TailRule.split(zero, ONE - zero) if k % 2 else TailRule.split(zero, Dyadic(k % 7, 3))
+        comp = Component.build(ONE, table, tails=tails)
+        assert len(comp.tails.rules) == 512
+        assert list(comp.tails.keeps) == [k % 2 for k in range(512)]
+        assert list(comp.tails.decays) == [int(not k % 2 and k > 0) for k in range(512)]
+        stage = SemiMeasureStage((comp,), strict=False)
+        for sigma in ("", "0", "1011"):
+            for n, level in enumerate(stage.level_masses(sigma, 12), len(sigma)):
+                assert as_fraction(Dyadic(*level)) == reference_level_mass(stage, sigma, n)
+            assert as_fraction(Dyadic(*stage.level_mass(sigma, None))) == oracle_trim(stage, sigma)
+
+    def test_a_pass_checks_its_arguments(self):
+        stage = uniform_measure()
+        with pytest.raises(ValueError, match=r"level 1 is above the string \(length 2\)"):
+            list(stage.level_masses("01", 1))
+        with pytest.raises(ParseError):
+            list(stage.level_masses("0a", 3))
+
+
 class TestSpineLevelSums:
-    """A level sum at a sigma on a tilted 1-spine adds one plain sum per
-    spine exit, in a loop: deep levels need no deep recursion."""
+    """A level sum at a sigma on a tilted 1-spine is the closed form of the
+    spine recurrence, read at each level of a pass too: neither walks the
+    spine exits one by one."""
 
     @pytest.mark.parametrize("tilt", [1, 2])
     def test_three_thousand_levels_down(self, tilt):
@@ -325,6 +435,8 @@ class TestSpineLevelSums:
         for sigma in ("1", ""):
             num, e = comp.level_sum(sigma, 3000)
             assert num and Fraction(num, 2**e) == reference_spine_level_sum(comp, sigma, 3000)
+            *_, last = comp.level_sums(sigma, 3000)
+            assert last == (num, e)
 
 
 # ---------------------------------------------------------------------------
