@@ -43,15 +43,20 @@ it.  ``set_mass`` builds no value per member: each component sums the
 stored row entries of the members at or above the frontier, and
 below it the frontier numerators per tail rule and count of ones, each
 such sum taking its rule's factor once.  Level sums and trims are integers
-too, as ``(numerator, e)``.  At or above a frontier a level sum is a slice
-of a stored row.  Below it a component reads the frontier under sigma once,
-for one level (``Component.level_sum``) or for a whole pass of levels
-(``Component.level_sums``): the mass under conserving rules is one
-``compress`` over a per-node mask, the rest is summed per rule total, and a
-total keeps ((zero + one) in lowest terms)**levels of its mass, one power
-per level asked.  On a tilted 1-spine the all-ones node's subtree follows
-the recurrence S(L+1) = T (S(L) - sp(L)) + sp(L) (z + o 2**-tilt), taken in
-closed form at each level asked, so no level sum walks the spine's exits.
+too, as ``(numerator, e)``.  Among the strings of one length, those with
+j leading ones are one lex run, which the tilt scales by 2**(-tilt * j);
+``Component._tilt_runs`` alone owns that rule, cutting a range of lex
+positions into such runs, and set masses, level sums and rows all read
+their runs from it.  At or above a frontier a level sum is a slice of a
+stored row per run.  Below it a component reads the frontier under sigma
+once, for one level (``Component.level_sum``) or for a whole pass of levels
+(``Component.level_sums``): one sum per tail rule in each run, merged per
+rule total, and a total keeps ((zero + one) in lowest terms)**levels of its
+mass, one power per level asked; the limit is the mass under conserving
+rules, one ``compress`` over a per-node mask.  On a tilted 1-spine the
+all-ones node's subtree follows the recurrence
+S(L+1) = T (S(L) - sp(L)) + sp(L) (z + o 2**-tilt), taken in closed form at
+each level asked, so no level sum walks the spine's exits.
 ``level_mass`` and ``level_masses`` add the weighted component sums.
 ``Dyadic`` values are built only for what a sweep, a point read,
 a set mass or a trim returns.  A tail rule's integer form lives in
@@ -139,16 +144,6 @@ class TailRule:
 def _lex(s: str) -> int:
     """Position of a bit string among the strings of its length, in lex order."""
     return int(s, 2) if s else 0
-
-
-def _runs_by_leading_ones(positions: list[int], n: int) -> list[tuple[int, list[int]]]:
-    """Ascending lex positions of length-n strings split by the number j of
-    leading ones of their strings, as (j, positions) for each j present: for
-    j < n those are the positions in [2^n - 2^(n-j), 2^n - 2^(n-j-1)), and
-    the all-ones string has j = n."""
-    full = 1 << n
-    cuts = [bisect_left(positions, full - (full >> j)) for j in range(n + 1)] + [len(positions)]
-    return [(j, positions[lo:hi]) for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if lo < hi]
 
 
 def _canonical(nums: list[int], e: int) -> Row:
@@ -239,14 +234,13 @@ class TailsView(Mapping[str, TailRule]):
     each rule lives here: ``aligned[i]`` is ``(z, o, e)`` with zero = z / 2**e
     and one = o / 2**e, and ``totals[i]`` is ``(t, x)`` with zero + one =
     t / 2**x in lowest terms, ``(1, 0)`` exactly when the rule conserves mass.
-    With two or more rules, ``keeps`` and ``decays`` hold one byte per
-    frontier node: ``keeps`` is 1 where its rule conserves mass, ``decays``
-    1 where it keeps a fraction strictly between none and all of it (the
-    totals in the set ``decaying``); the mass under either kind of rule
-    below a string is one ``compress`` over a slice.  A one-rule view leaves
-    them empty."""
+    With two or more rules, ``keeps`` holds one byte per frontier node, 1
+    where its rule conserves mass, so the limit mass below a string is one
+    ``compress`` over a slice; a one-rule view leaves it empty.  How the
+    tilt cuts the frontier into runs is :meth:`Component._tilt_runs`'
+    alone."""
 
-    __slots__ = ("depth", "rules", "index", "aligned", "totals", "decaying", "keeps", "decays")
+    __slots__ = ("depth", "rules", "index", "aligned", "totals", "keeps")
 
     def __init__(self, depth: int, rules: tuple[TailRule, ...], index: list[int]):
         self.depth, self.rules, self.index = depth, rules, index
@@ -256,12 +250,10 @@ class TailsView(Mapping[str, TailRule]):
             for rule, e in zip(rules, exps)
         )
         self.totals = tuple((t.numerator, t.exponent) for t in (rule.total for rule in rules))
-        self.decaying = frozenset(total for total in self.totals if total != (1, 0) and total[0])
-        self.keeps = self.decays = b""  # unread for one rule: Component._frontier sums its frontier whole
+        self.keeps = b""  # unread for one rule: Component._frontier sums its frontier whole
         if len(rules) > 1:
             keep = [total == (1, 0) for total in self.totals]
-            decay = [total in self.decaying for total in self.totals]
-            self.keeps, self.decays = bytes(map(keep.__getitem__, index)), bytes(map(decay.__getitem__, index))
+            self.keeps = bytes(map(keep.__getitem__, index))
 
     @classmethod
     def single(cls, rule: TailRule, depth: int) -> "TailsView":
@@ -362,7 +354,7 @@ class Component:
         (num,), e = self._values((check_bits(sigma),), [_lex(sigma)])
         return Dyadic(num, e)
 
-    def _values(self, strings: Sequence[str], positions: Sequence[int], tilted: bool = True) -> Row:
+    def _values(self, strings: Sequence[str], positions: Sequence[int]) -> Row:
         # values (weight not included) at the given bit strings, each with
         # its lex position among the strings of its length: an entry of a
         # stored row above the frontier, below it the frontier numerator
@@ -384,83 +376,77 @@ class Component:
             ones = s.count("1", depth)
             nums.append(fnums[k] * z ** (below - ones) * o**ones)
             exps.append(fe + e * below)
-        if tilted and self.tilt:
+        if self.tilt:
             # 2**(-tilt * j) for j leading ones is an exponent shift
             exps = [x + self.tilt * leading_ones(s) for x, s in zip(exps, strings)]
         e = max(exps, default=0)
         return [m << (e - x) for m, x in zip(nums, exps)], e
 
+    def _tilt_runs(self, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
+        # the one owner of the tilt's rule: the lex positions [lo, hi) of the
+        # length-n strings as (lo, hi, s) runs, the tilt scaling a run's
+        # values by 2**(s - tilt * n).  The strings with j leading ones are
+        # the run [2^n - 2^(n-j), 2^n - 2^(n-j-1)), with s = tilt * (n - j),
+        # and j = n is the all-ones string alone; a range off the 1-spine
+        # lies in one run, and an untilted component has one run
+        if not self.tilt:
+            return [(lo, hi, 0)]
+        full = 1 << n
+        j = n - (full - 1 - lo).bit_length()  # the leading ones of the string at lo
+        runs = []
+        while lo < hi:
+            end = min(hi, full - (full >> (j + 1)))
+            runs.append((lo, end, self.tilt * (n - j)))
+            lo, j = end, j + 1
+        return runs
+
     def _group_sum(self, groups: Sequence[tuple[int, list[int]]]) -> tuple[int, int]:
         # sum of values (weight not included) over the strings given as
-        # (length, ascending lex positions) groups, as (numerator, e); the
-        # strings of a group with j leading ones are one run of it, which the
-        # tilt scales by 2**(-tilt * j), an exponent shift
-        terms = []
-        for n, positions in groups:
-            for j, run in _runs_by_leading_ones(positions, n) if self.tilt else [(0, positions)]:
-                num, e = self._plain_group_sum(n, run)
-                terms.append((num, e + self.tilt * j))
-        return add(terms)
-
-    def _plain_group_sum(self, n: int, positions: list[int]) -> tuple[int, int]:
-        # sum of untilted values over the length-n strings at the given lex
-        # positions, as (numerator, e): stored row entries at or above the
+        # (length, ascending lex positions) groups, as (numerator, e), each
+        # group cut into the tilt's runs: stored row entries at or above the
         # frontier; below it the frontier numerators summed per (rule, ones
         # below the frontier), each sum times one z**zeros * o**ones
         depth, rows = self.depth, self.table.rows
-        if n <= depth:
-            row, e = rows[n]
-            return sum(map(row.__getitem__, positions)), e
-        below = n - depth
         fnums, fe = rows[depth]
         index, aligned = self.tails.index, self.tails.aligned
-        nodes = map(rshift, positions, repeat(below))
-        ones = map(int.bit_count, map(and_, positions, repeat((1 << below) - 1)))
-        sums: defaultdict[tuple[int, int], int] = defaultdict(int)
-        for (k, b), count in Counter(zip(nodes, ones)).items():
-            sums[index[k], b] += count * fnums[k]
         top = max(e for _z, _o, e in aligned)  # every rule's powers over 2**(top * below)
-        num = 0
-        for (i, b), x in sums.items():
-            z, o, e = aligned[i]
-            num += (x * z ** (below - b) * o**b) << ((top - e) * below)
-        return num, fe + top * below
-
-    def _runs(self, sigma: str, n: int) -> tuple[list[tuple[int, int, int]], int]:
-        # the length-n extensions of sigma (n >= |sigma|) as (lo, hi, s) slices
-        # of lex positions, and an exponent x: the tilt scales the values of a
-        # slice by 2**(s - x).  On a tilted 1-spine each count j of leading
-        # ones is one slice, j = n the all-ones string alone; elsewhere every
-        # extension has the leading ones of sigma
-        k = len(sigma)
-        if self.tilt and "0" not in sigma:
-            full = 1 << n
-            runs = [(full - (full >> j), full - (full >> (j + 1)), self.tilt * (n - j)) for j in range(k, n + 1)]
-            return runs, self.tilt * n
-        lo = _lex(sigma) << (n - k)
-        return [(lo, lo + (1 << (n - k)), 0)], self.tilt * leading_ones(sigma) if self.tilt else 0
+        terms = []
+        for n, positions in groups:
+            below, num = n - depth, 0
+            sums: defaultdict[tuple[int, int], int] = defaultdict(int)
+            for lo, hi, s in self._tilt_runs(n, positions[0], positions[-1] + 1):
+                run = positions[bisect_left(positions, lo) : bisect_left(positions, hi)]
+                if below <= 0:
+                    num += sum(map(rows[n][0].__getitem__, run)) << s
+                    continue
+                nodes = map(rshift, run, repeat(below))
+                ones = map(int.bit_count, map(and_, run, repeat((1 << below) - 1)))
+                for (k, b), count in Counter(zip(nodes, ones)).items():
+                    sums[index[k], b] += count * fnums[k] << s
+            for (i, b), x in sums.items():
+                z, o, e = aligned[i]
+                num += (x * z ** (below - b) * o**b) << ((top - e) * below)
+            terms.append((num, (rows[n][1] if below <= 0 else fe + top * below) + self.tilt * n))
+        return add(terms)
 
     def _row_sum(self, sigma: str, n: int) -> tuple[int, int]:
         # the level sum at |sigma| <= n <= depth, from slices of the stored row
         nums, e = self.table.rows[n]
-        runs, x = self._runs(sigma, n)
-        return sum(sum(nums[lo:hi]) << s for lo, hi, s in runs), e + x
+        lo = _lex(sigma) << (n - len(sigma))
+        runs = self._tilt_runs(n, lo, lo + (1 << (n - len(sigma))))
+        return sum(sum(nums[lo:hi]) << s for lo, hi, s in runs), e + self.tilt * n
 
     def _frontier(self, sigma: str, split: bool) -> tuple[list[tuple[int, tuple[int, int]]], tuple | None, int]:
         # the extensions of sigma at level k0 = max(|sigma|, depth) as
         # (x, (t, y)) terms over 2**e: x of their mass lies under tail rules
-        # that keep t / 2**y of a node's mass per level further down.  When
-        # sigma is above the frontier the terms are read only for the levels
-        # below k0, so mass under rules that keep none may be left out.  One
-        # pass over the frontier under sigma: one sum for a single rule;
-        # else the mass under conserving rules is one compress over the
-        # keeps mask, and so, with split, is the mass under the rules that
-        # keep a fraction in between when these share one total; with two
-        # or more such totals, one sum per rule in a loop, merged per total.
-        # Without split only the conserving mass is wanted: the limit.  On a
-        # tilted 1-spine the all-ones extension is left out of the terms and
-        # returned as spine = (v, z, o, ez): its numerator over 2**e and the
-        # aligned fields of its rule
+        # that keep t / 2**y of a node's mass per level further down.  One
+        # pass over the frontier under sigma, run by run of the tilt: one sum
+        # for a single rule; else, with split, one sum per rule in a loop,
+        # merged per total.  Without split only the conserving mass is
+        # wanted, the limit: one compress over the keeps mask.  On a tilted
+        # 1-spine the all-ones extension, the last run, is left out of the
+        # terms and returned as spine = (v, z, o, ez): its numerator over
+        # 2**e and the aligned fields of its rule
         k, d = len(sigma), self.depth
         index, totals = self.tails.index, self.tails.totals
         on_spine = self.tilt and "0" not in sigma
@@ -469,32 +455,28 @@ class Component:
             i = index[_lex(sigma) >> (k - d)]
             return ([], (v, *self.tails.aligned[i]), e) if on_spine else ([(v, totals[i])], None, e)
         fnums, fe = self.table.rows[d]
-        runs, x = self._runs(sigma, d)
+        lo = _lex(sigma) << (d - k)
+        runs, e = self._tilt_runs(d, lo, lo + (1 << (d - k))), fe + self.tilt * d
         spine = None
         if on_spine:
             pos = runs.pop()[0]
             spine = (fnums[pos], *self.tails.aligned[index[pos]])
         if len(totals) == 1:  # one rule, so one sum, which a limit needs only if the rule conserves
             if not split and totals[0] != (1, 0):
-                return [], spine, fe + x
-            return [(sum(sum(fnums[lo:hi]) << s for lo, hi, s in runs), totals[0])], spine, fe + x
-        decaying = self.tails.decaying if split else ()
-        if len(decaying) > 1:  # one sum per rule, in a loop, and one term per total
-            merged: dict[tuple[int, int], int] = {}
-            for lo, hi, s in runs:
-                sums = [0] * len(totals)
-                for i, v in zip(index[lo:hi], fnums[lo:hi]):
-                    sums[i] += v
-                for v, total in zip(sums, totals):
-                    if v:
-                        merged[total] = merged.get(total, 0) + (v << s)
-            return [(v, total) for total, v in merged.items()], spine, fe + x
-        keeps, decays = self.tails.keeps, self.tails.decays
-        terms = [(sum(sum(compress(fnums[lo:hi], keeps[lo:hi])) << s for lo, hi, s in runs), (1, 0))]
-        if decaying:
-            decayed = sum(sum(compress(fnums[lo:hi], decays[lo:hi])) << s for lo, hi, s in runs)
-            terms.append((decayed, *decaying))
-        return terms, spine, fe + x
+                return [], spine, e
+            return [(sum(sum(fnums[lo:hi]) << s for lo, hi, s in runs), totals[0])], spine, e
+        if not split:
+            keeps = self.tails.keeps
+            return [(sum(sum(compress(fnums[lo:hi], keeps[lo:hi])) << s for lo, hi, s in runs), (1, 0))], spine, e
+        merged: dict[tuple[int, int], int] = {}
+        for lo, hi, s in runs:
+            sums = [0] * len(totals)
+            for i, v in zip(index[lo:hi], fnums[lo:hi]):
+                sums[i] += v
+            for v, total in zip(sums, totals):
+                if v:
+                    merged[total] = merged.get(total, 0) + (v << s)
+        return [(v, total) for total, v in merged.items()], spine, e
 
     def _below(self, terms: list[tuple[int, tuple[int, int]]], spine: tuple | None, e: int, levels: int) -> tuple[int, int]:
         # the level sum ``levels`` below the level of a _frontier, in closed
@@ -534,14 +516,8 @@ class Component:
             row = [num * p for num, i in zip(fnums, self.tails.index) for p in blocks[i]]
             e = fe + top * below
         if self.tilt:
-            # the strings with j leading ones are one slice, scaled by
-            # 2**(-tilt * j) over the common 2**(tilt * n), on a copy
-            full = 1 << n
-            row = [
-                x << (self.tilt * (n - j))
-                for j in range(n + 1)
-                for x in row[full - (full >> j) : full - (full >> (j + 1))]
-            ]
+            # each of the tilt's runs scaled over the common 2**(tilt * n), on a copy
+            row = [x << s for lo, hi, s in self._tilt_runs(n, 0, 1 << n) for x in row[lo:hi]]
             e += self.tilt * n
         return row, e
 
