@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .dyadic import Dyadic, ONE, expansion_bits, lowest, row_lowest
 from .errors import CertificateError, PreconditionError
-from .semimeasure import Component, LeftCeSemiMeasure, SemiMeasureStage, TableView, TailRule
+from .semimeasure import LeftCeSemiMeasure, SemiMeasureStage, TableView, TailRule, table_semimeasure
 from .strings import (
     EPSILON,
     StringSet,
@@ -44,22 +44,21 @@ Pair = tuple[str, str]
 class MonotoneFunctional:
     """Enumerated in stages: ``batch(t)`` gives the pairs that enter at stage
     t, and ``last`` is the final stage of a finite enumeration (None while
-    pairs keep entering; every batch after ``last`` is empty).  pairs_at(s)
-    is the union of the batches up to s."""
+    pairs keep entering; every batch after ``last`` is empty).  The batches
+    are the one stored form: pairs_at(s) is the union of the batches up to
+    s, computed on each call, with s clipped to ``last`` so that a stage past
+    it costs what ``last`` costs."""
 
     def __init__(self, batch: Callable[[int], Iterable[Pair]], last: int | None = None):
         self.batch = batch
         self.last = last
-        self._cache: dict[int, frozenset[Pair]] = {}
 
     def pairs_at(self, s: int) -> frozenset[Pair]:
         if s < 0:
             raise ValueError("stage must be non-negative")
         if self.last is not None and s > self.last:
             s = self.last  # every later stage is this one
-        if s not in self._cache:
-            self._cache[s] = frozenset().union(*map(self.batch, range(s + 1)))
-        return self._cache[s]
+        return frozenset().union(*map(self.batch, range(s + 1)))
 
     @property
     def events(self) -> tuple[tuple[int, str, str], ...] | None:
@@ -247,8 +246,7 @@ def induced_semimeasure(phi: MonotoneFunctional, stage: int, depth: int) -> Semi
             rows[n][int(node, 2) if node else 0] = sum(b - a for a, b in union)
             if n:
                 live[n - 1].add(node[:-1])
-    comp = Component.build(ONE, TableView((row, L) for row in rows), tail=TailRule.vanish())
-    return SemiMeasureStage((comp,), strict=rows[0][0] == 1 << L)
+    return table_semimeasure(TableView((row, L) for row in rows), tail=TailRule.vanish())
 
 
 def reach_set(phi: MonotoneFunctional, ell: int, stage: int) -> StringSet:

@@ -26,6 +26,7 @@ from .semimeasure import SemiMeasureStage, check_domination, uniform_measure
 from .strings import (
     StringSet,
     canon,
+    check_bits,
     extend_set,
     intersect_sets,
     is_prefix_free,
@@ -216,8 +217,10 @@ def passes_at_depth(test: MLTest, prefix: str) -> tuple[LevelStatus, ...]:
     captured: some member is a prefix of ``prefix`` (every extension is
     covered); escaped: ``prefix`` is incomparable with every member (no
     extension is covered); undetermined otherwise.  Extending the prefix
-    never downgrades captured and never revokes escaped.
+    never downgrades captured and never revokes escaped.  ``prefix`` must be
+    a 0/1 literal.
     """
+    check_bits(prefix)
     out = []
     for i in sorted(test.levels):
         members = test.levels[i]

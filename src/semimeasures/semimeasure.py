@@ -750,18 +750,15 @@ def _validate(stage: SemiMeasureStage, additive: bool, rows: list[Row] | None = 
 
 
 def uniform_measure(depth: int = 0) -> SemiMeasureStage:
-    """The fair-coin measure: value 2^-|sigma| everywhere."""
-    table = {s: Dyadic.pow2(-len(s)) for s in strings_up_to(depth)}
-    comp = Component.build(ONE, table, tail=TailRule.uniform())
-    return SemiMeasureStage((comp,), strict=True)
+    """The fair-coin measure: value 2^-|sigma| everywhere, the geometric
+    semi-measure of ratio 1/2 (its rule's kind is "uniform")."""
+    return geometric_semimeasure(HALF, depth)
 
 
 def geometric_semimeasure(beta: Dyadic, depth: int = 0) -> SemiMeasureStage:
     """Root mass 1 decaying by ``beta`` per child: value beta^|sigma|."""
     rule = TailRule.geometric(beta)
-    table = {s: beta ** len(s) for s in strings_up_to(depth)}
-    comp = Component.build(ONE, table, tail=rule)
-    return SemiMeasureStage((comp,), strict=True)
+    return table_semimeasure({s: beta ** len(s) for s in strings_up_to(depth)}, tail=rule)
 
 
 def dirac_spine(bit: str) -> SemiMeasureStage:
@@ -769,16 +766,18 @@ def dirac_spine(bit: str) -> SemiMeasureStage:
     if bit not in ("0", "1"):
         raise ValueError("bit must be '0' or '1'")
     rule = TailRule.split(ONE, ZERO) if bit == "0" else TailRule.split(ZERO, ONE)
-    comp = Component.build(ONE, {EPSILON: ONE}, tail=rule)
-    return SemiMeasureStage((comp,), strict=True)
+    return table_semimeasure({EPSILON: ONE}, tail=rule)
 
 
 def table_semimeasure(table: Mapping[str, Dyadic], tail: TailRule | None = None,
                       tails: Mapping[str, TailRule] | None = None) -> SemiMeasureStage:
-    """Single-component presentation from an explicit table."""
+    """Single-component presentation from an explicit table: the one
+    constructor of every one-component presentation.  ``table`` is a
+    complete mapping or a :class:`TableView`, ``tail``/``tails`` are as in
+    :meth:`Component.build`, and the stage is strict exactly when its root
+    value is 1."""
     comp = Component.build(ONE, table, tail=tail, tails=tails)
-    stage = SemiMeasureStage((comp,), strict=table[EPSILON] == ONE)
-    return stage
+    return SemiMeasureStage((comp,), strict=table[EPSILON] == ONE)
 
 
 def tilt_by_ones(stage: SemiMeasureStage) -> SemiMeasureStage:
@@ -981,8 +980,7 @@ def from_infimum_sequence(rows: Sequence, stage: int, depth: int) -> SemiMeasure
         if n < len(vals):  # frozen past the last generator
             low = min(low, vals[n])
         levels.append(([low.numerator] * (1 << n), low.exponent + n))  # low / 2^n at every node
-    comp = Component.build(ONE, TableView(levels), tail=TailRule.uniform())
-    return SemiMeasureStage((comp,), strict=vals[0] == ONE)
+    return table_semimeasure(TableView(levels), tail=TailRule.uniform())
 
 
 def infimum_semimeasure(rows: Sequence, depth: int) -> LeftCeSemiMeasure:

@@ -792,10 +792,10 @@ class TestStageBatches:
             return [(str(t), "")]
 
         clipped = MonotoneFunctional(batch, last=2)
-        assert clipped.pairs_at(10**9) is clipped.pairs_at(2)
+        assert clipped.pairs_at(10**9) == clipped.pairs_at(2)
         phi = MonotoneFunctional.from_events([(0, "0", "0"), (2, "1", "1")])
-        assert phi.pairs_at(10**9) is phi.pairs_at(phi.last)
-        assert phi.pairs_at(3) is phi.pairs_at(2)
+        assert phi.pairs_at(10**9) == phi.pairs_at(phi.last)
+        assert phi.pairs_at(3) == phi.pairs_at(2)
 
     def test_negative_event_stage_is_rejected(self):
         with pytest.raises(ValueError, match="stage must be non-negative"):

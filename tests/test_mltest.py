@@ -26,6 +26,7 @@ from semimeasures import (
     GeneralizedTest,
     MLTest,
     MonotoneFunctional,
+    ParseError,
     PreconditionError,
     SemiMeasureStage,
     TailRule,
@@ -420,6 +421,12 @@ class TestPassesAtDepth:
         test = GeneralizedTest.build({2: ["00"]}, uniform_measure(), decay={2: 2})
         (status,) = passes_at_depth(test, "001")
         assert status.status == "captured"
+
+    @pytest.mark.parametrize("prefix", ["2", " 0", None])
+    def test_prefix_must_be_a_bit_string(self, prefix):
+        test = MLTest.build({0: ["0"], 1: ["00", "01"]}, uniform_measure())
+        with pytest.raises(ParseError, match="not a binary string"):
+            passes_at_depth(test, prefix)
 
     @given(
         st.integers(0, 2**32 - 1),

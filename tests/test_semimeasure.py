@@ -348,6 +348,10 @@ class TestStoredForm:
         stage, inputs = self.stage_with_inputs(seed, kind)
         for comp, (table, tails) in zip(stage.components, inputs):
             assert dict(comp.table) == table and dict(comp.tails) == tails
+            assert comp.table == dict(comp.table) and comp.tails == dict(comp.tails)  # against a plain mapping
+            assert comp.table != {}
+            assert repr(comp.table) == f"TableView({dict(comp.table)!r})"
+            assert repr(comp.tails) == f"TailsView({dict(comp.tails)!r})"
             assert list(comp.table) == list(strings_up_to(comp.depth))  # (length, lex) order
             assert list(comp.tails) == list(all_strings(comp.depth))
             assert len(comp.table) == (2 << comp.depth) - 1 and len(comp.tails) == 1 << comp.depth

@@ -390,8 +390,8 @@ class TestLevelMassPasses:
 
     def test_more_rules_than_a_byte_holds(self):
         """512 frontier nodes under 512 distinct rules, conserving and lossy
-        in turn with many totals: the keeps and decays masks, level sums and
-        limits against the references."""
+        in turn with many totals: the keeps mask, level sums and limits
+        against the references."""
         rng = random.Random(7)
         table = random_table(rng, 9)
         tails = {}
