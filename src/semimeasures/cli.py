@@ -321,30 +321,26 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
-    p = sub.add_parser("validate", parents=[common], help="check a semi-measure, functional, or test file")
-    p.add_argument("file")
-    p.add_argument("--stage", type=int, default=0)
+    staged = argparse.ArgumentParser(add_help=False)  # a file read at a stage
+    staged.add_argument("file")
+    staged.add_argument("--stage", type=int, default=0)
+
+    p = sub.add_parser("validate", parents=[common, staged], help="check a semi-measure, functional, or test file")
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("worked-examples", parents=[common], help="recompute the frozen example table")
     p.set_defaults(handler=cmd_worked_examples)
 
-    p = sub.add_parser("trim", parents=[common], help="level-mass convergence table and derived measure")
-    p.add_argument("file")
+    p = sub.add_parser("trim", parents=[common, staged], help="level-mass convergence table and derived measure")
     p.add_argument("--sigma", default=EPSILON)
     p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--stage", type=int, default=0)
     p.set_defaults(handler=cmd_trim)
 
-    p = sub.add_parser("induce", parents=[common], help="semi-measure induced by a functional")
-    p.add_argument("file")
-    p.add_argument("--stage", type=int, default=0)
+    p = sub.add_parser("induce", parents=[common, staged], help="semi-measure induced by a functional")
     p.add_argument("--depth", type=int, default=4)
     p.set_defaults(handler=cmd_induce)
 
-    p = sub.add_parser("invert", parents=[common], help="functional whose induced semi-measure matches a table")
-    p.add_argument("file")
-    p.add_argument("--stage", type=int, default=0)
+    p = sub.add_parser("invert", parents=[common, staged], help="functional whose induced semi-measure matches a table")
     p.add_argument("--depth", type=int, default=4)
     p.set_defaults(handler=cmd_invert)
 
@@ -363,10 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=None)
     p.set_defaults(handler=cmd_mirror_pair)
 
-    p = sub.add_parser("eval", parents=[common], help="run a functional on one input string")
-    p.add_argument("file")
+    p = sub.add_parser("eval", parents=[common, staged], help="run a functional on one input string")
     p.add_argument("--sigma", required=True)
-    p.add_argument("--stage", type=int, default=0)
     p.set_defaults(handler=cmd_eval)
 
     return parser

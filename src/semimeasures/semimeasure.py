@@ -29,8 +29,9 @@ integer, so equal tables have equal rows.  Its tail rules are stored as the
 distinct rules, in order of first use, plus one rule index per frontier
 node in lex order.  ``Component.table`` and ``Component.tails`` are
 read-only ``Mapping`` views of that storage (:class:`TableView`,
-:class:`TailsView`); a plain mapping is converted once, when the component
-is built, and passing a view on shares its storage.
+:class:`TailsView`).  :meth:`Component.build` is the one converter from
+plain mappings; the constructor takes views only, and passing a view on
+shares its storage.
 
 Whole-table sweeps (validation, completion, the Lebesgue-likeness check in
 :mod:`trim`) read the presentation one level at a time through
@@ -179,15 +180,12 @@ class TableView(Mapping[str, Dyadic]):
         self.rows = tuple(_canonical(nums, e) for nums, e in rows)
 
     @classmethod
-    def of(cls, table: Mapping[str, Dyadic], depth: int | None = None) -> "TableView":
-        """The rows of a complete table, whose depth is read from its size
-        unless given.  A table of 2^(d+1) - 1 nodes in which every string up
-        to d is found is complete; any other fails, on its first key that is
-        not a bit string or else on the strings it misses up to its longest
-        key."""
-        given = depth
-        if depth is None:
-            depth = (len(table) + 1).bit_length() - 2
+    def of(cls, table: Mapping[str, Dyadic]) -> "TableView":
+        """The rows of a complete table, whose depth is read from its size.
+        A table of 2^(d+1) - 1 nodes in which every string up to d is found
+        is complete; any other fails, on its first key that is not a bit
+        string or else on the strings it misses up to its longest key."""
+        depth = (len(table) + 1).bit_length() - 2
         if depth >= 0 and len(table) == (2 << depth) - 1:
             try:
                 rows = []
@@ -202,9 +200,7 @@ class TableView(Mapping[str, Dyadic]):
         keys = {check_bits(k) for k in table}
         top = max((len(k) for k in keys), default=0)
         missing = sorted(set(strings_up_to(top)) - keys, key=sort_key)[:3]
-        if given is None or missing:
-            raise ValueError(f"table must cover every string of length <= {top}; missing {missing}")
-        raise ValueError(f"a table of depth {depth} has {(2 << depth) - 1} nodes, not {len(table)}")
+        raise ValueError(f"table must cover every string of length <= {top}; missing {missing}")
 
     def __getitem__(self, key: str) -> Dyadic:
         if isinstance(key, str) and len(key) < len(self.rows) and not key.strip("01"):
@@ -302,9 +298,9 @@ class Component:
 
     ``table`` and ``tails`` are read-only views (:class:`TableView`,
     :class:`TailsView`) of the component's one stored form: an ``int`` row
-    per level and a rule index per frontier node.  A plain mapping given to
-    the constructor is converted once and must be complete for ``depth``;
-    a view given to it, or kept by ``dataclasses.replace``, is shared.
+    per level and a rule index per frontier node.  The constructor takes
+    views of depth ``depth`` only, and shares them, as ``dataclasses.replace``
+    does; :meth:`build` alone converts plain mappings.
     """
 
     weight: Dyadic
@@ -316,10 +312,8 @@ class Component:
     def __post_init__(self):
         if self.tilt < 0:
             raise ValueError("tilt power must be non-negative")
-        if not isinstance(self.table, TableView):
-            object.__setattr__(self, "table", TableView.of(self.table, self.depth))
-        if not isinstance(self.tails, TailsView):
-            object.__setattr__(self, "tails", TailsView.of(self.tails, self.depth))
+        if not isinstance(self.table, TableView) or not isinstance(self.tails, TailsView):
+            raise TypeError("table and tails must be a TableView and a TailsView; Component.build converts mappings")
         if len(self.table.rows) != self.depth + 1 or self.tails.depth != self.depth:
             raise ValueError(f"table and tails must both have depth {self.depth}")
 
@@ -758,6 +752,8 @@ def uniform_measure(depth: int = 0) -> SemiMeasureStage:
 def geometric_semimeasure(beta: Dyadic, depth: int = 0) -> SemiMeasureStage:
     """Root mass 1 decaying by ``beta`` per child: value beta^|sigma|."""
     rule = TailRule.geometric(beta)
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
     return table_semimeasure({s: beta ** len(s) for s in strings_up_to(depth)}, tail=rule)
 
 
@@ -942,36 +938,25 @@ def summed_rows(row: list[int], depth: int) -> list[list[int]]:
 # -- infimum-scaled stages ---------------------------------------------------
 
 
-Generator = Callable[[int], Dyadic]
-
-
-def _as_generator(row) -> Generator:
-    if callable(row):
-        return row
-    values = [v for v in row]
-    if not values:
-        raise ValueError("generator value lists must be non-empty")
-
-    def gen(s: int) -> Dyadic:
-        return values[min(s, len(values) - 1)]
-
-    return gen
-
-
 def from_infimum_sequence(rows: Sequence, stage: int, depth: int) -> SemiMeasureStage:
     """Stage presentation of sigma -> 2^-|sigma| * min_{i <= |sigma|} r_i(stage).
 
-    ``rows`` is a finite list of stage generators (callables or value lists,
-    lists freezing at their last entry).  Indices past the end of ``rows``
-    contribute nothing, so below depth len(rows) - 1 the minimum is frozen
-    and the uniform tail reproduces the formula exactly; choose
-    ``depth >= len(rows) - 1`` to get the exact presentation.
+    ``rows`` is a finite list of stage generators: a callable row is called
+    with the stage, and a sequence of values is read by index, freezing at
+    its last entry.  Indices past the end of ``rows`` contribute nothing, so
+    below depth len(rows) - 1 the minimum is frozen and the uniform tail
+    reproduces the formula exactly; choose ``depth >= len(rows) - 1`` to get
+    the exact presentation.  The depth must be non-negative.
     """
     if not rows:
         raise ValueError("at least one generator row is required")
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
     vals = []
-    for i, g in enumerate(map(_as_generator, rows)):
-        v = g(stage)
+    for i, row in enumerate(rows):
+        if not callable(row) and not row:
+            raise ValueError("generator value lists must be non-empty")
+        v = row(stage) if callable(row) else row[min(stage, len(row) - 1)]
         if not isinstance(v, Dyadic) or v > ONE:
             raise ValueError(f"generator {i} must yield dyadics in [0, 1], got {v}")
         vals.append(v)

@@ -136,10 +136,12 @@ def prefix_free_normalize(strings: Iterable[str]) -> StringSet:
 def lebesgue_of_set(strings: Iterable[str]) -> Dyadic:
     """Uniform measure of the union of cylinders, normalising first.
 
-    Summed as integers over the longest member length (the last member in
-    canonical order) and built as one Dyadic.
+    Every member left is checked to be a 0/1 literal, in (length, lex)
+    order.  Summed as integers over the longest member length (the last
+    member in canonical order) and built as one Dyadic.
     """
     items = prefix_free_normalize(strings)
+    check_all_bits(items)
     if not items:
         return ZERO
     longest = len(items[-1])

@@ -43,15 +43,14 @@ from semimeasures import (
     dyadic_from_text,
     geometric_semimeasure,
     leading_ones,
-    lebesgue_of_set,
     mix_stages,
-    preimage_buckets,
     strings_up_to,
+    table_semimeasure,
     tail_from_json,
     uniform_measure,
 )
 from semimeasures.dyadic import parse_literal
-from semimeasures.semimeasure import TableView, _as_generator
+from semimeasures.semimeasure import TableView
 from semimeasures.strings import check_bits, comparable
 
 Pair = tuple[str, str]
@@ -281,23 +280,12 @@ def oracle_functional_eval(pairs: Iterable[Pair], x: str) -> str:
     return best
 
 
-def oracle_induced_mass(pairs: Sequence[Pair], tau: str, resolution: int | None = None) -> Fraction:
-    """Counting-measure version of the induced semi-measure.
-
-    Counts the strings of a fixed length lying in some input cylinder whose
-    pair's output extends tau; dividing by the count of all such strings
-    gives the measure of the preimage union.
-    """
-    length = resolution
-    if length is None:
-        length = max((len(i) for i, _o in pairs), default=0)
-    length = max(length, 1)
-    hits = sum(
-        1
-        for x in all_strings(length)
-        if any(x.startswith(i) and o.startswith(tau) for i, o in pairs)
-    )
-    return Fraction(hits, 1 << length)
+def oracle_induced_mass(pairs: Iterable[Pair], tau: str) -> Fraction:
+    """Measure of the inputs whose pair's output extends tau: 2^-|i| for
+    each such input i that extends no other one, found by a pairwise scan."""
+    inputs = {i for i, o in pairs if o.startswith(tau)}
+    return sum((Fraction(1, 2 ** len(i)) for i in inputs if not any(i != j and i.startswith(j) for j in inputs)),
+               Fraction(0))
 
 
 def oracle_cylinder_leaves(members: Iterable[str], depth: int) -> set[str]:
@@ -521,14 +509,9 @@ def reference_from_semimeasure(
 
 
 def reference_induced_semimeasure(phi: MonotoneFunctional, stage: int, depth: int) -> SemiMeasureStage:
-    """The induced table node by node: the measure of each node's preimage
-    bucket, normalised on its own."""
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    buckets = preimage_buckets(phi, stage, strings_up_to(depth))
-    table = {s: lebesgue_of_set(b) for s, b in buckets.items()}
-    comp = Component.build(ONE, table, tail=TailRule.vanish())
-    return SemiMeasureStage((comp,), strict=table[EPSILON] == ONE)
+    """The induced table node by node, each value from the oracle."""
+    pairs = phi.pairs_at(stage)
+    return table_semimeasure({s: from_fraction(oracle_induced_mass(pairs, s)) for s in strings_up_to(depth)})
 
 
 def reference_consistency_check(phi: MonotoneFunctional, stage: int) -> ConsistencyReport:
@@ -558,9 +541,9 @@ def reference_preimage_set(phi: MonotoneFunctional, tau: str, stage: int) -> tup
 
 
 def reference_pullback_test(test: MLTest, phi: MonotoneFunctional, stage: int) -> MLTest:
+    pairs = phi.pairs_at(stage)
     for s in test.members():
-        induced = lebesgue_of_set(reference_preimage_set(phi, s, stage))
-        if oracle_stage_value(test.base, s) != as_fraction(induced):
+        if oracle_stage_value(test.base, s) != oracle_induced_mass(pairs, s):
             raise CertificateError(f"test base disagrees with the induced semi-measure at {s!r}", witness=s)
     new_levels = {}
     for i, level in test.levels.items():
@@ -736,8 +719,13 @@ def reference_from_infimum_sequence(rows: Sequence, stage: int, depth: int) -> S
     if not rows:
         raise ValueError("at least one generator row is required")
     vals = []
-    for i, g in enumerate(_as_generator(r) for r in rows):
-        v = g(stage)
+    for i, row in enumerate(rows):
+        if callable(row):
+            v = row(stage)
+        elif row:
+            v = row[min(stage, len(row) - 1)]
+        else:
+            raise ValueError("generator value lists must be non-empty")
         if not isinstance(v, Dyadic) or v > ONE:
             raise ValueError(f"generator {i} must yield dyadics in [0, 1], got {v}")
         vals.append(v)

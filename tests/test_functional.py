@@ -290,7 +290,7 @@ class TestInduced:
         rho = induced_semimeasure(phi, stage=0, depth=2)
         assert validate(rho).ok
         for s in strings_up_to(2):
-            assert as_fraction(rho.value(s)) == oracle_induced_mass(pairs, s, resolution=6)
+            assert as_fraction(rho.value(s)) == oracle_induced_mass(pairs, s)
 
 
 @st.composite

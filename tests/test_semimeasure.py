@@ -174,7 +174,7 @@ def corrupted(rng: random.Random, stage: SemiMeasureStage, corruptions) -> SemiM
         else:
             for node in rng.sample(list(tails), rng.randint(1, len(tails))):
                 tails[node] = rng.choice(bad_tails)
-        comps[k] = Component(comp.weight, comp.depth, table, tails, comp.tilt)
+        comps[k] = Component.build(comp.weight, table, tails=tails, tilt=comp.tilt)
     return SemiMeasureStage(tuple(comps), strict=stage.strict)
 
 
@@ -271,18 +271,18 @@ class TestComponentBuild:
         with pytest.raises(ValueError, match=message):
             replace(uniform_measure(1).components[0], tilt=-1)
 
-    def test_constructor_converts_only_complete_mappings(self):
-        tails = {"0": TailRule.uniform(), "1": TailRule.vanish()}
-        with pytest.raises(ValueError) as info:
-            Component(ONE, 1, {EPSILON: ONE, "0": HALF}, tails)
-        assert str(info.value) == "table must cover every string of length <= 1; missing ['1']"
-        with pytest.raises(ValueError) as info:
-            Component(ONE, 2, {EPSILON: ONE, "0": HALF, "1": HALF}, tails)
-        assert str(info.value) == "a table of depth 2 has 7 nodes, not 3"
-        with pytest.raises(ValueError):
-            Component(ONE, 1, {EPSILON: ONE, "0": HALF, "1": HALF}, {"0": TailRule.uniform()})
-        with pytest.raises(ValueError):
-            Component(ONE, 0, uniform_measure(1).components[0].table, {EPSILON: TailRule.uniform()})
+    def test_constructor_takes_only_views_of_its_depth(self):
+        table, tails = {EPSILON: ONE, "0": HALF, "1": HALF}, {"0": TailRule.uniform(), "1": TailRule.vanish()}
+        built = Component.build(ONE, table, tails=tails)
+        for given in ((table, built.tails), (built.table, tails), (table, tails)):
+            with pytest.raises(TypeError, match="Component.build"):
+                Component(ONE, 1, *given)
+        assert Component(ONE, 1, built.table, built.tails) == built
+        message = "table and tails must both have depth {}"
+        with pytest.raises(ValueError, match=message.format(2)):
+            Component(ONE, 2, built.table, built.tails)
+        with pytest.raises(ValueError, match=message.format(0)):
+            Component(ONE, 0, uniform_measure(0).components[0].table, built.tails)
 
 
 @pytest.mark.parametrize(
@@ -293,8 +293,15 @@ class TestComponentBuild:
         (lambda: from_infimum_sequence([], 0, 0), "at least one generator row is required"),
         (lambda: uniform_measure().components[0].level_sum("01", 1), "level must not be above the string"),
         (lambda: uniform_measure().level_mass("01", 1), "level 1 is above the string (length 2)"),
+        (lambda: from_infimum_sequence([[ONE]], 0, -1), "depth must be non-negative"),
+        (lambda: from_infimum_sequence([], 0, -1), "at least one generator row is required"),
+        (lambda: geometric_semimeasure(HALF, -1), "depth must be non-negative"),
+        (lambda: geometric_semimeasure(ONE, -1), "geometric ratio must lie in [0, 1/2]"),
+        (lambda: uniform_measure(-1), "depth must be non-negative"),
     ],
-    ids=["dirac-bit", "mix-weights", "infimum-rows", "level-above-string", "mass-level-above-string"],
+    ids=["dirac-bit", "mix-weights", "infimum-rows", "level-above-string", "mass-level-above-string",
+         "infimum-depth", "infimum-rows-before-depth", "geometric-depth", "geometric-beta-before-depth",
+         "uniform-depth"],
 )
 def test_bad_arguments_are_value_errors(call, message):
     with pytest.raises(ValueError) as info:
@@ -355,7 +362,7 @@ class TestStoredForm:
             assert list(comp.table) == list(strings_up_to(comp.depth))  # (length, lex) order
             assert list(comp.tails) == list(all_strings(comp.depth))
             assert len(comp.table) == (2 << comp.depth) - 1 and len(comp.tails) == 1 << comp.depth
-            again = Component(comp.weight, comp.depth, dict(comp.table), dict(comp.tails), comp.tilt)
+            again = Component.build(comp.weight, dict(comp.table), tails=dict(comp.tails), tilt=comp.tilt)
             assert again == comp
             assert again.table.rows == comp.table.rows
 

@@ -102,6 +102,12 @@ class TestLebesgue:
     def test_empty_set(self):
         assert lebesgue_of_set([]) == ZERO
 
+    @pytest.mark.parametrize("members, bad", [(["2"], "'2'"), (["1", "0 ", "x"], "'x'"), (["00", "2", "10"], "'2'")])
+    def test_first_bad_member_is_named_in_canonical_order(self, members, bad):
+        with pytest.raises(ParseError) as info:
+            lebesgue_of_set(members)
+        assert str(info.value) == f"not a binary string: {bad}"
+
     @given(string_sets)
     def test_matches_leaf_counting(self, strings):
         """lebesgue_of_set equals the fraction of deep leaves covered."""
