@@ -32,17 +32,17 @@ from .functional import (
     universal_functional,
 )
 from .mltest import (
-    GeneralizedTest,
     LevelStatus,
     LevelViolation,
     MLTest,
+    MLTest as GeneralizedTest,
     intersect_tests,
     ones_prefix_filter,
     passes_at_depth,
     pullback_test,
     shift_for_domination,
-    validate_generalized_test,
     validate_ml_test,
+    validate_ml_test as validate_generalized_test,
 )
 from .semimeasure import (
     Component,

@@ -15,7 +15,9 @@ structural equality coincides with numeric equality and instances are safe
 to hash and to use as dict keys.  Lowest terms have one rule, :func:`lowest`
 (:func:`row_lowest` for a row of numerators over one power of two), and so
 does putting terms over their largest power of two: :func:`add` sums
-``(numerator, e)`` terms and :func:`common` aligns ``(numerators, e)`` rows.
+``(numerator, e)`` terms, :func:`common` aligns ``(numerators, e)`` rows and
+the private ``_align`` puts two ``Dyadic`` values over the larger of their
+powers of two (for ``+``, ``-``, ``<`` and a tail rule's integer form).
 
 The text form is ``m/2^n`` (for example ``3/2^2`` for 3/4).  Bare integer
 literals are accepted on input and rendered with exponent zero on output.
@@ -78,11 +80,8 @@ class Dyadic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        e = max(self.exponent, other.exponent)
-        num = (self.numerator << (e - self.exponent)) + (
-            other.numerator << (e - other.exponent)
-        )
-        return Dyadic(num, e)
+        x, y, e = _align(self, other)
+        return Dyadic(x + y, e)
 
     __radd__ = __add__
 
@@ -91,13 +90,10 @@ class Dyadic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        e = max(self.exponent, other.exponent)
-        num = (self.numerator << (e - self.exponent)) - (
-            other.numerator << (e - other.exponent)
-        )
-        if num < 0:
+        x, y, e = _align(self, other)
+        if x < y:
             raise ValueError(f"dyadic subtraction went negative: {self} - {other}")
-        return Dyadic(num, e)
+        return Dyadic(x - y, e)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -124,10 +120,8 @@ class Dyadic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        e = max(self.exponent, other.exponent)
-        return (self.numerator << (e - self.exponent)) < (
-            other.numerator << (e - other.exponent)
-        )
+        x, y, _e = _align(self, other)
+        return x < y
 
     def __hash__(self):
         # integers compare equal to their Dyadic, so they must hash alike
@@ -173,6 +167,14 @@ def common(*rows: tuple[list[int], int]) -> tuple[list[list[int]], int]:
     copied."""
     e = max(y for _nums, y in rows)
     return [nums if y == e else [x << (e - y) for x in nums] for nums, y in rows], e
+
+
+def _align(a: Dyadic, b: Dyadic) -> tuple[int, int, int]:
+    """The numerators of a and b over their larger power of two, and its
+    exponent: a = x / 2**e and b = y / 2**e for ``(x, y, e)``."""
+    if a.exponent >= b.exponent:
+        return a.numerator, b.numerator << (a.exponent - b.exponent), a.exponent
+    return a.numerator << (b.exponent - a.exponent), b.numerator, b.exponent
 
 
 def _text(x: int, e: int) -> str:

@@ -30,6 +30,7 @@ from .semimeasure import LeftCeSemiMeasure, SemiMeasureStage, TableView, TailRul
 from .strings import (
     EPSILON,
     StringSet,
+    _index,
     all_strings,
     check_bits,
     comparable,
@@ -71,8 +72,7 @@ class MonotoneFunctional:
     def from_events(cls, events: Iterable[tuple[int, str, str]]) -> "MonotoneFunctional":
         batches: dict[int, set[Pair]] = {}
         for t, i, o in events:
-            t = int(t)
-            if t < 0:
+            if _index(t, "stage") < 0:
                 raise ValueError("stage must be non-negative")
             batches.setdefault(t, set()).add((check_bits(i), check_bits(o)))
         return cls.from_batches(batches)

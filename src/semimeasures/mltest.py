@@ -25,6 +25,7 @@ from .functional import MonotoneFunctional, preimage_buckets
 from .semimeasure import SemiMeasureStage, check_domination, uniform_measure
 from .strings import (
     StringSet,
+    _index,
     canon,
     check_bits,
     extend_set,
@@ -38,9 +39,9 @@ from .strings import (
 def _canon_levels(levels: Mapping[int, Iterable[str]]) -> dict[int, StringSet]:
     out = {}
     for i, members in levels.items():
-        if i < 0:
+        if _index(i, "level index") < 0:
             raise ValueError("level indices must be non-negative")
-        out[int(i)] = canon(members)
+        out[i] = canon(members)
     return out
 
 
@@ -66,9 +67,6 @@ class MLTest:
         return canon(s for level in self.levels.values() for s in level)
 
 
-GeneralizedTest = MLTest
-
-
 @dataclass(frozen=True)
 class LevelViolation:
     level: int
@@ -88,9 +86,6 @@ def validate_ml_test(test: MLTest) -> LevelViolation | None:
         if mass > Dyadic.pow2(-k):
             return LevelViolation(level=i, mass=mass, bound=Dyadic.pow2(-k))
     return None
-
-
-validate_generalized_test = validate_ml_test
 
 
 def pullback_test(test: MLTest, phi: MonotoneFunctional, stage: int) -> MLTest:

@@ -62,7 +62,8 @@ each level asked, so no level sum walks the spine's exits.
 ``Dyadic`` values are built only for what a sweep, a point read,
 a set mass or a trim returns.  A tail rule's integer form lives in
 :class:`TailsView` alone; lowest terms and common exponents live in
-:mod:`dyadic` (``lowest``, ``row_lowest``, ``add``, ``common``).
+:mod:`dyadic` (``lowest``, ``row_lowest``, ``add``, ``common``, and
+``_align`` for a pair of values such as a rule's two fractions).
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from itertools import compress, groupby, repeat
 from operator import and_, rshift
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .dyadic import Dyadic, HALF, ONE, ZERO, add, common, row_lowest
+from .dyadic import Dyadic, HALF, ONE, ZERO, _align, add, common, row_lowest
 from .errors import PreconditionError
 from .strings import (
     EPSILON,
@@ -240,11 +241,7 @@ class TailsView(Mapping[str, TailRule]):
 
     def __init__(self, depth: int, rules: tuple[TailRule, ...], index: list[int]):
         self.depth, self.rules, self.index = depth, rules, index
-        exps = [max(rule.zero.exponent, rule.one.exponent) for rule in rules]
-        self.aligned = tuple(
-            (rule.zero.numerator << (e - rule.zero.exponent), rule.one.numerator << (e - rule.one.exponent), e)
-            for rule, e in zip(rules, exps)
-        )
+        self.aligned = tuple(_align(rule.zero, rule.one) for rule in rules)
         self.totals = tuple((t.numerator, t.exponent) for t in (rule.total for rule in rules))
         self.keeps = b""  # unread for one rule: Component._frontier sums its frontier whole
         if len(rules) > 1:
@@ -851,11 +848,8 @@ def check_domination(
 ) -> str | None:
     """Return a witness string where weight * part > mixed, or None."""
     items = list(strings)
-    (parts, pe), (mixes, me) = part.values(items), mixed.values(items)
-    # weight * p / 2**pe against m / 2**me, both over 2**e
-    e = max(weight.exponent + pe, me)
-    scale, shift = weight.numerator << (e - weight.exponent - pe), e - me
-    return next((s for s, p, m in zip(items, parts, mixes) if scale * p > m << shift), None)
+    (parts, mixes), _e = common(part.scaled(weight).values(items), mixed.values(items))
+    return next((s for s, p, m in zip(items, parts, mixes) if p > m), None)
 
 
 # -- completion to a measure -------------------------------------------------
@@ -969,7 +963,10 @@ def from_infimum_sequence(rows: Sequence, stage: int, depth: int) -> SemiMeasure
 
 
 def infimum_semimeasure(rows: Sequence, depth: int) -> LeftCeSemiMeasure:
+    """The staged family of :func:`from_infimum_sequence`, its arguments
+    checked once here by reading stage 0 as a one-node table."""
     frozen = [r if callable(r) else list(r) for r in rows]
+    from_infimum_sequence(frozen, 0, min(depth, 0))
     return LeftCeSemiMeasure(lambda s: from_infimum_sequence(frozen, s, depth))
 
 

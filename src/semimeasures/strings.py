@@ -42,6 +42,14 @@ def check_bits(s: str) -> str:
     return s
 
 
+def _index(value, what: str) -> int:
+    """``value`` when it is an ``int`` and not a ``bool``; otherwise a
+    ValueError that names it, so no index is truncated or read as a flag."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def all_bits(strings: Sequence[str]) -> bool:
     """Whether every item is a 0/1 string, in one join and one strip.  Callers
     that get False run ``check_bits`` item by item to name the first bad one."""
@@ -195,9 +203,9 @@ class StagedFamily:
     def from_events(cls, events: Iterable[tuple[int, int, str]]) -> "StagedFamily":
         evs = []
         for stage, level, s in events:
-            if stage < 0 or level < 0:
+            if min(_index(stage, "stage"), _index(level, "level")) < 0:
                 raise ValueError("stage and level must be non-negative")
-            evs.append((int(stage), int(level), check_bits(s)))
+            evs.append((stage, level, check_bits(s)))
         return cls(tuple(evs))
 
     def first_stages(self, level: int, stage: int) -> dict[str, int]:

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from conftest import dyadics, unit_dyadics
 from helpers import as_fraction
 from semimeasures import Dyadic, HALF, ONE, ParseError, ZERO, dyadic_from_text
-from semimeasures.dyadic import add, common, lowest, parse_literal, row_lowest
+from semimeasures.dyadic import _align, add, common, lowest, parse_literal, row_lowest
 
 
 class TestCanonicalForm:
@@ -92,6 +92,12 @@ class TestCommonExponents:
         assert [[Fraction(x, 2**e) for x in nums] for nums in got] == [
             [Fraction(x, 2**k) for x in nums] for nums, k in rows
         ]
+
+    @given(dyadics(max_exponent=40), dyadics(max_exponent=40))
+    def test_align_puts_a_pair_over_the_larger_exponent(self, a, b):
+        x, y, e = _align(a, b)
+        assert e == max(a.exponent, b.exponent)
+        assert (Fraction(x, 2**e), Fraction(y, 2**e)) == (as_fraction(a), as_fraction(b))
 
     def test_common_known_values(self):
         low, high = [1, 3], [5]

@@ -801,6 +801,12 @@ class TestStageBatches:
         with pytest.raises(ValueError, match="stage must be non-negative"):
             MonotoneFunctional.from_events([(0, "0", "0"), (-1, "1", "1")])
 
+    @pytest.mark.parametrize("stage", [2.7, 1.0, "1", True, None], ids=repr)
+    def test_event_stage_must_be_an_int(self, stage):
+        with pytest.raises(ValueError) as info:
+            MonotoneFunctional.from_events([(0, "0", "0"), (stage, "1", "1")])
+        assert str(info.value) == f"stage must be an integer, got {stage!r}"
+
     def test_event_bits_are_checked(self):
         with pytest.raises(ParseError):
             MonotoneFunctional.from_events([(0, "0", "2")])

@@ -80,6 +80,12 @@ class TestValidate:
         with pytest.raises(ValueError):
             MLTest.build({-1: []}, uniform_measure())
 
+    @pytest.mark.parametrize("index", [1.5, 1.0, "1", True], ids=repr)
+    def test_level_index_must_be_an_int(self, index):
+        with pytest.raises(ValueError) as info:
+            MLTest.build({0: [""], index: ["0"]}, uniform_measure())
+        assert str(info.value) == f"level index must be an integer, got {index!r}"
+
     def test_generalized_modulus_checked(self):
         test = GeneralizedTest.build(
             {0: ["0", "1"], 5: ["0" * 5]},

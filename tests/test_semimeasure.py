@@ -298,10 +298,13 @@ class TestComponentBuild:
         (lambda: geometric_semimeasure(HALF, -1), "depth must be non-negative"),
         (lambda: geometric_semimeasure(ONE, -1), "geometric ratio must lie in [0, 1/2]"),
         (lambda: uniform_measure(-1), "depth must be non-negative"),
+        (lambda: infimum_semimeasure([[ONE], []], 2), "generator value lists must be non-empty"),
+        (lambda: infimum_semimeasure([[ONE]], -1), "depth must be non-negative"),
+        (lambda: infimum_semimeasure([], 1), "at least one generator row is required"),
     ],
     ids=["dirac-bit", "mix-weights", "infimum-rows", "level-above-string", "mass-level-above-string",
          "infimum-depth", "infimum-rows-before-depth", "geometric-depth", "geometric-beta-before-depth",
-         "uniform-depth"],
+         "uniform-depth", "staged-infimum-empty-row", "staged-infimum-depth", "staged-infimum-rows"],
 )
 def test_bad_arguments_are_value_errors(call, message):
     with pytest.raises(ValueError) as info:
@@ -758,6 +761,17 @@ class TestMixture:
     def test_domination_witness_when_it_fails(self):
         witness = check_domination(uniform_measure(), dirac_spine("1"), ONE, strings_up_to(2))
         assert witness == "1"
+
+    @given(seeds, st.sampled_from([Dyadic(3, 3), Dyadic(3, 1), ONE, Dyadic(5, 4)]))
+    def test_domination_matches_the_fraction_oracle(self, seed, weight):
+        """The witness is the first string, in input order, where
+        weight * part exceeds the mixture, for weights that are not powers
+        of two as well."""
+        rng = random.Random(seed)
+        mixed, part = random_stage(rng, depth=2), random_stage(rng, depth=2, tilt_allowed=True)
+        items = rng.sample(list(strings_up_to(4)), 12)
+        over = [s for s in items if as_fraction(weight) * oracle_stage_value(part, s) > oracle_stage_value(mixed, s)]
+        assert check_domination(mixed, part, weight, items) == (over[0] if over else None)
 
     def test_stage_monotonicity_of_registry(self):
         """Registered staged semi-measures never decrease in the stage."""

@@ -1,10 +1,18 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and each of
+its modules binds what it defines under one name."""
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import semimeasures
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -31,3 +39,21 @@ def test_cli_loads_only_stdlib_modules():
     assert "semimeasures" in loaded
     foreign = [name for name in loaded if name not in sys.stdlib_module_names and name not in ("semimeasures", "__main__")]
     assert foreign == []
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(semimeasures.__path__)))
+def test_each_module_binds_its_definitions_under_one_name(name):
+    """A second module-level name for a function or class is an alias; the
+    package's ``__init__`` is the one place that may export another name."""
+    module = importlib.import_module(f"semimeasures.{name}")
+    bound = vars(module)
+    defined = [
+        obj
+        for attr, obj in bound.items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    ]
+    assert defined
+    for obj in defined:
+        assert [attr for attr, other in bound.items() if other is obj] == [obj.__name__]

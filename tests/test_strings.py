@@ -233,6 +233,21 @@ class TestStagedFamily:
         assert fam.first_stages(0, 1) == {}
         assert tuple(fam.first_stages(0, 10)) == ("1", "0")
 
+    @pytest.mark.parametrize(
+        "event, message",
+        [
+            ((1.9, 0, "0"), "stage must be an integer, got 1.9"),
+            (("1", 0, "0"), "stage must be an integer, got '1'"),
+            ((0, 2.0, "0"), "level must be an integer, got 2.0"),
+            ((0, True, "0"), "level must be an integer, got True"),
+            ((-1, 0.5, "0"), "level must be an integer, got 0.5"),
+        ],
+    )
+    def test_event_indices_must_be_ints(self, event, message):
+        with pytest.raises(ValueError) as info:
+            StagedFamily.from_events([(0, 0, "1"), event])
+        assert str(info.value) == message
+
     def test_rejects_bad_events(self):
         with pytest.raises(ValueError):
             StagedFamily.from_events([(-1, 0, "0")])
