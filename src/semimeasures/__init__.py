@@ -84,6 +84,7 @@ from .serialize import (
 )
 from .strings import (
     EPSILON,
+    CylinderSet,
     StagedFamily,
     all_strings,
     extend_set,

@@ -12,6 +12,11 @@ pointwise domination certificate, filtering behind a ones-prefix to undo a
 tilt, and intersecting level families into a single family covering the
 common nulls.  Each transformation re-verifies its mass bounds on the
 concrete sets it produces instead of trusting the algebra.
+
+Every level is stored as a :class:`~semimeasures.strings.CylinderSet`,
+built by :meth:`MLTest.build` (and so by ``test_from_json`` and the four
+transforms): its members are bit-checked once, there, and every mass and
+point value read afterwards takes the level's groups as they are.
 """
 
 from __future__ import annotations
@@ -24,33 +29,36 @@ from .errors import CertificateError, PreconditionError
 from .functional import MonotoneFunctional, preimage_buckets
 from .semimeasure import SemiMeasureStage, check_domination, uniform_measure
 from .strings import (
+    CylinderSet,
     StringSet,
     _index,
     canon,
+    check_all_bits,
     check_bits,
     extend_set,
     intersect_sets,
     is_prefix_free,
     lebesgue_of_set,
-    prefix_free_normalize,
 )
 
 
-def _canon_levels(levels: Mapping[int, Iterable[str]]) -> dict[int, StringSet]:
+def _canon_levels(levels: Mapping[int, Iterable[str]]) -> dict[int, CylinderSet]:
     out = {}
     for i, members in levels.items():
         if _index(i, "level index") < 0:
             raise ValueError("level indices must be non-negative")
-        out[i] = canon(members)
+        out[i] = CylinderSet(members)
     return out
 
 
 @dataclass(frozen=True)
 class MLTest:
     """Levels U_i with base mass at most 2^-k at level decay[k] (checked, not
-    assumed); ``decay`` None is the identity modulus of a standard test."""
+    assumed); ``decay`` None is the identity modulus of a standard test.
+    :meth:`build` stores each level as a :class:`CylinderSet`, so a level's
+    members are checked to be 0/1 literals when the test is built."""
 
-    levels: Mapping[int, StringSet]
+    levels: Mapping[int, CylinderSet]
     base: SemiMeasureStage
     decay: Mapping[int, int] | None = None
 
@@ -63,8 +71,8 @@ class MLTest:
     ) -> "MLTest":
         return cls(levels=_canon_levels(levels), base=base, decay=None if decay is None else dict(decay))
 
-    def members(self) -> StringSet:
-        return canon(s for level in self.levels.values() for s in level)
+    def members(self) -> CylinderSet:
+        return CylinderSet(s for level in self.levels.values() for s in level)
 
 
 @dataclass(frozen=True)
@@ -113,7 +121,7 @@ def pullback_test(test: MLTest, phi: MonotoneFunctional, stage: int) -> MLTest:
             )
     new_levels = {}
     for i, level in test.levels.items():
-        new_level = prefix_free_normalize(x for s in level for x in buckets[s])
+        new_level = CylinderSet(x for s in level for x in buckets[s]).minimal
         if lebesgue_of_set(new_level) > test.base.set_mass(level):
             raise AssertionError("pullback gained mass")  # pragma: no cover
         new_levels[i] = new_level
@@ -161,7 +169,7 @@ def ones_prefix_filter(test: MLTest, j: int, base: SemiMeasureStage) -> MLTest:
     for i in sorted(test.levels):
         if i - j < 0:
             continue
-        kept = tuple(s for s in test.levels[i] if s.startswith(gate))
+        kept = CylinderSet(s for s in test.levels[i] if s.startswith(gate))
         mass = base.set_mass(kept)
         tilted_mass = test.base.set_mass(kept)
         if mass != Dyadic.pow2(j) * tilted_mass:
@@ -181,7 +189,9 @@ def intersect_tests(families: Sequence[Iterable[str]], n: int | None = None) -> 
     family has a unique member; the qualifying strings are the common
     refinements extended by n more levels.  The result is the set of sigma
     such that every family holds some tau_i <= sigma with
-    |sigma| = max |tau_i| + n.
+    |sigma| = max |tau_i| + n.  Families are checked in order, each one's
+    members to be 0/1 literals (in (length, lex) order) and then the family
+    to be prefix-free.
     """
     if n is None:
         n = len(families) - 1
@@ -190,6 +200,7 @@ def intersect_tests(families: Sequence[Iterable[str]], n: int | None = None) -> 
     sets = []
     for idx in range(n + 1):
         members = canon(families[idx])
+        check_all_bits(members)
         if not is_prefix_free(members):
             raise PreconditionError(f"family {idx} is not prefix-free")
         sets.append(members)

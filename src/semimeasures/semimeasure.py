@@ -38,17 +38,25 @@ Whole-table sweeps (validation, completion, the Lebesgue-likeness check in
 :meth:`SemiMeasureStage.level_row`, which folds the stored rows of the
 components (and, below a frontier, rows built per tail rule).  Point
 evaluation has the same form: :meth:`SemiMeasureStage.values` returns the
-values of any list of strings as ``int`` numerators over one power of two,
-and ``value``, the certificates of :mod:`mltest` and atom decoding all read
-it.  ``set_mass`` builds no value per member: each component sums the
-stored row entries of the members at or above the frontier, and
-below it the frontier numerators per tail rule and count of ones, each
-such sum taking its rule's factor once.  Level sums and trims are integers
-too, as ``(numerator, e)``.  Among the strings of one length, those with
-j leading ones are one lex run, which the tilt scales by 2**(-tilt * j);
-``Component._tilt_runs`` alone owns that rule, cutting a range of lex
-positions into such runs, and set masses, level sums and rows all read
-their runs from it.  At or above a frontier a level sum is a slice of a
+values of any strings as ``int`` numerators over one power of two, and
+``value``, the certificates of :mod:`mltest` and atom decoding all read it.
+Components read strings as ``(length, lex positions)`` groups, never as
+text: a :class:`~semimeasures.strings.CylinderSet` carries its groups,
+built and bit-checked once with the set, and ``values`` of any other
+strings checks them and groups each run of one length.  A value below a
+frontier takes its ones below the frontier and its leading ones from its
+position, and one power pair per tail rule and count of ones met.
+``set_mass`` reads the minimal members' groups of a ``CylinderSet`` (any
+other iterable is built into one first) and builds no value per member:
+each component sums the stored row entries of the members at or above the
+frontier, and below it the frontier numerators per tail rule and count of
+ones, each such sum taking its rule's factor once.  Level sums and trims
+are integers too, as ``(numerator, e)``.  Among the strings of one length,
+those with j leading ones are one lex run, which the tilt scales by
+2**(-tilt * j); ``Component._tilt_runs`` owns that rule for ranges, cutting
+a range of lex positions into such runs, and set masses, level sums and
+rows all read their runs from it (a point value reads j from its own
+position).  At or above a frontier a level sum is a slice of a
 stored row per run.  Below it a component reads the frontier under sigma
 once, for one level (``Component.level_sum``) or for a whole pass of levels
 (``Component.level_sums``): one sum per tail rule in each run, merged per
@@ -71,20 +79,20 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from itertools import compress, groupby, repeat
-from operator import and_, rshift
+from itertools import compress, repeat
+from operator import and_, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .dyadic import Dyadic, HALF, ONE, ZERO, _align, add, common, row_lowest
 from .errors import PreconditionError
 from .strings import (
     EPSILON,
+    CylinderSet,
     StagedFamily,
+    _length_groups,
     all_strings,
     check_all_bits,
     check_bits,
-    leading_ones,
-    prefix_free_normalize,
     sort_key,
     string_at,
     strings_up_to,
@@ -229,19 +237,22 @@ class TailsView(Mapping[str, TailRule]):
     in order of first use and ``index[k]`` is the rule of the k-th frontier
     node in lex order, so equal maps have equal fields.  The integer form of
     each rule lives here: ``aligned[i]`` is ``(z, o, e)`` with zero = z / 2**e
-    and one = o / 2**e, and ``totals[i]`` is ``(t, x)`` with zero + one =
-    t / 2**x in lowest terms, ``(1, 0)`` exactly when the rule conserves mass.
+    and one = o / 2**e, ``top`` is the largest such e (every rule's
+    z**a * o**b is read over 2**(top * (a + b))), and ``totals[i]`` is
+    ``(t, x)`` with zero + one = t / 2**x in lowest terms, ``(1, 0)``
+    exactly when the rule conserves mass.
     With two or more rules, ``keeps`` holds one byte per frontier node, 1
     where its rule conserves mass, so the limit mass below a string is one
     ``compress`` over a slice; a one-rule view leaves it empty.  How the
     tilt cuts the frontier into runs is :meth:`Component._tilt_runs`'
     alone."""
 
-    __slots__ = ("depth", "rules", "index", "aligned", "totals", "keeps")
+    __slots__ = ("depth", "rules", "index", "aligned", "top", "totals", "keeps")
 
     def __init__(self, depth: int, rules: tuple[TailRule, ...], index: list[int]):
         self.depth, self.rules, self.index = depth, rules, index
         self.aligned = tuple(_align(rule.zero, rule.one) for rule in rules)
+        self.top = max(e for _z, _o, e in self.aligned)
         self.totals = tuple((t.numerator, t.exponent) for t in (rule.total for rule in rules))
         self.keeps = b""  # unread for one rule: Component._frontier sums its frontier whole
         if len(rules) > 1:
@@ -342,36 +353,48 @@ class Component:
     # -- evaluation (weight NOT included) --------------------------------
 
     def value(self, sigma: str) -> Dyadic:
-        (num,), e = self._values((check_bits(sigma),), [_lex(sigma)])
+        check_bits(sigma)
+        (num,), e = self._values([(len(sigma), [_lex(sigma)])])
         return Dyadic(num, e)
 
-    def _values(self, strings: Sequence[str], positions: Sequence[int]) -> Row:
-        # values (weight not included) at the given bit strings, each with
-        # its lex position among the strings of its length: an entry of a
-        # stored row above the frontier, below it the frontier numerator
-        # times z**a * o**b of the node's rule
-        depth, rows = self.depth, self.table.rows
+    def _values(self, groups: Iterable[tuple[int, Sequence[int]]]) -> Row:
+        # values (weight not included) at the strings given as (length, lex
+        # positions) groups, in order: entries of a stored row at or above
+        # the frontier; below it the frontier numerator times its rule's
+        # z**zeros * o**ones over 2**(top * below), one power pair per
+        # (rule, ones below the frontier) met.  The tilt's 2**(-tilt * j)
+        # over 2**(tilt * n) is a shift by tilt * (n - j), and n - j, the
+        # length after the leading ones, is the bit length of the position's
+        # complement
+        depth, rows, tilt = self.depth, self.table.rows, self.tilt
         fnums, fe = rows[depth]
-        index, aligned = self.tails.index, self.tails.aligned
-        nums, exps = [], []
-        for s, pos in zip(strings, positions):
-            n = len(s)
-            if n <= depth:
-                row, e = rows[n]
-                nums.append(row[pos])
-                exps.append(e)
-                continue
-            k = pos >> (n - depth)
-            z, o, e = aligned[index[k]]
+        index, aligned, top = self.tails.index, self.tails.aligned, self.tails.top
+        parts = []
+        for n, positions in groups:
             below = n - depth
-            ones = s.count("1", depth)
-            nums.append(fnums[k] * z ** (below - ones) * o**ones)
-            exps.append(fe + e * below)
-        if self.tilt:
-            # 2**(-tilt * j) for j leading ones is an exponent shift
-            exps = [x + self.tilt * leading_ones(s) for x, s in zip(exps, strings)]
-        e = max(exps, default=0)
-        return [m << (e - x) for m, x in zip(nums, exps)], e
+            if below <= 0:
+                row, e = rows[n]
+                nums = [row[p] for p in positions]
+            else:
+                mask, powers, nums = (1 << below) - 1, {}, []
+                for p in positions:
+                    k = p >> below
+                    key = (index[k], (p & mask).bit_count())
+                    power = powers.get(key)
+                    if power is None:
+                        (z, o, ez), b = aligned[key[0]], key[1]
+                        power = powers[key] = z ** (below - b) * o**b << ((top - ez) * below)
+                    nums.append(fnums[k] * power)
+                e = fe + top * below
+            if tilt:
+                full = (1 << n) - 1
+                nums = [x << tilt * (full ^ p).bit_length() for x, p in zip(nums, positions)]
+                e += tilt * n
+            parts.append((nums, e))
+        if len(parts) == 1:
+            return parts[0]
+        e = max((e for _nums, e in parts), default=0)
+        return [x << (e - pe) for nums, pe in parts for x in nums], e
 
     def _tilt_runs(self, n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
         # the one owner of the tilt's rule: the lex positions [lo, hi) of the
@@ -399,8 +422,7 @@ class Component:
         # below the frontier), each sum times one z**zeros * o**ones
         depth, rows = self.depth, self.table.rows
         fnums, fe = rows[depth]
-        index, aligned = self.tails.index, self.tails.aligned
-        top = max(e for _z, _o, e in aligned)  # every rule's powers over 2**(top * below)
+        index, aligned, top = self.tails.index, self.tails.aligned, self.tails.top
         terms = []
         for n, positions in groups:
             below, num = n - depth, 0
@@ -410,10 +432,13 @@ class Component:
                 if below <= 0:
                     num += sum(map(rows[n][0].__getitem__, run)) << s
                     continue
-                nodes = map(rshift, run, repeat(below))
-                ones = map(int.bit_count, map(and_, run, repeat((1 << below) - 1)))
-                for (k, b), count in Counter(zip(nodes, ones)).items():
-                    sums[index[k], b] += count * fnums[k] << s
+                # one int key per member, its frontier node's bits over its
+                # ones below the frontier (fewer than 2**below of them)
+                mask = (1 << below) - 1
+                keys = map(or_, map(and_, run, repeat(~mask)), map(int.bit_count, map(and_, run, repeat(mask))))
+                for key, count in Counter(keys).items():
+                    k = key >> below
+                    sums[index[k], key & mask] += count * fnums[k] << s
             for (i, b), x in sums.items():
                 z, o, e = aligned[i]
                 num += (x * z ** (below - b) * o**b) << ((top - e) * below)
@@ -442,7 +467,7 @@ class Component:
         index, totals = self.tails.index, self.tails.totals
         on_spine = self.tilt and "0" not in sigma
         if k >= d:  # a single extension, under a single frontier node
-            (v,), e = self._values((sigma,), [_lex(sigma)])
+            (v,), e = self._values([(k, [_lex(sigma)])])
             i = index[_lex(sigma) >> (k - d)]
             return ([], (v, *self.tails.aligned[i]), e) if on_spine else ([(v, totals[i])], None, e)
         fnums, fe = self.table.rows[d]
@@ -496,7 +521,7 @@ class Component:
             # node in lex order, built once per rule over one power of two
             fnums, fe = self.table.rows[self.depth]
             below = n - self.depth
-            top = max(e for _z, _o, e in self.tails.aligned)
+            top = self.tails.top
             blocks = []
             for (z, o, e), total in zip(self.tails.aligned, self.tails.totals):
                 # with limit, a rule that loses mass keeps none of it
@@ -553,16 +578,26 @@ class SemiMeasureStage:
     strict: bool = True
 
     def value(self, sigma: str) -> Dyadic:
-        (num,), e = self.values((sigma,))
+        check_bits(sigma)
+        (num,), e = self._read([(len(sigma), [_lex(sigma)])], 1)
         return Dyadic(num, e)
 
     def values(self, strings: Iterable[str]) -> Row:
         """Values at the given strings, in order, as ``(numerators, e)`` with
         the i-th value ``numerators[i] / 2**e``; weights and tilts are folded
-        in.  Every string is checked to be a 0/1 literal."""
+        in.  Each component reads ``(length, lex positions)`` groups: a
+        :class:`CylinderSet`'s own, read in its order, or else one per run of
+        consecutive strings of one length, after every string is checked to
+        be a 0/1 literal."""
+        if isinstance(strings, CylinderSet):
+            return self._read(strings.groups, len(strings))
         items = list(strings)
-        positions = [int(s, 2) if s else 0 for s in map(check_bits, items)]
-        return self._fold([(comp._values(items, positions), comp.weight) for comp in self.components], len(items))
+        check_all_bits(items)
+        return self._read(_length_groups(items), len(items))
+
+    def _read(self, groups: Sequence[tuple[int, Sequence[int]]], size: int) -> Row:
+        """The weighted values of ``size`` strings given as checked groups."""
+        return self._fold([(comp._values(groups), comp.weight) for comp in self.components], size)
 
     @staticmethod
     def _fold(rows: Sequence[tuple[Row, Dyadic]], size: int) -> Row:
@@ -622,15 +657,14 @@ class SemiMeasureStage:
         return self._fold([(comp._row(n, limit), comp.weight) for comp in self.components], 1 << n)
 
     def set_mass(self, strings: Iterable[str]) -> Dyadic:
-        """Mass of a string set: normalise to an antichain, then sum values.
+        """Mass of a string set: the sum of the values of its minimal members.
 
-        No value is built per member: the members are grouped by length,
-        with their lex positions ascending, and each component sums a group
-        at once.  Every member is checked to be a 0/1 literal, in
-        (length, lex) order."""
-        items = prefix_free_normalize(strings)
-        check_all_bits(items)
-        groups = [(n, list(map(int, g, repeat(2))) if n else [0]) for n, g in groupby(items, len)]
+        The set is read as a :class:`CylinderSet` (any other iterable is
+        built into one first, which checks every member to be a 0/1 literal
+        in (length, lex) order), and no value is built per member: each
+        component sums the minimal members' ``(length, lex positions)``
+        groups at once."""
+        groups = CylinderSet(strings).minimal.groups
         sums = [(comp.weight, comp._group_sum(groups)) for comp in self.components]
         return Dyadic(*add((w.numerator * x, w.exponent + y) for w, (x, y) in sums))
 
@@ -847,7 +881,7 @@ def check_domination(
     strings: Iterable[str],
 ) -> str | None:
     """Return a witness string where weight * part > mixed, or None."""
-    items = list(strings)
+    items = strings if isinstance(strings, CylinderSet) else list(strings)
     (parts, mixes), _e = common(part.scaled(weight).values(items), mixed.values(items))
     return next((s for s, p, m in zip(items, parts, mixes) if p > m), None)
 

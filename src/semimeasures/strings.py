@@ -15,9 +15,17 @@ prefix in a set follows a member it extends: a set is prefix-free exactly
 when no member is a prefix of its lex successor, and its minimal members
 are the strings that do not extend the last minimal member before them.
 So ``canon``, ``prefix_free_normalize`` and ``is_prefix_free`` cost one
-C-level lex sort, a linear pass and, where the result is ordered, one
-stable sort by length; ``intersect_sets`` adds one binary search per
-minimal member.
+C-level lex sort (about one linear pass on input already in order, since
+duplicates are dropped after it), a linear pass and, where the result is
+ordered, one stable sort by length; ``intersect_sets`` adds one binary
+search per minimal member.
+
+A set that is read more than once (a test level, the members of a test)
+is held as a :class:`CylinderSet`: a canonical tuple, bit-checked once
+when it is built, carrying its ``(length, ascending lex positions)``
+groups and its minimal members.  Set masses and point values read those
+groups, so no read re-sorts, re-checks or re-parses a member.  What it
+holds lives and dies with the set: nothing is cached elsewhere.
 """
 
 from __future__ import annotations
@@ -51,11 +59,13 @@ def _index(value, what: str) -> int:
 
 
 def all_bits(strings: Sequence[str]) -> bool:
-    """Whether every item is a 0/1 string, in one join and one strip.  Callers
-    that get False run ``check_bits`` item by item to name the first bad one."""
+    """Whether every item is a 0/1 string: one join, and the UTF-8 bytes of
+    the join left empty once the bytes of 0 and 1 are deleted (no other
+    character's encoding holds either byte).  Callers that get False run
+    ``check_bits`` item by item to name the first bad one."""
     try:
-        return not "".join(strings).strip("01")
-    except TypeError:  # an item that is not a string
+        return not "".join(strings).encode().translate(None, b"01")
+    except (TypeError, UnicodeEncodeError):  # an item that is not a string, or a lone surrogate
         return False
 
 
@@ -75,9 +85,16 @@ def sort_key(s: str):
     return (len(s), s)
 
 
+def _distinct_lex(strings: Iterable[str]) -> list[str]:
+    """The distinct strings in lex order: sorted before they are deduplicated,
+    so strings already in order, or in a few ordered runs, sort in about
+    one linear pass."""
+    return list(dict.fromkeys(sorted(strings)))
+
+
 def canon(strings: Iterable[str]) -> StringSet:
     """Deduplicate and sort into the canonical (length, lex) order."""
-    return tuple(sorted(sorted(set(strings)), key=len))
+    return tuple(sorted(_distinct_lex(strings), key=len))
 
 
 def string_at(length: int, k: int) -> str:
@@ -109,10 +126,10 @@ def leading_ones(s: str) -> int:
     return len(s) - len(s.lstrip("1"))
 
 
-def _minimal(strings: Iterable[str]) -> list[str]:
-    """The members of the set with no proper prefix in it, in lex order: a
-    string is one exactly when it does not extend the last one kept."""
-    items = sorted(set(strings))
+def _minimal(items: list[str]) -> list[str]:
+    """The members of a lex-sorted list of distinct strings with no proper
+    prefix in it, in lex order: a string is one exactly when it does not
+    extend the last one kept."""
     if _lex_prefix_free(items):
         return items
     kept = items[:1]
@@ -129,7 +146,7 @@ def _lex_prefix_free(items: list[str]) -> bool:
 
 
 def is_prefix_free(strings: Iterable[str]) -> bool:
-    return _lex_prefix_free(sorted(set(strings)))
+    return _lex_prefix_free(_distinct_lex(strings))
 
 
 def prefix_free_normalize(strings: Iterable[str]) -> StringSet:
@@ -138,22 +155,76 @@ def prefix_free_normalize(strings: Iterable[str]) -> StringSet:
     The result denotes the same open set of infinite sequences and is an
     antichain.  Normalising twice is the same as normalising once.
     """
-    return tuple(sorted(_minimal(strings), key=len))
+    return tuple(sorted(_minimal(_distinct_lex(strings)), key=len))
+
+
+def _length_groups(items: Iterable[str]) -> list[tuple[int, list[int]]]:
+    """The strings as ``(length, lex positions)`` groups, one per run of
+    consecutive strings of one length, in order.  A loop, not ``groupby``:
+    on the one string of a point read it costs under half as much."""
+    groups: list[tuple[int, list[int]]] = []
+    last = -1
+    for s in items:
+        n = len(s)
+        if n != last:
+            positions: list[int] = []
+            groups.append((n, positions))
+            last = n
+        positions.append(int(s, 2) if n else 0)
+    return groups
+
+
+class CylinderSet(tuple):
+    """A finite set of bit strings as a checked value: its members in the
+    canonical (length, lex) order without duplicates, each checked to be a
+    0/1 literal, in that order, when the set is built.
+
+    ``groups`` holds the members as ``(length, ascending lex positions)``
+    groups, one per length, and ``minimal`` the members with no proper
+    prefix in the set, the antichain denoting the same open set: the set
+    itself when it is prefix-free.  Building a set from a ``CylinderSet``
+    returns it unchanged.  As a tuple it equals the ``canon`` of its
+    members.
+    """
+
+    groups: list[tuple[int, list[int]]]
+
+    def __new__(cls, strings: Iterable[str] = ()) -> "CylinderSet":
+        if type(strings) is cls:
+            return strings
+        lex = _distinct_lex(strings)
+        items = sorted(lex, key=len)
+        check_all_bits(items)
+        # members of one length are prefix-free
+        kept = lex if not items or len(items[0]) == len(items[-1]) else _minimal(lex)
+        return cls._of(items, None if len(kept) == len(lex) else cls._of(sorted(kept, key=len)))
+
+    @classmethod
+    def _of(cls, items: Iterable[str], antichain: "CylinderSet | None" = None) -> "CylinderSet":
+        # canonical, checked members; no antichain given means prefix-free
+        self = tuple.__new__(cls, items)
+        self.groups = _length_groups(self)
+        self._antichain = antichain
+        return self
+
+    @property
+    def minimal(self) -> "CylinderSet":
+        # stored only when it is another set, so that no set refers to
+        # itself and a dead one is freed at once, not by the cycle collector
+        return self if self._antichain is None else self._antichain
 
 
 def lebesgue_of_set(strings: Iterable[str]) -> Dyadic:
-    """Uniform measure of the union of cylinders, normalising first.
-
-    Every member left is checked to be a 0/1 literal, in (length, lex)
-    order.  Summed as integers over the longest member length (the last
-    member in canonical order) and built as one Dyadic.
+    """Uniform measure of the union of cylinders: the set is built as a
+    :class:`CylinderSet`, so every member is checked to be a 0/1 literal in
+    (length, lex) order, and its minimal members are summed as integers over
+    the longest of their lengths and built as one Dyadic.
     """
-    items = prefix_free_normalize(strings)
-    check_all_bits(items)
-    if not items:
+    groups = CylinderSet(strings).minimal.groups
+    if not groups:
         return ZERO
-    longest = len(items[-1])
-    return Dyadic(sum(1 << (longest - len(s)) for s in items), longest)
+    longest = groups[-1][0]
+    return Dyadic(sum(len(positions) << (longest - n) for n, positions in groups), longest)
 
 
 def extend_set(strings: Iterable[str], m: int) -> StringSet:
@@ -182,7 +253,7 @@ def intersect_sets(a: Iterable[str], b: Iterable[str]) -> StringSet:
     # antichain the one member that can be a prefix of a string is the last
     # one not after it (strictly before it, for a proper prefix), and the
     # strings kept are pairwise incomparable, so no normalisation is left
-    items_a, items_b = _minimal(a), _minimal(b)
+    items_a, items_b = _minimal(_distinct_lex(a)), _minimal(_distinct_lex(b))
     out = [y for y in items_b if (i := bisect_right(items_a, y)) and y.startswith(items_a[i - 1])]
     out += [x for x in items_a if (i := bisect_left(items_b, x)) and x.startswith(items_b[i - 1])]
     return canon(out)

@@ -44,6 +44,7 @@ from semimeasures import (
     validate_generalized_test,
     validate_ml_test,
 )
+from semimeasures.strings import CylinderSet
 
 
 def spine_test(base, count=5):
@@ -111,6 +112,23 @@ class TestValidate:
         assert GeneralizedTest is MLTest
         assert validate_generalized_test is validate_ml_test
         assert MLTest.build({0: [""]}, uniform_measure()).decay is None
+
+    @pytest.mark.parametrize("build", [
+        lambda levels: MLTest.build(levels, uniform_measure()),
+        lambda levels: GeneralizedTest.build(levels, uniform_measure(), decay={0: 0}),
+    ], ids=["standard", "generalized"])
+    @pytest.mark.parametrize("levels, bad", [({0: ["2"]}, "2"), ({0: ["0", "1"], 1: ["0", "0x"]}, "0x")])
+    def test_build_checks_every_member(self, build, levels, bad):
+        """A bad member fails when the test is built, not at its first mass read."""
+        with pytest.raises(ParseError, match=f"^not a binary string: {bad!r}$"):
+            build(levels)
+
+    def test_levels_are_cylinder_sets(self):
+        test = MLTest.build({1: ["1", "0", "00"]}, uniform_measure())
+        assert isinstance(test.levels[1], CylinderSet)
+        assert test.levels[1] == ("0", "1", "00")
+        assert test.levels[1].minimal == ("0", "1")
+        assert MLTest.build(test.levels, test.base).levels[1] is test.levels[1]
 
     @given(st.integers(0, 2**32 - 1))
     def test_standard_test_is_the_identity_modulus(self, seed):
@@ -363,6 +381,17 @@ class TestIntersectTests:
     def test_non_prefix_free_family_rejected(self):
         with pytest.raises(PreconditionError):
             intersect_tests([["0", "01"]], n=0)
+
+    @pytest.mark.parametrize("families, error, message", [
+        ([["0", "2"], ["00"]], ParseError, "not a binary string: '2'"),
+        ([["00", "01"], ["0", "01", "2"]], ParseError, "not a binary string: '2'"),
+        ([["0", "01"], ["2"]], PreconditionError, "family 0 is not prefix-free"),
+        ([["0"], ["0", "01", "2"]], ParseError, "not a binary string: '2'"),
+    ])
+    def test_each_family_is_bit_checked_then_prefix_checked_in_order(self, families, error, message):
+        with pytest.raises(error) as info:
+            intersect_tests(families, 1)
+        assert str(info.value) == message
 
     def test_depth_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -64,7 +64,7 @@ from semimeasures import (
 )
 from semimeasures import test_defeating_semimeasure as defeating_semimeasure
 from semimeasures.semimeasure import LeftCeSemiMeasure, TailsView, _canonical
-from semimeasures.strings import StagedFamily
+from semimeasures.strings import CylinderSet, StagedFamily, canon
 
 
 def stock_family() -> list[LeftCeSemiMeasure]:
@@ -625,6 +625,11 @@ class TestValues:
         with pytest.raises(ParseError, match=f"^not a binary string: {bad!r}$"):
             uniform_measure().set_mass(members)
 
+    def test_set_mass_checks_a_member_that_extends_another(self):
+        """Normalisation would drop "0x" behind "0"; every member is checked."""
+        with pytest.raises(ParseError, match="^not a binary string: '0x'$"):
+            uniform_measure().set_mass(["0", "0x"])
+
     def test_empty_list_gives_an_empty_row(self):
         assert geometric_semimeasure(QUARTER).values([])[0] == []
         assert SemiMeasureStage((), strict=False).values(["01"]) == ([0], 0)
@@ -650,6 +655,40 @@ class TestValues:
         for stage in (uniform_measure(), tilt_by_ones(uniform_measure())):
             for read in (lambda: stage.level_mass(bad, 3), lambda: partial_trim(stage, bad, 3), lambda: derived_measure(stage, bad)):
                 pytest.raises(ParseError, read)
+
+
+def on_the_spine(j: int, tail: str) -> str:
+    return "1" * j + tail
+
+
+class TestCylinderSetReads:
+    """A :class:`CylinderSet` is read through its own groups; the reads must
+    be those of the same strings given as a list, and the definition's."""
+
+    @given(
+        seeds,
+        messy_string_sets(),
+        st.lists(st.builds(on_the_spine, st.integers(0, 8), st.text(alphabet="01", max_size=3)), max_size=5),
+    )
+    def test_reads_match_the_list_reads_and_the_oracles(self, seed, strings, spine):
+        """Tilts 0-3, one tail rule per frontier node, frontiers at depth 0-3
+        and members of length 0-11, so above, at and below every frontier,
+        unordered, with duplicates, prefixes and 1-spine strings."""
+        rng = random.Random(seed)
+        comps = tuple(
+            random_component(rng, weight=rng.choice((ONE, HALF, Dyadic(3, 3))), depth=rng.randint(0, 3), tilt=rng.randint(0, 3))
+            for _ in range(rng.randint(1, 3))
+        )
+        stage = SemiMeasureStage(comps, strict=False)
+        x = strings + spine
+        c = CylinderSet(x)
+        assert c == canon(x)
+        assert CylinderSet(c) is c
+        assert stage.set_mass(c) == stage.set_mass(list(x))
+        assert as_fraction(stage.set_mass(c)) == oracle_stage_mass(stage, x)
+        for read in (c, list(c), list(x)):
+            nums, e = stage.values(read)
+            assert [Fraction(v, 1 << e) for v in nums] == [oracle_stage_value(stage, s) for s in read]
 
 
 class TestValidateMeasure:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -32,7 +34,7 @@ from semimeasures import (
     prefix_free_normalize,
     strings_up_to,
 )
-from semimeasures.strings import StagedFamily, all_strings, canon, check_bits, comparable
+from semimeasures.strings import CylinderSet, StagedFamily, all_strings, canon, check_bits, comparable
 
 
 class TestBasics:
@@ -108,6 +110,12 @@ class TestLebesgue:
             lebesgue_of_set(members)
         assert str(info.value) == f"not a binary string: {bad}"
 
+    def test_a_member_extending_another_is_checked_too(self):
+        """Normalisation would drop "0x" behind "0"; the check comes first."""
+        with pytest.raises(ParseError) as info:
+            lebesgue_of_set(["0", "0x"])
+        assert str(info.value) == "not a binary string: '0x'"
+
     @given(string_sets)
     def test_matches_leaf_counting(self, strings):
         """lebesgue_of_set equals the fraction of deep leaves covered."""
@@ -118,6 +126,58 @@ class TestLebesgue:
     @given(string_sets)
     def test_normalization_invariant(self, strings):
         assert lebesgue_of_set(strings) == lebesgue_of_set(prefix_free_normalize(strings))
+
+
+class TestCylinderSet:
+    def test_members_are_canonical_and_grouped_by_length(self):
+        c = CylinderSet(["10", "0", "01", "0", "110", ""])
+        assert c == (EPSILON, "0", "01", "10", "110")
+        assert c.groups == [(0, [0]), (1, [0]), (2, [1, 2]), (3, [6])]
+        assert c.minimal == (EPSILON,)
+        assert c.minimal.minimal is c.minimal
+
+    def test_a_prefix_free_set_is_its_own_minimal_set(self):
+        c = CylinderSet(["1", "01", "00"])
+        assert c.minimal is c
+        assert CylinderSet(c) is c
+
+    def test_the_empty_set(self):
+        c = CylinderSet()
+        assert c == () and c.groups == [] and c.minimal is c
+
+    def test_a_dropped_set_is_freed_without_the_cycle_collector(self):
+        """A set holds no reference to itself, so dropping it frees it: with
+        the collector off, 200 dropped 500-member sets leave nothing held."""
+        members = [format(k, "010b") for k in range(500)]
+        started = not tracemalloc.is_tracing()
+        gc.collect()
+        gc.disable()
+        try:
+            if started:
+                tracemalloc.start()
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(200):
+                assert CylinderSet(members).minimal
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            gc.enable()
+            if started:
+                tracemalloc.stop()
+        assert held < 100_000
+
+    @pytest.mark.parametrize("members, bad", [(["0", "0x"], "0x"), (["1", "2", "0 1"], "2"), (["01", "0 1", "1"], "0 1")])
+    def test_every_member_is_checked_in_canonical_order(self, members, bad):
+        with pytest.raises(ParseError, match=f"^not a binary string: {bad!r}$"):
+            CylinderSet(members)
+
+    @given(messy_string_sets())
+    def test_matches_the_references(self, strings):
+        c = CylinderSet(strings)
+        assert c == canon(strings) == reference_canon(strings)
+        assert c.minimal == reference_prefix_free_normalize(strings)
+        assert [(n, p) for n, positions in c.groups for p in positions] == [(len(s), int(s or "0", 2)) for s in c]
+        assert [n for n, _positions in c.groups] == sorted({len(s) for s in c})
+        assert all(positions == sorted(set(positions)) for _n, positions in c.groups)
 
 
 class TestExtendSet:
