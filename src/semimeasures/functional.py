@@ -27,17 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .dyadic import Dyadic, ONE, expansion_bits, lowest, row_lowest
 from .errors import CertificateError, PreconditionError
 from .semimeasure import LeftCeSemiMeasure, SemiMeasureStage, TableView, TailRule, table_semimeasure
-from .strings import (
-    EPSILON,
-    StringSet,
-    _index,
-    all_strings,
-    check_bits,
-    comparable,
-    intersect_sets,
-    prefix_free_normalize,
-    string_at,
-)
+from .strings import EPSILON, CylinderSet, _index, all_strings, check_bits, comparable, intersect_sets, string_at
 
 Pair = tuple[str, str]
 
@@ -190,10 +180,10 @@ def preimage_buckets(phi: MonotoneFunctional, stage: int, targets: Iterable[str]
     return buckets
 
 
-def preimage_set(phi: MonotoneFunctional, tau: str, stage: int) -> StringSet:
+def preimage_set(phi: MonotoneFunctional, tau: str, stage: int) -> CylinderSet:
     """Antichain of inputs mapped onto an extension of tau."""
     check_bits(tau)
-    return prefix_free_normalize(preimage_buckets(phi, stage, (tau,))[tau])
+    return CylinderSet(preimage_buckets(phi, stage, (tau,))[tau]).minimal
 
 
 def _union(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -249,7 +239,7 @@ def induced_semimeasure(phi: MonotoneFunctional, stage: int, depth: int) -> Semi
     return table_semimeasure(TableView((row, L) for row in rows), tail=TailRule.vanish())
 
 
-def reach_set(phi: MonotoneFunctional, ell: int, stage: int) -> StringSet:
+def reach_set(phi: MonotoneFunctional, ell: int, stage: int) -> CylinderSet:
     """Minimal inputs whose value has length at least ell.
 
     Every sequence reaches length 0, so ell = 0 gives the root.
@@ -257,16 +247,15 @@ def reach_set(phi: MonotoneFunctional, ell: int, stage: int) -> StringSet:
     if ell < 0:
         raise ValueError("output length must be non-negative")
     if ell == 0:
-        return (EPSILON,)
-    hits = [i for i, o in phi.pairs_at(stage) if len(o) >= ell]
-    return prefix_free_normalize(hits)
+        return CylinderSet((EPSILON,))
+    return CylinderSet(i for i, o in phi.pairs_at(stage) if len(o) >= ell).minimal
 
 
 @dataclass(frozen=True)
 class DomainApprox:
-    levels: tuple[StringSet, ...]  # clopen approximation per output length 0..ell
-    clopen: StringSet              # the level at ell itself
-    intersection: StringSet        # common refinement of all levels
+    levels: tuple[CylinderSet, ...]  # clopen approximation per output length 0..ell
+    clopen: CylinderSet              # the level at ell itself
+    intersection: CylinderSet        # common refinement of all levels
 
 
 def domain_clopen_approx(
@@ -350,7 +339,8 @@ def from_semimeasure(
 ) -> MonotoneFunctional:
     """Build a functional whose induced semi-measure matches rho's stage tables.
 
-    Stages are replayed in order; at each one, every output node (breadth
+    Stages are replayed in order, up to rho's ``last`` if that comes first,
+    since no later stage differs.  At each one, every output node (breadth
     first) grows its allocated input region to the current value by taking
     the leftmost of its parent's spare cylinders: those allocated to the
     parent that neither child has taken yet.  Values may only grow, so
@@ -379,8 +369,9 @@ def from_semimeasure(
     pools: list[list[list[Block]]] = [[[(0, 0)]]]
     pools += [[[] for _ in range(1 << (n - 1))] for n in range(1, depth + 1)]
     batches: dict[int, set[Pair]] = {}
-    for t in range(stage + 1):
-        st = final if t == stage else rho.stage_at(t)
+    top = stage if rho.last is None else min(stage, rho.last)
+    for t in range(top + 1):
+        st = final if t == top else rho.stage_at(t)
         rows = [st.level_row(n) for n in range(depth + 1)]
         # finest value per level: the exponent of its row in lowest terms
         fine = [e - row_lowest(nums, e) for nums, e in rows]

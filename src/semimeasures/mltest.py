@@ -17,6 +17,8 @@ Every level is stored as a :class:`~semimeasures.strings.CylinderSet`,
 built by :meth:`MLTest.build` (and so by ``test_from_json`` and the four
 transforms): its members are bit-checked once, there, and every mass and
 point value read afterwards takes the level's groups as they are.
+:func:`intersect_tests` reads its families as ``CylinderSet``s too, checks
+each to be its own minimal set, and returns one.
 """
 
 from __future__ import annotations
@@ -28,18 +30,7 @@ from .dyadic import Dyadic, ONE
 from .errors import CertificateError, PreconditionError
 from .functional import MonotoneFunctional, preimage_buckets
 from .semimeasure import SemiMeasureStage, check_domination, uniform_measure
-from .strings import (
-    CylinderSet,
-    StringSet,
-    _index,
-    canon,
-    check_all_bits,
-    check_bits,
-    extend_set,
-    intersect_sets,
-    is_prefix_free,
-    lebesgue_of_set,
-)
+from .strings import CylinderSet, _index, check_bits, extend_set, intersect_sets, lebesgue_of_set
 
 
 def _canon_levels(levels: Mapping[int, Iterable[str]]) -> dict[int, CylinderSet]:
@@ -182,16 +173,16 @@ def ones_prefix_filter(test: MLTest, j: int, base: SemiMeasureStage) -> MLTest:
     return MLTest.build(new_levels, base)
 
 
-def intersect_tests(families: Sequence[Iterable[str]], n: int | None = None) -> StringSet:
+def intersect_tests(families: Sequence[Iterable[str]], n: int | None = None) -> CylinderSet:
     """Single antichain covering exactly the intersection of n+1 level sets.
 
     Each family must be prefix-free, so through any covered sequence each
     family has a unique member; the qualifying strings are the common
     refinements extended by n more levels.  The result is the set of sigma
     such that every family holds some tau_i <= sigma with
-    |sigma| = max |tau_i| + n.  Families are checked in order, each one's
-    members to be 0/1 literals (in (length, lex) order) and then the family
-    to be prefix-free.
+    |sigma| = max |tau_i| + n.  Families are checked in order, each built as
+    a :class:`CylinderSet` (so its members are checked to be 0/1 literals in
+    (length, lex) order) and then checked to be prefix-free.
     """
     if n is None:
         n = len(families) - 1
@@ -199,9 +190,8 @@ def intersect_tests(families: Sequence[Iterable[str]], n: int | None = None) -> 
         raise ValueError("need families 0..n")
     sets = []
     for idx in range(n + 1):
-        members = canon(families[idx])
-        check_all_bits(members)
-        if not is_prefix_free(members):
+        members = CylinderSet(families[idx])
+        if members.minimal is not members:
             raise PreconditionError(f"family {idx} is not prefix-free")
         sets.append(members)
     common = sets[0]

@@ -42,10 +42,11 @@ values of any strings as ``int`` numerators over one power of two, and
 ``value``, the certificates of :mod:`mltest` and atom decoding all read it.
 Components read strings as ``(length, lex positions)`` groups, never as
 text: a :class:`~semimeasures.strings.CylinderSet` carries its groups,
-built and bit-checked once with the set, and ``values`` of any other
-strings checks them and groups each run of one length.  A value below a
-frontier takes its ones below the frontier and its leading ones from its
-position, and one power pair per tail rule and count of ones met.
+computed on first read from members bit-checked when the set is built,
+and ``values`` of any other strings checks them and groups each run of
+one length.  A value below a frontier takes its ones below the frontier
+and its leading ones from its position, and one power pair per tail rule
+and count of ones met.
 ``set_mass`` reads the minimal members' groups of a ``CylinderSet`` (any
 other iterable is built into one first) and builds no value per member:
 each component sums the stored row entries of the members at or above the
@@ -840,14 +841,21 @@ class LeftCeSemiMeasure:
     """Stage generator: stage_at(s) is a presentation and the values are
     pointwise non-decreasing in s (the caller's obligation, spot-checked in
     the test suite, never assumed silently elsewhere).  Nothing is stored:
-    every read calls the stage function, which must be deterministic."""
+    every read calls the stage function, which must be deterministic.
+    ``last`` is the final stage of a family that stops changing (None while
+    stages may keep growing): stage_at(s) clips s to it, as
+    ``MonotoneFunctional.pairs_at`` does, so that a stage past it costs what
+    ``last`` costs."""
 
-    def __init__(self, stage_fn: Callable[[int], SemiMeasureStage]):
+    def __init__(self, stage_fn: Callable[[int], SemiMeasureStage], last: int | None = None):
         self._fn = stage_fn
+        self.last = last
 
     def stage_at(self, s: int) -> SemiMeasureStage:
         if s < 0:
             raise ValueError("stage must be non-negative")
+        if self.last is not None and s > self.last:
+            s = self.last  # every later stage is this one
         return self._fn(s)
 
     def value(self, sigma: str, s: int) -> Dyadic:
@@ -855,7 +863,7 @@ class LeftCeSemiMeasure:
 
     @classmethod
     def constant(cls, stage: SemiMeasureStage) -> "LeftCeSemiMeasure":
-        return cls(lambda _s: stage)
+        return cls(lambda _s: stage, 0)
 
 
 def mixture(
@@ -998,10 +1006,13 @@ def from_infimum_sequence(rows: Sequence, stage: int, depth: int) -> SemiMeasure
 
 def infimum_semimeasure(rows: Sequence, depth: int) -> LeftCeSemiMeasure:
     """The staged family of :func:`from_infimum_sequence`, its arguments
-    checked once here by reading stage 0 as a one-node table."""
+    checked once here by reading stage 0 as a one-node table.  Its last
+    stage is the last index of the longest row, past which every row is
+    frozen, unless some row is callable."""
     frozen = [r if callable(r) else list(r) for r in rows]
     from_infimum_sequence(frozen, 0, min(depth, 0))
-    return LeftCeSemiMeasure(lambda s: from_infimum_sequence(frozen, s, depth))
+    last = None if any(map(callable, frozen)) else max(map(len, frozen)) - 1
+    return LeftCeSemiMeasure(lambda s: from_infimum_sequence(frozen, s, depth), last)
 
 
 # -- enumeration helpers ------------------------------------------------------

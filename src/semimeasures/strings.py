@@ -1,46 +1,49 @@
 """Finite binary strings and the cylinder-set algebra over them.
 
 Strings are plain Python ``str`` over the alphabet {0, 1}; the empty string
-is the root of the binary tree.  A finite set of pairwise prefix-incomparable
-strings (an antichain) denotes the clopen union of its cylinders, and all set
-operations here keep that representation canonical: sorted by (length,
-lexicographic), duplicates removed.
+is the root of the binary tree.  A finite set of strings denotes the clopen
+union of its cylinders, and its minimal members -- those with no proper
+prefix in it, an antichain -- denote the same union.
 
-For antichains plain string sorting agrees with left-to-right order of the
-cylinders on the unit interval, which the interval-allocation code relies on.
+Every normalised set is a :class:`CylinderSet`, and its constructor is the
+one normaliser: it keeps the members in the canonical (length, lex) order
+without duplicates, checks each to be a 0/1 literal once, and finds the
+minimal members.  Every set operation here (``prefix_free_normalize``,
+``extend_set``, ``intersect_sets``) takes any iterable and returns a
+``CylinderSet``; a ``CylinderSet`` argument is not rebuilt, because
+``CylinderSet(c) is c``, and ``c.minimal is c`` says it is prefix-free.
 
 Prefix tests never compare members pairwise.  In plain lex order the
 extensions of a string come directly after it, so a member with a proper
 prefix in a set follows a member it extends: a set is prefix-free exactly
 when no member is a prefix of its lex successor, and its minimal members
 are the strings that do not extend the last minimal member before them.
-So ``canon``, ``prefix_free_normalize`` and ``is_prefix_free`` cost one
-C-level lex sort (about one linear pass on input already in order, since
-duplicates are dropped after it), a linear pass and, where the result is
-ordered, one stable sort by length; ``intersect_sets`` adds one binary
-search per minimal member.
+So building a set costs one C-level lex sort (about one linear pass on
+input already in order, since duplicates are dropped after it), a linear
+pass and one stable sort by length; ``intersect_sets`` adds one lex sort
+of each side's minimal members and one binary search per member.  For
+antichains plain string sorting agrees with left-to-right order of the
+cylinders on the unit interval, which the interval-allocation code relies
+on.
 
-A set that is read more than once (a test level, the members of a test)
-is held as a :class:`CylinderSet`: a canonical tuple, bit-checked once
-when it is built, carrying its ``(length, ascending lex positions)``
-groups and its minimal members.  Set masses and point values read those
-groups, so no read re-sorts, re-checks or re-parses a member.  What it
-holds lives and dies with the set: nothing is cached elsewhere.
+A set's ``(length, ascending lex positions)`` groups are computed when
+they are first read, and set masses and point values read them, so no read
+re-sorts, re-checks or re-parses a member.  What a set holds lives and
+dies with it: nothing is cached elsewhere.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
-from .dyadic import Dyadic, ZERO
+from .dyadic import Dyadic
 from .errors import ParseError
 
 EPSILON = ""
-
-StringSet = tuple[str, ...]
 
 
 def check_bits(s: str) -> str:
@@ -85,18 +88,6 @@ def sort_key(s: str):
     return (len(s), s)
 
 
-def _distinct_lex(strings: Iterable[str]) -> list[str]:
-    """The distinct strings in lex order: sorted before they are deduplicated,
-    so strings already in order, or in a few ordered runs, sort in about
-    one linear pass."""
-    return list(dict.fromkeys(sorted(strings)))
-
-
-def canon(strings: Iterable[str]) -> StringSet:
-    """Deduplicate and sort into the canonical (length, lex) order."""
-    return tuple(sorted(_distinct_lex(strings), key=len))
-
-
 def string_at(length: int, k: int) -> str:
     """The k-th binary string of the given length in lex order."""
     return format(k, f"0{length}b") if length else EPSILON
@@ -129,33 +120,15 @@ def leading_ones(s: str) -> int:
 def _minimal(items: list[str]) -> list[str]:
     """The members of a lex-sorted list of distinct strings with no proper
     prefix in it, in lex order: a string is one exactly when it does not
-    extend the last one kept."""
-    if _lex_prefix_free(items):
+    extend the last one kept.  The list is prefix-free, and returned as it
+    is, when no item is a prefix of the next."""
+    if not any(map(str.startswith, items[1:], items)):
         return items
     kept = items[:1]
     for s in items:  # the first item extends itself, so it is not kept twice
         if not str.startswith(s, kept[-1]):
             kept.append(s)
     return kept
-
-
-def _lex_prefix_free(items: list[str]) -> bool:
-    """Whether a lex-sorted list of distinct strings is prefix-free: whether
-    no item is a prefix of the next."""
-    return not any(map(str.startswith, items[1:], items))
-
-
-def is_prefix_free(strings: Iterable[str]) -> bool:
-    return _lex_prefix_free(_distinct_lex(strings))
-
-
-def prefix_free_normalize(strings: Iterable[str]) -> StringSet:
-    """Minimal members of the set: drop every proper extension of a member.
-
-    The result denotes the same open set of infinite sequences and is an
-    antichain.  Normalising twice is the same as normalising once.
-    """
-    return tuple(sorted(_minimal(_distinct_lex(strings)), key=len))
 
 
 def _length_groups(items: Iterable[str]) -> list[tuple[int, list[int]]]:
@@ -177,23 +150,29 @@ def _length_groups(items: Iterable[str]) -> list[tuple[int, list[int]]]:
 class CylinderSet(tuple):
     """A finite set of bit strings as a checked value: its members in the
     canonical (length, lex) order without duplicates, each checked to be a
-    0/1 literal, in that order, when the set is built.
+    0/1 literal, in that order, when the set is built.  A member that is
+    not a string raises ``ParseError`` too, naming it.
 
     ``groups`` holds the members as ``(length, ascending lex positions)``
-    groups, one per length, and ``minimal`` the members with no proper
-    prefix in the set, the antichain denoting the same open set: the set
-    itself when it is prefix-free.  Building a set from a ``CylinderSet``
-    returns it unchanged.  As a tuple it equals the ``canon`` of its
-    members.
+    groups, one per length, computed when first read, and ``minimal`` the
+    members with no proper prefix in the set, the antichain denoting the
+    same open set: the set itself when it is prefix-free.  Building a set
+    from a ``CylinderSet`` returns it unchanged.
     """
-
-    groups: list[tuple[int, list[int]]]
 
     def __new__(cls, strings: Iterable[str] = ()) -> "CylinderSet":
         if type(strings) is cls:
             return strings
-        lex = _distinct_lex(strings)
-        items = sorted(lex, key=len)
+        members = list(strings)
+        try:
+            # sorted before deduplicated, so members already in order, or in
+            # a few ordered runs, sort in about one linear pass
+            members.sort()
+            lex = list(dict.fromkeys(members))
+            items = sorted(lex, key=len)
+        except TypeError:  # only a member that is not a string fails to sort, hash or take a length
+            bad = next(s for s in members if not isinstance(s, str))
+            raise ParseError(f"not a binary string: {bad!r}") from None
         check_all_bits(items)
         # members of one length are prefix-free
         kept = lex if not items or len(items[0]) == len(items[-1]) else _minimal(lex)
@@ -203,7 +182,6 @@ class CylinderSet(tuple):
     def _of(cls, items: Iterable[str], antichain: "CylinderSet | None" = None) -> "CylinderSet":
         # canonical, checked members; no antichain given means prefix-free
         self = tuple.__new__(cls, items)
-        self.groups = _length_groups(self)
         self._antichain = antichain
         return self
 
@@ -213,36 +191,53 @@ class CylinderSet(tuple):
         # itself and a dead one is freed at once, not by the cycle collector
         return self if self._antichain is None else self._antichain
 
+    @cached_property
+    def groups(self) -> list[tuple[int, list[int]]]:
+        return _length_groups(self)
+
+
+def is_prefix_free(strings: Iterable[str]) -> bool:
+    """Whether the set of 0/1 literals is an antichain: its own minimal set."""
+    items = CylinderSet(strings)
+    return items.minimal is items
+
+
+def prefix_free_normalize(strings: Iterable[str]) -> CylinderSet:
+    """Minimal members of the set: drop every proper extension of a member.
+
+    The result denotes the same open set of infinite sequences and is an
+    antichain.  Normalising twice is the same as normalising once.
+    """
+    return CylinderSet(strings).minimal
+
 
 def lebesgue_of_set(strings: Iterable[str]) -> Dyadic:
     """Uniform measure of the union of cylinders: the set is built as a
     :class:`CylinderSet`, so every member is checked to be a 0/1 literal in
-    (length, lex) order, and its minimal members are summed as integers over
-    the longest of their lengths and built as one Dyadic.
+    (length, lex) order, and 2^-|s| is summed over its minimal members as
+    integers over the longest of their lengths and built as one Dyadic.
     """
-    groups = CylinderSet(strings).minimal.groups
-    if not groups:
-        return ZERO
-    longest = groups[-1][0]
-    return Dyadic(sum(len(positions) << (longest - n) for n, positions in groups), longest)
+    minimal = CylinderSet(strings).minimal
+    longest = len(minimal[-1]) if minimal else 0
+    return Dyadic(sum(1 << (longest - len(s)) for s in minimal), longest)
 
 
-def extend_set(strings: Iterable[str], m: int) -> StringSet:
+def extend_set(strings: Iterable[str], m: int) -> CylinderSet:
     """Replace each member of an antichain by all its length +m extensions.
 
     Measure is preserved and the result is again an antichain.
     """
     if m < 0:
         raise ValueError("extension depth must be non-negative")
-    items = canon(strings)
-    if not is_prefix_free(items):
+    items = CylinderSet(strings)
+    if items.minimal is not items:
         raise ValueError("extend_set requires a prefix-free set")
     # members of an antichain have disjoint extensions, and extending each
-    # member of a canonical tuple in turn keeps the (length, lex) order
-    return tuple(e for s in items for e in extensions(s, m))
+    # member of a canonical set in turn keeps the (length, lex) order
+    return CylinderSet._of(e for s in items for e in extensions(s, m))
 
 
-def intersect_sets(a: Iterable[str], b: Iterable[str]) -> StringSet:
+def intersect_sets(a: Iterable[str], b: Iterable[str]) -> CylinderSet:
     """Antichain denoting the intersection of the two cylinder unions.
 
     For comparable members the longer one carves out the overlap: a member
@@ -252,11 +247,11 @@ def intersect_sets(a: Iterable[str], b: Iterable[str]) -> StringSet:
     # the intersection is that of the minimal members.  In a lex-sorted
     # antichain the one member that can be a prefix of a string is the last
     # one not after it (strictly before it, for a proper prefix), and the
-    # strings kept are pairwise incomparable, so no normalisation is left
-    items_a, items_b = _minimal(_distinct_lex(a)), _minimal(_distinct_lex(b))
+    # strings kept are pairwise incomparable and distinct
+    items_a, items_b = sorted(CylinderSet(a).minimal), sorted(CylinderSet(b).minimal)
     out = [y for y in items_b if (i := bisect_right(items_a, y)) and y.startswith(items_a[i - 1])]
     out += [x for x in items_a if (i := bisect_left(items_b, x)) and x.startswith(items_b[i - 1])]
-    return canon(out)
+    return CylinderSet(out)
 
 
 @dataclass(frozen=True)

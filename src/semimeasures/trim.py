@@ -27,7 +27,7 @@ from typing import Iterable
 from .dyadic import Dyadic, ZERO, add, common
 from .errors import AmbiguityError, BudgetExhaustedError, PreconditionError
 from .semimeasure import LeftCeSemiMeasure, SemiMeasureStage, summed_rows
-from .strings import EPSILON, canon, check_bits, is_prefix_free, string_at
+from .strings import EPSILON, CylinderSet, check_bits, string_at
 
 
 def partial_trim(stage: SemiMeasureStage, sigma: str, n: int) -> Dyadic:
@@ -85,8 +85,8 @@ def open_set_derived(stage: SemiMeasureStage, members: Iterable[str], m_max: int
     """
     if m_max < 0:
         raise ValueError("m_max must be non-negative")
-    items = canon(members)
-    if not is_prefix_free(items):
+    items = CylinderSet(members)
+    if items.minimal is not items:
         raise PreconditionError("the open set must be given as a prefix-free antichain")
     sums: list[list[tuple[int, int]]] = [[] for _ in range(m_max + 1)]
     for s in items:
@@ -159,6 +159,8 @@ def decode_atom(
     emitted.  If both children qualify at that first stage the certificate
     was wrong and AmbiguityError reports the node; if no child qualifies
     within ``max_stage`` stages BudgetExhaustedError reports the position.
+    A scan stops at rho's ``last`` stage, when that comes first, since no
+    later stage differs.
     Returns the ``bits`` emitted bits (seed excluded).  Every stage must be
     super-additive (:func:`validate`): each bit's scan starts at the stage that
     decided the previous bit; before it the node was below q, so its children were.
@@ -174,7 +176,8 @@ def decode_atom(
     out: list[str] = []
     for _ in range(bits):
         emitted = None
-        for s in range(start, max_stage + 1):
+        end = max_stage if rho.last is None else min(max_stage, max(start, rho.last))
+        for s in range(start, end + 1):
             (low, high), e = rho.stage_at(s).values((current + "0", current + "1"))
             # low / 2**e >= q exactly when low * 2**q.exponent >= q.numerator * 2**e
             bar = q.numerator << e

@@ -390,6 +390,33 @@ class TestAtomDecode:
         assert main(["atom-decode", uniform_file, "--q", "1/3", "--bits", "4"]) == 2
 
 
+class TestPastTheLastStage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["invert", "presentation.json", "--depth", "3", "--stage"],
+            ["invert", "staged.json", "--depth", "3", "--stage"],
+            ["atom-decode", "presentation.json", "--q", "3/2^2", "--bits", "4", "--budget"],
+            ["atom-decode", "staged.json", "--q", "3/2^2", "--bits", "4", "--budget"],
+        ],
+        ids=["invert-presentation", "invert-staged", "atom-decode-presentation", "atom-decode-staged"],
+    )
+    def test_a_huge_stage_or_budget_costs_what_the_last_stage_costs(self, argv, capsys):
+        """A constant presentation has last stage 0 and the infimum file 3:
+        a stage or budget of 10^9 gives the bytes and exit code of 5, in a
+        process bounded to 30 s."""
+        command, name, *rest = argv
+        path = str(GOLDEN_INPUTS / name)
+        code = main([command, path, *rest, "5"])
+        out = capsys.readouterr().out
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "semimeasures.cli", command, path, *rest, "1000000000"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (code, out)
+
+
 # ---------------------------------------------------------------------------
 # mirror-pair / eval
 # ---------------------------------------------------------------------------

@@ -443,6 +443,20 @@ class TestFromSemimeasure:
         from_semimeasure(counted, stage=2, depth=2)
         assert built == [2, 0, 1]
 
+    def test_no_stage_past_the_last_is_replayed(self):
+        built = []
+        target = infimum_semimeasure([[HALF, ONE], [HALF, ONE]], depth=2)
+        assert target.last == 1
+
+        def stage_fn(s):
+            built.append(s)
+            assert len(built) <= 2, f"stage {s} read again: the replay ran past the last stage"
+            return target.stage_at(s)
+
+        phi = from_semimeasure(LeftCeSemiMeasure(stage_fn, target.last), stage=10**9, depth=2)
+        assert built == [1, 0]
+        assert phi.events == from_semimeasure(target, stage=1, depth=2).events
+
     def test_non_strict_final_stage_rejected(self):
         leaky = LeftCeSemiMeasure.constant(uniform_measure(2).scaled(HALF))
         with pytest.raises(PreconditionError):

@@ -28,6 +28,7 @@ from helpers import (
     random_stage,
     random_table,
     random_tail,
+    reference_canon,
     reference_pushdown,
     reference_validate,
     reference_validate_measure,
@@ -55,6 +56,8 @@ from semimeasures import (
     mix_stages,
     mixture,
     partial_trim,
+    stage_to_json,
+    staged_from_json,
     strings_up_to,
     table_semimeasure,
     tilt_by_ones,
@@ -64,7 +67,7 @@ from semimeasures import (
 )
 from semimeasures import test_defeating_semimeasure as defeating_semimeasure
 from semimeasures.semimeasure import LeftCeSemiMeasure, TailsView, _canonical
-from semimeasures.strings import CylinderSet, StagedFamily, canon
+from semimeasures.strings import CylinderSet, StagedFamily
 
 
 def stock_family() -> list[LeftCeSemiMeasure]:
@@ -682,7 +685,7 @@ class TestCylinderSetReads:
         stage = SemiMeasureStage(comps, strict=False)
         x = strings + spine
         c = CylinderSet(x)
-        assert c == canon(x)
+        assert c == reference_canon(x)
         assert CylinderSet(c) is c
         assert stage.set_mass(c) == stage.set_mass(list(x))
         assert as_fraction(stage.set_mass(c)) == oracle_stage_mass(stage, x)
@@ -958,6 +961,32 @@ class TestInfimumSequence:
         for sigma in strings_up_to(3):
             values = [rho.value(sigma, s) for s in range(4)]
             assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+class TestLastStage:
+    def test_each_staged_kind_knows_its_last_stage(self):
+        uniform = uniform_measure()
+        assert LeftCeSemiMeasure.constant(uniform).last == 0
+        assert staged_from_json(stage_to_json(uniform)).last == 0
+        assert staged_from_json({"kind": "constant", "stage": stage_to_json(uniform)}).last == 0
+        assert infimum_semimeasure([[ONE], [QUARTER, HALF, Dyadic(3, 2)], [HALF]], depth=3).last == 2
+        assert staged_from_json({"kind": "infimum", "rows": [["1/2^0"], ["1/2^2", "1/2^1"]], "depth": 1}).last == 1
+        assert infimum_semimeasure([[ONE], lambda s: HALF], depth=2).last is None
+        assert LeftCeSemiMeasure(lambda s: uniform).last is None
+
+    def test_a_stage_past_the_last_is_the_last(self):
+        def stage_fn(s):
+            assert s <= 2, f"stage {s} read past the last stage"
+            return uniform_measure().scaled(Dyadic.pow2(s - 2))
+
+        rho = LeftCeSemiMeasure(stage_fn, last=2)
+        assert rho.value("0", 10**9) == rho.value("0", 2) == HALF
+        with pytest.raises(ValueError, match="^stage must be non-negative$"):
+            rho.stage_at(-1)
+        rows = [[ONE], [QUARTER, HALF, Dyadic(3, 2)]]
+        clipped = infimum_semimeasure(rows, depth=3)
+        for sigma in strings_up_to(3):
+            assert clipped.value(sigma, 10**9) == from_infimum_sequence(rows, 10**9, 3).value(sigma)
 
 
 class TestEnumerateLimsup:

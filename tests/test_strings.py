@@ -23,18 +23,25 @@ from semimeasures import (
     Dyadic,
     EPSILON,
     HALF,
+    MLTest,
+    MonotoneFunctional,
     ONE,
     ParseError,
     ZERO,
+    domain_clopen_approx,
     extend_set,
     intersect_sets,
+    intersect_tests,
     is_prefix_free,
     lebesgue_of_set,
     leading_ones,
+    preimage_set,
     prefix_free_normalize,
+    reach_set,
     strings_up_to,
+    uniform_measure,
 )
-from semimeasures.strings import CylinderSet, StagedFamily, all_strings, canon, check_bits, comparable
+from semimeasures.strings import CylinderSet, StagedFamily, all_strings, check_bits, comparable
 
 
 class TestBasics:
@@ -157,7 +164,7 @@ class TestCylinderSet:
                 tracemalloc.start()
             base = tracemalloc.get_traced_memory()[0]
             for _ in range(200):
-                assert CylinderSet(members).minimal
+                assert CylinderSet(members).minimal.groups
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
             gc.enable()
@@ -170,10 +177,25 @@ class TestCylinderSet:
         with pytest.raises(ParseError, match=f"^not a binary string: {bad!r}$"):
             CylinderSet(members)
 
+    @pytest.mark.parametrize(
+        "build, bad",
+        [
+            (lambda: MLTest.build({0: [None]}, uniform_measure()), None),
+            (lambda: uniform_measure().set_mass(["0", None]), None),
+            (lambda: intersect_tests([["0", 1], ["1"]]), 1),
+            (lambda: extend_set(["0", 1], 1), 1),
+            (lambda: intersect_sets(["0", None], ["1"]), None),
+        ],
+        ids=["MLTest.build", "set_mass", "intersect_tests", "extend_set", "intersect_sets"],
+    )
+    def test_a_member_that_is_not_a_string_is_named(self, build, bad):
+        with pytest.raises(ParseError, match=f"^not a binary string: {bad!r}$"):
+            build()
+
     @given(messy_string_sets())
     def test_matches_the_references(self, strings):
         c = CylinderSet(strings)
-        assert c == canon(strings) == reference_canon(strings)
+        assert c == reference_canon(strings)
         assert c.minimal == reference_prefix_free_normalize(strings)
         assert [(n, p) for n, positions in c.groups for p in positions] == [(len(s), int(s or "0", 2)) for s in c]
         assert [n for n, _positions in c.groups] == sorted({len(s) for s in c})
@@ -233,10 +255,6 @@ class TestMatchesPairwiseReference:
     """The lex-pass antichain functions return exactly the pairwise results."""
 
     @given(messy_string_sets())
-    def test_canon(self, strings):
-        assert canon(strings) == reference_canon(strings)
-
-    @given(messy_string_sets())
     def test_normalize(self, strings):
         assert prefix_free_normalize(strings) == reference_prefix_free_normalize(strings)
 
@@ -274,6 +292,43 @@ class TestMatchesPairwiseReference:
     )
     def test_is_prefix_free_cases(self, strings, expected):
         assert is_prefix_free(strings) is expected
+
+
+def _unchecked_inputs(members):
+    """A functional mapping each member, unchecked, onto "0" at stage 0."""
+    return MonotoneFunctional(lambda t: [(x, "0") for x in members] if t == 0 else [], 0)
+
+
+def _domain_sets(members):
+    approx = domain_clopen_approx(_unchecked_inputs(members), 0, 1, lambda k, j: 0)
+    return (*approx.levels, approx.clopen, approx.intersection)
+
+
+SET_RETURNING = {
+    "prefix_free_normalize": lambda xs: (prefix_free_normalize(xs),),
+    "extend_set": lambda xs: (extend_set(xs, 1),),
+    "intersect_sets": lambda xs: (intersect_sets(xs, ["0", "11"]), intersect_sets(["0", "11"], xs)),
+    "intersect_tests": lambda xs: (intersect_tests([xs, ["0", "11"]]),),
+    "preimage_set": lambda xs: (preimage_set(_unchecked_inputs(xs), "0", 0),),
+    "reach_set": lambda xs: (reach_set(_unchecked_inputs(xs), 1, 0),),
+    "DomainApprox": _domain_sets,
+}
+
+
+class TestEverySetIsACylinderSet:
+    @pytest.mark.parametrize("name", SET_RETURNING)
+    def test_the_result_is_a_cylinder_set(self, name):
+        for result in SET_RETURNING[name](["01", "1", "000"]):
+            assert type(result) is CylinderSet
+            assert result.minimal is result
+
+    @pytest.mark.parametrize("bad", ["2", "a"])
+    @pytest.mark.parametrize("name", SET_RETURNING)
+    def test_a_member_that_is_not_a_bit_string_is_a_parse_error(self, name, bad):
+        """Each of these once returned a set holding the bad member, or
+        dropped it behind a prefix, without a word."""
+        with pytest.raises(ParseError, match=f"^not a binary string: {bad!r}$"):
+            SET_RETURNING[name](["01", "1", bad])
 
 
 class TestStagedFamily:

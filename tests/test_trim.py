@@ -598,7 +598,8 @@ class TestDecodeResumes:
     def test_random_stages_match_the_linear_scan(self, seed):
         rng = random.Random(seed)
         stages = [random_stage(rng, depth=rng.randint(1, 3)) for _ in range(rng.randint(1, 6))]
-        rho = LeftCeSemiMeasure(lambda s: stages[min(s, len(stages) - 1)])
+        last = rng.choice((None, len(stages) - 1))
+        rho = LeftCeSemiMeasure(lambda s: stages[min(s, len(stages) - 1)], last)
         q = Dyadic(rng.randint(1, 16), 5)
         start = "".join(rng.choice("01") for _ in range(rng.randint(0, 2)))
         bits, budget = rng.randint(0, 5), rng.randint(0, 8)
@@ -620,6 +621,21 @@ class TestDecodeResumes:
             assert decode_outcome(decode_atom, rho, q, "", bits, budget) == decode_outcome(
                 reference_decode_atom, rho, q, "", bits, budget
             )
+
+    def test_the_scan_stops_at_the_last_stage(self):
+        """No stage past ``last`` differs, so a huge budget reads stages
+        0..last and names the budget it was given."""
+        reads = []
+
+        def stage_fn(s):
+            reads.append(s)
+            assert len(reads) <= 4, f"stage {s} read again: the scan ran past the last stage"
+            return uniform_measure()
+
+        rho = LeftCeSemiMeasure(stage_fn, last=3)
+        with pytest.raises(BudgetExhaustedError, match="within 1000000000 stages$"):
+            decode_atom(rho, Dyadic(3, 2), "", 4, max_stage=10**9)
+        assert reads == [0, 1, 2, 3]
 
     def test_a_ramp_emits_each_bit_at_its_own_stage(self):
         rho = ramp("0110", [0, 1, 1, 2, 2, 2, 3, 4])
