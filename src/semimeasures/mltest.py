@@ -33,15 +33,6 @@ from .semimeasure import SemiMeasureStage, check_domination, uniform_measure
 from .strings import CylinderSet, _index, check_bits, extend_set, intersect_sets, lebesgue_of_set
 
 
-def _canon_levels(levels: Mapping[int, Iterable[str]]) -> dict[int, CylinderSet]:
-    out = {}
-    for i, members in levels.items():
-        if _index(i, "level index") < 0:
-            raise ValueError("level indices must be non-negative")
-        out[i] = CylinderSet(members)
-    return out
-
-
 @dataclass(frozen=True)
 class MLTest:
     """Levels U_i with base mass at most 2^-k at level decay[k] (checked, not
@@ -60,7 +51,12 @@ class MLTest:
         base: SemiMeasureStage,
         decay: Mapping[int, int] | None = None,
     ) -> "MLTest":
-        return cls(levels=_canon_levels(levels), base=base, decay=None if decay is None else dict(decay))
+        built = {}
+        for i, members in levels.items():
+            if _index(i, "level index") < 0:
+                raise ValueError("level indices must be non-negative")
+            built[i] = CylinderSet(members)
+        return cls(levels=built, base=base, decay=None if decay is None else dict(decay))
 
     def members(self) -> CylinderSet:
         return CylinderSet(s for level in self.levels.values() for s in level)

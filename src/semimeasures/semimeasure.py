@@ -47,21 +47,20 @@ and ``values`` of any other strings checks them and groups each run of
 one length.  A value below a frontier takes its ones below the frontier
 and its leading ones from its position, and one power pair per tail rule
 and count of ones met.
-``set_mass`` reads the minimal members' groups of a ``CylinderSet`` (any
-other iterable is built into one first) and builds no value per member:
-each component sums the stored row entries of the members at or above the
-frontier, and below it the frontier numerators per tail rule and count of
-ones, each such sum taking its rule's factor once.  Level sums and trims
-are integers too, as ``(numerator, e)``.  Among the strings of one length,
-those with j leading ones are one lex run, which the tilt scales by
-2**(-tilt * j); ``Component._tilt_runs`` owns that rule for ranges, cutting
-a range of lex positions into such runs, and set masses, level sums and
-rows all read their runs from it (a point value reads j from its own
-position).  At or above a frontier a level sum is a slice of a
-stored row per run.  Below it a component reads the frontier under sigma
-once, for one level (``Component.level_sum``) or for a whole pass of levels
-(``Component.level_sums``): one sum per tail rule in each run, merged per
-rule total, and a total keeps ((zero + one) in lowest terms)**levels of its
+``set_mass`` is the sum of the point values of a set's minimal members:
+each component reads the groups of a ``CylinderSet``'s minimal members
+(any other iterable is built into one first) through the same reader as
+``values`` and sums that row once, and the weighted sums are added.
+Level sums and trims are integers too, as ``(numerator, e)``.  Among the
+strings of one length, those with j leading ones are one lex run, which
+the tilt scales by 2**(-tilt * j); ``Component._tilt_runs`` owns that rule
+for ranges, cutting a range of lex positions into such runs, and level
+sums and rows read their runs from it (a point value, and so a set mass,
+reads j from its own position).  At or above a frontier a level sum is a
+slice of a stored row per run.  Below it a component reads the frontier
+under sigma once, for one level (``Component.level_sum``) or for a whole
+pass of levels (``Component.level_sums``): one sum per tail rule in each
+run, merged per rule total, and a total keeps ((zero + one) in lowest terms)**levels of its
 mass, one power per level asked; the limit is the mass under conserving
 rules, one ``compress`` over a per-node mask.  On a tilted 1-spine the
 all-ones node's subtree follows the recurrence
@@ -77,11 +76,8 @@ a set mass or a trim returns.  A tail rule's integer form lives in
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from itertools import compress, repeat
-from operator import and_, or_
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .dyadic import Dyadic, HALF, ONE, ZERO, _align, add, common, row_lowest
@@ -91,6 +87,7 @@ from .strings import (
     CylinderSet,
     StagedFamily,
     _length_groups,
+    _listed,
     all_strings,
     check_all_bits,
     check_bits,
@@ -360,7 +357,8 @@ class Component:
 
     def _values(self, groups: Iterable[tuple[int, Sequence[int]]]) -> Row:
         # values (weight not included) at the strings given as (length, lex
-        # positions) groups, in order: entries of a stored row at or above
+        # positions) groups, in order, for point values and set masses alike
+        # (a set mass sums the row): entries of a stored row at or above
         # the frontier; below it the frontier numerator times its rule's
         # z**zeros * o**ones over 2**(top * below), one power pair per
         # (rule, ones below the frontier) met.  The tilt's 2**(-tilt * j)
@@ -414,37 +412,6 @@ class Component:
             runs.append((lo, end, self.tilt * (n - j)))
             lo, j = end, j + 1
         return runs
-
-    def _group_sum(self, groups: Sequence[tuple[int, list[int]]]) -> tuple[int, int]:
-        # sum of values (weight not included) over the strings given as
-        # (length, ascending lex positions) groups, as (numerator, e), each
-        # group cut into the tilt's runs: stored row entries at or above the
-        # frontier; below it the frontier numerators summed per (rule, ones
-        # below the frontier), each sum times one z**zeros * o**ones
-        depth, rows = self.depth, self.table.rows
-        fnums, fe = rows[depth]
-        index, aligned, top = self.tails.index, self.tails.aligned, self.tails.top
-        terms = []
-        for n, positions in groups:
-            below, num = n - depth, 0
-            sums: defaultdict[tuple[int, int], int] = defaultdict(int)
-            for lo, hi, s in self._tilt_runs(n, positions[0], positions[-1] + 1):
-                run = positions[bisect_left(positions, lo) : bisect_left(positions, hi)]
-                if below <= 0:
-                    num += sum(map(rows[n][0].__getitem__, run)) << s
-                    continue
-                # one int key per member, its frontier node's bits over its
-                # ones below the frontier (fewer than 2**below of them)
-                mask = (1 << below) - 1
-                keys = map(or_, map(and_, run, repeat(~mask)), map(int.bit_count, map(and_, run, repeat(mask))))
-                for key, count in Counter(keys).items():
-                    k = key >> below
-                    sums[index[k], key & mask] += count * fnums[k] << s
-            for (i, b), x in sums.items():
-                z, o, e = aligned[i]
-                num += (x * z ** (below - b) * o**b) << ((top - e) * below)
-            terms.append((num, (rows[n][1] if below <= 0 else fe + top * below) + self.tilt * n))
-        return add(terms)
 
     def _row_sum(self, sigma: str, n: int) -> tuple[int, int]:
         # the level sum at |sigma| <= n <= depth, from slices of the stored row
@@ -589,10 +556,11 @@ class SemiMeasureStage:
         in.  Each component reads ``(length, lex positions)`` groups: a
         :class:`CylinderSet`'s own, read in its order, or else one per run of
         consecutive strings of one length, after every string is checked to
-        be a 0/1 literal."""
+        be a 0/1 literal.  A lone ``str`` is not a set of strings and raises
+        ``ParseError``."""
         if isinstance(strings, CylinderSet):
             return self._read(strings.groups, len(strings))
-        items = list(strings)
+        items = _listed(strings)
         check_all_bits(items)
         return self._read(_length_groups(items), len(items))
 
@@ -662,12 +630,13 @@ class SemiMeasureStage:
 
         The set is read as a :class:`CylinderSet` (any other iterable is
         built into one first, which checks every member to be a 0/1 literal
-        in (length, lex) order), and no value is built per member: each
-        component sums the minimal members' ``(length, lex positions)``
-        groups at once."""
+        in (length, lex) order).  Each component reads the point values of
+        the minimal members' ``(length, lex positions)`` groups as
+        :meth:`values` does and sums them once, and the weighted sums are
+        added; no ``Dyadic`` is built per member."""
         groups = CylinderSet(strings).minimal.groups
-        sums = [(comp.weight, comp._group_sum(groups)) for comp in self.components]
-        return Dyadic(*add((w.numerator * x, w.exponent + y) for w, (x, y) in sums))
+        rows = [(comp.weight, comp._values(groups)) for comp in self.components]
+        return Dyadic(*add((w.numerator * sum(nums), w.exponent + e) for w, (nums, e) in rows))
 
     @property
     def max_depth(self) -> int:
@@ -889,7 +858,7 @@ def check_domination(
     strings: Iterable[str],
 ) -> str | None:
     """Return a witness string where weight * part > mixed, or None."""
-    items = strings if isinstance(strings, CylinderSet) else list(strings)
+    items = strings if isinstance(strings, CylinderSet) else _listed(strings)
     (parts, mixes), _e = common(part.scaled(weight).values(items), mixed.values(items))
     return next((s for s, p, m in zip(items, parts, mixes) if p > m), None)
 

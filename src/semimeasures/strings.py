@@ -131,6 +131,15 @@ def _minimal(items: list[str]) -> list[str]:
     return kept
 
 
+def _listed(strings: Iterable[str]) -> list[str]:
+    """The members of a string set, as a list.  A lone ``str`` is one
+    string, not the set of its characters, so it raises ``ParseError``
+    naming it."""
+    if isinstance(strings, str):
+        raise ParseError(f"a string set must be an iterable of strings, not the string {strings!r}")
+    return list(strings)
+
+
 def _length_groups(items: Iterable[str]) -> list[tuple[int, list[int]]]:
     """The strings as ``(length, lex positions)`` groups, one per run of
     consecutive strings of one length, in order.  A loop, not ``groupby``:
@@ -151,7 +160,8 @@ class CylinderSet(tuple):
     """A finite set of bit strings as a checked value: its members in the
     canonical (length, lex) order without duplicates, each checked to be a
     0/1 literal, in that order, when the set is built.  A member that is
-    not a string raises ``ParseError`` too, naming it.
+    not a string raises ``ParseError`` too, naming it, and so does a lone
+    ``str`` given as the set.
 
     ``groups`` holds the members as ``(length, ascending lex positions)``
     groups, one per length, computed when first read, and ``minimal`` the
@@ -163,7 +173,7 @@ class CylinderSet(tuple):
     def __new__(cls, strings: Iterable[str] = ()) -> "CylinderSet":
         if type(strings) is cls:
             return strings
-        members = list(strings)
+        members = _listed(strings)
         try:
             # sorted before deduplicated, so members already in order, or in
             # a few ordered runs, sort in about one linear pass

@@ -633,6 +633,38 @@ class TestValues:
         with pytest.raises(ParseError, match="^not a binary string: '0x'$"):
             uniform_measure().set_mass(["0", "0x"])
 
+    @pytest.mark.parametrize("k", [16, 4096])
+    def test_set_mass_reads_each_component_once(self, k, monkeypatch):
+        """Counted, not timed: the tier-1 form of CI's 16,384-member-level
+        ``timeout`` line.  Until the library counts its own reads, test-side
+        wrappers count the calls of ``Component._values`` and of the bit
+        checks of :mod:`semimeasures.strings`, under every name they are
+        bound to.  On an already-built antichain of k members, k/4 of them
+        behind each of 0, 10, 110 and 1110, a 3-component tilted mixture
+        reads the set's groups once per component, however large k is, and
+        checks no member again."""
+        import semimeasures.semimeasure as semimeasure_module
+        import semimeasures.strings as strings_module
+
+        rng = random.Random(k)
+        comps = tuple(random_component(rng, weight=QUARTER, depth=3, tilt=tilt) for tilt in (0, 1, 2))
+        stage = SemiMeasureStage(comps, strict=False)
+        members = CylinderSet(
+            "1" * j + "0" + format(r, f"0{10 + j}b") for j in range(4) for r in rng.sample(range(1 << (10 + j)), k // 4)
+        )
+        assert len(members) == k and members.minimal is members
+        nums, e = stage.values(members)
+        reads, checks = [], []
+        values = Component._values
+        monkeypatch.setattr(Component, "_values", lambda comp, groups: reads.append(groups) or values(comp, groups))
+        for module in (strings_module, semimeasure_module):
+            for name in ("check_bits", "check_all_bits"):
+                check = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda arg, check=check: checks.append(arg) or check(arg))
+        assert stage.set_mass(members) == Dyadic(sum(nums), e)
+        assert len(reads) == len(comps) and all(groups is members.groups for groups in reads)
+        assert checks == []
+
     def test_empty_list_gives_an_empty_row(self):
         assert geometric_semimeasure(QUARTER).values([])[0] == []
         assert SemiMeasureStage((), strict=False).values(["01"]) == ([0], 0)

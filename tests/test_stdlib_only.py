@@ -1,8 +1,10 @@
-"""The runtime imports nothing outside the standard library, and each of
-its modules binds what it defines under one name."""
+"""The runtime imports nothing outside the standard library, each of its
+modules binds what it defines under one name, and none imports a name it
+does not use."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -57,3 +59,19 @@ def test_each_module_binds_its_definitions_under_one_name(name):
     assert defined
     for obj in defined:
         assert [attr for attr, other in bound.items() if other is obj] == [obj.__name__]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in (SRC / "semimeasures").glob("*.py") if p.name != "__init__.py"))
+def test_every_imported_name_is_used(path):
+    """Read from the syntax tree: each name a module imports is read
+    somewhere in it, so a deletion leaves no import behind.  The package's
+    ``__init__`` imports to re-export, and is not checked."""
+    tree = ast.parse((SRC / "semimeasures" / path).read_text())
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

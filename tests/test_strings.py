@@ -28,6 +28,7 @@ from semimeasures import (
     ONE,
     ParseError,
     ZERO,
+    check_domination,
     domain_clopen_approx,
     extend_set,
     intersect_sets,
@@ -190,6 +191,27 @@ class TestCylinderSet:
     )
     def test_a_member_that_is_not_a_string_is_named(self, build, bad):
         with pytest.raises(ParseError, match=f"^not a binary string: {bad!r}$"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build, lone",
+        [
+            (lambda: CylinderSet("01"), "01"),
+            (lambda: lebesgue_of_set("01"), "01"),
+            (lambda: uniform_measure().set_mass("01"), "01"),
+            (lambda: is_prefix_free("00"), "00"),
+            (lambda: extend_set("1", 1), "1"),
+            (lambda: MLTest.build({0: "01"}, uniform_measure()), "01"),
+            (lambda: uniform_measure().values("01"), "01"),
+            (lambda: check_domination(uniform_measure(), uniform_measure(), ONE, "01"), "01"),
+        ],
+        ids=["CylinderSet", "lebesgue_of_set", "set_mass", "is_prefix_free", "extend_set", "MLTest.build", "values",
+             "check_domination"],
+    )
+    def test_a_lone_string_is_not_the_set_of_its_characters(self, build, lone):
+        """Iterating "01" gives "0" and "1", a set of mass 1 under the fair
+        coin; a lone ``str`` is refused, naming it."""
+        with pytest.raises(ParseError, match=f"not the string {lone!r}$"):
             build()
 
     @given(messy_string_sets())

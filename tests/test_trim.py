@@ -14,6 +14,7 @@ from helpers import (
     as_fraction,
     half_blend,
     oracle_level_sum,
+    oracle_stage_mass,
     oracle_trim,
     random_component,
     random_joint_stage,
@@ -390,10 +391,11 @@ class TestLevelMassPasses:
 
     def test_more_rules_than_a_byte_holds(self):
         """512 frontier nodes under 512 distinct rules, conserving and lossy
-        in turn with many totals: the keeps mask, level sums and limits
-        against the references."""
+        in turn with many totals: the keeps mask, level sums, limits and the
+        set masses of a length-12 antichain, untilted and tilted, against the
+        references."""
         rng = random.Random(7)
-        table = random_table(rng, 9)
+        table = random_table(rng, 9, extra_exponent=4, additive=True)  # mass on 508 of the 512 nodes
         tails = {}
         for k, node in enumerate(all_strings(9)):
             zero = Dyadic(k, 10)
@@ -406,6 +408,10 @@ class TestLevelMassPasses:
             for n, level in enumerate(stage.level_masses(sigma, 12), len(sigma)):
                 assert as_fraction(Dyadic(*level)) == reference_level_mass(stage, sigma, n)
             assert as_fraction(Dyadic(*stage.level_mass(sigma, None))) == oracle_trim(stage, sigma)
+        # set masses take one power per (rule, ones below the frontier) met
+        antichain = [format(p, "012b") for p in rng.sample(range(1 << 12), 300)]
+        for read in (stage, tilt_by_ones(stage)):
+            assert as_fraction(read.set_mass(antichain)) == oracle_stage_mass(read, antichain)
 
     def test_a_pass_checks_its_arguments(self):
         stage = uniform_measure()
