@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import sys
 
 from semimeasures import (
     HALF,

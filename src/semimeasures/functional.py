@@ -45,7 +45,7 @@ class MonotoneFunctional:
         self.last = last
 
     def pairs_at(self, s: int) -> frozenset[Pair]:
-        if s < 0:
+        if _index(s, "stage") < 0:
             raise ValueError("stage must be non-negative")
         if self.last is not None and s > self.last:
             s = self.last  # every later stage is this one
@@ -106,39 +106,26 @@ def _first_conflict(pairs: Sequence[Pair]) -> tuple[Pair, Pair] | None:
 def consistency_check(phi: MonotoneFunctional, stage: int) -> ConsistencyReport:
     """First pair of pairs with comparable inputs but incomparable outputs.
 
-    The distinct inputs are walked in sorted order, where every input comes
-    after its prefixes, with a stack of (input, longest output on its
-    chain): the entries are the inputs that are prefixes of the current
-    one.  An input's chain -- the pairs on its prefixes and on itself -- is
-    consistent when its own outputs and the longest output above it are
-    all prefixes of the longest among them.  Only on the first input whose
-    chain fails is the chain rebuilt, and the report names its first two
-    incomparable pairs, chain order being (input length, output).
+    The pairs are walked in sorted order, where every input comes after its
+    prefixes and the pairs of one input sit together, with a stack of
+    (input, longest output on its chain) over a root entry: the entries are
+    the pairs already walked whose inputs are prefixes of the current one.
+    The chain so far is consistent, so a pair keeps it consistent exactly
+    when its output compares with the longest output on the top entry.  At
+    the first pair that does not, the report names the first two
+    incomparable pairs of its input's chain -- every pair on a prefix of
+    that input or on the input itself -- in sorted order, which is (input
+    length, output).
     """
-    by_input: dict[str, list[str]] = {}
-    for i, o in phi.pairs_at(stage):
-        by_input.setdefault(i, []).append(o)
-    stack: list[tuple[str, str]] = []
-    for i in sorted(by_input):
-        outs = by_input[i]
-        while stack and not i.startswith(stack[-1][0]):
+    pairs = sorted(phi.pairs_at(stage))
+    stack = [(EPSILON, EPSILON)]  # the empty input is a prefix of every input
+    for i, o in pairs:
+        while not i.startswith(stack[-1][0]):
             stack.pop()
-        above = stack[-1][1] if stack else EPSILON
-        if len(outs) == 1:  # most inputs: the chain holds when the output and the one above compare
-            (o,) = outs
-            if o.startswith(above) or above.startswith(o):
-                stack.append((i, o if len(o) > len(above) else above))
-                continue
-        else:
-            longest = max(outs, key=len)
-            if len(above) > len(longest):
-                longest = above
-            if longest.startswith(above) and all(longest.startswith(o) for o in outs):
-                stack.append((i, longest))
-                continue
-        # includes i itself at k == len(i)
-        chain = [(i[:k], o) for k in range(len(i) + 1) for o in sorted(by_input.get(i[:k], ()))]
-        return ConsistencyReport(False, *_first_conflict(chain))
+        above = stack[-1][1]
+        if not comparable(o, above):
+            return ConsistencyReport(False, *_first_conflict([(j, p) for j, p in pairs if i.startswith(j)]))
+        stack.append((i, o if len(o) > len(above) else above))
     return ConsistencyReport(True)
 
 
@@ -268,16 +255,16 @@ def domain_clopen_approx(
 
     ``modulus(k, j)`` must return a stage whose reach set at length k is
     within 2^-j of the limit in measure; it is a caller-supplied certificate
-    and only its stage is checked here (a non-negative integer).  A reach set
-    is an antichain, so its mass is at most 1.  The k-th level is taken at
-    stage modulus(k, k + e + 1).
+    and only its stage is checked here (a non-negative int, not a bool).  A
+    reach set is an antichain, so its mass is at most 1.  The k-th level is
+    taken at stage modulus(k, k + e + 1).
     """
     if e < 0 or ell < 0:
         raise ValueError("index and length must be non-negative")
     levels = []
     for k in range(ell + 1):
         s = modulus(k, k + e + 1)
-        if not isinstance(s, int) or s < 0:
+        if not isinstance(s, int) or isinstance(s, bool) or s < 0:
             raise PreconditionError(f"modulus returned a bad stage for k={k}: {s!r}")
         levels.append(reach_set(phi, k, s))
     inter = levels[0]

@@ -124,9 +124,7 @@ def shift_for_domination(test: MLTest, c: Dyadic, dominated: SemiMeasureStage) -
     """
     if c < ONE:
         raise ValueError("domination constant must be at least 1")
-    k = 0
-    while Dyadic.pow2(k) < c:
-        k += 1
+    k = (c.numerator - 1).bit_length() - c.exponent  # 2^k >= c > 2^(k - 1), and k >= 0 as c >= 1
     witness = check_domination(test.base.scaled(c), dominated, ONE, test.members())
     if witness is not None:
         raise CertificateError(f"domination fails at {witness!r}", witness=witness)

@@ -86,6 +86,7 @@ from .strings import (
     EPSILON,
     CylinderSet,
     StagedFamily,
+    _index,
     _length_groups,
     _listed,
     all_strings,
@@ -821,7 +822,7 @@ class LeftCeSemiMeasure:
         self.last = last
 
     def stage_at(self, s: int) -> SemiMeasureStage:
-        if s < 0:
+        if _index(s, "stage") < 0:
             raise ValueError("stage must be non-negative")
         if self.last is not None and s > self.last:
             s = self.last  # every later stage is this one

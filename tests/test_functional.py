@@ -385,10 +385,11 @@ class TestDomainApprox:
         assert approx.clopen == ("0",)
         assert lebesgue_of_set(approx.intersection) == HALF
 
-    def test_bad_modulus_certificate_rejected(self):
+    @pytest.mark.parametrize("stage", [-1, 1.5, True], ids=repr)
+    def test_bad_modulus_certificate_rejected(self, stage):
         ident = MonotoneFunctional.identity()
-        with pytest.raises(PreconditionError):
-            domain_clopen_approx(ident, e=1, ell=1, modulus=lambda k, j: -1)
+        with pytest.raises(PreconditionError, match=f"^modulus returned a bad stage for k=0: {stage!r}$"):
+            domain_clopen_approx(ident, e=1, ell=1, modulus=lambda k, j: stage)
 
     def test_negative_index_rejected(self):
         ident = MonotoneFunctional.identity()
@@ -820,6 +821,25 @@ class TestStageBatches:
         with pytest.raises(ValueError) as info:
             MonotoneFunctional.from_events([(0, "0", "0"), (stage, "1", "1")])
         assert str(info.value) == f"stage must be an integer, got {stage!r}"
+
+    @pytest.mark.parametrize("stage", [1.5, True, "1"], ids=repr)
+    @pytest.mark.parametrize(
+        "read",
+        [
+            MonotoneFunctional.identity().pairs_at,
+            MonotoneFunctional.constant([("0", "1")]).pairs_at,
+            LeftCeSemiMeasure(lambda s: uniform_measure()).stage_at,
+            LeftCeSemiMeasure.constant(uniform_measure()).stage_at,
+        ],
+        ids=["identity.pairs_at", "constant.pairs_at", "unbounded.stage_at", "constant.stage_at"],
+    )
+    def test_a_stage_read_must_be_an_int(self, read, stage):
+        """Finite (``last`` set) or not, a stage read takes an int only."""
+        with pytest.raises(ValueError) as info:
+            read(stage)
+        assert str(info.value) == f"stage must be an integer, got {stage!r}"
+        with pytest.raises(ValueError, match="^stage must be non-negative$"):
+            read(-1)
 
     def test_event_bits_are_checked(self):
         with pytest.raises(ParseError):

@@ -215,6 +215,20 @@ class TestShiftForDomination:
         with pytest.raises(ValueError):
             shift_for_domination(spine_test(uniform_measure()), HALF, uniform_measure())
 
+    def test_the_shift_is_computed_not_searched(self, monkeypatch):
+        """Counted, not timed: a test-side wrapper counts the calls of
+        ``Dyadic.pow2``.  At c = 2^1000 the shift k = 1000 comes from c's
+        bit length, and each kept level takes at most one power, where a
+        search over k = 0, 1, ... would build 1,001 powers first."""
+        c = Dyadic.pow2(1000)
+        test = MLTest.build({i: ["0" * i] for i in range(1000, 1004)}, uniform_measure())
+        calls = []
+        pow2 = Dyadic.pow2
+        monkeypatch.setattr(Dyadic, "pow2", classmethod(lambda _cls, k: calls.append(k) or pow2(k)))
+        shifted = shift_for_domination(test, c, uniform_measure())
+        assert shifted.levels == {i - 1000: level for i, level in test.levels.items()}
+        assert len(calls) <= len(test.levels)
+
 
 # ---------------------------------------------------------------------------
 # Filtering behind a ones prefix
@@ -300,7 +314,7 @@ class TestTransformsMatchReferences:
 
     @given(
         st.integers(0, 2**32 - 1),
-        st.sampled_from([ONE, Dyadic(3, 1), Dyadic(2), Dyadic(5, 1), Dyadic(4)]),
+        st.sampled_from([ONE, Dyadic(3, 1), Dyadic(5, 2), Dyadic(2), Dyadic(5, 1), Dyadic(4), Dyadic(2**40 + 1)]),
         st.booleans(),
     )
     def test_shift_for_domination(self, seed, c, scaled):

@@ -16,7 +16,11 @@ import pytest
 
 import semimeasures
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+# package modules by file name, the scripts' and tests' by directory and name
+CHECKED = {p.name: p for p in (SRC / "semimeasures").glob("*.py") if p.name != "__init__.py"}
+CHECKED.update({f"{p.parent.name}/{p.name}": p for d in ("scripts", "tests") for p in (ROOT / d).glob("*.py")})
 
 
 def test_cli_loads_only_stdlib_modules():
@@ -61,12 +65,12 @@ def test_each_module_binds_its_definitions_under_one_name(name):
         assert [attr for attr, other in bound.items() if other is obj] == [obj.__name__]
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in (SRC / "semimeasures").glob("*.py") if p.name != "__init__.py"))
+@pytest.mark.parametrize("path", sorted(CHECKED))
 def test_every_imported_name_is_used(path):
-    """Read from the syntax tree: each name a module imports is read
-    somewhere in it, so a deletion leaves no import behind.  The package's
-    ``__init__`` imports to re-export, and is not checked."""
-    tree = ast.parse((SRC / "semimeasures" / path).read_text())
+    """Read from the syntax tree: each name a module, script or test file
+    imports is read somewhere in it, so a deletion leaves no import behind.
+    The package's ``__init__`` imports to re-export, and is not checked."""
+    tree = ast.parse(CHECKED[path].read_text())
     imported = {
         (alias.asname or alias.name).partition(".")[0]
         for node in ast.walk(tree)

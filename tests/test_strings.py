@@ -20,7 +20,6 @@ from helpers import (
     reference_prefix_free_normalize,
 )
 from semimeasures import (
-    Dyadic,
     EPSILON,
     HALF,
     MLTest,

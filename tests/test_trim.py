@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +28,7 @@ from helpers import (
     reference_decode_atom,
 )
 from semimeasures.dyadic import add
+from semimeasures.serialize import stage_from_json
 from semimeasures import (
     EPSILON,
     HALF,
@@ -55,6 +58,8 @@ from semimeasures import (
     tilt_by_ones,
     uniform_measure,
 )
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +447,27 @@ class TestSpineLevelSums:
             assert num and Fraction(num, 2**e) == reference_spine_level_sum(comp, sigma, 3000)
             *_, last = comp.level_sums(sigma, 3000)
             assert last == (num, e)
+
+    @pytest.mark.parametrize("depth, belows", [(100, 396), (4000, 15_996)])
+    def test_a_pass_reads_each_frontier_once(self, depth, belows, monkeypatch):
+        """Counted, not timed: the tier-1 form of CI's two ``trim --depth
+        4000`` lines on the golden tilted document (two depth-1 components,
+        tilts 1 and 2).  Until the library counts its own reads, test-side
+        wrappers count the calls of ``Component._frontier`` and
+        ``Component._below``.  A ``level_masses`` pass at sigma = "" and "1"
+        reads each component's frontier once per sigma, and takes one closed
+        form per component and level below it: 2 * 2 * (depth - 1)."""
+        document = json.loads((GOLDEN_INPUTS / "tilted.json").read_text(encoding="utf-8"))
+        stage = stage_from_json(document)
+        assert [comp.tilt for comp in stage.components] == [1, 2]
+        frontiers, closed_forms = [], []
+        frontier, below = Component._frontier, Component._below
+        monkeypatch.setattr(Component, "_frontier", lambda comp, *a, **k: frontiers.append(a) or frontier(comp, *a, **k))
+        monkeypatch.setattr(Component, "_below", lambda comp, *a: closed_forms.append(a[-1]) or below(comp, *a))
+        for sigma in ("", "1"):
+            assert sum(1 for _ in stage.level_masses(sigma, depth)) == depth + 1 - len(sigma)
+        assert len(frontiers) == 4
+        assert len(closed_forms) == belows
 
 
 # ---------------------------------------------------------------------------
