@@ -19,7 +19,7 @@ import sys
 from typing import Any
 
 from .dyadic import ZERO, Dyadic, _text, common
-from .errors import BudgetExhaustedError, CertificateError, ParseError, PreconditionError
+from .errors import BudgetExhaustedError, CertificateError, ParseError, PreconditionError, _count
 from .functional import (
     MonotoneFunctional,
     consistency_check,
@@ -115,10 +115,10 @@ def _granularity_cap() -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> tuple[Any, int]:
+    stage = _count(args.stage, "stage")  # read on every document kind
     obj = load_json(args.file)
     if isinstance(obj, dict) and ("components" in obj or obj.get("kind") in ("constant", "infimum")):
-        stage = staged_from_json(obj).stage_at(args.stage)
-        report = validate(stage)
+        report = validate(staged_from_json(obj).stage_at(stage))
         payload = {
             "kind": "semimeasure",
             "ok": report.ok,
@@ -133,7 +133,7 @@ def cmd_validate(args: argparse.Namespace) -> tuple[Any, int]:
         return payload, 0 if report.ok else 1
     if isinstance(obj, dict) and ("stages" in obj or obj.get("kind") == "identity"):
         phi = functional_from_json(obj)
-        last = args.stage if phi.last is None or not phi.pairs_at(phi.last) else phi.last
+        last = stage if phi.last is None or not phi.pairs_at(phi.last) else phi.last
         report = consistency_check(phi, last)
         payload = {
             "kind": "functional",

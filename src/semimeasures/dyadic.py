@@ -31,7 +31,7 @@ from functools import reduce, total_ordering
 from operator import or_
 from typing import Iterable
 
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, _count
 
 _LITERAL = re.compile(r"\A([0-9]+)(?:/2\^([0-9]+))?\Z")  # ASCII digits only
 
@@ -212,8 +212,7 @@ def expansion_bits(value: Dyadic, n: int) -> str:
     """
     if not value < ONE:
         raise ValueError("expansion requires a value in [0, 1)")
-    if n < 0:
-        raise ValueError("digit count must be non-negative")
+    _count(n, "digit count")
     # floor(value * 2**n) in n binary digits: a 1 put in front keeps its
     # leading zeros, and [3:] drops the "0b1"
     return bin((value.numerator << n) >> value.exponent | 1 << n)[3:]

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .dyadic import Dyadic, ONE, expansion_bits, lowest, row_lowest
-from .errors import CertificateError, PreconditionError
+from .errors import CertificateError, PreconditionError, _count, _index, _stage
 from .semimeasure import LeftCeSemiMeasure, SemiMeasureStage, TableView, TailRule, table_semimeasure
-from .strings import EPSILON, CylinderSet, _index, all_strings, check_bits, comparable, intersect_sets, string_at
+from .strings import EPSILON, CylinderSet, all_strings, check_bits, comparable, intersect_sets, string_at
 
 Pair = tuple[str, str]
 
@@ -45,11 +45,7 @@ class MonotoneFunctional:
         self.last = last
 
     def pairs_at(self, s: int) -> frozenset[Pair]:
-        if _index(s, "stage") < 0:
-            raise ValueError("stage must be non-negative")
-        if self.last is not None and s > self.last:
-            s = self.last  # every later stage is this one
-        return frozenset().union(*map(self.batch, range(s + 1)))
+        return frozenset().union(*map(self.batch, range(_stage(s, self.last) + 1)))
 
     @property
     def events(self) -> tuple[tuple[int, str, str], ...] | None:
@@ -62,9 +58,7 @@ class MonotoneFunctional:
     def from_events(cls, events: Iterable[tuple[int, str, str]]) -> "MonotoneFunctional":
         batches: dict[int, set[Pair]] = {}
         for t, i, o in events:
-            if _index(t, "stage") < 0:
-                raise ValueError("stage must be non-negative")
-            batches.setdefault(t, set()).add((check_bits(i), check_bits(o)))
+            batches.setdefault(_count(t, "stage"), set()).add((check_bits(i), check_bits(o)))
         return cls.from_batches(batches)
 
     @classmethod
@@ -202,8 +196,7 @@ def induced_semimeasure(phi: MonotoneFunctional, stage: int, depth: int) -> Semi
     than assumed.  Strict only when the preimage of the root has full
     measure.
     """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
+    _count(depth, "depth")
     pairs = phi.pairs_at(stage)
     L = max((len(i) for i, _o in pairs), default=0)
     own: dict[str, list[tuple[int, int]]] = {}
@@ -231,9 +224,7 @@ def reach_set(phi: MonotoneFunctional, ell: int, stage: int) -> CylinderSet:
 
     Every sequence reaches length 0, so ell = 0 gives the root.
     """
-    if ell < 0:
-        raise ValueError("output length must be non-negative")
-    if ell == 0:
+    if _count(ell, "output length") == 0:
         return CylinderSet((EPSILON,))
     return CylinderSet(i for i, o in phi.pairs_at(stage) if len(o) >= ell).minimal
 
@@ -259,7 +250,7 @@ def domain_clopen_approx(
     reach set is an antichain, so its mass is at most 1.  The k-th level is
     taken at stage modulus(k, k + e + 1).
     """
-    if e < 0 or ell < 0:
+    if min(_index(e, "index"), _index(ell, "length")) < 0:
         raise ValueError("index and length must be non-negative")
     levels = []
     for k in range(ell + 1):
@@ -344,8 +335,8 @@ def from_semimeasure(
     Values whose exponent exceeds ``granularity_cap`` are rejected, keeping
     the cylinder count bounded.  The final stage must be strict.
     """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
+    _count(depth, "depth")
+    _count(granularity_cap, "granularity cap")
     final = rho.stage_at(stage)
     if not final.strict:
         raise PreconditionError("inversion requires a strict final stage")
@@ -356,7 +347,7 @@ def from_semimeasure(
     pools: list[list[list[Block]]] = [[[(0, 0)]]]
     pools += [[[] for _ in range(1 << (n - 1))] for n in range(1, depth + 1)]
     batches: dict[int, set[Pair]] = {}
-    top = stage if rho.last is None else min(stage, rho.last)
+    top = _stage(stage, rho.last)
     for t in range(top + 1):
         st = final if t == top else rho.stage_at(t)
         rows = [st.level_row(n) for n in range(depth + 1)]

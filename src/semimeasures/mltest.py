@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .dyadic import Dyadic, ONE
-from .errors import CertificateError, PreconditionError
+from .errors import CertificateError, PreconditionError, _count, _index
 from .functional import MonotoneFunctional, preimage_buckets
 from .semimeasure import SemiMeasureStage, check_domination, uniform_measure
-from .strings import CylinderSet, _index, check_bits, extend_set, intersect_sets, lebesgue_of_set
+from .strings import CylinderSet, check_bits, extend_set, intersect_sets, lebesgue_of_set
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,7 @@ class MLTest:
         base: SemiMeasureStage,
         decay: Mapping[int, int] | None = None,
     ) -> "MLTest":
-        built = {}
-        for i, members in levels.items():
-            if _index(i, "level index") < 0:
-                raise ValueError("level indices must be non-negative")
-            built[i] = CylinderSet(members)
+        built = {_count(i, "level index"): CylinderSet(members) for i, members in levels.items()}
         return cls(levels=built, base=base, decay=None if decay is None else dict(decay))
 
     def members(self) -> CylinderSet:
@@ -147,8 +143,7 @@ def ones_prefix_filter(test: MLTest, j: int, base: SemiMeasureStage) -> MLTest:
     base mass 2^j times its tilted mass, still at most 2^-i.  Both the
     factor identity and the resulting bound are checked exactly.
     """
-    if j < 0:
-        raise ValueError("spine length must be non-negative")
+    _count(j, "spine length")
     gate = "1" * j + "0"
     new_levels = {}
     for i in sorted(test.levels):
@@ -180,7 +175,7 @@ def intersect_tests(families: Sequence[Iterable[str]], n: int | None = None) -> 
     """
     if n is None:
         n = len(families) - 1
-    if n < 0 or n >= len(families):
+    if not 0 <= _index(n, "n") < len(families):
         raise ValueError("need families 0..n")
     sets = []
     for idx in range(n + 1):

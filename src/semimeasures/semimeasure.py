@@ -81,12 +81,11 @@ from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .dyadic import Dyadic, HALF, ONE, ZERO, _align, add, common, row_lowest
-from .errors import PreconditionError
+from .errors import PreconditionError, _count, _index, _stage
 from .strings import (
     EPSILON,
     CylinderSet,
     StagedFamily,
-    _index,
     _length_groups,
     _listed,
     all_strings,
@@ -317,8 +316,7 @@ class Component:
     tilt: int = 0
 
     def __post_init__(self):
-        if self.tilt < 0:
-            raise ValueError("tilt power must be non-negative")
+        _count(self.tilt, "tilt power")
         if not isinstance(self.table, TableView) or not isinstance(self.tails, TailsView):
             raise TypeError("table and tails must be a TableView and a TailsView; Component.build converts mappings")
         if len(self.table.rows) != self.depth + 1 or self.tails.depth != self.depth:
@@ -588,7 +586,7 @@ class SemiMeasureStage:
         limit.  sigma must be a 0/1 literal and n, unless None, at least
         its length."""
         check_bits(sigma)
-        if n is not None and n < len(sigma):
+        if n is not None and _index(n, "level") < len(sigma):
             raise ValueError(f"level {n} is above the string (length {len(sigma)})")
         sums = [(comp.weight, comp.level_sum(sigma, n)) for comp in self.components]
         return add((w.numerator * x, w.exponent + y) for w, (x, y) in sums)
@@ -601,7 +599,7 @@ class SemiMeasureStage:
         The limit is ``level_mass(sigma, None)``, one more frontier read.
         sigma must be a 0/1 literal and n_max at least its length."""
         check_bits(sigma)
-        if n_max < len(sigma):
+        if _index(n_max, "level") < len(sigma):
             raise ValueError(f"level {n_max} is above the string (length {len(sigma)})")
         weights = [comp.weight for comp in self.components]
         passes = [comp.level_sums(sigma, n_max) for comp in self.components]
@@ -618,8 +616,7 @@ class SemiMeasureStage:
         a conserving frontier node's subtree keeps its values and every
         other subtree is 0.  Tilted components have no such limit.
         """
-        if n < 0:
-            raise ValueError("level must be non-negative")
+        _count(n, "level")
         if limit and any(comp.tilt for comp in self.components):
             raise ValueError("no closed-form trim for tilted components")
         if limit and n < self.max_depth:
@@ -754,8 +751,7 @@ def uniform_measure(depth: int = 0) -> SemiMeasureStage:
 def geometric_semimeasure(beta: Dyadic, depth: int = 0) -> SemiMeasureStage:
     """Root mass 1 decaying by ``beta`` per child: value beta^|sigma|."""
     rule = TailRule.geometric(beta)
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
+    _count(depth, "depth")
     return table_semimeasure({s: beta ** len(s) for s in strings_up_to(depth)}, tail=rule)
 
 
@@ -822,11 +818,7 @@ class LeftCeSemiMeasure:
         self.last = last
 
     def stage_at(self, s: int) -> SemiMeasureStage:
-        if _index(s, "stage") < 0:
-            raise ValueError("stage must be non-negative")
-        if self.last is not None and s > self.last:
-            s = self.last  # every later stage is this one
-        return self._fn(s)
+        return self._fn(_stage(s, self.last))
 
     def value(self, sigma: str, s: int) -> Dyadic:
         return self.stage_at(s).value(sigma)
@@ -893,8 +885,7 @@ def complete_to_measure(stage: SemiMeasureStage, depth: int | None = None) -> Se
     rep = _validate(stage, additive=False, rows=rows)
     if not rep.ok:
         raise PreconditionError(f"completion requires a valid presentation: {rep.message}")
-    mu, me = rows[0]  # the root's value, mu[0] / 2^me
-    if not stage.strict or mu[0] != 1 << me:
+    if not stage.strict:  # validation has rejected a strict stage whose root is not 1
         raise PreconditionError("completion requires a strict presentation")
     if any(c.tilt for c in stage.components):
         raise PreconditionError("completion is not defined for tilted components")
@@ -902,6 +893,7 @@ def complete_to_measure(stage: SemiMeasureStage, depth: int | None = None) -> Se
     if target < stage.max_depth:
         raise ValueError("completion depth must reach every component frontier")
 
+    mu, me = rows[0]  # the root's value, mu[0] / 2^me
     # mu(s0), mu(s1) = a + g/2, b + g/2 with g = mu(s) - a - b, computed as
     # 2a + g, 2b + g over one more power of two so that halving stays exact
     values, ve = mu, me
@@ -952,12 +944,13 @@ def from_infimum_sequence(rows: Sequence, stage: int, depth: int) -> SemiMeasure
     its last entry.  Indices past the end of ``rows`` contribute nothing, so
     below depth len(rows) - 1 the minimum is frozen and the uniform tail
     reproduces the formula exactly; choose ``depth >= len(rows) - 1`` to get
-    the exact presentation.  The depth must be non-negative.
+    the exact presentation.  The stage and the depth are counts: non-negative
+    ``int`` values, not ``bool``.
     """
     if not rows:
         raise ValueError("at least one generator row is required")
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
+    _count(depth, "depth")
+    _count(stage, "stage")  # a negative stage would read a row from its end
     vals = []
     for i, row in enumerate(rows):
         if not callable(row) and not row:
@@ -980,7 +973,7 @@ def infimum_semimeasure(rows: Sequence, depth: int) -> LeftCeSemiMeasure:
     stage is the last index of the longest row, past which every row is
     frozen, unless some row is callable."""
     frozen = [r if callable(r) else list(r) for r in rows]
-    from_infimum_sequence(frozen, 0, min(depth, 0))
+    from_infimum_sequence(frozen, 0, min(_index(depth, "depth"), 0))
     last = None if any(map(callable, frozen)) else max(map(len, frozen)) - 1
     return LeftCeSemiMeasure(lambda s: from_infimum_sequence(frozen, s, depth), last)
 
@@ -1020,6 +1013,7 @@ def test_defeating_semimeasure(families: Sequence[StagedFamily], stage: int) -> 
     slack component, so the result is strict.  Whenever the charged level is
     non-empty its mass under the result strictly exceeds 2^-(e+2).
     """
+    _count(stage, "stage")
     comps: list[Component] = []
     used = ZERO
     for e, fam in enumerate(families):

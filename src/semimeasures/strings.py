@@ -41,7 +41,7 @@ from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .dyadic import Dyadic
-from .errors import ParseError
+from .errors import ParseError, _count, _index
 
 EPSILON = ""
 
@@ -51,14 +51,6 @@ def check_bits(s: str) -> str:
     if not isinstance(s, str) or s.strip("01"):
         raise ParseError(f"not a binary string: {s!r}")
     return s
-
-
-def _index(value, what: str) -> int:
-    """``value`` when it is an ``int`` and not a ``bool``; otherwise a
-    ValueError that names it, so no index is truncated or read as a flag."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def all_bits(strings: Sequence[str]) -> bool:
@@ -237,8 +229,7 @@ def extend_set(strings: Iterable[str], m: int) -> CylinderSet:
 
     Measure is preserved and the result is again an antichain.
     """
-    if m < 0:
-        raise ValueError("extension depth must be non-negative")
+    _count(m, "extension depth")
     items = CylinderSet(strings)
     if items.minimal is not items:
         raise ValueError("extend_set requires a prefix-free set")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .dyadic import Dyadic, ZERO, add, common
-from .errors import AmbiguityError, BudgetExhaustedError, PreconditionError
+from .errors import AmbiguityError, BudgetExhaustedError, PreconditionError, _count, _index, _stage
 from .semimeasure import LeftCeSemiMeasure, SemiMeasureStage, summed_rows
 from .strings import EPSILON, CylinderSet, check_bits, string_at
 
@@ -63,8 +63,7 @@ def derived_measure(stage: SemiMeasureStage, sigma: str, probe_depth: int | None
         if t << ve > v << te:
             raise AssertionError("closed-form trim exceeded a level sum")  # pragma: no cover
         return TrimResult(value=Dyadic(t, te), depth=settled, stabilized=True)
-    depth = probe_depth if probe_depth is not None else len(sigma) + 16
-    depth = max(depth, len(sigma))
+    depth = len(sigma) + 16 if probe_depth is None else max(_index(probe_depth, "probe depth"), len(sigma))
     return TrimResult(value=partial_trim(stage, sigma, depth), depth=depth, stabilized=False)
 
 
@@ -83,8 +82,7 @@ def open_set_derived(stage: SemiMeasureStage, members: Iterable[str], m_max: int
     pass for its refinement masses; a tilted member's bound is probed
     max(m_max, 16) levels below it, so it never exceeds the last mass.
     """
-    if m_max < 0:
-        raise ValueError("m_max must be non-negative")
+    _count(m_max, "m_max")
     items = CylinderSet(members)
     if items.minimal is not items:
         raise PreconditionError("the open set must be given as a prefix-free antichain")
@@ -118,8 +116,7 @@ def lebesgue_like_check(stage: SemiMeasureStage, depth: int) -> LebesgueLikeRepo
     sum, and the first node in (length, lex) order whose trim is not
     alpha * 2^-|s| is the witness.
     """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
+    _count(depth, "depth")
     if any(c.tilt for c in stage.components):
         raise PreconditionError("exact trimming unavailable for this presentation")
     top = stage.max_depth
@@ -168,15 +165,13 @@ def decode_atom(
     check_bits(seed)
     if not ZERO < q:
         raise ValueError("threshold must be positive")
-    if bits < 0:
-        raise ValueError("bit budget must be non-negative")
-    if max_stage < 0:
-        raise ValueError("stage budget must be non-negative")
+    _count(bits, "bit budget")
+    _count(max_stage, "stage budget")
     current, start = seed, 0
     out: list[str] = []
     for _ in range(bits):
         emitted = None
-        end = max_stage if rho.last is None else min(max_stage, max(start, rho.last))
+        end = max(start, _stage(max_stage, rho.last))
         for s in range(start, end + 1):
             (low, high), e = rho.stage_at(s).values((current + "0", current + "1"))
             # low / 2**e >= q exactly when low * 2**q.exponent >= q.numerator * 2**e

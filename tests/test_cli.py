@@ -416,6 +416,36 @@ class TestPastTheLastStage:
         )
         assert (proc.returncode, proc.stdout) == (code, out)
 
+    def test_induce_at_a_huge_stage_reads_no_batch_past_the_last(self, monkeypatch, capsys):
+        """The counted counterpart of CI's ``induce --stage 1000000000``
+        line: golden ``consistent.json`` has last stage 2, so the
+        consistency check and the induced table read batches 0-2 once each.
+        The wrapper around ``phi.batch`` is test-side: it counts the reads
+        and raises on a stage past ``last``, so an unclipped stage fails at
+        once instead of looping."""
+        reads = []
+        real = cli.functional_from_json
+
+        def counted(obj):
+            phi = real(obj)
+            batch = phi.batch
+
+            def read(t):
+                assert t <= phi.last, f"batch({t}) read past the last stage"
+                reads.append(t)
+                return batch(t)
+
+            phi.batch = read
+            return phi
+
+        monkeypatch.setattr(cli, "functional_from_json", counted)
+        path = str(GOLDEN_INPUTS / "consistent.json")
+        assert main(["induce", path, "--stage", "1000000000", "--depth", "3"]) == 0
+        huge = capsys.readouterr().out
+        assert reads == [0, 1, 2, 0, 1, 2]
+        assert main(["induce", path, "--stage", "2", "--depth", "3"]) == 0
+        assert capsys.readouterr().out == huge
+
 
 # ---------------------------------------------------------------------------
 # mirror-pair / eval
@@ -632,6 +662,8 @@ class TestInputErrors:
     DOCUMENTS = {
         "uniform": BASE,
         "functional": {"stages": [[["0", "0"]]]},
+        "inconsistent": {"stages": [[["0", "00"], ["0", "01"]]]},
+        "ml-test": {"kind": "ml", "base": BASE, "levels": [["0"]]},
         "scalar-component": {"components": [1]},
         "empty-table": {"components": [{"weight": "1", "table": [], "tail": {"kind": "uniform"}}]},
         "string-level": {"kind": "ml", "base": BASE, "levels": ["0"]},
@@ -643,6 +675,9 @@ class TestInputErrors:
         [
             ("uniform", ["trim", "--stage", "-1"], "stage must be non-negative"),
             ("uniform", ["validate", "--stage", "-1"], "stage must be non-negative"),
+            ("functional", ["validate", "--stage", "-1"], "stage must be non-negative"),
+            ("inconsistent", ["validate", "--stage", "-1"], "stage must be non-negative"),
+            ("ml-test", ["validate", "--stage", "-5"], "stage must be non-negative"),
             ("functional", ["eval", "--sigma", "0", "--stage", "-1"], "stage must be non-negative"),
             ("uniform", ["invert", "--depth", "-1"], "depth must be non-negative"),
             ("scalar-component", ["validate"], "component must be an object"),

@@ -79,3 +79,33 @@ def test_every_imported_name_is_used(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+# the rule for counts, and the checks that keep a message of their own
+COUNT_MESSAGE_OWNERS = {
+    "errors._count",
+    "dyadic.Dyadic.__init__",
+    "functional.domain_clopen_approx",
+    "strings.StagedFamily.from_events",
+}
+
+
+def test_count_checks_have_one_owner():
+    """A count is read by ``errors._count``: no other function of the
+    package spells out a "... must be non-negative" message of its own."""
+    owners = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Constant) and isinstance(child.value, str):
+                if child.value.endswith("must be non-negative"):
+                    owners.append(scope)
+            visit(child, scope)
+
+    for path in sorted((SRC / "semimeasures").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert "errors._count" in owners
+    assert sorted(set(owners) - COUNT_MESSAGE_OWNERS) == []
