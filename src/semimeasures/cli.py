@@ -3,8 +3,9 @@
 One subcommand per construction; all numeric output is exact ``m/2^n`` text.
 Identical inputs and flags produce byte-identical output.
 
-Exit codes: 0 success, 1 validation failure, 2 parse error, 3 budget
-exhausted, 4 precondition or certificate failure.
+Exit codes: 0 success, 1 validation failure (a failed certificate
+included), 2 parse error, 3 budget exhausted, 4 precondition failure.
+Every failure line on stderr is written by :func:`report_failure`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import os
 import sys
 from typing import Any
 
-from .dyadic import ZERO, Dyadic, _text, common
+from .dyadic import HALF, ZERO, Dyadic, _text, common
 from .errors import BudgetExhaustedError, CertificateError, ParseError, PreconditionError, _count
 from .functional import (
     MonotoneFunctional,
@@ -33,6 +34,8 @@ from .mltest import validate_ml_test
 from .semimeasure import (
     complete_to_measure,
     geometric_semimeasure,
+    mix_stages,
+    uniform_measure,
     validate,
 )
 from .serialize import (
@@ -40,7 +43,6 @@ from .serialize import (
     dyadic_from_text,
     functional_from_json,
     functional_to_json,
-    stage_from_json,
     stage_to_json,
     staged_from_json,
     test_from_json,
@@ -110,8 +112,8 @@ def _granularity_cap() -> int:
 
 
 # -- subcommands ---------------------------------------------------------------
-# Each handler returns (payload, exit code); payload None means the handler
-# has written its own stderr line and nothing goes to the output.
+# Each handler returns (payload, exit code), or raises the error that ends
+# the run.
 
 
 def cmd_validate(args: argparse.Namespace) -> tuple[Any, int]:
@@ -190,14 +192,7 @@ def _worked_rows() -> list[tuple[str, str, str, str]]:
     add("vanishing-trim", "0/2^0", str(derived_measure(leaky, EPSILON).value))
 
     # Half fair coin plus half leaky: trim is half the uniform measure.
-    blended = stage_from_json(
-        {
-            "components": [
-                {"weight": "1/2^1", "table": [["1"]], "tail": {"kind": "uniform"}},
-                {"weight": "1/2^1", "table": [["1"]], "tail": {"kind": "geometric", "beta": "1/2^2"}},
-            ]
-        }
-    )
+    blended = mix_stages([uniform_measure(), leaky], [HALF, HALF])
     alpha = lebesgue_like_check(blended, 4).alpha
     add("half-uniform-trim", "1/2^1", "none" if alpha is None else str(alpha))
 
@@ -247,11 +242,10 @@ def cmd_induce(args: argparse.Namespace) -> tuple[Any, int]:
     phi = functional_from_json(load_json(args.file))
     report = consistency_check(phi, args.stage)
     if not report.ok:
-        sys.stderr.write(
-            f"validation failed: inconsistent functional at stage {args.stage}: pairs "
-            f"{list(report.pair_a)} and {list(report.pair_b)} have comparable inputs and incomparable outputs\n"
+        raise CertificateError(
+            f"inconsistent functional at stage {args.stage}: pairs {list(report.pair_a)} and "
+            f"{list(report.pair_b)} have comparable inputs and incomparable outputs"
         )
-        return None, 1
     stage = induced_semimeasure(phi, args.stage, args.depth)
     return stage_to_json(stage), 0
 
@@ -298,11 +292,7 @@ def cmd_mirror_pair(args: argparse.Namespace) -> tuple[Any, int]:
 
 def cmd_eval(args: argparse.Namespace) -> tuple[Any, int]:
     phi = functional_from_json(load_json(args.file))
-    try:
-        output = eval_on_string(phi, args.sigma, args.stage)
-    except CertificateError as exc:
-        sys.stderr.write(f"validation failed: {exc}\n")
-        return None, 1
+    output = eval_on_string(phi, args.sigma, args.stage)
     payload = {"input": args.sigma, "stage": args.stage, "output": output}
     return payload, 0
 
@@ -374,16 +364,15 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         payload, code = args.handler(args)
-        if payload is not None:
-            text = _render(payload, args.format)
-            if args.out:
-                try:
-                    with open(args.out, "w", encoding="utf-8") as fh:
-                        fh.write(text)
-                except OSError as exc:
-                    raise ParseError(f"cannot write {args.out}: {exc}") from None
-            else:
-                sys.stdout.write(text)
+        text = _render(payload, args.format)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ParseError(f"cannot write {args.out}: {exc}") from None
+        else:
+            sys.stdout.write(text)
         return code
     except (ValueError, BudgetExhaustedError) as exc:
         return report_failure(exc)
@@ -391,10 +380,13 @@ def main(argv: list[str] | None = None) -> int:
 
 def report_failure(exc: ValueError | BudgetExhaustedError) -> int:
     """Write the one stderr line of an error that ends a run and return its
-    exit code: 3 for an exhausted budget, 4 for a failed precondition, and 2
-    for a parse error or any other bad value."""
+    exit code: 3 for an exhausted budget, 1 for a failed certificate, 4 for
+    any other failed precondition, and 2 for a parse error or any other bad
+    value."""
     if isinstance(exc, BudgetExhaustedError):
         label, code = "budget exhausted", 3
+    elif isinstance(exc, CertificateError):
+        label, code = "validation failed", 1
     elif isinstance(exc, PreconditionError):
         label, code = "precondition failed", 4
     else:

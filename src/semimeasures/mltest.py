@@ -38,7 +38,9 @@ class MLTest:
     """Levels U_i with base mass at most 2^-k at level decay[k] (checked, not
     assumed); ``decay`` None is the identity modulus of a standard test.
     :meth:`build` stores each level as a :class:`CylinderSet`, so a level's
-    members are checked to be 0/1 literals when the test is built."""
+    members are checked to be 0/1 literals when the test is built, and
+    reads every level index and every accuracy and level of ``decay`` as a
+    count."""
 
     levels: Mapping[int, CylinderSet]
     base: SemiMeasureStage
@@ -52,7 +54,9 @@ class MLTest:
         decay: Mapping[int, int] | None = None,
     ) -> "MLTest":
         built = {_count(i, "level index"): CylinderSet(members) for i, members in levels.items()}
-        return cls(levels=built, base=base, decay=None if decay is None else dict(decay))
+        if decay is not None:
+            decay = {_count(k, "decay accuracy"): _count(v, "decay level") for k, v in decay.items()}
+        return cls(levels=built, base=base, decay=decay)
 
     def members(self) -> CylinderSet:
         return CylinderSet(s for level in self.levels.values() for s in level)

@@ -795,7 +795,7 @@ def mix_stages(stages: Sequence[SemiMeasureStage], weights: Sequence[Dyadic]) ->
     for st, w in zip(stages, weights):
         comps.extend(st.scaled(w).components)
     mixed = SemiMeasureStage(tuple(comps), strict=False)
-    if mixed.value(EPSILON) == ONE:
+    if Dyadic(*mixed.level_mass(EPSILON, 0)) == ONE:
         mixed = SemiMeasureStage(mixed.components, strict=True)
     return mixed
 

@@ -1,5 +1,12 @@
 """JSON forms for every value the CLI reads or writes.
 
+Parsing checks a document's JSON shape only.  Every value the library
+constructs -- a count such as a component's tilt or depth, an infimum's
+depth, a decay map, a tail rule's parameters -- is checked by the
+constructor it feeds, with the same rule as an argument from Python, and
+each ``*_from_json`` reads a ``ValueError`` raised there as a
+:class:`~semimeasures.errors.ParseError` of the document.
+
 All numbers travel as exact ``m/2^n`` text literals; binary strings are 0/1
 text with the empty string for the root.  Component tables are row-major:
 one list per level, lexicographic within the level.  Emission is
@@ -13,12 +20,13 @@ distinct value of a table row once.
 
 from __future__ import annotations
 
+import functools
 import json
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping
 
 from .dyadic import Dyadic, _text, parse_literal
-from .errors import ParseError
+from .errors import ParseError, PreconditionError, _index
 from .functional import MonotoneFunctional
 from .mltest import MLTest
 from .semimeasure import (
@@ -37,9 +45,22 @@ def dyadic_from_text(text: Any) -> Dyadic:
     return text if isinstance(text, Dyadic) else Dyadic(*parse_literal(text))
 
 
-def _is_int(value: Any) -> bool:
-    """JSON integers only: booleans, floats and numeric strings are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _document(parse):
+    """``parse`` with a ``ValueError`` from the library read as a
+    ``ParseError``: a document that builds no value is malformed.  A
+    ``PreconditionError`` is a caller's obligation, not a document error,
+    and passes through."""
+
+    @functools.wraps(parse)
+    def read(obj: Any):
+        try:
+            return parse(obj)
+        except (ParseError, PreconditionError):
+            raise
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
+
+    return read
 
 
 def tail_to_json(rule: TailRule) -> dict:
@@ -51,6 +72,7 @@ def tail_to_json(rule: TailRule) -> dict:
     return {"kind": kind}
 
 
+@_document
 def tail_from_json(obj: Any) -> TailRule:
     if not isinstance(obj, Mapping) or "kind" not in obj:
         raise ParseError("tail rule must be an object with a 'kind'")
@@ -64,8 +86,6 @@ def tail_from_json(obj: Any) -> TailRule:
             return TailRule.geometric(Dyadic(*parse_literal(obj["beta"])))
         except KeyError:
             raise ParseError("geometric tail needs a 'beta'") from None
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
     if kind == "split":
         try:
             return TailRule.split(Dyadic(*parse_literal(obj["zero"])), Dyadic(*parse_literal(obj["one"])))
@@ -107,6 +127,7 @@ def _rule(obj: Any, rules: dict) -> TailRule:
     return hit or rules.setdefault(key, tail_from_json(obj))
 
 
+@_document
 def component_from_json(obj: Any) -> Component:
     return _component(obj, {}, {})
 
@@ -121,9 +142,7 @@ def _component(obj: Any, literals: dict, rules: dict) -> Component:
         raise ParseError(f"component missing field {exc}") from None
     if not isinstance(rows, list) or not rows:
         raise ParseError("component table must be a non-empty list of rows")
-    depth = obj.get("depth", len(rows) - 1)
-    if not _is_int(depth):
-        raise ParseError("component 'depth' must be an integer")
+    depth = _index(obj.get("depth", len(rows) - 1), "component 'depth'")
     if depth != len(rows) - 1:
         raise ParseError(f"component depth {depth} does not match {len(rows)} table rows")
     levels, read = [], literals.get
@@ -149,13 +168,7 @@ def _component(obj: Any, literals: dict, rules: dict) -> Component:
         tail = _rule(obj["tail"], rules)
     if tail is None and tails is None:
         raise ParseError("component needs a 'tail' or a 'tails' field")
-    tilt = obj.get("tilt", 0)
-    if not _is_int(tilt):
-        raise ParseError("'tilt' must be an integer")
-    try:
-        return Component.build(weight, table, tail=tail, tails=tails, tilt=tilt)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return Component.build(weight, table, tail=tail, tails=tails, tilt=obj.get("tilt", 0))
 
 
 def stage_to_json(stage: SemiMeasureStage) -> dict:
@@ -165,6 +178,7 @@ def stage_to_json(stage: SemiMeasureStage) -> dict:
     }
 
 
+@_document
 def stage_from_json(obj: Any) -> SemiMeasureStage:
     if not isinstance(obj, Mapping) or "components" not in obj:
         raise ParseError("semi-measure must be an object with 'components'")
@@ -178,6 +192,7 @@ def stage_from_json(obj: Any) -> SemiMeasureStage:
     return SemiMeasureStage(tuple(_component(c, literals, rules) for c in comps), strict=strict)
 
 
+@_document
 def staged_from_json(obj: Any) -> LeftCeSemiMeasure:
     """Stage-generator descriptors; a bare presentation means constant."""
     if isinstance(obj, Mapping) and "components" in obj:
@@ -198,10 +213,7 @@ def staged_from_json(obj: Any) -> LeftCeSemiMeasure:
             if not isinstance(row, list) or not row:
                 raise ParseError(f"infimum row {i} must be a non-empty list of dyadic literals")
         parsed = [[Dyadic(*parse_literal(v)) for v in row] for row in rows]
-        depth = obj.get("depth", len(rows) - 1)
-        if not _is_int(depth) or depth < 0:
-            raise ParseError("'depth' must be a non-negative integer")
-        return infimum_semimeasure(parsed, depth)
+        return infimum_semimeasure(parsed, obj.get("depth", len(rows) - 1))
     raise ParseError(f"unknown staged kind {kind!r}")
 
 
@@ -211,6 +223,7 @@ def functional_to_json(phi: MonotoneFunctional) -> dict:
     return {"stages": [[list(pair) for pair in sorted(phi.batch(t))] for t in range(phi.last + 1)]}
 
 
+@_document
 def functional_from_json(obj: Any) -> MonotoneFunctional:
     if isinstance(obj, Mapping) and obj.get("kind") == "identity":
         return MonotoneFunctional.identity()
@@ -241,6 +254,7 @@ def test_to_json(test: MLTest) -> dict:
     return out
 
 
+@_document
 def test_from_json(obj: Any) -> MLTest:
     if not isinstance(obj, Mapping) or "levels" not in obj or "base" not in obj:
         raise ParseError("test must be an object with 'base' and 'levels'")
@@ -260,8 +274,6 @@ def test_from_json(obj: Any) -> MLTest:
         decay_obj = obj.get("decay", {})
         if not isinstance(decay_obj, Mapping):
             raise ParseError("'decay' must map accuracies to level indices")
-        if not all(_is_int(v) for v in decay_obj.values()):
-            raise ParseError("'decay' values must be integers")
         if not all(isinstance(k, str) and k.isascii() and k.isdigit() for k in decay_obj):  # [0-9]+
             raise ParseError("'decay' keys must be integers in ASCII digits")
         decay = {int(k): v for k, v in decay_obj.items()}

@@ -86,22 +86,18 @@ def string_at(length: int, k: int) -> str:
 
 
 def all_strings(length: int) -> Iterator[str]:
-    """All binary strings of exactly the given length, in lex order."""
-    if length == 0:
+    """All binary strings of exactly the given length, a count, in lex order."""
+    if _count(length, "length") == 0:
         yield EPSILON
         return
     yield from map(format, range(1 << length), repeat(f"0{length}b"))
 
 
 def strings_up_to(depth: int) -> Iterator[str]:
-    """All binary strings of length <= depth, shortest first."""
-    for n in range(depth + 1):
+    """All binary strings of length <= depth, shortest first: none when the
+    depth, an integer, is negative."""
+    for n in range(_index(depth, "depth") + 1):
         yield from all_strings(n)
-
-
-def extensions(s: str, m: int) -> Iterator[str]:
-    for tail in all_strings(m):
-        yield s + tail
 
 
 def leading_ones(s: str) -> int:
@@ -235,7 +231,8 @@ def extend_set(strings: Iterable[str], m: int) -> CylinderSet:
         raise ValueError("extend_set requires a prefix-free set")
     # members of an antichain have disjoint extensions, and extending each
     # member of a canonical set in turn keeps the (length, lex) order
-    return CylinderSet._of(e for s in items for e in extensions(s, m))
+    tails = list(all_strings(m))
+    return CylinderSet._of(s + t for s in items for t in tails)
 
 
 def intersect_sets(a: Iterable[str], b: Iterable[str]) -> CylinderSet:

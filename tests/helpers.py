@@ -50,6 +50,7 @@ from semimeasures import (
     uniform_measure,
 )
 from semimeasures.dyadic import parse_literal
+from semimeasures.errors import _index
 from semimeasures.semimeasure import TableView
 from semimeasures.strings import check_bits, comparable
 
@@ -655,8 +656,10 @@ def reference_component_from_json(obj: Any) -> Component:
     if not isinstance(rows, list) or not rows:
         raise ParseError("component table must be a non-empty list of rows")
     depth = obj.get("depth", len(rows) - 1)
-    if not isinstance(depth, int) or isinstance(depth, bool):
-        raise ParseError("component 'depth' must be an integer")
+    try:
+        _index(depth, "component 'depth'")
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     if depth != len(rows) - 1:
         raise ParseError(f"component depth {depth} does not match {len(rows)} table rows")
     table = {}
@@ -675,11 +678,8 @@ def reference_component_from_json(obj: Any) -> Component:
         tail = tail_from_json(obj["tail"])
     if tail is None and tails is None:
         raise ParseError("component needs a 'tail' or a 'tails' field")
-    tilt = obj.get("tilt", 0)
-    if not isinstance(tilt, int) or isinstance(tilt, bool):
-        raise ParseError("'tilt' must be an integer")
     try:
-        return Component.build(weight, TableView.of(table), tail=tail, tails=tails, tilt=tilt)
+        return Component.build(weight, TableView.of(table), tail=tail, tails=tails, tilt=obj.get("tilt", 0))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

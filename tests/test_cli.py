@@ -19,8 +19,12 @@ from hypothesis import given, strategies as st
 
 from helpers import QUARTER, random_stage, reference_flatten
 from semimeasures import (
+    BudgetExhaustedError,
+    CertificateError,
     Dyadic,
     MonotoneFunctional,
+    ParseError,
+    PreconditionError,
     SemiMeasureStage,
     all_strings,
     dirac_spine,
@@ -446,6 +450,42 @@ class TestPastTheLastStage:
         assert main(["induce", path, "--stage", "2", "--depth", "3"]) == 0
         assert capsys.readouterr().out == huge
 
+    @pytest.mark.parametrize(
+        "command, name, reads",
+        [("trim", "staged.json", [3]), ("invert", "presentation.json", [0]), ("invert", "staged.json", [3, 0, 1, 2])],
+        ids=["trim-staged", "invert-presentation", "invert-staged"],
+    )
+    def test_a_huge_stage_reads_no_stage_past_the_last(self, monkeypatch, capsys, command, name, reads):
+        """The counted counterpart of CI's ``trim`` and ``invert --stage
+        1000000000`` lines: golden ``staged.json`` has last stage 3 and
+        ``presentation.json`` 0, the first stage read is the last one, and
+        the output is that of a run at it.  The wrapper around the staged
+        family's stage function is test-side: it records each stage read
+        and raises on a stage past ``last``, so an unclipped stage fails at
+        once instead of building stage 10^9."""
+        seen = []
+        real = cli.staged_from_json
+
+        def counted(obj):
+            rho = real(obj)
+            build = rho._fn
+
+            def read(s):
+                assert s <= rho.last, f"stage {s} read past the last stage {rho.last}"
+                seen.append(s)
+                return build(s)
+
+            rho._fn = read
+            return rho
+
+        monkeypatch.setattr(cli, "staged_from_json", counted)
+        path = str(GOLDEN_INPUTS / name)
+        assert main([command, path, "--stage", "1000000000", "--depth", "3"]) == 0
+        huge = capsys.readouterr().out
+        assert seen == reads
+        assert main([command, path, "--stage", str(reads[0]), "--depth", "3"]) == 0
+        assert capsys.readouterr().out == huge
+
 
 # ---------------------------------------------------------------------------
 # mirror-pair / eval
@@ -519,6 +559,23 @@ class TestMirrorPair:
         assert spine == ["1/2^0", "1/2^0", "1/2^1", "1/2^2", "1/2^3", "1/2^5", "0/2^0", "0/2^0", "0/2^0"]
 
 
+class TestReportFailure:
+    @pytest.mark.parametrize(
+        "exc, line, code",
+        [
+            (ParseError("bad"), "parse error: bad", 2),
+            (ValueError("bad"), "parse error: bad", 2),
+            (CertificateError("bad"), "validation failed: bad", 1),
+            (PreconditionError("bad"), "precondition failed: bad", 4),
+            (BudgetExhaustedError("bad", 0, 1), "budget exhausted: bad", 3),
+        ],
+        ids=["parse", "value", "certificate", "precondition", "budget"],
+    )
+    def test_one_line_and_exit_code_per_kind(self, capsys, exc, line, code):
+        assert cli.report_failure(exc) == code
+        assert capsys.readouterr() == ("", f"{line}\n")
+
+
 class TestEval:
     def test_longest_output_wins(self, tmp_path, capsys):
         phi = {"stages": [[["0", "0"], ["01", "00"]]]}
@@ -565,6 +622,8 @@ class TestEval:
 
 class TestFieldTypes:
     """A JSON value of the wrong type is a parse error, never coerced."""
+
+    UNIFORM = {"weight": "1", "table": [["1"]], "tail": {"kind": "uniform"}}
 
     @pytest.mark.parametrize("tilt", [True, 1.0, "1"])
     def test_tilt_must_be_an_integer(self, tmp_path, tilt):
@@ -643,6 +702,30 @@ class TestFieldTypes:
             "decay": {"1": 1},
         }
         assert main(["validate", write_json(tmp_path, "t.json", obj)]) == 0
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"components": [dict(UNIFORM, tilt=True)]}, "tilt power must be an integer, got True"),
+            ({"components": [dict(UNIFORM, depth=1.0)]}, "component 'depth' must be an integer, got 1.0"),
+            ({"kind": "infimum", "rows": [["1"]], "depth": "1"}, "depth must be an integer, got '1'"),
+            ({"kind": "infimum", "rows": [["1"]], "depth": -1}, "depth must be non-negative"),
+            ({"kind": "infimum", "rows": [["1"], ["2"]]}, "generator 1 must yield dyadics in [0, 1], got 2/2^0"),
+            ({"kind": "generalized", "base": {"components": [UNIFORM]}, "levels": [["0"]], "decay": {"0": 2.7}},
+             "decay level must be an integer, got 2.7"),
+            ({"kind": "generalized", "base": {"components": [UNIFORM]}, "levels": [["0"]], "decay": {"0": -1}},
+             "decay level must be non-negative"),
+        ],
+        ids=["tilt", "component-depth", "infimum-depth", "negative-infimum-depth", "infimum-value", "decay-level",
+             "negative-decay-level"],
+    )
+    def test_counts_and_values_are_read_by_the_library(self, tmp_path, capsys, document, message):
+        """Each value is checked by the constructor it feeds, with the rule
+        and the message it has for an argument from Python."""
+        assert main(["validate", write_json(tmp_path, "doc.json", document)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {message}\n"
 
     @pytest.mark.parametrize("member", [101, 0, True])
     def test_level_members_must_be_strings(self, tmp_path, member):

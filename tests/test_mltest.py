@@ -77,6 +77,21 @@ class TestValidate:
         test = MLTest.build({1: ["0", "00", "01"]}, uniform_measure())
         assert validate_ml_test(test) is None
 
+    @pytest.mark.parametrize(
+        "decay, message",
+        [
+            ({0: True}, "decay level must be an integer, got True"),
+            ({1: 1.0}, "decay level must be an integer, got 1.0"),
+            ({"1": 1}, "decay accuracy must be an integer, got '1'"),
+            ({-1: 0}, "decay accuracy must be non-negative"),
+            ({1: -1}, "decay level must be non-negative"),
+        ],
+    )
+    def test_decay_is_read_as_counts(self, decay, message):
+        with pytest.raises(ValueError) as info:
+            MLTest.build({0: [""], 1: ["0"]}, uniform_measure(), decay)
+        assert str(info.value) == message
+
     def test_negative_level_index_rejected(self):
         with pytest.raises(ValueError):
             MLTest.build({-1: []}, uniform_measure())

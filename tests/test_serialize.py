@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     QUARTER,
@@ -678,3 +680,67 @@ class TestLongDocuments:
         assert outcome(component_from_json, comp) == outcome(reference_component_from_json, comp)
         doc = {"components": [comp]}
         assert outcome(new_stage, doc) == outcome(reference_stage, doc)
+
+
+# -- mutated golden documents: every reader returns or raises ParseError -----
+
+GOLDEN_DOCUMENTS = [
+    json.loads(path.read_text(encoding="utf-8"))
+    for path in sorted((Path(__file__).resolve().parent / "golden" / "inputs").glob("*.json"))
+]
+READERS = [staged_from_json, stage_from_json, functional_from_json, mltest_from_json]
+# values of every JSON type, counts that are bools, floats, strings or
+# negative, literals above 1, and the shapes of the documents' own parts
+REPLACEMENTS = [
+    None, True, False, -1, 0, 1, 3, 1.0, 2.5, "", "0", "1", "2", "3/2^1", "1/2^1", "x", "-1",
+    [], [[]], [["1"]], [["2"]], [["0", "1"]], {}, {"kind": "uniform"}, {"1": 1}, {"1": True}, {"-1": 0},
+]
+FIELDS = ["depth", "tilt", "decay", "kind", "strict", "tail", "tails", "rows", "stage", "levels", "base"]
+
+
+def _paths(obj, path=()):
+    """The path of every node of a JSON value below its root."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def mutated_golden_documents(draw):
+    """A golden input with one to three nodes removed, given a new field or
+    else replaced."""
+    doc = copy.deepcopy(draw(st.sampled_from(GOLDEN_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        node = doc
+        for part in parents:
+            node = node[part]
+        action = draw(st.sampled_from(["replace", "remove", "add"]))
+        value = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+        if action == "remove" and isinstance(node, dict):
+            del node[key]
+        elif action == "add" and isinstance(node[key], dict):
+            node[key][draw(st.sampled_from(FIELDS))] = value
+        else:
+            node[key] = value
+    return doc
+
+
+class TestMutatedDocuments:
+    @settings(max_examples=200)
+    @given(mutated_golden_documents())
+    @example({"kind": "infimum", "rows": [["1"], ["2"]]})
+    @example({"components": [{"weight": "1" * 5000, "table": [["1"]], "tail": {"kind": "uniform"}}]})
+    def test_every_reader_returns_or_raises_a_parse_error(self, doc):
+        """A document that builds no value is a ParseError, whichever
+        constructor refused it: never another exception, not even the
+        ``int`` limit on the digits of a literal."""
+        for read in READERS:
+            try:
+                read(doc)
+            except ParseError:
+                pass

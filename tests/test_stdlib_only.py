@@ -109,3 +109,30 @@ def test_count_checks_have_one_owner():
         visit(ast.parse(path.read_text()), path.stem)
     assert "errors._count" in owners
     assert sorted(set(owners) - COUNT_MESSAGE_OWNERS) == []
+
+
+# the type half of the count rule, and the check that keeps a message of its own
+INT_NOT_BOOL_OWNERS = {"errors._index", "functional.domain_clopen_approx"}
+
+
+def test_int_not_bool_checks_have_one_owner():
+    """An ``int`` that is not a ``bool`` is read by ``errors._index``: no
+    other function of the package asks both ``isinstance(_, int)`` and
+    ``isinstance(_, bool)``."""
+    asked = {}  # function scope -> the type names it hands to isinstance
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance" and len(child.args) == 2:
+                kinds = child.args[1].elts if isinstance(child.args[1], ast.Tuple) else [child.args[1]]
+                asked.setdefault(scope, set()).update(getattr(kind, "id", None) for kind in kinds)
+            visit(child, scope)
+
+    for path in sorted((SRC / "semimeasures").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    owners = {scope for scope, kinds in asked.items() if {"int", "bool"} <= kinds}
+    assert "errors._index" in owners
+    assert sorted(owners - INT_NOT_BOOL_OWNERS) == []

@@ -61,6 +61,23 @@ class TestBasics:
     def test_strings_up_to_shortest_first(self):
         assert list(strings_up_to(1)) == [EPSILON, "0", "1"]
 
+    @pytest.mark.parametrize(
+        "strings, message",
+        [
+            (lambda: all_strings(1.5), "length must be an integer, got 1.5"),
+            (lambda: all_strings(-1), "length must be non-negative"),
+            (lambda: strings_up_to(True), "depth must be an integer, got True"),
+        ],
+        ids=["float-length", "negative-length", "bool-depth"],
+    )
+    def test_counts_are_checked(self, strings, message):
+        with pytest.raises(ValueError) as info:
+            list(strings())
+        assert str(info.value) == message
+
+    def test_strings_up_to_a_negative_depth_is_empty(self):
+        assert list(strings_up_to(-1)) == []
+
     def test_leading_ones(self):
         assert leading_ones("110") == 2
         assert leading_ones("0") == 0
