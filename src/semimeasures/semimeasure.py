@@ -45,8 +45,11 @@ text: a :class:`~semimeasures.strings.CylinderSet` carries its groups,
 computed on first read from members bit-checked when the set is built,
 and ``values`` of any other strings checks them and groups each run of
 one length.  A value below a frontier takes its ones below the frontier
-and its leading ones from its position, and one power pair per tail rule
-and count of ones met.
+and its leading ones from its position, and its rule's power for that
+count of ones: from the view's table of rule powers
+(:meth:`TailsView.powers`) for a group of more members than rules times
+levels below the frontier, else one power pair per tail rule and count of
+ones met.
 ``set_mass`` is the sum of the point values of a set's minimal members:
 each component reads the groups of a ``CylinderSet``'s minimal members
 (any other iterable is built into one first) through the same reader as
@@ -77,7 +80,8 @@ a set mass or a trim returns.  A tail rule's integer form lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import accumulate, compress, repeat
+from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .dyadic import Dyadic, HALF, ONE, ZERO, _align, add, common, row_lowest
@@ -243,9 +247,17 @@ class TailsView(Mapping[str, TailRule]):
     where its rule conserves mass, so the limit mass below a string is one
     ``compress`` over a slice; a one-rule view leaves it empty.  How the
     tilt cuts the frontier into runs is :meth:`Component._tilt_runs`'
-    alone."""
+    alone.
+    ``held`` is the one table of rule powers that large point reads below
+    the frontier look up (:meth:`powers`), with its depth below the
+    frontier: ``None`` until a read first needs one, then the table of the
+    depth read last, so copies of a component that share the view
+    (``replace``, ``scaled``) share it.  One slot, not one table per depth:
+    each table is no larger than the read that built it, and the view keeps
+    at most one.  It is a cache, not a field: equal views stay equal
+    whatever table they hold."""
 
-    __slots__ = ("depth", "rules", "index", "aligned", "top", "totals", "keeps")
+    __slots__ = ("depth", "rules", "index", "aligned", "top", "totals", "keeps", "held")
 
     def __init__(self, depth: int, rules: tuple[TailRule, ...], index: list[int]):
         self.depth, self.rules, self.index = depth, rules, index
@@ -256,6 +268,24 @@ class TailsView(Mapping[str, TailRule]):
         if len(rules) > 1:
             keep = [total == (1, 0) for total in self.totals]
             self.keeps = bytes(map(keep.__getitem__, index))
+        self.held: tuple[int, list[list[int]]] | None = None
+
+    def powers(self, below: int) -> list[list[int]]:
+        """The rule powers ``below`` levels under the frontier: entry b of
+        row i is z**(below - b) * o**b << ((top - e) * below) for rule i's
+        aligned ``(z, o, e)``, the factor of a string with b ones below its
+        frontier node over 2**(top * below).  Each row is two running
+        products, below multiplications per fraction and no power per
+        entry; kept in ``held`` until a read asks for another depth."""
+        if self.held is not None and self.held[0] == below:
+            return self.held[1]
+        table = []
+        for z, o, e in self.aligned:
+            zeros = list(accumulate(repeat(z, below), mul, initial=1))  # z**0 .. z**below
+            ones = accumulate(repeat(o, below), mul, initial=1 << ((self.top - e) * below))
+            table.append([x * y for x, y in zip(reversed(zeros), ones)])
+        self.held = (below, table)
+        return table
 
     @classmethod
     def single(cls, rule: TailRule, depth: int) -> "TailsView":
@@ -359,20 +389,32 @@ class Component:
         # positions) groups, in order, for point values and set masses alike
         # (a set mass sums the row): entries of a stored row at or above
         # the frontier; below it the frontier numerator times its rule's
-        # z**zeros * o**ones over 2**(top * below), one power pair per
-        # (rule, ones below the frontier) met.  The tilt's 2**(-tilt * j)
-        # over 2**(tilt * n) is a shift by tilt * (n - j), and n - j, the
-        # length after the leading ones, is the bit length of the position's
-        # complement
-        depth, rows, tilt = self.depth, self.table.rows, self.tilt
+        # z**zeros * o**ones over 2**(top * below).  A group of more members
+        # than rules times below looks each factor up in the view's table
+        # of rule powers for that depth (TailsView.powers), which the view
+        # keeps until a read asks for another depth; a smaller group takes
+        # one power pair per (rule, ones below the frontier) met.  The gate
+        # keeps the table, rules times (below + 1) entries, about as large
+        # as the row the read builds anyway, whose entries are as long:
+        # without it one member of 10,000 bits would build and keep a table
+        # of 10,001 entries of about 10,000 bits each.  Keeping one table,
+        # not one per depth, keeps what a view holds no larger than one read.
+        # The tilt's 2**(-tilt * j) over 2**(tilt * n) is a shift by
+        # tilt * (n - j), and n - j, the length after the leading ones, is
+        # the bit length of the position's complement
+        depth, rows, tilt, tails = self.depth, self.table.rows, self.tilt, self.tails
         fnums, fe = rows[depth]
-        index, aligned, top = self.tails.index, self.tails.aligned, self.tails.top
+        index, aligned, top = tails.index, tails.aligned, tails.top
         parts = []
         for n, positions in groups:
             below = n - depth
             if below <= 0:
                 row, e = rows[n]
                 nums = [row[p] for p in positions]
+            elif len(positions) > len(aligned) * below:
+                mask, table = (1 << below) - 1, tails.powers(below)
+                nums = [fnums[p >> below] * table[index[p >> below]][(p & mask).bit_count()] for p in positions]
+                e = fe + top * below
             else:
                 mask, powers, nums = (1 << below) - 1, {}, []
                 for p in positions:

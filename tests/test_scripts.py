@@ -1,7 +1,8 @@
-"""The two scripts under ``scripts/`` run end to end and print their known results."""
+"""The scripts under ``scripts/`` run end to end and print their known results."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -62,3 +63,29 @@ def test_trim_convergence_reports_bad_input_as_the_cli_does(args, code, line):
     2 for a parse error or bad value, 4 for a failed precondition."""
     proc = launch("trim_convergence.py", *args.split())
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", line + "\n")
+
+
+def test_bench_record_writes_every_workload_and_compares_two_files(tmp_path):
+    """A smoke recording holds each workload's end-to-end metrics and
+    metadata; compared with itself every metric keeps its bound, and a copy
+    at half the antichain throughput is refused on that metric alone."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    base = tmp_path / "base.json"
+    run("bench_record.py", "--out", str(base), "--smoke")
+    recorded = json.loads(base.read_text())
+    assert recorded["commit"] is None or len(recorded["commit"]) == 40
+    assert recorded["seconds"] == 0.2 and recorded["smoke"] is True
+    assert list(recorded["workloads"]) == [w["name"] for w in spec["workloads"]]
+    for name, entry in recorded["workloads"].items():
+        assert list(entry["metrics"]) == [m["name"] for m in spec["end_to_end"]]
+        assert entry["correct"] is True and entry["meta"]["workload"] == name and entry["meta"]["smoke"] is True
+    lines = run("bench_record.py", "--compare", str(base), str(base))
+    assert len(lines) == len(spec["workloads"]) * len(spec["end_to_end"])
+    assert all(line.endswith(" ok") for line in lines)
+    recorded["workloads"]["antichain"]["metrics"]["throughput_ops_s"] /= 2
+    slower = tmp_path / "slower.json"
+    slower.write_text(json.dumps(recorded))
+    proc = launch("bench_record.py", "--compare", str(base), str(slower))
+    assert proc.returncode == 1, proc.stderr
+    worse = [line for line in proc.stdout.splitlines() if not line.endswith(" ok")]
+    assert len(worse) == 1 and worse[0].startswith("antichain throughput_ops_s ") and "-50.0%" in worse[0]

@@ -665,6 +665,95 @@ class TestValues:
         assert len(reads) == len(comps) and all(groups is members.groups for groups in reads)
         assert checks == []
 
+    @staticmethod
+    def gate_component(tilt: int) -> Component:
+        """Depth 2 under four rules: vanish, a split with zero = 0 (whose
+        all-ones entry is 0**0 * o**below), a lossy geometric rule and the
+        uniform rule, read over 2**(top * below) with top = 3."""
+        table = {EPSILON: ONE, "0": HALF, "1": HALF, "00": QUARTER, "01": QUARTER, "10": QUARTER, "11": Dyadic(1, 3)}
+        tails = {"00": TailRule.vanish(), "01": TailRule.split(ZERO, HALF),
+                 "10": TailRule.geometric(Dyadic(3, 3)), "11": TailRule.uniform()}
+        return Component.build(ONE, table, tails=tails, tilt=tilt)
+
+    @pytest.mark.parametrize("tilt", [0, 1])
+    @pytest.mark.parametrize("below", [1, 3, 4])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_reads_across_the_table_gate(self, tilt, below, extra):
+        """A group of rules * below members at one length below the frontier
+        takes a power per (rule, ones) met; one more member takes the rule
+        powers' table.  Both sides match the definition, the all-ones
+        extension of every frontier node included."""
+        comp = self.gate_component(tilt)
+        stage = SemiMeasureStage((comp,), strict=False)
+        size = len(comp.tails.rules) * below + extra
+        ones = [(k << below) | ((1 << below) - 1) for k in range(4)]
+        rest = [p for p in range(4 << below) if p not in ones]
+        positions = sorted(ones + random.Random(below).sample(rest, size - len(ones)))
+        members = [format(p, f"0{below + 2}b") for p in positions]
+        nums, e = stage.values(members)
+        assert [Fraction(x, 1 << e) for x in nums] == [oracle_stage_value(stage, s) for s in members]
+        assert as_fraction(stage.set_mass(members)) == oracle_stage_mass(stage, members)
+        assert (comp.tails.held is not None) == bool(extra)
+
+    def test_a_long_lone_member_builds_no_table(self):
+        """The gate is what bounds the table by the read: one member of
+        10,000 bits reads one power pair, where a table would hold 10,001
+        entries of up to 30,000 bits each."""
+        stage = geometric_semimeasure(Dyadic(3, 3))
+        member = format(random.Random(10_000).getrandbits(10_000) | 1 << 9_999, "b")
+        mass, _held, peak = _retained(lambda: stage.set_mass([member]))
+        assert mass == Dyadic(3**10_000, 30_000)
+        assert peak < 1_000_000
+        assert stage.components[0].tails.held is None
+
+    def test_a_view_holds_one_table_whatever_lengths_it_reads(self):
+        """What a view keeps is bounded by one read, not by the reads it has
+        served: a set of gated groups at 34 lengths, under a rule whose
+        fractions have 1,000-bit exponents beside the uniform rule, leaves
+        the one table of the longest length, about 0.5 MB, where a table
+        kept per length would hold about 6 MB."""
+        big = TailRule.split(Dyadic((1 << 999) + 1, 1001), QUARTER)
+        comp = Component.build(ONE, {EPSILON: ONE, "0": HALF, "1": HALF},
+                               tails={"0": big, "1": TailRule.uniform()})
+        stage = SemiMeasureStage((comp,), strict=False)
+        rng = random.Random(34)
+        # j leading ones, a zero, then 7 free bits: prefix-free across lengths,
+        # with 2 * below + 1 members at each length, one past the gate
+        members = CylinderSet("1" * j + "0" + format(w, "07b")
+                              for j in range(34) for w in rng.sample(range(128), 2 * (j + 7) + 1))
+        assert len(members.minimal) == len(members)
+        mass, held, _peak = _retained(lambda: stage.set_mass(members))
+        assert held < 1_000_000
+        assert as_fraction(mass) == oracle_stage_mass(stage, members)
+        assert comp.tails.held[0] == 40
+
+    def test_a_view_keeps_the_rule_powers_of_the_depth_read_last(self, monkeypatch):
+        """Counted, not timed: a test-side wrapper counts the running
+        products (``accumulate`` calls, two per rule and table) that build
+        the rule powers.  Two set masses at one length build one table;
+        ``scaled`` shares the view and so the table; a new length builds one
+        more, and it replaces the first, so going back builds the first
+        again.  A view holding a table still equals a fresh one."""
+        import semimeasures.semimeasure as semimeasure_module
+
+        rng = random.Random(14)
+        comp = random_component(rng, depth=2)
+        stage = SemiMeasureStage((comp,), strict=False)
+        members = CylinderSet(format(p, "010b") for p in rng.sample(range(1 << 10), 200))
+        rules = len(comp.tails.rules)
+        builds = []
+        accumulate = semimeasure_module.accumulate
+        monkeypatch.setattr(semimeasure_module, "accumulate", lambda *args, **kw: builds.append(1) or accumulate(*args, **kw))
+        first = stage.set_mass(members)
+        assert stage.set_mass(members) == first and len(builds) == 2 * rules
+        assert stage.scaled(HALF).set_mass(members) == HALF * first and len(builds) == 2 * rules
+        stage.set_mass(CylinderSet(format(p, "09b") for p in range(200)))
+        assert len(builds) == 4 * rules and comp.tails.held[0] == 7
+        assert stage.set_mass(members) == first and len(builds) == 6 * rules and comp.tails.held[0] == 8
+        fresh = TailsView.of(dict(comp.tails), comp.depth)
+        assert fresh.held is None and fresh == comp.tails and comp.tails == fresh
+        assert Component.build(comp.weight, dict(comp.table), tails=dict(comp.tails)) == comp
+
     def test_empty_list_gives_an_empty_row(self):
         assert geometric_semimeasure(QUARTER).values([])[0] == []
         assert SemiMeasureStage((), strict=False).values(["01"]) == ([0], 0)
