@@ -46,10 +46,10 @@ computed on first read from members bit-checked when the set is built,
 and ``values`` of any other strings checks them and groups each run of
 one length.  A value below a frontier takes its ones below the frontier
 and its leading ones from its position, and its rule's power for that
-count of ones: from the view's table of rule powers
+count of ones from :meth:`TailsView.power`, the one formula of a rule's
+powers: looked up in the view's held table of them
 (:meth:`TailsView.powers`) for a group of more members than rules times
-levels below the frontier, else one power pair per tail rule and count of
-ones met.
+levels below the frontier, and for every row built below a frontier.
 ``set_mass`` is the sum of the point values of a set's minimal members:
 each component reads the groups of a ``CylinderSet``'s minimal members
 (any other iterable is built into one first) through the same reader as
@@ -80,8 +80,7 @@ a set mass or a trim returns.  A tail rule's integer form lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate, compress, repeat
-from operator import mul
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .dyadic import Dyadic, HALF, ONE, ZERO, _align, add, common, row_lowest
@@ -248,8 +247,9 @@ class TailsView(Mapping[str, TailRule]):
     ``compress`` over a slice; a one-rule view leaves it empty.  How the
     tilt cuts the frontier into runs is :meth:`Component._tilt_runs`'
     alone.
-    ``held`` is the one table of rule powers that large point reads below
-    the frontier look up (:meth:`powers`), with its depth below the
+    :meth:`power` is the one formula of a rule's powers below the frontier.
+    ``held`` is the one table of them that rows built below the frontier and
+    large point reads look up (:meth:`powers`), with its depth below the
     frontier: ``None`` until a read first needs one, then the table of the
     depth read last, so copies of a component that share the view
     (``replace``, ``scaled``) share it.  One slot, not one table per depth:
@@ -270,20 +270,21 @@ class TailsView(Mapping[str, TailRule]):
             self.keeps = bytes(map(keep.__getitem__, index))
         self.held: tuple[int, list[list[int]]] | None = None
 
+    def power(self, i: int, below: int, b: int) -> int:
+        """Rule i's factor for a string with b ones ``below`` levels under
+        its frontier node: z**(below - b) * o**b << ((top - e) * below) for
+        the rule's aligned ``(z, o, e)``, over 2**(top * below).  The one
+        place a rule's power is computed."""
+        z, o, e = self.aligned[i]
+        return z ** (below - b) * o**b << ((self.top - e) * below)
+
     def powers(self, below: int) -> list[list[int]]:
-        """The rule powers ``below`` levels under the frontier: entry b of
-        row i is z**(below - b) * o**b << ((top - e) * below) for rule i's
-        aligned ``(z, o, e)``, the factor of a string with b ones below its
-        frontier node over 2**(top * below).  Each row is two running
-        products, below multiplications per fraction and no power per
-        entry; kept in ``held`` until a read asks for another depth."""
+        """The table of rule powers ``below`` levels under the frontier:
+        entry b of row i is ``power(i, below, b)``.  Kept in ``held`` until
+        a read asks for another depth."""
         if self.held is not None and self.held[0] == below:
             return self.held[1]
-        table = []
-        for z, o, e in self.aligned:
-            zeros = list(accumulate(repeat(z, below), mul, initial=1))  # z**0 .. z**below
-            ones = accumulate(repeat(o, below), mul, initial=1 << ((self.top - e) * below))
-            table.append([x * y for x, y in zip(reversed(zeros), ones)])
+        table = [[self.power(i, below, b) for b in range(below + 1)] for i in range(len(self.rules))]
         self.held = (below, table)
         return table
 
@@ -386,46 +387,32 @@ class Component:
 
     def _values(self, groups: Iterable[tuple[int, Sequence[int]]]) -> Row:
         # values (weight not included) at the strings given as (length, lex
-        # positions) groups, in order, for point values and set masses alike
-        # (a set mass sums the row): entries of a stored row at or above
+        # positions) groups, in order: entries of a stored row at or above
         # the frontier; below it the frontier numerator times its rule's
-        # z**zeros * o**ones over 2**(top * below).  A group of more members
-        # than rules times below looks each factor up in the view's table
-        # of rule powers for that depth (TailsView.powers), which the view
-        # keeps until a read asks for another depth; a smaller group takes
-        # one power pair per (rule, ones below the frontier) met.  The gate
-        # keeps the table, rules times (below + 1) entries, about as large
-        # as the row the read builds anyway, whose entries are as long:
-        # without it one member of 10,000 bits would build and keep a table
-        # of 10,001 entries of about 10,000 bits each.  Keeping one table,
-        # not one per depth, keeps what a view holds no larger than one read.
-        # The tilt's 2**(-tilt * j) over 2**(tilt * n) is a shift by
-        # tilt * (n - j), and n - j, the length after the leading ones, is
-        # the bit length of the position's complement
+        # power (TailsView.power).  Only a group of more members than rules
+        # times below reads the view's held table (TailsView.powers): that
+        # table, rules times (below + 1) entries, is then no larger than the
+        # row the read builds, where one member of 10,000 bits would build
+        # and keep 10,001 entries of about 10,000 bits each.  The tilt's
+        # 2**(-tilt * j) over 2**(tilt * n) is a shift by tilt * (n - j), and
+        # n - j, the length after the leading ones, is the bit length of the
+        # position's complement
         depth, rows, tilt, tails = self.depth, self.table.rows, self.tilt, self.tails
         fnums, fe = rows[depth]
-        index, aligned, top = tails.index, tails.aligned, tails.top
+        index, top, power = tails.index, tails.top, tails.power
         parts = []
         for n, positions in groups:
             below = n - depth
             if below <= 0:
                 row, e = rows[n]
                 nums = [row[p] for p in positions]
-            elif len(positions) > len(aligned) * below:
-                mask, table = (1 << below) - 1, tails.powers(below)
-                nums = [fnums[p >> below] * table[index[p >> below]][(p & mask).bit_count()] for p in positions]
-                e = fe + top * below
             else:
-                mask, powers, nums = (1 << below) - 1, {}, []
-                for p in positions:
-                    k = p >> below
-                    key = (index[k], (p & mask).bit_count())
-                    power = powers.get(key)
-                    if power is None:
-                        (z, o, ez), b = aligned[key[0]], key[1]
-                        power = powers[key] = z ** (below - b) * o**b << ((top - ez) * below)
-                    nums.append(fnums[k] * power)
-                e = fe + top * below
+                mask, e = (1 << below) - 1, fe + top * below
+                if len(positions) > len(tails.rules) * below:
+                    table = tails.powers(below)
+                    nums = [fnums[p >> below] * table[index[p >> below]][(p & mask).bit_count()] for p in positions]
+                else:
+                    nums = [fnums[p >> below] * power(index[p >> below], below, (p & mask).bit_count()) for p in positions]
             if tilt:
                 full = (1 << n) - 1
                 nums = [x << tilt * (full ^ p).bit_length() for x, p in zip(nums, positions)]
@@ -525,21 +512,17 @@ class Component:
         if n <= self.depth and not limit:
             row, e = self.table.rows[n]
         else:
-            # below each frontier node: its value times its rule's block,
-            # z**a * o**b for the strings with a zeros and b ones below the
-            # node in lex order, built once per rule over one power of two
+            # below each frontier node: its value times its rule's block, the
+            # rule's power for the ones of each position below the node in lex
+            # order, looked up in the view's held table
             fnums, fe = self.table.rows[self.depth]
             below = n - self.depth
-            top = self.tails.top
-            blocks = []
-            for (z, o, e), total in zip(self.tails.aligned, self.tails.totals):
-                # with limit, a rule that loses mass keeps none of it
-                block = [0 if limit and total != (1, 0) else 1 << ((top - e) * below)]
-                for _ in range(below):
-                    block = [x * f for x in block for f in (z, o)]
-                blocks.append(block)
+            ones = [j.bit_count() for j in range(1 << below)]
+            blocks = [[*map(powers.__getitem__, ones)] for powers in self.tails.powers(below)]
+            if limit:  # a rule that loses mass keeps none of it
+                blocks = [block if total == (1, 0) else [0] * len(ones) for block, total in zip(blocks, self.tails.totals)]
             row = [num * p for num, i in zip(fnums, self.tails.index) for p in blocks[i]]
-            e = fe + top * below
+            e = fe + self.tails.top * below
         if self.tilt:
             # each of the tilt's runs scaled over the common 2**(tilt * n), on a copy
             row = [x << s for lo, hi, s in self._tilt_runs(n, 0, 1 << n) for x in row[lo:hi]]

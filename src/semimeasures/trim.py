@@ -53,17 +53,20 @@ def derived_measure(stage: SemiMeasureStage, sigma: str, probe_depth: int | None
     value is cross-checked against the level sum there.  With a tilted
     component present the value is the level sum at ``probe_depth``
     (default |sigma| + 16), a certified upper bound: there the value *is*
-    that level sum, and nothing is cross-checked.  Each of these reads is
-    one closed-form read of the frontier under sigma per component.
+    that level sum, and nothing is cross-checked.  A given ``probe_depth``
+    must be an ``int`` either way.  Each of these reads is one closed-form
+    read of the frontier under sigma per component.
     """
     check_bits(sigma)  # its length is read before any level sum checks it
+    if probe_depth is not None:
+        _index(probe_depth, "probe depth")
     settled = max(len(sigma), stage.max_depth)
     if all(c.tilt == 0 for c in stage.components):
         (t, te), (v, ve) = stage.level_mass(sigma, None), stage.level_mass(sigma, settled)
         if t << ve > v << te:
             raise AssertionError("closed-form trim exceeded a level sum")  # pragma: no cover
         return TrimResult(value=Dyadic(t, te), depth=settled, stabilized=True)
-    depth = len(sigma) + 16 if probe_depth is None else max(_index(probe_depth, "probe depth"), len(sigma))
+    depth = len(sigma) + 16 if probe_depth is None else max(probe_depth, len(sigma))
     return TrimResult(value=partial_trim(stage, sigma, depth), depth=depth, stabilized=False)
 
 

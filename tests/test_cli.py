@@ -825,6 +825,28 @@ class TestPlumbing:
         )
 
 
+class TestModuleEntry:
+    """``python -m semimeasures`` runs the same command as the console script."""
+
+    @staticmethod
+    def run(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        return subprocess.run(
+            [sys.executable, "-m", "semimeasures", *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+
+    def test_prints_the_golden_worked_examples(self):
+        proc = self.run("worked-examples", "--format", "csv")
+        golden = Path(__file__).parent / "golden" / "expected" / "worked-examples.csv"
+        assert (proc.returncode, proc.stdout) == (0, golden.read_text(encoding="utf-8"))
+
+    def test_a_bad_invocation_exits_2_with_one_stderr_line(self, tmp_path):
+        proc = self.run("validate", str(tmp_path / "absent.json"))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("parse error: ") and proc.stderr.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # main, called again and again in one process
 # ---------------------------------------------------------------------------

@@ -79,6 +79,7 @@ SITES = [
     ("level_masses", lambda x: list(UNIFORM.level_masses("", x)), "level", "level -1 is above the string (length 0)"),
     ("partial_trim", lambda x: partial_trim(UNIFORM, "", x), "level", "level -1 is above the string (length 0)"),
     ("derived_measure.probe_depth", lambda x: derived_measure(TILTED.base, "", x), "probe depth", None),
+    ("derived_measure.probe_depth.untilted", lambda x: derived_measure(UNIFORM, "", x), "probe depth", None),
     ("geometric_semimeasure", lambda x: geometric_semimeasure(Dyadic(1, 2), x), "depth", "depth must be non-negative"),
     ("uniform_measure", lambda x: uniform_measure(x), "depth", "depth must be non-negative"),
     ("stage_at", lambda x: RHO.stage_at(x), "stage", "stage must be non-negative"),

@@ -727,29 +727,23 @@ class TestValues:
         assert as_fraction(mass) == oracle_stage_mass(stage, members)
         assert comp.tails.held[0] == 40
 
-    def test_a_view_keeps_the_rule_powers_of_the_depth_read_last(self, monkeypatch):
-        """Counted, not timed: a test-side wrapper counts the running
-        products (``accumulate`` calls, two per rule and table) that build
-        the rule powers.  Two set masses at one length build one table;
-        ``scaled`` shares the view and so the table; a new length builds one
-        more, and it replaces the first, so going back builds the first
-        again.  A view holding a table still equals a fresh one."""
-        import semimeasures.semimeasure as semimeasure_module
-
+    def test_a_view_keeps_the_rule_powers_of_the_depth_read_last(self):
+        """The view's held table, by identity: two set masses at one length
+        share one table, and so does ``scaled``, which shares the view; a
+        new length replaces it, and going back builds a new, equal table.
+        A view holding a table still equals a fresh one."""
         rng = random.Random(14)
         comp = random_component(rng, depth=2)
         stage = SemiMeasureStage((comp,), strict=False)
         members = CylinderSet(format(p, "010b") for p in rng.sample(range(1 << 10), 200))
-        rules = len(comp.tails.rules)
-        builds = []
-        accumulate = semimeasure_module.accumulate
-        monkeypatch.setattr(semimeasure_module, "accumulate", lambda *args, **kw: builds.append(1) or accumulate(*args, **kw))
         first = stage.set_mass(members)
-        assert stage.set_mass(members) == first and len(builds) == 2 * rules
-        assert stage.scaled(HALF).set_mass(members) == HALF * first and len(builds) == 2 * rules
+        table = comp.tails.held[1]
+        assert stage.set_mass(members) == first and comp.tails.held[1] is table
+        assert stage.scaled(HALF).set_mass(members) == HALF * first and comp.tails.held[1] is table
         stage.set_mass(CylinderSet(format(p, "09b") for p in range(200)))
-        assert len(builds) == 4 * rules and comp.tails.held[0] == 7
-        assert stage.set_mass(members) == first and len(builds) == 6 * rules and comp.tails.held[0] == 8
+        assert comp.tails.held[0] == 7 and comp.tails.held[1] is not table
+        assert stage.set_mass(members) == first and comp.tails.held[0] == 8
+        assert comp.tails.held[1] is not table and comp.tails.held[1] == table
         fresh = TailsView.of(dict(comp.tails), comp.depth)
         assert fresh.held is None and fresh == comp.tails and comp.tails == fresh
         assert Component.build(comp.weight, dict(comp.table), tails=dict(comp.tails)) == comp
