@@ -680,7 +680,7 @@ class TestValues:
     @pytest.mark.parametrize("extra", [0, 1])
     def test_reads_across_the_table_gate(self, tilt, below, extra):
         """A group of rules * below members at one length below the frontier
-        takes a power per (rule, ones) met; one more member takes the rule
+        takes one rule power per member; one more member takes the rule
         powers' table.  Both sides match the definition, the all-ones
         extension of every frontier node included."""
         comp = self.gate_component(tilt)
@@ -697,7 +697,7 @@ class TestValues:
 
     def test_a_long_lone_member_builds_no_table(self):
         """The gate is what bounds the table by the read: one member of
-        10,000 bits reads one power pair, where a table would hold 10,001
+        10,000 bits reads one rule power, where a table would hold 10,001
         entries of up to 30,000 bits each."""
         stage = geometric_semimeasure(Dyadic(3, 3))
         member = format(random.Random(10_000).getrandbits(10_000) | 1 << 9_999, "b")
