@@ -5,7 +5,8 @@ Identical inputs and flags produce byte-identical output.
 
 Exit codes: 0 success, 1 validation failure (a failed certificate
 included), 2 parse error, 3 budget exhausted, 4 precondition failure.
-Every failure line on stderr is written by :func:`report_failure`.
+Every failure line on stderr, a usage error's included, is written by
+:func:`report_failure`.
 """
 
 from __future__ import annotations
@@ -300,9 +301,18 @@ def cmd_eval(args: argparse.Namespace) -> tuple[Any, int]:
 # -- parser --------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``ParseError``, so that
+    :func:`main` reports them through :func:`report_failure` like any other
+    bad value.  Subparsers are built from the same class."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semimeasures",
         description="Exact computations on dyadic semi-measure presentations.",
     )
@@ -357,12 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         payload, code = args.handler(args)
         text = _render(payload, args.format)
         if args.out:
@@ -376,6 +382,8 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except (ValueError, BudgetExhaustedError) as exc:
         return report_failure(exc)
+    except SystemExit as exc:  # --help, once the help is printed
+        return int(exc.code or 0)
 
 
 def report_failure(exc: ValueError | BudgetExhaustedError) -> int:

@@ -36,7 +36,12 @@ shares its storage.
 Whole-table sweeps (validation, completion, the Lebesgue-likeness check in
 :mod:`trim`) read the presentation one level at a time through
 :meth:`SemiMeasureStage.level_row`, which folds the stored rows of the
-components (and, below a frontier, rows built per tail rule).  Point
+components (and, below a frontier, rows built per tail rule): the weighted
+sum starts from a scaled copy of the first row of non-zero weight, so no
+stored row is handed out.  A sweep's witness, the first entry of a row at
+which a comparison holds, is found by one C-level pass (``_first`` over a
+``map`` of an ``operator`` comparison); arithmetic on rows stays in list
+comprehensions.  Point
 evaluation has the same form: :meth:`SemiMeasureStage.values` returns the
 values of any strings as ``int`` numerators over one power of two, and
 ``value``, the certificates of :mod:`mltest` and atom decoding all read it.
@@ -80,7 +85,8 @@ a set mass or a trim returns.  A tail rule's integer form lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import compress, count
+from operator import gt, ne
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .dyadic import Dyadic, HALF, ONE, ZERO, _align, add, common, row_lowest
@@ -135,11 +141,6 @@ class TailRule:
     def conserving(self) -> bool:
         """True when no mass is lost below the frontier (total == 1)."""
         return self.total == ONE
-
-    def padded(self) -> "TailRule":
-        """The conserving rule that splits the lost fraction evenly."""
-        pad = HALF * (ONE - self.total)
-        return TailRule(self.zero + pad, self.one + pad)
 
     @property
     def kind(self) -> str:
@@ -596,12 +597,12 @@ class SemiMeasureStage:
     def _fold(rows: Sequence[tuple[Row, Dyadic]], size: int) -> Row:
         """Weighted sum of component rows over one power of two."""
         e = max((ce + w.exponent for (_row, ce), w in rows), default=0)
-        total = [0] * size
+        total = None  # a new list from the first row of non-zero weight on
         for (row, ce), w in rows:
             factor = w.numerator << (e - ce - w.exponent)
             if factor:
-                total = [t + factor * x for t, x in zip(total, row)]
-        return total, e
+                total = [factor * x for x in row] if total is None else [t + factor * x for t, x in zip(total, row)]
+        return (total if total is not None else [0] * size), e
 
     def level_mass(self, sigma: str, n: int | None) -> tuple[int, int]:
         """Mass at level n above sigma, as ``(numerator, e)``: the weighted
@@ -684,6 +685,12 @@ class ValidationReport:
 _OK = ValidationReport(ok=True)
 
 
+def _first(flags: Iterable) -> int | None:
+    """The index of the first true flag, or None: one C-level pass, for a
+    ``map`` of an ``operator`` comparison over rows of numerators."""
+    return next(compress(count(), flags), None)
+
+
 def validate(stage: SemiMeasureStage) -> ValidationReport:
     """Check the semi-measure axioms on the whole presentation.
 
@@ -736,7 +743,7 @@ def _validate(stage: SemiMeasureStage, additive: bool, rows: list[Row] | None = 
             rows.append((children, ce))
         pairs = [a + b for a, b in zip(children[0::2], children[1::2])]
         (above, both), _e = common((parents, pe), (pairs, ce))
-        bad = next((i for i, (b, p) in enumerate(zip(both, above)) if b > p), None)
+        bad = _first(map(gt, both, above))
         if bad is not None:
             node = string_at(n - 1, bad)
             left, right = Dyadic(children[2 * bad], ce), Dyadic(children[2 * bad + 1], ce)
@@ -748,7 +755,7 @@ def _validate(stage: SemiMeasureStage, additive: bool, rows: list[Row] | None = 
                 children=(left, right),
             )
         if additive and gap is None and both != above:
-            gap = string_at(n - 1, next(i for i, (b, p) in enumerate(zip(both, above)) if b != p))
+            gap = string_at(n - 1, _first(map(ne, both, above)))
         parents, pe = children, ce
     if not additive:
         return _OK
@@ -920,22 +927,27 @@ def complete_to_measure(stage: SemiMeasureStage, depth: int | None = None) -> Se
 
     mu, me = rows[0]  # the root's value, mu[0] / 2^me
     # mu(s0), mu(s1) = a + g/2, b + g/2 with g = mu(s) - a - b, computed as
-    # 2a + g, 2b + g over one more power of two so that halving stays exact
+    # 2a + g = m + a - b and 2b + g = m - a + b over one more power of two so
+    # that halving stays exact, each half of the next level in one pass
     values, ve = mu, me
     for n in range(1, target + 1):
         (mu, values), ve = common((mu, me), rows[n] if n < len(rows) else stage.level_row(n))
-        pushed = []
-        for m, a, b in zip(mu, values[0::2], values[1::2]):
-            g = m - a - b
-            pushed += (2 * a + g, 2 * b + g)
+        lefts, rights = values[0::2], values[1::2]
+        pushed = [0] * len(values)
+        pushed[0::2] = [m + a - b for m, a, b in zip(mu, lefts, rights)]
+        pushed[1::2] = [m - a + b for m, a, b in zip(mu, lefts, rights)]
         mu, me = pushed, ve + 1
     (mu, values), me = common((mu, me), (values, ve))
     surplus = [m - v for m, v in zip(mu, values)]
 
     parts = []  # (weight, target-level row, tails) of each completed component
     for comp in stage.components:
-        # the padded rules of the frontier node above each target node
-        rules, remap = _intern(rule.padded() for rule in comp.tails.rules)
+        # the padded rules of the frontier node above each target node: the
+        # lost 1 - (z + o) / 2**e split evenly, zero = (z - o + 2**e) / 2**(e + 1)
+        # and one = (o - z + 2**e) / 2**(e + 1), which validation keeps >= 0
+        padded = (TailRule(Dyadic(z - o + (1 << e), e + 1), Dyadic(o - z + (1 << e), e + 1))
+                  for z, o, e in comp.tails.aligned)
+        rules, remap = _intern(padded)
         index, shift = comp.tails.index, target - comp.depth
         tails = TailsView(target, rules, [remap[index[k >> shift]] for k in range(1 << target)])
         parts.append((comp.weight, comp._row(target), tails))

@@ -16,17 +16,20 @@ of levels is one ``SemiMeasureStage.level_masses`` pass, which reads that
 frontier once and then costs a constant number of integer powers per level
 and tail rule, the tilted 1-spine included.  Every member of
 ``open_set_derived`` and the ``trim`` command take one pass for their
-levels, and ``derived_measure`` for their trim.
+levels, and ``derived_measure`` for their trim.  ``lebesgue_like_check``
+scans each level's trims once, in C, for the first that differs from the
+one numerator alpha * 2**-n can have over that level's power of two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt
 from typing import Iterable
 
 from .dyadic import Dyadic, ZERO, add, common
 from .errors import AmbiguityError, BudgetExhaustedError, PreconditionError, _count, _index, _stage
-from .semimeasure import LeftCeSemiMeasure, SemiMeasureStage, summed_rows
+from .semimeasure import LeftCeSemiMeasure, SemiMeasureStage, _first, summed_rows
 from .strings import EPSILON, CylinderSet, check_bits, string_at
 
 
@@ -133,13 +136,15 @@ def lebesgue_like_check(stage: SemiMeasureStage, depth: int) -> LebesgueLikeRepo
             (trims, sums), row_e = levels[n], e
         else:
             (trims, sums), row_e = common(stage.level_row(n, limit=True), stage.level_row(n))
-        if any(t > v for t, v in zip(trims, sums)):
+        if any(map(gt, trims, sums)):
             raise AssertionError("closed-form trim exceeded a level sum")  # pragma: no cover
-        # t / 2**row_e == alpha / 2**(e + n)
+        # t / 2**row_e == alpha / 2**(e + n) for every t equal to want; when
+        # the shift is not exact no integer t is, and the first node witnesses
         target = alpha << row_e
-        for i, t in enumerate(trims):
-            if t << (e + n) != target:
-                return LebesgueLikeReport(alpha=None, witness=string_at(n, i))
+        want = target >> (e + n)
+        bad = 0 if want << (e + n) != target else _first(map(want.__ne__, trims))
+        if bad is not None:
+            return LebesgueLikeReport(alpha=None, witness=string_at(n, bad))
     return LebesgueLikeReport(alpha=Dyadic(alpha, e), witness=None)
 
 

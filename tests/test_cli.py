@@ -795,6 +795,29 @@ class TestPlumbing:
     def test_unknown_flag_is_a_usage_error(self):
         assert main(["worked-examples", "--bogus"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["worked-examples", "--bogus"], "unrecognized arguments: --bogus"),
+            ([], "the following arguments are required: command"),
+            (["trim"], "the following arguments are required: file"),
+            (["trim", "in.json", "--depth", "ten"], "argument --depth: invalid int value: 'ten'"),
+            (["mirror-pair"], "one of the arguments --stages --stages-file is required"),
+        ],
+        ids=["unknown-flag", "no-subcommand", "no-file", "bad-int", "no-stages"],
+    )
+    def test_a_usage_error_is_one_parse_error_line(self, capsys, argv, line):
+        """argparse's usage block is not written: the one stderr line comes
+        from report_failure, as for any other parse error."""
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"parse error: {line}\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["trim", "--help"]])
+    def test_help_still_prints_and_exits_0(self, capsys, argv):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: semimeasures") and captured.err == ""
+
     def test_output_bytes_are_deterministic(self, tmp_path):
         first, second = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         assert main(["worked-examples", "--out", first]) == 0
@@ -845,6 +868,10 @@ class TestModuleEntry:
         proc = self.run("validate", str(tmp_path / "absent.json"))
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith("parse error: ") and proc.stderr.count("\n") == 1
+
+    def test_a_usage_error_exits_2_with_one_stderr_line(self):
+        proc = self.run("worked-examples", "--bogus")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "parse error: unrecognized arguments: --bogus\n")
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,11 @@ def corrupted(rng: random.Random, stage: SemiMeasureStage, corruptions) -> SemiM
     return SemiMeasureStage(tuple(comps), strict=stage.strict)
 
 
+def level_table(*levels: list[Dyadic]) -> dict[str, Dyadic]:
+    """The table whose level n holds ``levels[n]`` in lex order."""
+    return {s: v for n, row in enumerate(levels) for s, v in zip(all_strings(n), row)}
+
+
 def assert_reports_match_the_node_walk(stage: SemiMeasureStage) -> None:
     """``validate`` and ``validate_measure`` give the same (ok, node,
     message, children) as the walk that evaluates every node on its own."""
@@ -548,6 +553,19 @@ class TestValidate:
         assert_reports_match_the_node_walk(corrupted(rng, stage, rng.choices(CORRUPTIONS, k=rng.randint(2, 3))))
 
 
+    def test_the_first_violation_of_a_level_is_reported_with_its_children(self):
+        """Level 3 breaks super-additivity under '01' and '11', '00' is
+        exactly additive and '10' has slack: the first violating node in
+        lex order is the witness, with its own children."""
+        e3, e4 = Dyadic(1, 3), Dyadic(1, 4)
+        table = level_table([ONE], [HALF, HALF], [QUARTER] * 4, [e3, e3, QUARTER, e3, e4, e4, e3, QUARTER])
+        rho = table_semimeasure(table)
+        report = validate(rho)
+        assert (report.ok, report.node, report.children) == (False, "01", (QUARTER, e3))
+        assert report.message == "super-additivity fails at '01': 1/2^2 + 1/2^3 > 1/2^2"
+        assert_reports_match_the_node_walk(rho)
+
+
 class TestLevelRow:
     @given(seeds, MIXED_KINDS)
     def test_row_holds_the_values_of_the_level(self, seed, kind):
@@ -841,6 +859,17 @@ class TestValidateMeasure:
         report = validate_measure(rho)
         assert (report.ok, report.node, report.message) == (False, "0", "additivity fails at '0'")
 
+    def test_the_first_unequal_node_of_a_deeper_level_is_reported(self):
+        """Level 3 falls short under '01' and '11' and is exact under '00'
+        and '10': the first gap in lex order is the witness."""
+        e3, e4 = Dyadic(1, 3), Dyadic(1, 4)
+        table = level_table([ONE], [HALF, HALF], [QUARTER] * 4, [e3, e3, e4, e4, e3, e3, e4, ZERO])
+        rho = table_semimeasure(table, tail=TailRule.uniform())
+        assert validate(rho).ok
+        report = validate_measure(rho)
+        assert (report.ok, report.node, report.message) == (False, "01", "additivity fails at '01'")
+        assert_reports_match_the_node_walk(rho)
+
 
 class TestTilt:
     def test_uniform_tilt_values(self):
@@ -1005,6 +1034,53 @@ class TestCompleteToMeasure:
         assert [mu.value(s) for s in strings_up_to(1)] == [ONE, HALF, HALF]
         for sigma in strings_up_to(4):
             assert mu.value(sigma) >= stage.value(sigma)
+
+    def test_the_surplus_goes_to_both_children_in_equal_halves(self):
+        """'0' keeps 1/2 and '1' keeps 1/4 of the root's 1, so each gets an
+        eighth more; one level down '00' and '10' hold all their parent's
+        value, and each pair again splits its parent's surplus."""
+        table = level_table([ONE], [HALF, QUARTER], [QUARTER, ZERO, Dyadic(1, 3), ZERO])
+        stage = table_semimeasure(table)
+        mu = complete_to_measure(stage)
+        want = [ONE, Dyadic(5, 3), Dyadic(3, 3), Dyadic(7, 4), Dyadic(3, 4), QUARTER, Dyadic(1, 3)]
+        assert [mu.value(s) for s in strings_up_to(2)] == want
+        assert {s: as_fraction(mu.value(s)) for s in strings_up_to(2)} == reference_pushdown(stage, 2)
+
+    PAD_RULES = [
+        TailRule.vanish(),
+        TailRule.uniform(),
+        TailRule.geometric(QUARTER),
+        TailRule.geometric(Dyadic(3, 3)),
+        TailRule.split(ONE, ZERO),
+        TailRule.split(QUARTER, HALF),
+        TailRule.split(HALF, Dyadic(1, 4)),
+        TailRule.split(ZERO, Dyadic(5, 4)),
+    ]
+
+    @staticmethod
+    def padded(rule: TailRule) -> tuple[Fraction, Fraction]:
+        """zero + (1 - zero - one) / 2 and one + (1 - zero - one) / 2."""
+        zero, one = as_fraction(rule.zero), as_fraction(rule.one)
+        pad = (1 - zero - one) / 2
+        return zero + pad, one + pad
+
+    @pytest.mark.parametrize("rule", PAD_RULES, ids=lambda rule: f"{rule.kind}-{rule.zero}-{rule.one}")
+    def test_a_completed_tail_splits_the_lost_fraction_evenly(self, rule):
+        mu = complete_to_measure(table_semimeasure({EPSILON: ONE}, tail=rule), depth=2)
+        for node, got in mu.components[0].tails.items():
+            assert (as_fraction(got.zero), as_fraction(got.one)) == self.padded(rule), node
+
+    def test_each_target_node_pads_the_rule_of_its_frontier_node(self):
+        """Eight rules on the eight frontier nodes of a depth-3 table,
+        completed two levels further down."""
+        tails = dict(zip(all_strings(3), self.PAD_RULES))
+        stage = table_semimeasure({s: Dyadic.pow2(-len(s)) for s in strings_up_to(3)}, tails=tails)
+        mu = complete_to_measure(stage, depth=5)
+        completed = mu.components[0].tails
+        assert len(completed) == 32
+        for node, got in completed.items():
+            assert (as_fraction(got.zero), as_fraction(got.one)) == self.padded(tails[node[:3]]), node
+        assert validate_measure(mu).ok
 
     @given(seeds, st.integers(0, 3), st.integers(0, 2))
     def test_jointly_valid_mixtures_complete_to_the_pushdown(self, seed, depth, extra):

@@ -536,6 +536,41 @@ class TestLebesgueLikeCheck:
         if kind == "vanishing":
             assert got.witness == EPSILON
 
+    @pytest.mark.parametrize(
+        "table, tails, depth, witness",
+        [
+            # alpha = 1 over 2^0: no integer trim over 2^0 is 1/2, so the first node
+            ({EPSILON: ONE, "0": ONE, "1": ZERO}, {"0": TailRule.uniform(), "1": TailRule.uniform()}, 1, "0"),
+            # the same below the frontier of a spine
+            ({EPSILON: ONE}, {EPSILON: TailRule.split(ZERO, ONE)}, 2, "0"),
+            # level 3 holds 2, 2, 1, 3, 2, 2, 3 and 1 sixteenths where alpha / 8 is 2
+            (
+                {
+                    **{s: Dyadic.pow2(-len(s)) for s in strings_up_to(2)},
+                    **dict(zip(all_strings(3), (Dyadic(x, 4) for x in (2, 2, 1, 3, 2, 2, 3, 1)))),
+                },
+                {f: TailRule.uniform() for f in all_strings(3)},
+                3,
+                "010",
+            ),
+            # below the frontier, level 2 holds a quarter, a quarter, an eighth and 3/8
+            (
+                {EPSILON: ONE, "0": HALF, "1": HALF},
+                {"0": TailRule.uniform(), "1": TailRule.split(QUARTER, Dyadic(3, 2))},
+                3,
+                "10",
+            ),
+        ],
+        ids=["inexact-at-the-frontier", "inexact-below", "exact-at-the-frontier", "exact-below"],
+    )
+    def test_the_witness_is_the_first_node_off_the_fair_share(self, table, tails, depth, witness):
+        """When alpha * 2**-n has no numerator over the level's power of two
+        every node is off it and the first is the witness; otherwise the
+        first node in lex order whose trim differs."""
+        stage = table_semimeasure(table, tails=tails)
+        got, want = lebesgue_like_check(stage, depth), reference_lebesgue_like_check(stage, depth)
+        assert (got.alpha, got.witness) == (None, witness) == (want.alpha, want.witness)
+
     @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
     def test_tilted_component_rejected_like_the_reference(self, seed, depth):
         stage = random_stage(random.Random(seed), depth=depth, parts=2)
